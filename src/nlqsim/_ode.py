@@ -9,7 +9,7 @@ complex numpy array; error norms use elementwise magnitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,7 +64,6 @@ class OdeResult:
     failure_reason: str = ""
     event_time: Optional[float] = None
     event_state: Optional[np.ndarray] = None
-    extras: dict = field(default_factory=dict)
 
 
 def _error_norm(err, y0, y1, rtol, atol):
@@ -170,9 +169,8 @@ def solve(
         for i in range(1, 7):
             yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
             k.append(f(t + _C[i] * h, yi))
-        y_new = y + h * sum(b * ki for b, ki in zip(_B5[:6], k[:6]))
-        # FSAL stage evaluated at (t+h, y_new)
-        k[6] = f(t + h, y_new)
+        # _A[6] equals _B5[:6], so the last stage was evaluated at (t+h, y_new).
+        y_new = yi
         err = h * sum(e * ki for e, ki in zip(_E, k))
         enorm = _error_norm(err, y, y_new, rtol, atol)
 

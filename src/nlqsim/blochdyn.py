@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -110,7 +110,6 @@ class SimTrace:
     overlaps: Optional[np.ndarray] = None
     failed: bool = False
     failure_reason: str = ""
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         """CSV export: header t,x,y,z[,x2,y2,z2,cos_alpha] for Bloch traces,
@@ -171,15 +170,32 @@ def ip_rate_vectors(kbar: ReducedNonlinearity, v1, v2) -> float:
     return float(cross_z * (kbar(v1[2]) - kbar(v2[2])))
 
 
+def pair_overlap_rate(kbar: ReducedNonlinearity, c, s, phi, theta):
+    """dc/dt of the overlap c = cos(alpha/2) of the pair at orientation
+    (phi, theta) under the nonlinear flow, with s = sin(alpha/2):
+
+        dc/dt = (s/2) sin(phi) sin(theta) (kbar(z_minus) - kbar(z_plus)),
+        z_pm  = c cos(phi) -+ s sin(phi) cos(theta).
+
+    Vectorized over all arguments; d cos(alpha)/dt is 4c times this.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    zp = c * cp - s * sp * ct
+    zm = c * cp + s * sp * ct
+    out = 0.5 * s * sp * st * (kbar(zm) - kbar(zp))
+    return float(out) if out.ndim == 0 else out
+
+
 def ip_rate(kbar: ReducedNonlinearity, p: PairOrientation) -> float:
     """Rate of change of cos(alpha) for an oriented pair:
 
     d/dt cos(alpha) = sin(alpha) sin(phi) sin(theta) (kbar(z_minus) - kbar(z_plus)).
     """
-    zp, zm = p.z_pair()
-    return float(
-        math.sin(p.alpha) * math.sin(p.phi) * math.sin(p.theta) * (kbar(zm) - kbar(zp))
-    )
+    c = math.cos(p.alpha / 2)
+    return 4.0 * c * pair_overlap_rate(kbar, c, math.sin(p.alpha / 2), p.phi, p.theta)
 
 
 def _flow(kbar, drive):

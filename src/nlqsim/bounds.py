@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import _ode
+from .blochdyn import pair_overlap_rate
 from .discrimination import OrientationPolicy, separation_trace
 from .nonlinearity import Nonlinearity, ReducedNonlinearity
 
@@ -177,19 +178,14 @@ def growth_trace(kbar: ReducedNonlinearity, cert: GrowthCertificate, alpha0: flo
     (phi, theta) from alpha0 until alpha reaches alpha_stop.
 
     Returns (times, alphas).  Uses the reduced angle ODE
-    d(alpha)/dt = -d(cos alpha)/dt / sin(alpha) with
-    d(cos alpha)/dt = sin(a) sin(phi) sin(theta) (kbar(z-) - kbar(z+)).
+    d(alpha)/dt = -(2/s) dc/dt with c = cos(alpha/2), s = sin(alpha/2).
     """
-    sp, cp = math.sin(cert.phi), math.cos(cert.phi)
-    st, ct = math.sin(cert.theta), math.cos(cert.theta)
 
     def f(t, y):
         a = float(y[0])
-        ca, sa = math.cos(a / 2.0), math.sin(a / 2.0)
-        zp = ca * cp - sa * sp * ct
-        zm = ca * cp + sa * sp * ct
-        dcos = math.sin(a) * sp * st * (float(kbar(zm)) - float(kbar(zp)))
-        return np.array([-dcos / max(math.sin(a), 1e-300)])
+        s = math.sin(a / 2.0)
+        dc = pair_overlap_rate(kbar, math.cos(a / 2.0), s, cert.phi, cert.theta)
+        return np.array([-2.0 * dc / max(s, 1e-300)])
 
     def event(t, y):
         return y[0] - alpha_stop

@@ -1,9 +1,20 @@
 """Command-line entry point wiring all modules.
 
-Subcommands: discriminate, bounds, search, audit, optimize, gp-validity,
-figures, validate.  All numeric output is CSV with 17 significant digits so
-regeneration diffs are lossless; every run is deterministic given --seed
-(default 0).  NLQSIM_THREADS caps worker parallelism for the check suite.
+Each subcommand accepts only the flags its handler reads:
+
+    discriminate  --nonlinearity (--alpha0 | --epsilon) --target-overlap
+                  --policy --tol --out
+    bounds        --nonlinearity --z0 --delta --grid --alpha0 --duration
+                  --g-lip --out
+    search        --nonlinearity --n --marked --t1 --seed --tol --out
+    audit         --nonlinearity --n --t1 --duration --samples --seed --out
+    optimize      --nonlinearity --alpha --dim --restarts --seed --out
+    gp-validity   --atoms --interaction --target-overlap --out
+    figures       --which --out
+    validate      --quick --seed --out
+
+All numeric output is CSV with 17 significant digits so regeneration diffs
+are lossless.
 """
 
 from __future__ import annotations
@@ -12,9 +23,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional
 
 import numpy as np
 
@@ -25,23 +33,6 @@ from . import nonlinearity as nl
 from . import optimizer as op
 from . import search as sr
 from . import validation
-
-
-def thread_count() -> int:
-    raw = os.environ.get("NLQSIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when NLQSIM_THREADS > 1."""
-    workers = thread_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt(x: float) -> str:
@@ -56,94 +47,22 @@ def write_text(path: str, text: str) -> None:
         raise SystemExit(f"cannot write output file {path!r}: {exc}")
 
 
-@dataclass
-class RunConfig:
-    """Textual round-trippable run configuration (one subcommand)."""
-
-    subcommand: str
-    nonlinearity: str = "gp:1"
-    alpha0: Optional[float] = None
-    epsilon: Optional[float] = None
-    n: Optional[int] = None
-    atoms: Optional[float] = None
-    t1: str = "auto"
-    dim: Optional[int] = None
-    restarts: Optional[int] = None
-    seed: int = 0
-    tol: Optional[float] = None
-    out: Optional[str] = None
-    quick: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def to_argv(self) -> List[str]:
-        argv = [self.subcommand, "--nonlinearity", self.nonlinearity,
-                "--seed", str(self.seed), "--t1", self.t1]
-        if self.alpha0 is not None:
-            argv += ["--alpha0", fmt(self.alpha0)]
-        if self.epsilon is not None:
-            argv += ["--epsilon", fmt(self.epsilon)]
-        if self.n is not None:
-            argv += ["--n", str(self.n)]
-        if self.atoms is not None:
-            argv += ["--atoms", fmt(self.atoms)]
-        if self.dim is not None:
-            argv += ["--dim", str(self.dim)]
-        if self.restarts is not None:
-            argv += ["--restarts", str(self.restarts)]
-        if self.tol is not None:
-            argv += ["--tol", fmt(self.tol)]
-        if self.out is not None:
-            argv += ["--out", self.out]
-        if self.quick:
-            argv += ["--quick"]
-        for k, v in sorted(self.extra.items()):
-            argv += [f"--{k}", str(v)]
-        return argv
-
-
-def config_from_args(args) -> RunConfig:
-    atoms = getattr(args, "atoms", None)
-    if isinstance(atoms, list):
-        atoms = atoms[0] if len(atoms) == 1 else tuple(atoms)
-    return RunConfig(
-        subcommand=args.command,
-        nonlinearity=getattr(args, "nonlinearity", "gp:1"),
-        alpha0=getattr(args, "alpha0", None),
-        epsilon=getattr(args, "epsilon", None),
-        n=getattr(args, "n", None),
-        atoms=atoms,
-        t1=getattr(args, "t1", "auto"),
-        dim=getattr(args, "dim", None),
-        restarts=getattr(args, "restarts", None),
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", None),
-        out=getattr(args, "out", None),
-        quick=getattr(args, "quick", False),
-    )
-
-
-def _tolerances(args):
-    if getattr(args, "tol", None):
-        return args.tol, args.tol * 1e-2
-    return 1e-10, 1e-12
-
-
-def _resolve_alpha0(args) -> float:
-    if getattr(args, "alpha0", None) is not None:
-        return args.alpha0
-    if getattr(args, "epsilon", None) is not None:
-        return dc.epsilon_to_alpha0(args.epsilon)
-    raise SystemExit("provide --alpha0 or --epsilon")
+def positive_float(text: str) -> float:
+    """argparse type for a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def cmd_discriminate(args) -> int:
     n = nl.parse(args.nonlinearity)
-    alpha0 = _resolve_alpha0(args)
-    rtol, atol = _tolerances(args)
+    alpha0 = (args.alpha0 if args.alpha0 is not None
+              else dc.epsilon_to_alpha0(args.epsilon))
     policy = (dc.OrientationPolicy.REOPTIMIZED if args.policy == "reopt"
               else dc.OrientationPolicy.FIXED_OPTIMAL_GP)
-    res = dc.time_to_overlap(n, alpha0, args.target_overlap,
-                             orientation_policy=policy, rtol=rtol, atol=atol)
+    res = dc.time_to_overlap(n, alpha0, args.target_overlap, orientation_policy=policy,
+                             rtol=args.tol, atol=args.tol * 1e-2)
     print(f"nonlinearity = {n.spec_string()}")
     print(f"alpha0 = {fmt(alpha0)}")
     print(f"status = {res.status}")
@@ -179,7 +98,7 @@ def cmd_bounds(args) -> int:
         bound_ok, max_ratio = False, math.nan
     else:
         rep = bn.check_lipschitz_separation_bound(
-            n, args.alpha0 or 1e-3, args.duration, g_lip=g_lip)
+            n, args.alpha0, args.duration, g_lip=g_lip)
         bound_ok, max_ratio = rep.bound_ok, rep.max_ratio
         print(f"g_lip = {fmt(g_lip)}, bound_ok = {bound_ok}, "
               f"max ratio = {fmt(max_ratio)}")
@@ -194,11 +113,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_search(args) -> int:
     n = nl.parse(args.nonlinearity)
-    if args.n is None:
-        raise SystemExit("search requires --n")
     instance = sr.SearchInstance(args.n, marked=args.marked)
-    rtol, _ = _tolerances(args)
-    report = sr.run_search(instance, n, t1=args.t1, seed=args.seed, rtol=rtol)
+    report = sr.run_search(instance, n, t1=args.t1, seed=args.seed, rtol=args.tol)
     print(sr.SearchReport.csv_header())
     print(report.csv_row())
     if args.out:
@@ -209,10 +125,8 @@ def cmd_search(args) -> int:
 
 def cmd_audit(args) -> int:
     n = nl.parse(args.nonlinearity)
-    if args.n is None:
-        raise SystemExit("audit requires --n")
     g = n.g if n.g > 0 else 1.0
-    t1 = sr.default_t1(args.n, g) if args.t1 in ("auto", None) else float(args.t1)
+    t1 = sr.default_t1(args.n, g) if args.t1 == "auto" else float(args.t1)
     H = sr.search_schedule(args.n, n.g, t1)
     duration = args.duration
     if duration is None:
@@ -230,9 +144,7 @@ def cmd_audit(args) -> int:
 
 def cmd_optimize(args) -> int:
     n = nl.parse(args.nonlinearity)
-    alpha = args.alpha if args.alpha is not None else (args.alpha0 or 0.5)
-    dim = args.dim or 2
-    restarts = args.restarts or 64
+    alpha, dim, restarts = args.alpha, args.dim, args.restarts
     base = op.optimize_orientation(n, alpha, 2, restarts=restarts, seed=args.seed)
     if dim == 2:
         result = base
@@ -257,8 +169,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_gp_validity(args) -> int:
-    if args.atoms is None:
-        raise SystemExit("gp-validity requires --atoms")
     rows = []
     for atoms in args.atoms:
         p = mf.CondensateParams(int(atoms), U=args.interaction)
@@ -296,11 +206,10 @@ def _figure_text(which: str) -> str:
 
 def cmd_figures(args) -> int:
     which = ["fig3a", "fig3b", "fig4"] if args.which == "all" else [args.which]
-    outdir = args.out or "."
-    if not os.path.isdir(outdir):
-        raise SystemExit(f"output directory {outdir!r} does not exist")
+    if not os.path.isdir(args.out):
+        raise SystemExit(f"output directory {args.out!r} does not exist")
     for w in which:
-        path = os.path.join(outdir, f"{w}.csv")
+        path = os.path.join(args.out, f"{w}.csv")
         write_text(path, _figure_text(w))
         print(f"wrote {path}")
     return 0
@@ -309,7 +218,7 @@ def cmd_figures(args) -> int:
 def cmd_validate(args) -> int:
     ctx = validation.Context(quick=args.quick, seed=args.seed,
                              inject_bug=args.inject_bug)
-    results = parallel_map(lambda fn: fn(ctx), validation.ALL_CHECKS)
+    results = validation.run_all(ctx)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -330,6 +239,25 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# Flags shared by several subcommands; each subcommand picks its own below.
+_SHARED = {
+    "nonlinearity": dict(default="gp:1",
+                         help="kind:g spec (gp:1.0, log:0.5, sqrt, quartic, custom:file.csv)"),
+    "n": dict(type=int, required=True, help="catalog size N"),
+    "t1": dict(default="auto", help="oracle time (auto or a float)"),
+    "seed": dict(type=int, default=0, help="rng seed (default 0)"),
+    "tol": dict(type=positive_float, default=1e-10,
+                help="integrator relative tolerance (default 1e-10)"),
+    "target-overlap": dict(type=float, default=0.0),
+    "out": dict(default=None, help="output CSV path"),
+}
+
+
+def _shared(p, *names):
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED[name])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlqsim",
@@ -338,69 +266,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        # The full documented flag set is accepted by every subcommand;
-        # flags irrelevant to a given command are ignored by its handler.
-        p.add_argument("--nonlinearity", default="gp:1",
-                       help="kind:g spec (gp:1.0, log:0.5, sqrt, quartic, custom:file.csv)")
-        p.add_argument("--alpha0", type=float, default=None,
-                       help="initial separation angle")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="initial overlap deficit (overlap = 1 - epsilon)")
-        p.add_argument("--n", type=int, default=None, help="catalog size N")
-        p.add_argument("--atoms", type=float, nargs="+", default=None,
-                       help="condensate atom counts")
-        p.add_argument("--t1", default="auto", help="oracle time (auto or a float)")
-        p.add_argument("--dim", type=int, default=None, help="embedding dimension")
-        p.add_argument("--restarts", type=int, default=None,
-                       help="optimizer restart count")
-        p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="integrator relative tolerance override")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--quick", action="store_true",
-                       help="reduced grids (validate)")
-
     p = sub.add_parser("discriminate", help="drive a qubit pair to a target overlap")
-    common(p)
-    p.add_argument("--target-overlap", type=float, default=0.0)
+    _shared(p, "nonlinearity")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--alpha0", type=float, help="initial separation angle")
+    start.add_argument("--epsilon", type=float,
+                       help="initial overlap deficit (overlap = 1 - epsilon)")
+    _shared(p, "target-overlap")
     p.add_argument("--policy", choices=["fixed", "reopt"], default="fixed")
+    _shared(p, "tol", "out")
 
     p = sub.add_parser("bounds", help="growth certificates and separation bounds")
-    common(p)
+    _shared(p, "nonlinearity")
     p.add_argument("--z0", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--grid", type=int, default=bn.DEFAULT_GRID)
+    p.add_argument("--alpha0", type=float, default=1e-3,
+                   help="initial separation angle of the bound check (default 1e-3)")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--g-lip", type=float, default=None,
                    help="Lipschitz proxy when no finite constant exists")
+    _shared(p, "out")
 
     p = sub.add_parser("search", help="run the search pipeline on one instance")
-    common(p)
+    _shared(p, "nonlinearity", "n")
     p.add_argument("--marked", type=int, default=None, help="marked item (1-indexed)")
+    _shared(p, "t1", "seed", "tol", "out")
 
     p = sub.add_parser("audit", help="co-integrate marked/unmarked trajectories "
                                      "against the overlap-sum floor")
-    common(p)
-    p.add_argument("--duration", type=float, default=None)
+    _shared(p, "nonlinearity", "n", "t1")
+    p.add_argument("--duration", type=float, default=None,
+                   help="audit horizon (default: total time of the search run)")
     p.add_argument("--samples", type=int, default=200)
+    _shared(p, "seed", "out")
 
     p = sub.add_parser("optimize", help="orientation search over embeddings")
-    common(p)
-    p.add_argument("--alpha", type=float, default=None, help="pair separation angle")
+    _shared(p, "nonlinearity")
+    p.add_argument("--alpha", type=float, default=0.5, help="pair separation angle")
+    p.add_argument("--dim", type=int, default=2, help="embedding dimension")
+    p.add_argument("--restarts", type=int, default=64, help="optimizer restart count")
+    _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")
-    common(p)
+    p.add_argument("--atoms", type=float, nargs="+", required=True,
+                   help="condensate atom counts")
     p.add_argument("--interaction", type=float, default=1e-3,
                    help="interaction strength U (g = U * atoms)")
-    p.add_argument("--target-overlap", type=float, default=0.0)
+    _shared(p, "target-overlap", "out")
 
     p = sub.add_parser("figures", help="regenerate figure data CSVs")
-    common(p)
     p.add_argument("--which", choices=["fig3a", "fig3b", "fig4", "all"], default="all")
+    p.add_argument("--out", default=".", help="output directory (default .)")
 
     p = sub.add_parser("validate", help="run the named invariant checks")
-    common(p)
+    p.add_argument("--quick", action="store_true", help="reduced grids")
+    _shared(p, "seed", "out")
     p.add_argument("--inject-bug", default=None, help=argparse.SUPPRESS)
 
     return parser

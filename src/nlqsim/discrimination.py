@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _ode
-from .blochdyn import SimTrace
+from .blochdyn import SimTrace, pair_overlap_rate
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 SQRT2 = math.sqrt(2.0)
@@ -63,10 +63,14 @@ class DiscriminationResult:
 
 
 def epsilon_to_alpha0(epsilon: float) -> float:
-    """Exact conversion of overlap deficit to Bloch separation angle."""
+    """Exact conversion of overlap deficit to Bloch separation angle.
+
+    Evaluates 2 acos(1 - epsilon) as the identical 4 asin(sqrt(epsilon/2)),
+    which keeps full relative precision for tiny epsilon.
+    """
     if not 0.0 <= epsilon <= 2.0:
         raise ValueError("epsilon must be in [0, 2]")
-    return 2.0 * math.acos(1.0 - epsilon)
+    return 4.0 * math.asin(math.sqrt(epsilon / 2.0))
 
 
 def gp_overlap_closed_form(g: float, alpha0: float, t, flag_pole: bool = False):
@@ -150,30 +154,16 @@ def gp_overlap_rate(g: float, alpha) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def oriented_overlap_rate(kbar: ReducedNonlinearity, c, phi, theta):
-    """dc/dt for overlap c at orientation (phi, theta).
-
-    Uses d cos(alpha)/dt = sin(a) sin(phi) sin(theta) (kbar(z-) - kbar(z+))
-    and dc/dt = d cos(alpha)/dt / (4c) = (s/2) sin(phi) sin(theta) (...),
-    with z_pm = c cos(phi) -+ s sin(phi) cos(theta), s = sin(alpha/2).
-    """
+def _sin_half(c):
+    """s = sin(alpha/2) from the overlap c = cos(alpha/2)."""
     c = np.asarray(c, dtype=float)
-    s = np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
-    sp, cp = np.sin(phi), np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    zp = c * cp - s * sp * ct
-    zm = c * cp + s * sp * ct
-    out = 0.5 * s * sp * st * (kbar(zm) - kbar(zp))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
 
 
 def fixed_orientation_rate(kbar: ReducedNonlinearity, c):
-    """dc/dt at the quadratic-optimal orientation:
+    """dc/dt at the quadratic-optimal orientation (phi, theta) = (pi/2, 3 pi/4):
     -(1/sqrt(2)) kbar(s/sqrt(2)) s with s = sin(alpha/2)."""
-    c = np.asarray(c, dtype=float)
-    s = np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
-    out = -(1.0 / SQRT2) * np.asarray(kbar(s / SQRT2)) * s
-    return float(out) if out.ndim == 0 else out
+    return pair_overlap_rate(kbar, c, _sin_half(c), math.pi / 2.0, 3.0 * math.pi / 4.0)
 
 
 # Orientation grid for the re-optimized policy: 256 x 256 in (phi, theta),
@@ -187,10 +177,11 @@ def reoptimize_orientation(kbar: ReducedNonlinearity, c: float):
     Returns (phi, theta, rate).  Grid search on a 256x256 mesh refined by
     a shrinking compass search around the best cell.
     """
+    s = _sin_half(c)
     phis = np.linspace(0.0, math.pi, _GRID_N)
     thetas = np.linspace(0.0, 2.0 * math.pi, _GRID_N, endpoint=False)
     P, T = np.meshgrid(phis, thetas, indexing="ij")
-    rates = oriented_overlap_rate(kbar, c, P, T)
+    rates = pair_overlap_rate(kbar, c, s, P, T)
     i, j = np.unravel_index(np.argmin(rates), rates.shape)
     phi, theta, best = float(P[i, j]), float(T[i, j]), float(rates[i, j])
 
@@ -200,7 +191,7 @@ def reoptimize_orientation(kbar: ReducedNonlinearity, c: float):
         for dphi, dtheta in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             cand_phi = min(max(phi + dphi, 0.0), math.pi)
             cand_theta = (theta + dtheta) % (2.0 * math.pi)
-            r = oriented_overlap_rate(kbar, c, cand_phi, cand_theta)
+            r = pair_overlap_rate(kbar, c, s, cand_phi, cand_theta)
             if r < best:
                 phi, theta, best = cand_phi, cand_theta, r
                 improved = True
@@ -219,7 +210,6 @@ def separation_trace(
     duration: Optional[float] = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_time: Optional[float] = None,
     t_eval: Optional[np.ndarray] = None,
 ) -> DiscriminationResult:
     """Integrate the reduced overlap dynamics from separation alpha0.
@@ -245,7 +235,7 @@ def separation_trace(
     def f(t, y):
         c = float(np.clip(y[0], -1.0, 1.0))
         return np.array([
-            oriented_overlap_rate(kbar, c, orientation["phi"], orientation["theta"])
+            pair_overlap_rate(kbar, c, _sin_half(c), orientation["phi"], orientation["theta"])
         ])
 
     rate0 = f(0.0, np.array([c0]))[0]
@@ -268,12 +258,9 @@ def separation_trace(
     if duration is not None:
         horizon = duration
     else:
-        if max_time is None:
-            # Generous cap: the rate certificate above guarantees progress at
-            # least like an exponential with exponent |rate0|/alpha-ish.
-            horizon = 1e4 / scale + 100.0 * (1.0 + abs(math.log(max(alpha0, 1e-300))))
-        else:
-            horizon = max_time
+        # Generous cap: the rate certificate above guarantees progress at
+        # least like an exponential with exponent |rate0|/alpha-ish.
+        horizon = 1e4 / scale + 100.0 * (1.0 + abs(math.log(max(alpha0, 1e-300))))
 
     controls = [(0.0, control_omega(kbar, c0))]
 
@@ -313,12 +300,10 @@ def time_to_overlap(
     orientation_policy: OrientationPolicy = OrientationPolicy.FIXED_OPTIMAL_GP,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_time: Optional[float] = None,
 ) -> DiscriminationResult:
     """First time the pair overlap reaches ``target_overlap``."""
     return separation_trace(n, alpha0, policy=orientation_policy,
-                            target_overlap=target_overlap, rtol=rtol, atol=atol,
-                            max_time=max_time)
+                            target_overlap=target_overlap, rtol=rtol, atol=atol)
 
 
 def fig_overlap_vs_gt(g: float = 1.0, alpha0: float = 0.1, gt_max: float = 7.5,

@@ -57,7 +57,6 @@ class Nonlinearity:
     kind: Kind
     g: float = 1.0
     custom_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    custom_table: Optional[tuple] = None
     label: str = ""
 
     def __post_init__(self):
@@ -130,8 +129,7 @@ def piecewise_from_table(x: Sequence[float], y: Sequence[float], g: float = 1.0,
     def fn(v):
         return interp(np.clip(v, x[0], x[-1]))
 
-    return Nonlinearity(Kind.PIECEWISE_CUSTOM, g, custom_fn=fn,
-                        custom_table=(tuple(x), tuple(y)), label=label)
+    return Nonlinearity(Kind.PIECEWISE_CUSTOM, g, custom_fn=fn, label=label)
 
 
 def piecewise_from_csv(path, g: float = 1.0) -> Nonlinearity:
@@ -247,6 +245,17 @@ class ReducedNonlinearity:
         out = np.asarray(self.source.kappa(zp)) - np.asarray(self.source.kappa(zm))
         out = out.reshape(z.shape)
         return out if out.ndim else float(out)
+
+
+def overlap_derivative(kappa: Nonlinearity, psi, phi):
+    """Nonlinear part of d<psi|phi>/dt when both states share the flow,
+
+        i sum_x (kappa(|psi_x|) - kappa(|phi_x|)) psi_x^* phi_x,
+
+    summed along the last axis (leading axes are batch axes).
+    """
+    w = np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi)))
+    return 1j * np.sum(w * np.conj(psi) * phi, axis=-1)
 
 
 def reduce(n: Nonlinearity) -> ReducedNonlinearity:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, overlap_derivative
 
 _STEP_INIT = 0.4
 _STEP_MIN = 5e-8
@@ -82,8 +82,7 @@ def rate_functional_flagged(kappa: Nonlinearity, e: PairEmbedding):
     """
     psi, phi = np.asarray(e.psi, complex), np.asarray(e.phi, complex)
     inner = np.vdot(psi, phi)
-    w = np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi)))
-    t = 1j * np.sum(w * np.conj(psi) * phi)
+    t = overlap_derivative(kappa, psi, phi)
     if abs(inner) < 1e-12:
         return float(abs(t)), True
     return float(np.real(np.conj(inner / abs(inner)) * t)), False
@@ -167,8 +166,7 @@ def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
     psi = states[:, :, 0]
     phi = states[:, :, 1]
     inner = np.sum(np.conj(psi) * phi, axis=1)
-    w = np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi)))
-    t = 1j * np.sum(w * np.conj(psi) * phi, axis=1)
+    t = overlap_derivative(kappa, psi, phi)
     mag = np.abs(inner)
     mag = np.where(mag < 1e-300, 1.0, mag)
     return np.real(np.conj(inner / mag) * t)

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import _ode
 from .blochdyn import SimTrace
-from .discrimination import (OrientationPolicy, gp_overlap_closed_form,
-                             time_to_overlap)
-from .nonlinearity import Nonlinearity
+from .discrimination import (OrientationPolicy, epsilon_to_alpha0,
+                             gp_overlap_closed_form, time_to_overlap)
+from .nonlinearity import Nonlinearity, overlap_derivative
 
 SQRT2 = math.sqrt(2.0)
 TARGET_OVERLAP = 1.0 / SQRT2  # constant-advantage discrimination target
@@ -195,7 +195,7 @@ def run_search(
             f"t1 = {t1_val:.3g} leaves the hypothesis states indistinguishable "
             f"at double precision (epsilon = {epsilon:.3e}); raise t1")
 
-    alpha0 = 2.0 * math.acos(1.0 - epsilon)
+    alpha0 = epsilon_to_alpha0(epsilon)
     disc = time_to_overlap(n, alpha0, TARGET_OVERLAP,
                            orientation_policy=OrientationPolicy.FIXED_OPTIMAL_GP,
                            rtol=rtol)
@@ -306,7 +306,8 @@ def search_schedule(N: int, g: float, t1: float) -> Callable[[float], np.ndarray
     """
     outcome = hadamard_test(N, t1, marked=True)
     eps = 1.0 - outcome.overlap_with_zero
-    alpha0 = 2.0 * math.acos(max(-1.0, 1.0 - eps))
+    # Rounding can put the overlap an ulp above 1; that pair is not separated.
+    alpha0 = epsilon_to_alpha0(max(eps, 0.0))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
     def H(t):
@@ -354,10 +355,8 @@ def pairwise_overlap_derivative(kappa: Nonlinearity, psi: np.ndarray,
                                   <psi|x><x|psi_m>.
     The driving Hamiltonian cancels from this expression.
     """
-    diff = np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(psi_m)))
-    nonlinear = 1j * np.sum(diff * np.conj(psi) * psi_m)
     oracle = -1j * np.conj(psi[m - 1]) * psi_m[m - 1]
-    return complex(oracle + nonlinear)
+    return complex(oracle + overlap_derivative(kappa, psi, psi_m))
 
 
 def lower_bound_audit(
@@ -368,7 +367,6 @@ def lower_bound_audit(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     samples: int = 200,
-    n_cap: int = AUDIT_N_CAP,
 ) -> AuditReport:
     """Co-integrate the unmarked state and all N marked states from |s>
     under the same H(t) and check
@@ -376,13 +374,13 @@ def lower_bound_audit(
         S(t) = sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N))
 
     at every recorded time.  |kappa| is sampled on [0, 1] to determine the
-    bound's g.  Refuses N above ``n_cap`` (the stacked integration grows as
-    N^2 states).
+    bound's g.  Refuses N above ``AUDIT_N_CAP`` (the stacked integration
+    grows as N^2 states).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if N > n_cap:
-        raise ValueError(f"audit refuses N = {N} above the cap {n_cap}")
+    if N > AUDIT_N_CAP:
+        raise ValueError(f"audit refuses N = {N} above the cap {AUDIT_N_CAP}")
     xs = np.linspace(0.0, 1.0, 2001)
     g_bound = float(np.max(np.abs(np.asarray(kappa.kappa(xs)))))
 

@@ -492,21 +492,6 @@ def check_search_decision_chain(ctx: Context) -> CheckResult:
                        f"min total_time / decision floor = {worst:.2f}")
 
 
-def check_config_roundtrip(ctx: Context) -> CheckResult:
-    from . import cli
-    for sub in ("discriminate", "bounds", "search", "audit", "optimize",
-                "gp-validity", "figures", "validate"):
-        cfg = cli.RunConfig(subcommand=sub, nonlinearity="log:0.5", alpha0=0.25,
-                            epsilon=1e-3, n=64, atoms=1e4, t1="2.5", dim=3,
-                            restarts=12, seed=11, tol=1e-8, out="x.csv",
-                            quick=True)
-        again = cli.config_from_args(cli.build_parser().parse_args(cfg.to_argv()))
-        if again != cfg:
-            return CheckResult("config_roundtrip", False, f"{sub} drifted")
-    return CheckResult("config_roundtrip", True,
-                       "all subcommand configs round-trip")
-
-
 def check_epsilon_scaling(ctx: Context) -> CheckResult:
     g = 1.0
     eps = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -551,7 +536,6 @@ ALL_CHECKS: List[Callable[[Context], CheckResult]] = [
     check_general_upper_bound,
     check_optimizer_invariants,
     check_search_decision_chain,
-    check_config_roundtrip,
 ]
 
 

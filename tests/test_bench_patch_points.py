@@ -1,0 +1,49 @@
+"""The benchmark's tracer wraps nlqsim entry points by name; a rename in
+``src/`` must fail here rather than only in the slower benchmark suite."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import nlqsim._ode
+import nlqsim.blochdyn
+import nlqsim.bounds
+import nlqsim.discrimination
+import nlqsim.nonlinearity
+import nlqsim.optimizer
+import nlqsim.search
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+OWNERS = (nlqsim._ode, nlqsim.blochdyn, nlqsim.bounds, nlqsim.discrimination,
+          nlqsim.optimizer, nlqsim.search, nlqsim.nonlinearity.Nonlinearity,
+          nlqsim.nonlinearity.ReducedNonlinearity)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_and_uninstall_restore_every_patch_point():
+    tracing = _load_tracing()
+    before = {owner: dict(vars(owner)) for owner in OWNERS}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = [(owner, attr) for owner, attr, _ in tracer._undo]
+        assert patched
+        for owner, attr in patched:
+            assert vars(owner)[attr] is not before[owner][attr]
+    finally:
+        tracer.uninstall()
+    for owner in OWNERS:
+        after = vars(owner)
+        for attr, value in before[owner].items():
+            assert after[attr] is value, f"{owner.__name__}.{attr} not restored"
+    # argument names the tracer's counters bind by name
+    assert "y0" in inspect.signature(nlqsim._ode.solve).parameters
+    assert "N" in inspect.signature(nlqsim.search.lower_bound_audit).parameters
+    assert "max_sweeps" in inspect.signature(
+        nlqsim.optimizer.optimize_orientation).parameters

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -11,35 +12,52 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def test_config_round_trip():
-    cfg = cli.RunConfig(subcommand="search", nonlinearity="gp:2.5", n=1024,
-                        seed=7, t1="auto", out="report.csv")
-    argv = cfg.to_argv()
-    args = cli.build_parser().parse_args(argv)
-    again = cli.config_from_args(args)
-    assert again == cfg
+# The flags each subcommand's handler reads, and no others.
+SUBCOMMAND_FLAGS = {
+    "discriminate": {"nonlinearity", "alpha0", "epsilon", "target-overlap", "policy",
+                     "tol", "out"},
+    "bounds": {"nonlinearity", "z0", "delta", "grid", "alpha0", "duration", "g-lip",
+               "out"},
+    "search": {"nonlinearity", "n", "marked", "t1", "seed", "tol", "out"},
+    "audit": {"nonlinearity", "n", "t1", "duration", "samples", "seed", "out"},
+    "optimize": {"nonlinearity", "alpha", "dim", "restarts", "seed", "out"},
+    "gp-validity": {"atoms", "interaction", "target-overlap", "out"},
+    "figures": {"which", "out"},
+    "validate": {"quick", "seed", "out", "inject-bug"},
+}
 
 
-@pytest.mark.parametrize("subcommand", ["discriminate", "bounds", "search",
-                                        "audit", "optimize", "gp-validity",
-                                        "figures", "validate"])
-def test_config_round_trip_every_documented_flag(subcommand):
-    cfg = cli.RunConfig(subcommand=subcommand, nonlinearity="log:0.5",
-                        alpha0=0.25, epsilon=1e-3, n=64, atoms=1e4, t1="2.5",
-                        dim=3, restarts=12, seed=11, tol=1e-8,
-                        out="x.csv", quick=True)
-    args = cli.build_parser().parse_args(cfg.to_argv())
-    assert cli.config_from_args(args) == cfg
+def test_parser_flags_are_exactly_those_read():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for name, sub in subparsers.choices.items():
+        seen[name] = {opt[2:] for action in sub._actions for opt in action.option_strings
+                      if opt.startswith("--") and opt != "--help"}
+    assert seen == SUBCOMMAND_FLAGS
+    assert sum(len(f) for f in seen.values()) == 45
 
 
-def test_config_round_trip_all_numeric_fields():
-    cfg = cli.RunConfig(subcommand="discriminate", nonlinearity="log:0.5",
-                        alpha0=0.1234567890123456, epsilon=None, seed=3,
-                        tol=1e-9, quick=False)
-    args = cli.build_parser().parse_args(cfg.to_argv())
-    again = cli.config_from_args(args)
-    assert again.alpha0 == cfg.alpha0
-    assert again.tol == cfg.tol
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "64", "--dim", "4"],
+    ["figures", "--nonlinearity", "gp:1"],
+    ["validate", "--n", "8"],
+    ["gp-validity", "--atoms", "1e3", "--seed", "1"],
+])
+def test_flag_not_read_by_subcommand_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "x"])
+def test_tol_must_be_finite_positive(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["discriminate", "--alpha0", "0.5", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_figures_content(tmp_path, capsys):
@@ -224,15 +242,3 @@ def test_console_entry_point():
     for name in ("discriminate", "bounds", "search", "audit", "optimize",
                  "gp-validity", "figures", "validate"):
         assert name in proc.stdout
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("NLQSIM_THREADS", "4")
-    assert cli.thread_count() == 4
-    monkeypatch.setenv("NLQSIM_THREADS", "bogus")
-    assert cli.thread_count() == 1
-    monkeypatch.delenv("NLQSIM_THREADS")
-    assert cli.thread_count() == 1
-    # parallel_map preserves order regardless of worker count
-    monkeypatch.setenv("NLQSIM_THREADS", "3")
-    assert cli.parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]

@@ -183,6 +183,14 @@ def test_epsilon_alpha_conversion_is_exact():
         assert math.cos(a0 / 2) == pytest.approx(1.0 - eps, abs=1e-16)
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-15, 1e-17])
+def test_epsilon_alpha_conversion_keeps_precision_for_tiny_deficits(eps):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = float(2 * mpmath.acos(1 - mpmath.mpf(eps)))
+    assert dc.epsilon_to_alpha0(eps) == pytest.approx(want, rel=1e-15)
+
+
 def test_log_time_scaling_regression():
     g = 1.0
     eps = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

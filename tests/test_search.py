@@ -238,6 +238,13 @@ def test_pairwise_overlap_derivative_matches_finite_difference():
     assert abs(fd - analytic) <= 1e-4 * max(abs(analytic), 1e-3)
 
 
+def test_search_schedule_accepts_overlap_rounded_above_one():
+    # At N = 2^20, t1 = 6.28 the Hadamard-test overlap rounds to 1 + 2^-52.
+    N, t1 = 2 ** 20, 6.28
+    assert 1.0 - sr.hadamard_test(N, t1, True).overlap_with_zero < 0.0
+    sr.search_schedule(N, 1.0, t1)
+
+
 def test_lower_bound_audit_initial_sum_and_margin():
     N, g = 16, 1.0
     t1 = sr.default_t1(N, g)
