@@ -1,10 +1,11 @@
 """Adaptive embedded Runge-Kutta integration core.
 
-Implements the Dormand-Prince 5(4) pair with PI step-size control,
-optional per-step renormalization (for norm-preserving flows), forced
-sample times, and terminal event detection via cubic Hermite
-interpolation over the bracketing step.  The state may be any real or
-complex numpy array; error norms use elementwise magnitudes.
+Implements the Dormand-Prince 5(4) pair with PI step-size control over a
+fixed interval [t0, t1], optional per-step renormalization (for
+norm-preserving flows) and forced sample times.  The state may be any real
+or complex numpy array; error norms use elementwise magnitudes.  Scalar
+autonomous problems (the overlap laws of ``discrimination`` and
+``bounds``) are quadratures and do not come here.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class OdeResult:
     stats: StepStats
     failed: bool = False
     failure_reason: str = ""
-    event_time: Optional[float] = None
-    event_state: Optional[np.ndarray] = None
 
 
 def _error_norm(err, y0, y1, rtol, atol):
@@ -87,17 +86,6 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     return min(100 * h0, h1, abs(t1 - t0))
 
 
-def _hermite(t, t0, y0, f0, t1, y1, f1):
-    """Cubic Hermite interpolant on [t0, t1]."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
 def solve(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -108,9 +96,7 @@ def solve(
     t_eval: Optional[np.ndarray] = None,
     renorm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     norm_drift: Optional[Callable[[np.ndarray], float]] = None,
-    event: Optional[Callable[[float, np.ndarray], float]] = None,
     max_step: float = np.inf,
-    step_hook: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> OdeResult:
     """Integrate ``y' = f(t, y)`` from ``t0`` to ``t1``.
 
@@ -123,13 +109,13 @@ def solve(
         Strictly increasing sample times in [t0, t1]; steps are clipped so
         each is hit exactly and recorded.  Without it, every accepted step
         is recorded.
-    event
-        Scalar function whose sign change terminates the run.  The crossing
-        is located on a cubic Hermite interpolant of the bracketing step.
-    step_hook
-        Called with (t, y) after each accepted (renormalized) step; used by
-        callers that adapt the right-hand side between steps.
+
+    ``rtol`` and ``atol`` must be finite and > 0; anything else raises
+    ``ValueError`` before ``f`` is first called.
     """
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (np.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
     y = np.array(y0, copy=True)
     t = float(t0)
     stats = StepStats()
@@ -152,7 +138,6 @@ def solve(
         return OdeResult(np.array(ts if ts else [t]), np.array(ys if ys else [y]), stats)
 
     fk = f(t, y)
-    ev_prev = event(t, y) if event is not None else None
     h = min(_initial_step(f, t, y, fk, t1, rtol, atol), max_step)
 
     while t < t1:
@@ -188,33 +173,6 @@ def solve(
         t_new = t + h
         f_new = k[6]
 
-        if event is not None:
-            ev_new = event(t_new, y_new)
-            if ev_prev is not None and ev_prev * ev_new < 0.0:
-                t_lo, t_hi = t, t_new
-                g_lo = ev_prev
-                for _ in range(80):
-                    t_mid = 0.5 * (t_lo + t_hi)
-                    y_mid = _hermite(t_mid, t, y, fk, t_new, y_new, f_new)
-                    g_mid = event(t_mid, y_mid)
-                    if g_lo * g_mid <= 0.0:
-                        t_hi = t_mid
-                    else:
-                        t_lo, g_lo = t_mid, g_mid
-                    if t_hi - t_lo < 1e-15 * max(1.0, abs(t_hi)):
-                        break
-                t_ev = 0.5 * (t_lo + t_hi)
-                y_ev = _hermite(t_ev, t, y, fk, t_new, y_new, f_new)
-                if renorm is not None:
-                    y_ev = renorm(y_ev)
-                ts.append(t_ev)
-                ys.append(y_ev.copy())
-                return OdeResult(
-                    np.array(ts), np.array(ys), stats,
-                    event_time=t_ev, event_state=y_ev,
-                )
-            ev_prev = ev_new
-
         if norm_drift is not None:
             stats.max_norm_drift = max(stats.max_norm_drift, norm_drift(y_new))
         if renorm is not None:
@@ -231,12 +189,6 @@ def solve(
         else:
             ts.append(t)
             ys.append(y.copy())
-
-        if step_hook is not None:
-            # The hook may adapt the right-hand side, so the FSAL stage is
-            # stale after it runs.
-            step_hook(t, y)
-            fk = f(t, y)
 
         h *= min(MAX_STEP_FACTOR, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
 

@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import _ode
 from .blochdyn import pair_overlap_rate
-from .discrimination import OrientationPolicy, separation_trace
+from .discrimination import OrientationPolicy, check_rtol, quad_panel, separation_trace
 from .nonlinearity import Nonlinearity, ReducedNonlinearity
 
 DEFAULT_GRID = 10_000
@@ -173,27 +172,33 @@ def exp_growth_rate(cert: GrowthCertificate) -> float:
 
 
 def growth_trace(kbar: ReducedNonlinearity, cert: GrowthCertificate, alpha0: float,
-                 alpha_stop: float, rtol: float = 1e-10, atol: float = 1e-12):
-    """Integrate the maintained-orientation pair dynamics at the certificate's
-    (phi, theta) from alpha0 until alpha reaches alpha_stop.
+                 alpha_stop: float, rtol: float = 1e-10):
+    """Times at which the pair held at the certificate's (phi, theta) widens
+    from alpha0 to alpha_stop.
 
-    Returns (times, alphas).  Uses the reduced angle ODE
-    d(alpha)/dt = -(2/s) dc/dt with c = cos(alpha/2), s = sin(alpha/2).
+    Returns (times, alphas) at the ends of unit panels in ln(alpha), the
+    last at alpha_stop.  The time is the quadrature of alpha / (d alpha/dt)
+    over ln(alpha), with d(alpha)/dt = -(2/s) dc/dt, c = cos(alpha/2) and
+    s = sin(alpha/2); a pair that stops widening on the way is refused.
     """
+    check_rtol(rtol)
+    if not 0.0 < alpha0 < alpha_stop <= math.pi:
+        raise ValueError("need 0 < alpha0 < alpha_stop <= pi")
 
-    def f(t, y):
-        a = float(y[0])
+    def dt_dw(w):
+        a = math.exp(w)
         s = math.sin(a / 2.0)
-        dc = pair_overlap_rate(kbar, math.cos(a / 2.0), s, cert.phi, cert.theta)
-        return np.array([-2.0 * dc / max(s, 1e-300)])
+        widen = -2.0 * pair_overlap_rate(kbar, math.cos(a / 2.0), s, cert.phi, cert.theta) / s
+        if not widen > 0.0:
+            raise ValueError(f"the pair stops widening at alpha = {a:.6g}")
+        return a / widen
 
-    def event(t, y):
-        return y[0] - alpha_stop
-
-    horizon = 1e4
-    res = _ode.solve(f, 0.0, horizon, np.array([alpha0]), rtol=rtol, atol=atol,
-                     event=event)
-    return res.ts, res.ys[:, 0]
+    ws = np.append(np.arange(math.log(alpha0), math.log(alpha_stop), 1.0), math.log(alpha_stop))
+    times = np.concatenate([[0.0], np.cumsum([quad_panel(dt_dw, a, b, rtol)
+                                              for a, b in zip(ws[:-1], ws[1:])])])
+    alphas = np.exp(ws)
+    alphas[0], alphas[-1] = alpha0, alpha_stop
+    return times, alphas
 
 
 def estimate_lipschitz(kbar: ReducedNonlinearity, grid: int = DEFAULT_GRID) -> LipschitzEstimate:

@@ -47,12 +47,12 @@ def write_text(path: str, text: str) -> None:
         raise SystemExit(f"cannot write output file {path!r}: {exc}")
 
 
-def positive_float(text: str) -> float:
-    """argparse type for a finite float > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+def tolerance(text: str) -> float:
+    """argparse type for a relative tolerance the quadrature can meet."""
+    try:
+        return dc.check_rtol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def cmd_discriminate(args) -> int:
@@ -62,7 +62,7 @@ def cmd_discriminate(args) -> int:
     policy = (dc.OrientationPolicy.REOPTIMIZED if args.policy == "reopt"
               else dc.OrientationPolicy.FIXED_OPTIMAL_GP)
     res = dc.time_to_overlap(n, alpha0, args.target_overlap, orientation_policy=policy,
-                             rtol=args.tol, atol=args.tol * 1e-2)
+                             rtol=args.tol)
     print(f"nonlinearity = {n.spec_string()}")
     print(f"alpha0 = {fmt(alpha0)}")
     print(f"status = {res.status}")
@@ -246,8 +246,8 @@ _SHARED = {
     "n": dict(type=int, required=True, help="catalog size N"),
     "t1": dict(default="auto", help="oracle time (auto or a float)"),
     "seed": dict(type=int, default=0, help="rng seed (default 0)"),
-    "tol": dict(type=positive_float, default=1e-10,
-                help="integrator relative tolerance (default 1e-10)"),
+    "tol": dict(type=tolerance, default=1e-10,
+                help="relative tolerance of the time quadrature (default 1e-10)"),
     "target-overlap": dict(type=float, default=0.0),
     "out": dict(default=None, help="output CSV path"),
 }

@@ -13,8 +13,12 @@ For a general reduced nonlinearity kbar the same orientation gives
 
     dc/dt = -(1/sqrt(2)) kbar(s / sqrt(2)) s,   s = sin(alpha/2),
 
-and ``time_to_overlap`` integrates either this fixed-orientation law or a
-per-step re-optimized orientation found by grid search with local descent.
+and the re-optimized policy takes the most negative rate over all
+orientations instead.  Either way dc/dt = R(c), so the time is a quadrature
+in u = atanh(c) (c = tanh u, s = sech u), from the exact start
+u0 = ln cot(alpha0/4); the quadratic law has the constant integrand 2/g:
+
+    t(u) = int_u^u0 sech^2(v) / -R(v) dv.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad
 
 from . import _ode
 from .blochdyn import SimTrace, pair_overlap_rate
@@ -32,13 +37,16 @@ from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 SQRT2 = math.sqrt(2.0)
 
-# A run is declared stalled if the initial separation rate is weaker than
-# this (scaled by max(g, 1)); covers reductions that vanish identically.
+# A run is declared stalled where the separation rate is weaker than this
+# times max(g, 1) sin(alpha/2): rounding noise in kbar enters the rate
+# multiplied by sin(alpha/2).  Covers reductions that vanish identically.
 NO_PROGRESS_RATE = 1e-14
 
-# Generic termination threshold standing in for exact orthogonality when a
-# caller asks for target overlap 0 without zero-crossing detection.
-ORTHO_OVERLAP = 1e-9
+# Smallest relative tolerance scipy's quad accepts, 50 machine epsilons.
+QUAD_RTOL_FLOOR = 50.0 * np.finfo(float).eps
+
+# tanh(u) rounds to -1 below u = -U_MAX, where a run of given duration stops.
+U_MAX = 20.0
 
 
 class OrientationPolicy(enum.Enum):
@@ -54,7 +62,7 @@ class DiscriminationResult:
     trace: SimTrace
     control: np.ndarray  # rows (t, omega)
     target_overlap: float
-    status: str = "reached"  # reached | no_progress | max_time | failed
+    status: str = "reached"  # reached | no_progress
     diagnostic: str = ""
 
     @property
@@ -166,40 +174,53 @@ def fixed_orientation_rate(kbar: ReducedNonlinearity, c):
     return pair_overlap_rate(kbar, c, _sin_half(c), math.pi / 2.0, 3.0 * math.pi / 4.0)
 
 
-# Orientation grid for the re-optimized policy: 256 x 256 in (phi, theta),
-# then compass descent from the best cell.
-_GRID_N = 256
+# Offsets of the re-optimized policy's 9 x 9 orientation grid, in units of
+# the window's half-width.
+_GRID = np.linspace(-1.0, 1.0, 9)
 
 
-def reoptimize_orientation(kbar: ReducedNonlinearity, c: float):
-    """Most negative dc/dt over (phi, theta) at overlap c.
+def reoptimize_orientation(kbar: ReducedNonlinearity, c: float, s: float):
+    """Most negative dc/dt over (phi, theta) at overlap c, s = sin(alpha/2).
 
-    Returns (phi, theta, rate).  Grid search on a 256x256 mesh refined by
-    a shrinking compass search around the best cell.
+    Returns (phi, theta, rate).  Each round evaluates a 9 x 9 grid on the
+    current window and centres a window a quarter as wide on its best point,
+    from the whole (phi, theta) range down to a half-width of 1e-10.
     """
-    s = _sin_half(c)
-    phis = np.linspace(0.0, math.pi, _GRID_N)
-    thetas = np.linspace(0.0, 2.0 * math.pi, _GRID_N, endpoint=False)
-    P, T = np.meshgrid(phis, thetas, indexing="ij")
-    rates = pair_overlap_rate(kbar, c, s, P, T)
-    i, j = np.unravel_index(np.argmin(rates), rates.shape)
-    phi, theta, best = float(P[i, j]), float(T[i, j]), float(rates[i, j])
+    phi, theta = math.pi / 2.0, math.pi
+    half_phi, half_theta = math.pi / 2.0, math.pi
+    while half_theta > 1e-10:
+        P, T = np.meshgrid(np.clip(phi + half_phi * _GRID, 0.0, math.pi),
+                           theta + half_theta * _GRID, indexing="ij")
+        rates = pair_overlap_rate(kbar, c, s, P, T)
+        k = np.argmin(rates)
+        phi, theta, best = float(P.flat[k]), float(T.flat[k]), float(rates.flat[k])
+        half_phi, half_theta = half_phi / 4.0, half_theta / 4.0
+    return phi, theta % (2.0 * math.pi), best
 
-    step = math.pi / _GRID_N
-    for _ in range(60):
-        improved = False
-        for dphi, dtheta in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand_phi = min(max(phi + dphi, 0.0), math.pi)
-            cand_theta = (theta + dtheta) % (2.0 * math.pi)
-            r = pair_overlap_rate(kbar, c, s, cand_phi, cand_theta)
-            if r < best:
-                phi, theta, best = cand_phi, cand_theta, r
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return phi, theta, best
+
+def check_rtol(rtol: float) -> float:
+    """``rtol`` if it is a finite relative tolerance the quadrature can meet,
+    else ``ValueError`` naming the floor."""
+    if not (math.isfinite(rtol) and rtol >= QUAD_RTOL_FLOOR):
+        raise ValueError(f"rtol must be a finite number >= {QUAD_RTOL_FLOOR:.3g} "
+                         f"(the floor of the quadrature), got {rtol!r}")
+    return rtol
+
+
+def quad_panel(f, a: float, b: float, rtol: float) -> float:
+    """Integral of f over [a, b] to relative tolerance ``rtol``."""
+    return quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=200)[0]
+
+
+def _tanh_sech(u: float):
+    """(c, s) = (tanh u, sech u); s = 2 e^-|u| / (1 + e^-2|u|) keeps full
+    relative precision where cosh u would overflow."""
+    e = math.exp(-abs(u))
+    return math.tanh(u), 2.0 * e / (1.0 + e * e)
+
+
+class _Stall(Exception):
+    """Raised with (c, rate) where the separation rate is not reliably negative."""
 
 
 def separation_trace(
@@ -209,88 +230,94 @@ def separation_trace(
     target_overlap: Optional[float] = None,
     duration: Optional[float] = None,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
 ) -> DiscriminationResult:
-    """Integrate the reduced overlap dynamics from separation alpha0.
+    """Drive the pair from separation alpha0 until the overlap reaches
+    ``target_overlap`` or for ``duration``; exactly one must be given.
 
-    Stops at the first crossing of ``target_overlap`` (event-located on the
-    integrator's interpolant) or after ``duration``, whichever is given.
-    A reduction with no initial separating rate yields a ``no_progress``
-    result instead of a run to the time cap.
+    The time t(u) is integrated in unit panels of u to relative tolerance
+    ``rtol``.  The trace holds the panel ends, or the ``t_eval`` samples
+    within the run.  A rate weaker than ``NO_PROGRESS_RATE`` max(g, 1)
+    sin(alpha/2) anywhere on the way yields ``no_progress`` and t = inf.
     """
     if not 0.0 < alpha0 <= math.pi + 1e-12:
         raise ValueError("alpha0 must be in (0, pi]")
     c0 = math.cos(alpha0 / 2.0)
+    if (target_overlap is None) == (duration is None):
+        raise ValueError("give exactly one of target_overlap and duration")
     if target_overlap is not None and not 0.0 <= target_overlap < c0:
         raise ValueError("target overlap must be in [0, cos(alpha0/2))")
+    if duration is not None and not duration >= 0.0:
+        raise ValueError("duration must be >= 0")
+    check_rtol(rtol)
     kbar = reduce(n)
-
-    orientation = {"phi": math.pi / 2.0, "theta": 3.0 * math.pi / 4.0}
+    floor = NO_PROGRESS_RATE * max(n.g, 1.0)
     reopt = policy is OrientationPolicy.REOPTIMIZED
-    if reopt:
-        phi, theta, _ = reoptimize_orientation(kbar, c0)
-        orientation["phi"], orientation["theta"] = phi, theta
 
-    def f(t, y):
-        c = float(np.clip(y[0], -1.0, 1.0))
-        return np.array([
-            pair_overlap_rate(kbar, c, _sin_half(c), orientation["phi"], orientation["theta"])
-        ])
+    def dt_du(u):
+        c, s = _tanh_sech(u)
+        if reopt:
+            rate = reoptimize_orientation(kbar, c, s)[2]
+        else:
+            rate = pair_overlap_rate(kbar, c, s, math.pi / 2.0, 3.0 * math.pi / 4.0)
+        if not rate < -floor * s:
+            raise _Stall(c, rate)
+        return s * s / -rate
 
-    rate0 = f(0.0, np.array([c0]))[0]
-    scale = max(n.g, 1.0)
-    if rate0 >= -NO_PROGRESS_RATE * scale:
+    u_end = -U_MAX if target_overlap is None else math.atanh(target_overlap)
+    t_stop = math.inf if duration is None else duration
+    us, ts = [-math.log(math.tan(alpha0 / 4.0))], [0.0]
+    try:
+        dt_du(us[0])
+        while us[-1] > u_end and ts[-1] < t_stop:
+            u = max(us[-1] - 1.0, u_end)
+            ts.append(ts[-1] + quad_panel(dt_du, u, us[-1], rtol))
+            us.append(u)
+        panels, t_end = len(us) - 1, min(ts[-1], t_stop)
+        if ts[-1] < t_stop < math.inf:
+            # The overlap rounds to -1 beyond u = -U_MAX and stays there.
+            us.append(-math.inf)
+            ts.append(t_stop)
+            t_end = t_stop
+        if t_eval is None:
+            samples = [t for t in ts if t < t_end] + [t_end]
+        else:
+            samples = [t for t in np.asarray(t_eval, dtype=float) if 0.0 <= t <= t_end]
+        us = [_u_at(dt_du, t, us, ts, rtol) for t in samples]
+    except _Stall as stall:
         empty = SimTrace(np.array([0.0]), np.array([c0]), _ode.StepStats())
         return DiscriminationResult(
             math.inf, empty, np.array([[0.0, 0.0]]), target_overlap or 0.0,
-            status="no_progress",
-            diagnostic=f"initial separation rate {rate0:.3e} is not negative",
-        )
-
-    event = None
-    if target_overlap is not None:
-        tgt = target_overlap
-
-        def event(t, y):
-            return y[0] - tgt
-
-    if duration is not None:
-        horizon = duration
-    else:
-        # Generous cap: the rate certificate above guarantees progress at
-        # least like an exponential with exponent |rate0|/alpha-ish.
-        horizon = 1e4 / scale + 100.0 * (1.0 + abs(math.log(max(alpha0, 1e-300))))
-
-    controls = [(0.0, control_omega(kbar, c0))]
-
-    def hook(t, y):
-        c = float(np.clip(y[0], -1.0, 1.0))
-        if reopt:
-            phi, theta, _ = reoptimize_orientation(kbar, c)
-            orientation["phi"], orientation["theta"] = phi, theta
-        controls.append((t, control_omega(kbar, max(min(c, 1.0), -1.0))))
-
-    res = _ode.solve(f, 0.0, horizon, np.array([c0]), rtol=rtol, atol=atol,
-                     event=event, step_hook=hook, t_eval=t_eval)
-
-    trace = SimTrace(res.ts, res.ys[:, 0], res.stats, overlaps=res.ys[:, 0],
-                     failed=res.failed, failure_reason=res.failure_reason)
-    control = np.array(controls)
-
-    if res.failed:
-        return DiscriminationResult(math.nan, trace, control,
-                                    target_overlap if target_overlap is not None else 0.0,
-                                    status="failed", diagnostic=res.failure_reason)
-    if event is not None and res.event_time is None:
-        return DiscriminationResult(
-            math.inf, trace, control, target_overlap,
-            status="max_time",
-            diagnostic=f"target overlap {target_overlap} not reached by t={horizon:.3g}",
-        )
-    t_end = res.event_time if res.event_time is not None else res.ts[-1]
+            status="no_progress", diagnostic="separation rate {1:.3e} at overlap "
+            "{0:.17g} is not reliably negative".format(*stall.args))
+    cs = np.tanh(np.array(us, dtype=float))
+    trace = SimTrace(np.array(samples, dtype=float), cs, _ode.StepStats(accepted=panels),
+                     overlaps=cs)
+    control = np.array([(t, control_omega(kbar, c)) for t, c in zip(samples, cs)])
     return DiscriminationResult(float(t_end), trace, control,
                                 target_overlap if target_overlap is not None else 0.0)
+
+
+def _u_at(dt_du, T, us, ts, rtol):
+    """u at time T on the panels (us, ts): Newton steps on the decreasing
+    t(u) = ts[k] + int_u^us[k] dt_du, kept inside the shrinking bracket
+    (bisection where a step leaves it), until t is within rtol T of T."""
+    k = int(np.searchsorted(ts, T, side="right")) - 1
+    if ts[k] == T:
+        return us[k]
+    if us[k + 1] == -math.inf:
+        return -math.inf
+    lo, hi = us[k + 1], us[k]
+    u, t = hi, ts[k]
+    for _ in range(100):
+        if abs(t - T) <= rtol * T:
+            break
+        step = u - (T - t) / dt_du(u)
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        t += quad_panel(dt_du, step, u, rtol)
+        u = step
+        lo, hi = (u, hi) if t > T else (lo, u)
+    return u
 
 
 def time_to_overlap(
@@ -299,11 +326,10 @@ def time_to_overlap(
     target_overlap: float,
     orientation_policy: OrientationPolicy = OrientationPolicy.FIXED_OPTIMAL_GP,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> DiscriminationResult:
     """First time the pair overlap reaches ``target_overlap``."""
     return separation_trace(n, alpha0, policy=orientation_policy,
-                            target_overlap=target_overlap, rtol=rtol, atol=atol)
+                            target_overlap=target_overlap, rtol=rtol)
 
 
 def fig_overlap_vs_gt(g: float = 1.0, alpha0: float = 0.1, gt_max: float = 7.5,

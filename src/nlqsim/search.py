@@ -144,6 +144,16 @@ def hadamard_test_bruteforce(N: int, t1: float, marked: bool,
     return HadamardTestOutcome(float(success), qubit, float(abs(qubit[0])))
 
 
+def _overlap_deficit(N: int, t1: float) -> float:
+    """eps = 1 - |<0|q>| of the postselected marked-item qubit, without
+    cancellation: with d = 1 - u = (1 - e^{-i t1})/N,
+    x = |d|^2 / (4 - 4 Re d + 2 |d|^2) = 1 - |<0|q>|^2, and
+    eps = x / (1 + sqrt(1 - x))."""
+    d = (1.0 - cmath.exp(-1j * t1)) / N
+    x = abs(d) ** 2 / (4.0 - 4.0 * d.real + 2.0 * abs(d) ** 2)
+    return x / (1.0 + math.sqrt(1.0 - x))
+
+
 def helstrom_success(overlap: float) -> float:
     """Optimal success probability for equal-prior discrimination of two
     pure states with overlap magnitude ``overlap``."""
@@ -188,8 +198,7 @@ def run_search(
         if t1_val <= 0:
             raise ValueError("t1 must be > 0")
 
-    outcome = hadamard_test(instance.N, t1_val, marked=True)
-    epsilon = 1.0 - outcome.overlap_with_zero
+    epsilon = _overlap_deficit(instance.N, t1_val)
     if epsilon < MIN_EPSILON:
         raise ValueError(
             f"t1 = {t1_val:.3g} leaves the hypothesis states indistinguishable "
@@ -304,10 +313,7 @@ def search_schedule(N: int, g: float, t1: float) -> Callable[[float], np.ndarray
     orientation-holding x rotation of the discrimination stage, acting on
     the two-dimensional span of the first two catalog states.
     """
-    outcome = hadamard_test(N, t1, marked=True)
-    eps = 1.0 - outcome.overlap_with_zero
-    # Rounding can put the overlap an ulp above 1; that pair is not separated.
-    alpha0 = epsilon_to_alpha0(max(eps, 0.0))
+    alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
     def H(t):

@@ -202,7 +202,7 @@ def check_closed_form_vs_ode(ctx: Context) -> CheckResult:
         ref = dc.gp_overlap_closed_form(g, a0, res.trace.times)
         worst = max(worst, float(np.max(np.abs(res.trace.states - ref))))
     return CheckResult("closed_form_vs_ode", worst <= 1e-8,
-                       f"max |ODE - closed form| = {worst:.3e}")
+                       f"max |trace - closed form| = {worst:.3e}")
 
 
 def check_t_perp_identity(ctx: Context) -> CheckResult:
@@ -216,7 +216,7 @@ def check_t_perp_identity(ctx: Context) -> CheckResult:
         worst_rel = max(worst_rel, abs(res.t_perp - t_log) / t_log)
     ok = worst_id <= 1e-12 and worst_rel <= 1e-5
     return CheckResult("t_perp_identity", ok,
-                       f"identity gap = {worst_id:.3e}, ODE rel err = {worst_rel:.3e}")
+                       f"identity gap = {worst_id:.3e}, quadrature rel err = {worst_rel:.3e}")
 
 
 def check_control_law(ctx: Context) -> CheckResult:

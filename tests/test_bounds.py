@@ -161,3 +161,25 @@ def test_bound_report_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "nonlinearity,z0,g_local,c,bound_ok,max_ratio"
     assert lines[1].startswith("gp:1,0,1,")
+
+
+def test_growth_trace_refuses_unmeetable_rtol_and_reversed_angles():
+    kbar = nl.reduce(nl.gross_pitaevskii(1.0))
+    cert = bn.certify_growth(kbar, 0.0, 0.4)
+    for rtol in (float("nan"), 1e-15):
+        with pytest.raises(ValueError, match="rtol"):
+            bn.growth_trace(kbar, cert, 1e-3, 0.05, rtol=rtol)
+    with pytest.raises(ValueError, match="alpha_stop"):
+        bn.growth_trace(kbar, cert, 0.05, 1e-3)
+
+
+def test_growth_trace_gp_equator_matches_closed_form():
+    # at z0 = 0, theta = 3 pi/4 the quadratic pair obeys d alpha/dt = g sin(alpha/2)
+    # exactly, so t(alpha) = (2/g) ln(tan(alpha/4) / tan(alpha0/4))
+    g = 1.5
+    kbar = nl.reduce(nl.gross_pitaevskii(g))
+    cert = bn.certify_growth(kbar, 0.0, 0.4)
+    ts, alphas = bn.growth_trace(kbar, cert, 1e-9, 2.5)
+    want = (2.0 / g) * np.log(np.tan(alphas / 4.0) / math.tan(1e-9 / 4.0))
+    assert alphas[-1] == 2.5
+    assert np.max(np.abs(ts - want) / np.maximum(want, 1e-300)) <= 1e-12

@@ -242,3 +242,11 @@ def test_console_entry_point():
     for name in ("discriminate", "bounds", "search", "audit", "optimize",
                  "gp-validity", "figures", "validate"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize("cmd", [["discriminate", "--alpha0", "0.5"], ["search", "--n", "16"]])
+def test_tol_below_the_quadrature_floor_exits_2(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(cmd + ["--tol", "1e-15"])
+    assert exc.value.code == 2
+    assert "1.11e-14" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize
 
 from nlqsim import blochdyn as bd
 from nlqsim import discrimination as dc
@@ -255,3 +257,136 @@ def test_figure_data_shapes_and_anchors():
     assert len(alphas) == 512
     assert gtp[-1] == pytest.approx(0.0, abs=1e-12)  # alpha0 = pi
     assert np.all(np.diff(gtp) < 0)
+
+
+# Independent references for the quadrature: closed-form reductions, a dense
+# orientation grid polished by Nelder-Mead, and scipy's quad.
+SQRT2 = math.sqrt(2.0)
+REFERENCE_KBAR = {
+    "log": (nl.logarithmic(1.0),
+            lambda z: 2.0 * np.arctanh(np.clip(z, -1.0 + 1e-12, 1.0 - 1e-12))),
+    "sqrt": (nl.square_root_sign(1.0), lambda z: np.sign(z) * np.sqrt(np.abs(z))),
+    "odd": (nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0),
+            lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0),
+}
+_PHI, _THETA = np.meshgrid(np.linspace(0.0, math.pi, 129),
+                           np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False),
+                           indexing="ij")
+
+
+def _oriented_rate(kbar, c, phi, theta):
+    s = math.sqrt(1.0 - c * c)
+    zp = c * np.cos(phi) - s * np.sin(phi) * np.cos(theta)
+    zm = c * np.cos(phi) + s * np.sin(phi) * np.cos(theta)
+    return 0.5 * s * np.sin(phi) * np.sin(theta) * (kbar(zm) - kbar(zp))
+
+
+def _best_rate(kbar, c):
+    rates = _oriented_rate(kbar, c, _PHI, _THETA)
+    i = np.unravel_index(np.argmin(rates), rates.shape)
+    res = minimize(lambda x: float(_oriented_rate(kbar, c, x[0], x[1])),
+                   np.array([_PHI[i], _THETA[i]]), method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 4000})
+    return min(float(res.fun), float(rates[i]))
+
+
+def _reopt_reference(kbar, alpha0, target):
+    return quad(lambda c: -1.0 / _best_rate(kbar, c), target, math.cos(alpha0 / 2.0),
+                epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+def _fixed_reference(kbar, alpha0, target):
+    """int d alpha / (sqrt2 kbar(sin(alpha/2)/sqrt2)), in ln(alpha) on unit pieces."""
+    w_end = math.log(2.0 * math.acos(target))
+    edges = np.append(np.arange(math.log(alpha0), w_end, 1.0), w_end)
+
+    def f(w):
+        a = math.exp(w)
+        return a / (SQRT2 * float(kbar(math.sin(a / 2.0) / SQRT2)))
+
+    return sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("g", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("alpha0", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0])
+def test_gp_quadrature_matches_closed_form_down_to_tiny_angles(g, alpha0):
+    res = dc.time_to_overlap(nl.gross_pitaevskii(g), alpha0, 0.0)
+    assert res.reached
+    assert res.t_perp == pytest.approx(dc.gp_t_perp(g, alpha0), rel=4e-15)
+
+
+def test_gp_below_the_old_absolute_rate_floor_is_reached():
+    res = dc.time_to_overlap(nl.gross_pitaevskii(1.0), 1e-7, 0.0)
+    assert res.status == "reached"
+    assert res.t_perp == pytest.approx(35.00878002415642, abs=1e-12)
+
+
+@pytest.mark.parametrize("g", [0.1, 1.0, 10.0])
+def test_quartic_is_no_progress_at_every_angle(g):
+    for alpha0 in (1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.7, 1.0, 1.3, 2.0, 2.5, 3.0):
+        for policy in dc.OrientationPolicy:
+            res = dc.time_to_overlap(nl.quartic_difference(g), alpha0, 0.0, policy)
+            assert res.status == "no_progress", (alpha0, policy, res.t_perp)
+            assert res.t_perp == math.inf
+
+
+def test_reached_always_means_a_finite_time():
+    catalog = [nl.gross_pitaevskii(1.0), nl.logarithmic(1.0), nl.square_root_sign(1.0),
+               nl.quartic_difference(1.0), nl.gross_pitaevskii(0.0)]
+    for n in catalog:
+        for alpha0 in (1e-6, 1e-3, 1.3, 3.0):
+            res = dc.time_to_overlap(n, alpha0, 0.0)
+            assert res.status in ("reached", "no_progress")
+            assert (res.status == "reached") == math.isfinite(res.t_perp)
+
+
+@pytest.mark.parametrize("kind", ["log", "sqrt", "odd"])
+@pytest.mark.parametrize("alpha0", [1e-6, 1e-4])
+def test_fixed_policy_matches_angle_quadrature(kind, alpha0):
+    n, kbar = REFERENCE_KBAR[kind]
+    res = dc.time_to_overlap(n, alpha0, 0.0)
+    assert res.reached
+    assert res.t_perp == pytest.approx(_fixed_reference(kbar, alpha0, 0.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["log", "sqrt", "odd"])
+def test_reoptimized_policy_matches_dense_grid_reference(kind):
+    n, kbar = REFERENCE_KBAR[kind]
+    target = 1.0 / SQRT2
+    res = dc.time_to_overlap(n, 0.3, target, dc.OrientationPolicy.REOPTIMIZED)
+    assert res.reached
+    assert res.t_perp == pytest.approx(_reopt_reference(kbar, 0.3, target), rel=1e-9)
+
+
+def test_reoptimized_policy_honours_rtol_to_orthogonality():
+    res = dc.time_to_overlap(nl.logarithmic(1.0), 0.5, 0.0, dc.OrientationPolicy.REOPTIMIZED)
+    ref = _reopt_reference(REFERENCE_KBAR["log"][1], 0.5, 0.0)
+    assert res.t_perp == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("periods", [3.0, 20.0])
+def test_duration_trace_follows_the_closed_form_past_orthogonality(periods):
+    # 20 t_perp runs past the point where the overlap rounds to -1
+    g, a0 = 1.0, 0.3
+    duration = periods * dc.gp_t_perp(g, a0)
+    res = dc.separation_trace(nl.gross_pitaevskii(g), a0, duration=duration,
+                              t_eval=np.linspace(0.0, duration, 50))
+    assert res.t_perp == duration and len(res.trace.times) == 50
+    ref = dc.gp_overlap_closed_form(g, a0, res.trace.times)
+    assert np.max(np.abs(res.trace.states - ref)) <= 1e-12
+    assert np.allclose(res.control[:, 1], 0.5 * g * res.trace.states, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-8, 1e-15])
+def test_quadrature_refuses_unmeetable_rtol(rtol):
+    with pytest.raises(ValueError, match="1.11e-14"):
+        dc.time_to_overlap(nl.gross_pitaevskii(1.0), 0.5, 0.0, rtol=rtol)
+
+
+def test_separation_trace_needs_exactly_one_stopping_rule():
+    n = nl.gross_pitaevskii(1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        dc.separation_trace(n, 0.5)
+    with pytest.raises(ValueError, match="exactly one"):
+        dc.separation_trace(n, 0.5, target_overlap=0.0, duration=1.0)

@@ -299,3 +299,22 @@ def test_search_report_csv_row():
     assert fields[6] in ("marked", "unmarked")
     # 17-significant-digit round trip
     assert float(fields[4]) == rep.total_time
+
+
+def _stable_deficit(N, t1):
+    # 1 - |<0|q>| from d = 1 - <s|U|s>, with no subtraction of nearby numbers
+    d = (1.0 - cmath.exp(-1j * t1)) / N
+    x = abs(d) ** 2 / (4.0 - 4.0 * d.real + 2.0 * abs(d) ** 2)
+    return x / (1.0 + math.sqrt(1.0 - x))
+
+
+@pytest.mark.parametrize("N", [2 ** k for k in range(4, 23, 2)])
+def test_run_search_t2_is_free_of_cancellation(N):
+    for g in (0.1, 1.0, 10.0):
+        for t1 in (1.0, 2.5):
+            rep = sr.run_search(sr.SearchInstance(N, marked=1), nl.gross_pitaevskii(g), t1=t1)
+            eps = _stable_deficit(N, t1)
+            # atanh(1 - eps) = ln((2 - eps)/eps)/2 without rounding 1 - eps
+            want = (2.0 / g) * (0.5 * math.log((2.0 - eps) / eps) - math.atanh(1.0 / math.sqrt(2.0)))
+            assert rep.epsilon == pytest.approx(eps, rel=1e-15)
+            assert rep.t2 == pytest.approx(want, rel=1e-12)
