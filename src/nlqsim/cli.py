@@ -158,6 +158,7 @@ def cmd_optimize(args) -> int:
     print(f"alpha = {fmt(alpha)}, dim = {dim}")
     print(f"best_rate = {fmt(result.best_rate)}")
     print(f"gap_vs_dim2 = {fmt(gap)}")
+    print(f"sweeps = {result.converged_sweeps}, capped = {result.capped}")
     if result.angles is not None:
         print(f"orientation (phi, theta) = ({fmt(result.angles[0])}, {fmt(result.angles[1])})")
     if args.out:
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "nonlinearity")
     p.add_argument("--alpha", type=float, default=0.5, help="pair separation angle")
     p.add_argument("--dim", type=int, default=2, help="embedding dimension")
-    p.add_argument("--restarts", type=int, default=64, help="optimizer restart count")
+    p.add_argument("--restarts", type=int, default=64,
+                   help="optimizer restart count (used by the d >= 3 links)")
     _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")

@@ -133,14 +133,15 @@ def gp_control_omega(g: float, alpha: float) -> float:
     return 0.5 * g * math.cos(alpha / 2.0)
 
 
-def control_omega(kbar: ReducedNonlinearity, c: float) -> float:
-    """Orientation-holding drive rate for a general reduction at overlap c.
+def control_omega(kbar: ReducedNonlinearity, c: float, s: float) -> float:
+    """Orientation-holding drive rate for a general reduction at overlap c,
+    with s = sin(alpha/2) given by the caller (1 - c^2 loses its digits as
+    c -> 1).
 
     Solving d/dt (y - z) = 0 at phi = pi/2, theta = 3*pi/4 gives
     omega = kbar(s/sqrt(2)) c / (sqrt(2) s); reduces to (g/2) c for the
     quadratic form.  Diverges as s -> 0 for sub-linear reductions.
     """
-    s = math.sqrt(max(0.0, 1.0 - c * c))
     if s < 1e-300:
         # Limit for linearizable kbar; callers never drive from alpha = 0.
         return 0.5 * float(kbar(1e-12)) / (1e-12 * SQRT2) * c * SQRT2
@@ -293,7 +294,7 @@ def separation_trace(
     cs = np.tanh(np.array(us, dtype=float))
     trace = SimTrace(np.array(samples, dtype=float), cs, _ode.StepStats(accepted=panels),
                      overlaps=cs)
-    control = np.array([(t, control_omega(kbar, c)) for t, c in zip(samples, cs)])
+    control = np.array([(t, control_omega(kbar, *_tanh_sech(u))) for t, u in zip(samples, us)])
     return DiscriminationResult(float(t_end), trace, control,
                                 target_overlap if target_overlap is not None else 0.0)
 

@@ -228,12 +228,17 @@ class ReducedNonlinearity:
 
     def __call__(self, z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         z = np.asarray(z, dtype=float)
-        if self.source.kind is Kind.GROSS_PITAEVSKII:
-            # Exact linear form; avoids cancellation of the generic formula
-            # near z = 0.
-            out = self.source.g * z
-            return out if out.ndim else float(out)
-        return self.generic(z)
+        # Closed forms avoid the cancellation of the generic formula near z = 0.
+        kind, g = self.source.kind, self.source.g
+        if kind is Kind.GROSS_PITAEVSKII:
+            out = g * z
+        elif kind is Kind.LOGARITHMIC:
+            out = 2.0 * g * np.arctanh(np.clip(z, -1.0 + LOG_POLE_CLAMP, 1.0 - LOG_POLE_CLAMP))
+        elif kind is Kind.SQUARE_ROOT_SIGN:
+            out = g * np.sign(z) * np.sqrt(np.abs(z))
+        else:
+            return self.generic(z)
+        return out if out.ndim else float(out)
 
     def generic(self, z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Evaluate kbar via the defining difference of kappa values."""

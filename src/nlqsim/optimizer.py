@@ -9,8 +9,15 @@ Searches for the placement of two d-dimensional states psi, phi with
 as negative as possible.  The pair is fixed to a canonical configuration in
 a 2-plane and the search runs over a unitary frame parameterized by a list
 of complex Givens rotations applied to both states, which preserves the
-overlap constraint exactly.  Optimization is multi-start derivative-free
-coordinate descent, batched across restarts and deterministic given a seed.
+overlap constraint exactly.
+
+At dim = 2 the chain is one rotation whose angles (theta, beta) are the
+Bloch orientation (phi, theta) = (2 theta, beta) of the pair, so the optimum
+comes from the same narrowing-grid search over the Bloch sphere that the
+re-optimized discrimination policy uses
+(:func:`discrimination.reoptimize_orientation`).  For dim >= 3 the search
+is multi-start derivative-free coordinate descent, batched across restarts
+and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nonlinearity import Nonlinearity, overlap_derivative
+from . import discrimination
+from .nonlinearity import Nonlinearity, overlap_derivative, reduce
 
 _STEP_INIT = 0.4
 _STEP_MIN = 5e-8
@@ -49,6 +57,7 @@ class OptimizationResult:
     seed: int
     alpha: float
     converged_sweeps: int = 0
+    capped: bool = False  # max_sweeps stopped the descent (always False at dim 2)
     degenerate: bool = False
     angles: Optional[tuple] = None  # (phi, theta) for dim = 2
     params: np.ndarray = field(default=None, repr=False)
@@ -105,36 +114,6 @@ def qubit_bloch_vector(psi: np.ndarray) -> np.ndarray:
     ])
 
 
-def bloch_angles(psi: np.ndarray, phi: np.ndarray):
-    """Orientation (alpha, phi_angle, theta) of a qubit pair, gauged so the
-    midpoint lies in the xz half-plane with x >= 0."""
-    v1, v2 = qubit_bloch_vector(psi), qubit_bloch_vector(phi)
-    dot = float(np.clip(np.dot(v1, v2), -1.0, 1.0))
-    alpha = math.acos(dot)
-    mid = v1 + v2
-    nm = np.linalg.norm(mid)
-    if nm < 1e-12:
-        raise ValueError("midpoint undefined for antipodal pair")
-    mid /= nm
-    gamma = math.atan2(mid[1], mid[0])
-    rz = np.array([
-        [math.cos(-gamma), -math.sin(-gamma), 0.0],
-        [math.sin(-gamma), math.cos(-gamma), 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-    v1, v2, mid = rz @ v1, rz @ v2, rz @ mid
-    phi_angle = math.acos(float(np.clip(mid[2], -1.0, 1.0)))
-    diff = v1 - v2
-    nd = np.linalg.norm(diff)
-    if nd < 1e-12:
-        return alpha, phi_angle, 0.0
-    diff /= nd
-    e_phi = np.array([math.cos(phi_angle), 0.0, -math.sin(phi_angle)])
-    e_y = np.array([0.0, 1.0, 0.0])
-    theta = math.atan2(float(np.dot(diff, e_y)), float(np.dot(diff, e_phi))) % (2.0 * math.pi)
-    return alpha, phi_angle, theta
-
-
 def _pair_indices(dim: int):
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
@@ -143,11 +122,15 @@ def _build_states(params: np.ndarray, base: np.ndarray, pairs) -> np.ndarray:
     """Apply the Givens chain to the canonical pair, batched over restarts.
 
     params : (R, K, 2) rotation angles (theta, beta) per coordinate pair
-    base   : (dim, 2) canonical pair
+    base   : (dim, 2) canonical pair, or (R, dim, 2) states per restart
     returns (R, dim, 2) states
     """
     R = params.shape[0]
-    states = np.broadcast_to(base, (R,) + base.shape).astype(complex).copy()
+    # A fresh C-order array: the row sums of _batch_rates depend on the layout,
+    # and this keeps them equal whether the chain starts at the canonical pair
+    # or at cached states.
+    states = np.empty((R,) + base.shape[-2:], dtype=complex)
+    states[...] = base
     cos = np.cos(params[:, :, 0])
     sin = np.sin(params[:, :, 0])
     phase = np.exp(1j * params[:, :, 1])
@@ -183,13 +166,20 @@ def optimize_orientation(
 ) -> OptimizationResult:
     """Most negative overlap rate over pair orientations in C^dim.
 
-    Multi-start coordinate descent on the Givens-frame parameterization;
-    per-restart step sizes shrink when a sweep yields no improvement, and a
-    restart is converged once a full sweep improves its rate by less than
-    1e-12.  Restart 0 starts at the identity frame; when ``warm_start`` is
-    given (a result from a lower dimension), restart 1 starts from its
-    frame padded with zeros.  The reported minimum is the exact rate at the
-    returned embedding; ties pick the lowest restart index.
+    At dim = 2 the optimum is the Bloch-sphere search of
+    :func:`discrimination.reoptimize_orientation`; ``restarts``, ``seed``,
+    ``warm_start`` and ``max_sweeps`` act on the dim >= 3 descent only, and
+    ``converged_sweeps`` is 0.
+
+    For dim >= 3: multi-start coordinate descent on the Givens-frame
+    parameterization; per-restart step sizes shrink when a sweep yields no
+    improvement, and a restart is converged once a full sweep improves its
+    rate by less than 1e-12.  ``capped`` is set when ``max_sweeps`` ends the
+    descent first.  Restart 0 starts at the identity frame; when
+    ``warm_start`` is given (a result from a lower dimension), restart 1
+    starts from its frame padded with zeros.  The reported minimum is the
+    exact rate at the returned embedding; ties pick the lowest restart
+    index.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -199,12 +189,41 @@ def optimize_orientation(
         raise ValueError("alpha must be in (0, pi) for orientation search")
 
     pairs = _pair_indices(dim)
-    K = len(pairs)
     base = canonical_pair(alpha, dim)
+    if dim == 2:
+        # Looked up on the module so that wrappers installed there apply.
+        phi, theta, _ = discrimination.reoptimize_orientation(
+            reduce(kappa), math.cos(alpha / 2.0), math.sin(alpha / 2.0))
+        params = np.array([[[phi / 2.0, theta]]])
+        best, sweeps_done, capped, angles = 0, 0, False, (phi, theta)
+    else:
+        params, rates, sweeps_done, capped = _descend(kappa, base, pairs, restarts, seed,
+                                                      warm_start, max_sweeps)
+        best, angles = int(np.argmin(rates)), None
+
+    states = _build_states(params[best:best + 1], base, pairs)[0]
+    embedding = PairEmbedding(dim=dim, psi=states[:, 0], phi=states[:, 1])
+    rate, degenerate = rate_functional_flagged(kappa, embedding)
+    return OptimizationResult(
+        best_rate=rate, argmax=embedding, restarts=restarts, seed=seed,
+        alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
+        degenerate=degenerate, angles=angles, params=params[best].copy(),
+    )
+
+
+def _descend(kappa, base, pairs, restarts, seed, warm_start, max_sweeps):
+    """Coordinate descent over the Givens chain, batched over restarts.
+
+    Returns (params, rates, sweeps, capped).  The + and - trials of one
+    coordinate are one batch of 2R rows; a - trial counts only where the +
+    trial was not taken.  Trials on rotation k start from the cached states
+    after rotations 0..k-1, which advance by one rotation once k is done.
+    """
+    R, K = restarts, len(pairs)
     rng = np.random.default_rng(seed)
-    params = rng.uniform(-math.pi, math.pi, size=(restarts, K, 2))
+    params = rng.uniform(-math.pi, math.pi, size=(R, K, 2))
     params[0] = 0.0
-    if warm_start is not None and warm_start.params is not None and restarts > 1:
+    if warm_start is not None and warm_start.params is not None and R > 1:
         params[1] = 0.0
         prev_pairs = _pair_indices(warm_start.argmax.dim)
         lookup = {pq: k for k, pq in enumerate(pairs)}
@@ -213,48 +232,38 @@ def optimize_orientation(
                 params[1, lookup[pq]] = warm_start.params[k_prev]
 
     rates = _batch_rates(kappa, _build_states(params, base, pairs))
-    steps = np.full(restarts, _STEP_INIT)
-    active = np.ones(restarts, dtype=bool)
+    steps = np.full(R, _STEP_INIT)
+    active = np.ones(R, dtype=bool)
     sweeps_done = 0
 
     for sweep in range(max_sweeps):
         if not active.any():
             break
         sweeps_done = sweep + 1
-        best_sweep_gain = np.zeros(restarts)
+        best_sweep_gain = np.zeros(R)
+        prefix = np.broadcast_to(base, (R,) + base.shape)
         for k in range(K):
+            prefix2 = np.concatenate([prefix, prefix])
             for comp in (0, 1):
-                for sign in (1.0, -1.0):
-                    trial = params.copy()
-                    trial[:, k, comp] += sign * steps
-                    trial_rates = _batch_rates(kappa, _build_states(trial, base, pairs))
-                    better = trial_rates < rates - 1e-16
-                    take = better & active
+                trial = np.concatenate([params[:, k:], params[:, k:]])
+                trial[:R, 0, comp] += steps
+                trial[R:, 0, comp] += -steps
+                trial_rates = _batch_rates(kappa, _build_states(trial, prefix2, pairs[k:]))
+                plus, minus = trial_rates[:R], trial_rates[R:]
+                take_plus = (plus < rates - 1e-16) & active
+                take_minus = (minus < rates - 1e-16) & active & ~take_plus
+                for take, tr, moved in ((take_plus, plus, trial[:R]),
+                                        (take_minus, minus, trial[R:])):
                     if take.any():
-                        params[take] = trial[take]
+                        params[take, k, comp] = moved[take, 0, comp]
                         best_sweep_gain[take] = np.maximum(
-                            best_sweep_gain[take], rates[take] - trial_rates[take])
-                        rates[take] = trial_rates[take]
+                            best_sweep_gain[take], rates[take] - tr[take])
+                        rates[take] = tr[take]
+            prefix = _build_states(params[:, k:k + 1], prefix, pairs[k:k + 1])
         no_gain = best_sweep_gain <= _CONVERGENCE
         steps = np.where(no_gain, steps * 0.5, steps)
         active &= ~(no_gain & (steps < _STEP_MIN))
-
-    best = int(np.argmin(rates))
-    states = _build_states(params[best:best + 1], base, pairs)[0]
-    psi, phi = states[:, 0], states[:, 1]
-    embedding = PairEmbedding(dim=dim, psi=psi, phi=phi)
-    rate, degenerate = rate_functional_flagged(kappa, embedding)
-
-    angles = None
-    if dim == 2:
-        a, p, t = bloch_angles(psi, phi)
-        angles = (p, t)
-
-    return OptimizationResult(
-        best_rate=rate, argmax=embedding, restarts=restarts, seed=seed,
-        alpha=alpha, converged_sweeps=sweeps_done, degenerate=degenerate,
-        angles=angles, params=params[best].copy(),
-    )
+    return params, rates, sweeps_done, bool(active.any())
 
 
 def optimality_gap_scan(

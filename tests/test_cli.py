@@ -162,6 +162,15 @@ def test_optimize_cli(capsys):
     assert rate == pytest.approx(-0.5 * math.sin(0.25) ** 2, abs=1e-8)
 
 
+def test_optimize_cli_reports_sweep_cap(capsys):
+    assert run_cli(["optimize", "--nonlinearity", "log:1.0", "--alpha", "0.5",
+                    "--dim", "2"]) == 0
+    assert "sweeps = 0, capped = False" in capsys.readouterr().out
+    assert run_cli(["optimize", "--nonlinearity", "quartic", "--alpha", "0.5",
+                    "--dim", "3", "--restarts", "2"]) == 0
+    assert "sweeps = 210, capped = False" in capsys.readouterr().out
+
+
 def test_validate_quick_passes_and_is_deterministic(capsys):
     assert run_cli(["validate", "--quick"]) == 0
     first = capsys.readouterr().out

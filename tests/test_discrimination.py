@@ -79,7 +79,17 @@ def test_control_omega_endpoints():
 def test_control_omega_general_reduces_to_quadratic():
     kbar = nl.reduce(nl.gross_pitaevskii(1.4))
     for c in (0.1, 0.5, 0.9):
-        assert dc.control_omega(kbar, c) == pytest.approx(0.7 * c, rel=1e-12)
+        s = math.sqrt(1.0 - c * c)
+        assert dc.control_omega(kbar, c, s) == pytest.approx(0.7 * c, rel=1e-12)
+
+
+def test_control_omega_keeps_digits_near_parallel():
+    # s = sin(alpha0/2) recomputed as sqrt(1 - c^2) lost 2e-5 of omega here
+    alpha0 = 1e-6
+    res = dc.time_to_overlap(nl.square_root_sign(1.0), alpha0, 0.0)
+    c, s = math.cos(alpha0 / 2), math.sin(alpha0 / 2)
+    want = math.sqrt(s / SQRT2) * c / (SQRT2 * s)
+    assert res.control[0, 1] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_closed_loop_control_keeps_y_equal_z():
@@ -344,6 +354,17 @@ def test_reached_always_means_a_finite_time():
 @pytest.mark.parametrize("kind", ["log", "sqrt", "odd"])
 @pytest.mark.parametrize("alpha0", [1e-6, 1e-4])
 def test_fixed_policy_matches_angle_quadrature(kind, alpha0):
+    n, kbar = REFERENCE_KBAR[kind]
+    res = dc.time_to_overlap(n, alpha0, 0.0)
+    assert res.reached
+    assert res.t_perp == pytest.approx(_fixed_reference(kbar, alpha0, 0.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["log", "sqrt"])
+@pytest.mark.parametrize("alpha0", [1e-8, 1e-10])
+def test_fixed_policy_closed_form_reduction_near_parallel(kind, alpha0):
+    # the generic kbar difference lost relative precision near z = 0 here;
+    # "odd" still does (the from_odd_function round trip, ROADMAP item 3)
     n, kbar = REFERENCE_KBAR[kind]
     res = dc.time_to_overlap(n, alpha0, 0.0)
     assert res.reached

@@ -25,6 +25,18 @@ def test_reduce_gp_is_exactly_linear():
     assert np.max(np.abs(kbar.generic(zs) - 2.0 * zs)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [nl.logarithmic(1.3), nl.square_root_sign(0.7)])
+def test_reduce_closed_forms_match_generic_and_keep_digits_near_zero(n):
+    kbar = nl.reduce(n)
+    zs = np.linspace(0.01, 0.999, 500)
+    zs = np.concatenate([-zs, zs])  # away from z = 0, where the generic form loses digits
+    assert np.max(np.abs(kbar(zs) / kbar.generic(zs) - 1.0)) <= 1e-12
+    for z in (1e-6, 1e-10, 1e-14):
+        want = 2.0 * n.g * math.atanh(z) if n.kind is nl.Kind.LOGARITHMIC else n.g * math.sqrt(z)
+        assert kbar(z) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert kbar(-z) == -kbar(z)
+
+
 def test_reduce_vanishes_at_origin():
     for n in CATALOG:
         assert nl.reduce(n)(0.0) == pytest.approx(0.0, abs=1e-15)

@@ -1,12 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from nlqsim import nonlinearity as nl
 from nlqsim import optimizer as op
 from nlqsim import search as sr
-from nlqsim.blochdyn import ip_rate_vectors
+from nlqsim.blochdyn import ip_rate_vectors, pair_overlap_rate
 
 
 def test_rate_functional_zero_for_vanishing_reduction_on_qubits():
@@ -190,3 +192,109 @@ def test_gap_scan_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "alpha,dim,best_rate,gap_vs_dim2"
     assert len(lines) == 3
+
+
+def _grid_rates(kappa, states):
+    """d|<psi|phi>|/dt for each row of a (R, dim, 2) batch of pairs."""
+    psi, phi = states[:, :, 0], states[:, :, 1]
+    inner = np.sum(np.conj(psi) * phi, axis=1)
+    return np.real(np.conj(inner / np.abs(inner)) * nl.overlap_derivative(kappa, psi, phi))
+
+
+def _qubit_brute_force(kappa, alpha):
+    """Best rate over the chain's (theta, beta): a dense grid polished by
+    Nelder-Mead from its best point."""
+    base = op.canonical_pair(alpha, 2)
+    T, B = np.meshgrid(np.linspace(0.0, math.pi / 2, 121),
+                       np.linspace(0.0, 2 * math.pi, 240, endpoint=False), indexing="ij")
+    grid = np.stack([T.ravel(), B.ravel()], axis=1)[:, None, :]
+    rates = _grid_rates(kappa, op._build_states(grid, base, [(0, 1)]))
+    k = int(np.argmin(rates))
+    scale = abs(rates[k])
+    if scale <= 1e-12:  # no orientation separates: nothing to polish
+        return rates[k]
+
+    def f(x):
+        states = op._build_states(np.asarray(x)[None, None, :], base, [(0, 1)])[0]
+        return op.rate_functional(kappa, op.PairEmbedding(2, states[:, 0], states[:, 1])) / scale
+
+    res = minimize(f, grid[k, 0], method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
+    return min(res.fun, rates[k] / scale) * scale
+
+
+QUBIT_KINDS = {
+    "gp": nl.gross_pitaevskii(1.0),
+    "log": nl.logarithmic(1.0),
+    "sqrt": nl.square_root_sign(1.0),
+    "quartic": nl.quartic_difference(1.0),
+    "odd": nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUBIT_KINDS))
+def test_qubit_optimum_matches_brute_force(kind):
+    kappa = QUBIT_KINDS[kind]
+    for alpha in (0.01, 0.1, 0.5, 1.0, 2.0, 2.8, 3.1):
+        res = op.optimize_orientation(kappa, alpha, 2)
+        ref = _qubit_brute_force(kappa, alpha)
+        if kind == "quartic":  # kbar == 0: every qubit orientation has rate 0
+            assert abs(res.best_rate) <= 1e-12 and abs(ref) <= 1e-12
+        else:
+            assert res.best_rate == pytest.approx(ref, rel=1e-9, abs=0.0), alpha
+
+
+def test_qubit_optimum_square_root_small_angle():
+    # At phi = pi/2 the pair straddles z = 0 and kbar = g sgn(z) sqrt|z| gives
+    # the closed form -g s^(3/2) sqrt(2/3) 3^(-1/4) at tan(theta) = sqrt(2).
+    g, alpha = 1.1, 1e-3
+    s = math.sin(alpha / 2)
+    want = -g * s ** 1.5 * math.sqrt(2.0 / 3.0) * 3.0 ** -0.25
+    res = op.optimize_orientation(nl.square_root_sign(g), alpha, 2, restarts=8)
+    assert res.best_rate == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def test_qubit_parameters_round_trip():
+    kappa = nl.logarithmic(0.8)
+    for alpha in (0.3, 1.7):
+        res = op.optimize_orientation(kappa, alpha, 2)
+        assert res.converged_sweeps == 0 and not res.capped
+        theta, beta = res.params[0]
+        assert res.angles == (2.0 * theta, beta)
+        states = op._build_states(res.params[None], op.canonical_pair(alpha, 2), [(0, 1)])[0]
+        assert np.array_equal(states[:, 0], res.argmax.psi)
+        assert np.array_equal(states[:, 1], res.argmax.phi)
+        # the angles are the pair's Bloch orientation: the Bloch-sphere rate
+        # kernel at them gives the rate of the returned states
+        bloch_rate = pair_overlap_rate(nl.reduce(kappa), math.cos(alpha / 2),
+                                       math.sin(alpha / 2), *res.angles)
+        assert bloch_rate == pytest.approx(res.best_rate, rel=1e-12, abs=0.0)
+
+
+# Cold-start descents recorded with the sequential coordinate sweep (one
+# trial per call, full chain rebuilt each time) on x86-64 with numpy 2.4:
+# (kind, dim, best_rate.hex(), converged_sweeps, sha256 of params.tobytes()).
+GOLDEN_DESCENTS = [
+    ("gp", 3, "-0x1.390ac5c60ffe4p-4", 87,
+     "989747bc1aacf8d50746fcdbe65cb03052666b1995dc29d9b116796d1fdb7334"),
+    ("gp", 4, "-0x1.390ac5c60ffdap-4", 120,
+     "5c5bcb01fc173e206c96715186e659c60de01706a19119fe30e23cb4ba55727b"),
+    ("log", 3, "-0x1.3f787fa48f67ep-3", 96,
+     "166f84cbf416a99a78a3229765b7cd3cc96e0f4e2eaab76a2bc7694e0ff37365"),
+    ("log", 4, "-0x1.3f787fa46c0d8p-3", 120,
+     "cb82765ef9e3850b9cb4dc56d95f3585d32f66b430c36f521c46cb411ee20076"),
+    ("quartic", 3, "-0x1.2f8d796f73c20p-6", 120,
+     "37177ee439e3710ce5b9431790438364569ff262c92b2ffa72d83646d424f28d"),
+    ("quartic", 4, "-0x1.375b4297db9aep-6", 120,
+     "3d8d71fb9e3df166fe1188c7e4694c284fc70e537eed612d3053b8d51f8298d0"),
+]
+
+
+@pytest.mark.parametrize("kind,dim,rate_hex,sweeps,params_sha", GOLDEN_DESCENTS)
+def test_descent_is_bit_identical_to_recorded_runs(kind, dim, rate_hex, sweeps, params_sha):
+    res = op.optimize_orientation(nl.parse(kind + ":1.3"), 0.7, dim, restarts=5,
+                                  seed=7 * dim, max_sweeps=120)
+    assert res.best_rate.hex() == rate_hex
+    assert res.converged_sweeps == sweeps
+    assert hashlib.sha256(res.params.tobytes()).hexdigest() == params_sha
+    assert res.capped == (sweeps == 120)
