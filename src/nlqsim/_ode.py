@@ -1,11 +1,13 @@
-"""Adaptive embedded Runge-Kutta integration core.
+"""Adaptive embedded Runge-Kutta integration of norm-preserving flows.
 
 Implements the Dormand-Prince 5(4) pair with PI step-size control over a
-fixed interval [t0, t1], optional per-step renormalization (for
-norm-preserving flows) and forced sample times.  The state may be any real
-or complex numpy array; error norms use elementwise magnitudes.  Scalar
-autonomous problems (the overlap laws of ``discrimination`` and
-``bounds``) are quadratures and do not come here.
+fixed interval [t0, t1] with forced sample times.  The state is a real or
+complex array whose rows along the last axis have unit norm: one vector
+(a state vector), or a stack of them (Bloch vectors, the audit's states).
+After every accepted step each row is divided by its norm; the largest
+drift from unit norm before that projection is recorded.  Error norms use
+elementwise magnitudes.  Scalar autonomous problems (the overlap laws of
+``discrimination`` and ``bounds``) are quadratures and do not come here.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     return min(100 * h0, h1, abs(t1 - t0))
 
 
+def _project(y):
+    """``y`` with each row along the last axis divided by its norm, and the
+    largest | |row| - 1 | before the division."""
+    norm = np.linalg.norm(y) if y.ndim == 1 else np.linalg.norm(y, axis=-1, keepdims=True)
+    return y / norm, float(np.max(np.abs(norm - 1.0)))
+
+
 def solve(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -94,21 +103,15 @@ def solve(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
-    renorm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    norm_drift: Optional[Callable[[np.ndarray], float]] = None,
-    max_step: float = np.inf,
 ) -> OdeResult:
-    """Integrate ``y' = f(t, y)`` from ``t0`` to ``t1``.
+    """Integrate the norm-preserving flow ``y' = f(t, y)`` from ``t0`` to
+    ``t1``, starting from unit-norm rows ``y0``.
 
-    Parameters
-    ----------
-    renorm
-        Applied to the state after every accepted step (norm projection).
-        Drift before renormalization is tracked via ``norm_drift``.
-    t_eval
-        Strictly increasing sample times in [t0, t1]; steps are clipped so
-        each is hit exactly and recorded.  Without it, every accepted step
-        is recorded.
+    After every accepted step the rows are projected back to unit norm and
+    ``f`` is re-evaluated there; ``stats.max_norm_drift`` is the largest
+    drift before a projection.  ``t_eval`` holds strictly increasing sample
+    times in [t0, t1]; steps are clipped so each is hit exactly and
+    recorded.  Without it, every accepted step is recorded.
 
     ``rtol`` and ``atol`` must be finite and > 0; anything else raises
     ``ValueError`` before ``f`` is first called.
@@ -138,10 +141,10 @@ def solve(
         return OdeResult(np.array(ts if ts else [t]), np.array(ys if ys else [y]), stats)
 
     fk = f(t, y)
-    h = min(_initial_step(f, t, y, fk, t1, rtol, atol), max_step)
+    h = _initial_step(f, t, y, fk, t1, rtol, atol)
 
     while t < t1:
-        h = min(h, t1 - t, max_step)
+        h = min(h, t1 - t)
         if eval_times is not None and eval_idx < len(eval_times):
             h = min(h, eval_times[eval_idx] - t)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -170,16 +173,10 @@ def solve(
 
         stats.accepted += 1
         stats.max_error_estimate = max(stats.max_error_estimate, enorm)
-        t_new = t + h
-        f_new = k[6]
-
-        if norm_drift is not None:
-            stats.max_norm_drift = max(stats.max_norm_drift, norm_drift(y_new))
-        if renorm is not None:
-            y_new = renorm(y_new)
-            f_new = f(t_new, y_new)
-
-        t, y, fk = t_new, y_new, f_new
+        t += h
+        y, drift = _project(y_new)
+        stats.max_norm_drift = max(stats.max_norm_drift, drift)
+        fk = f(t, y)
 
         if eval_times is not None:
             while eval_idx < len(eval_times) and eval_times[eval_idx] <= t + 1e-12 * max(1.0, abs(t)):

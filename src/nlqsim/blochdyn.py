@@ -199,8 +199,7 @@ def ip_rate(kbar: ReducedNonlinearity, p: PairOrientation) -> float:
 
 
 def _flow(kbar, drive):
-    def f(t, y):
-        v = y.reshape(-1, 3)
+    def f(t, v):
         k = kbar(v[:, 2])
         dv = np.empty_like(v)
         dv[:, 0] = -k * v[:, 1]
@@ -209,19 +208,9 @@ def _flow(kbar, drive):
         if drive is not None:
             w = drive.rate(t)
             dv += w * np.cross(np.broadcast_to(drive.axis, v.shape), v)
-        return dv.reshape(-1)
+        return dv
 
     return f
-
-
-def _renorm_rows(y):
-    v = y.reshape(-1, 3)
-    return (v / np.linalg.norm(v, axis=1, keepdims=True)).reshape(-1)
-
-
-def _drift_rows(y):
-    v = y.reshape(-1, 3)
-    return float(np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)))
 
 
 def integrate(
@@ -235,10 +224,11 @@ def integrate(
 ) -> SimTrace:
     """Integrate one or two Bloch vectors under nonlinearity plus drive.
 
-    The flow is d/dt v = kbar(z) (-y, x, 0) + omega(t) (axis x v).  States
-    are projected back to the unit sphere after each accepted step; the
-    worst pre-projection drift is recorded in the step stats.  Step-size
-    underflow returns a trace with ``failed`` set and the partial history.
+    The flow is d/dt v = kbar(z) (-y, x, 0) + omega(t) (axis x v), stepped
+    by ``_ode.solve`` on the (k, 3) stack, which projects the vectors back
+    to the unit sphere after each accepted step and records the worst
+    drift in the step stats.  Step-size underflow returns a trace with
+    ``failed`` set and the partial history.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -247,21 +237,10 @@ def integrate(
         raise ValueError("initial must be one or two Bloch 3-vectors")
     vs = np.stack([_as_unit(v) for v in vs])
 
-    if duration == 0.0:
-        states = vs[np.newaxis]
-        overlaps = None
-        if vs.shape[0] == 2:
-            overlaps = np.array([float(np.dot(vs[0], vs[1]))])
-        return SimTrace(np.array([0.0]), states, _ode.StepStats(), overlaps=overlaps)
-
-    res = _ode.solve(
-        _flow(kbar, drive), 0.0, float(duration), vs.reshape(-1),
-        rtol=rtol, atol=atol, t_eval=t_eval,
-        renorm=_renorm_rows, norm_drift=_drift_rows,
-    )
-    states = res.ys.reshape(len(res.ts), -1, 3)
+    res = _ode.solve(_flow(kbar, drive), 0.0, float(duration), vs,
+                     rtol=rtol, atol=atol, t_eval=t_eval)
     overlaps = None
-    if states.shape[1] == 2:
-        overlaps = np.einsum("ij,ij->i", states[:, 0], states[:, 1])
-    return SimTrace(res.ts, states, res.stats, overlaps=overlaps,
+    if vs.shape[0] == 2:
+        overlaps = np.einsum("ij,ij->i", res.ys[:, 0], res.ys[:, 1])
+    return SimTrace(res.ts, res.ys, res.stats, overlaps=overlaps,
                     failed=res.failed, failure_reason=res.failure_reason)

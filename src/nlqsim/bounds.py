@@ -25,7 +25,7 @@ import numpy as np
 
 from .blochdyn import pair_overlap_rate
 from .discrimination import OrientationPolicy, check_rtol, quad_panel, separation_trace
-from .nonlinearity import Nonlinearity, ReducedNonlinearity
+from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 DEFAULT_GRID = 10_000
 REFINE_FACTOR = 4
@@ -128,14 +128,14 @@ def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
         -np.linspace(lo / grid, lo, grid, endpoint=False),
         np.linspace(hi / grid, hi, grid, endpoint=False),
     ])
-    quotients = np.abs(np.asarray(kbar(z0 + deltas)) - k0) / np.abs(deltas)
-    g_local = float(np.min(quotients))
+    diffs = np.asarray(kbar(z0 + deltas)) - k0
+    g_local = float(np.min(np.abs(diffs) / np.abs(deltas)))
     if g_local < MIN_GROWTH:
         return GrowthRefusal(z0, Delta, f"sampled growth floor {g_local:.3e} below {MIN_GROWTH}")
 
     # Branch choice: pick theta so that kbar(z_plus) > kbar(z_minus); the
     # higher-z state has the larger kbar iff kbar increases through z0.
-    up = np.mean(np.sign((np.asarray(kbar(z0 + deltas)) - k0) * deltas))
+    up = np.mean(np.sign(diffs * deltas))
     direction = 1 if up >= 0 else -1
     return GrowthCertificate(z0, g_local, min(hi, Delta), direction, grid)
 
@@ -239,9 +239,7 @@ def check_lipschitz_separation_bound(
     estimate (square-root-type reductions) requires an explicit proxy, and
     the report then typically flags the expected violation.
     """
-    from .nonlinearity import reduce as _reduce
-
-    kbar = _reduce(n)
+    kbar = reduce(n)
     if g_lip is None:
         est = estimate_lipschitz(kbar)
         if not est.finite:
@@ -251,9 +249,7 @@ def check_lipschitz_separation_bound(
 
     result = separation_trace(n, alpha0, policy=OrientationPolicy.REOPTIMIZED,
                               duration=duration, rtol=rtol)
-    times = result.trace.times
-    cs = np.clip(np.asarray(result.trace.states, dtype=float), -1.0, 1.0)
-    alphas = 2.0 * np.arccos(cs)
+    times, alphas = result.trace.times, result.alphas
     if result.status == "no_progress":
         times = np.array([0.0, duration])
         alphas = np.array([alpha0, alpha0])

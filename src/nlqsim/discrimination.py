@@ -61,6 +61,7 @@ class DiscriminationResult:
     t_perp: float
     trace: SimTrace
     control: np.ndarray  # rows (t, omega)
+    alphas: np.ndarray  # pair angle at each trace time, 4 atan(e^-u)
     target_overlap: float
     status: str = "reached"  # reached | no_progress
     diagnostic: str = ""
@@ -288,14 +289,16 @@ def separation_trace(
     except _Stall as stall:
         empty = SimTrace(np.array([0.0]), np.array([c0]), _ode.StepStats())
         return DiscriminationResult(
-            math.inf, empty, np.array([[0.0, 0.0]]), target_overlap or 0.0,
-            status="no_progress", diagnostic="separation rate {1:.3e} at overlap "
+            math.inf, empty, np.array([[0.0, 0.0]]), np.array([alpha0]),
+            target_overlap or 0.0, status="no_progress",
+            diagnostic="separation rate {1:.3e} at overlap "
             "{0:.17g} is not reliably negative".format(*stall.args))
     cs = np.tanh(np.array(us, dtype=float))
     trace = SimTrace(np.array(samples, dtype=float), cs, _ode.StepStats(accepted=panels),
                      overlaps=cs)
     control = np.array([(t, control_omega(kbar, *_tanh_sech(u))) for t, u in zip(samples, us)])
-    return DiscriminationResult(float(t_end), trace, control,
+    alphas = 4.0 * np.arctan(np.exp(-np.array(us, dtype=float)))
+    return DiscriminationResult(float(t_end), trace, control, alphas,
                                 target_overlap if target_overlap is not None else 0.0)
 
 

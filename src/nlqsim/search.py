@@ -32,7 +32,6 @@ from .nonlinearity import Nonlinearity, overlap_derivative
 SQRT2 = math.sqrt(2.0)
 TARGET_OVERLAP = 1.0 / SQRT2  # constant-advantage discrimination target
 AUDIT_N_CAP = 256
-MIN_EPSILON = 1e-15
 
 
 class Decision(enum.Enum):
@@ -199,10 +198,10 @@ def run_search(
             raise ValueError("t1 must be > 0")
 
     epsilon = _overlap_deficit(instance.N, t1_val)
-    if epsilon < MIN_EPSILON:
+    if epsilon == 0.0:
         raise ValueError(
             f"t1 = {t1_val:.3g} leaves the hypothesis states indistinguishable "
-            f"at double precision (epsilon = {epsilon:.3e}); raise t1")
+            f"at double precision (the overlap deficit underflows to 0); raise t1")
 
     alpha0 = epsilon_to_alpha0(epsilon)
     disc = time_to_overlap(n, alpha0, TARGET_OVERLAP,
@@ -264,8 +263,9 @@ def integrate_nlse(
     """Integrate i dpsi/dt = (|m><m| [if oracle] + H(t)) psi + K psi.
 
     K is the diagonal amplitude nonlinearity (K psi)_x = kappa(|psi_x|)
-    psi_x; since kappa is real the flow is norm-preserving, and the state is
-    re-normalized after each accepted step (drift recorded in step stats).
+    psi_x; since kappa is real the flow is norm-preserving, and
+    ``_ode.solve`` re-normalizes the state after each accepted step
+    (drift recorded in step stats).
     ``oracle`` is a 1-indexed marked item or None.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -293,14 +293,7 @@ def integrate_nlse(
             rhs = rhs + Hfn(t) @ psi
         return -1j * rhs
 
-    if duration == 0.0:
-        return SimTrace(np.array([0.0]), psi0[np.newaxis], _ode.StepStats())
-
-    res = _ode.solve(
-        f, 0.0, duration, psi0, rtol=rtol, atol=atol, t_eval=t_eval,
-        renorm=lambda y: y / np.linalg.norm(y),
-        norm_drift=lambda y: abs(float(np.linalg.norm(y)) - 1.0),
-    )
+    res = _ode.solve(f, 0.0, duration, psi0, rtol=rtol, atol=atol, t_eval=t_eval)
     return SimTrace(res.ts, res.ys, res.stats,
                     failed=res.failed, failure_reason=res.failure_reason)
 
@@ -333,7 +326,8 @@ class AuditReport:
 
     ``derivative_check`` is the worst relative mismatch between the
     analytic per-pair overlap derivative and a centered finite difference
-    of the recorded trace at interior sample times.
+    of the recorded trace at interior sample times.  ``step_stats`` holds
+    the integrator's step counts and its worst drift from unit norm.
     """
 
     N: int
@@ -344,6 +338,7 @@ class AuditReport:
     margin: np.ndarray
     bound_ok: bool
     min_margin: float
+    step_stats: _ode.StepStats
     derivative_check: float = 0.0
 
     def to_csv(self) -> str:
@@ -397,29 +392,21 @@ def lower_bound_audit(
     mask = np.zeros((N + 1, N))
     mask[1:, :] = np.eye(N)
 
-    def f(t, y):
-        Y = y.reshape(N + 1, N)
+    def f(t, Y):
         rhs = np.asarray(kappa.kappa(np.abs(Y))) * Y
         rhs += mask * Y
         if Hfn is not None:
             rhs = rhs + Y @ Hfn(t).T
-        return (-1j * rhs).reshape(-1)
-
-    def renorm(y):
-        Y = y.reshape(N + 1, N)
-        Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-        return Y.reshape(-1)
+        return -1j * rhs
 
     t_eval = np.linspace(0.0, duration, samples + 1)
-    res = _ode.solve(f, 0.0, duration, Y0.reshape(-1).astype(complex),
-                     rtol=rtol, atol=atol, t_eval=t_eval, renorm=renorm)
+    res = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol, t_eval=t_eval)
     if res.failed:
         raise RuntimeError(f"audit integration failed: {res.failure_reason}")
 
-    Ys = res.ys.reshape(len(res.ts), N + 1, N)
     S = np.array([
         float(np.sum(np.abs(np.einsum("j,mj->m", np.conj(Y[0]), Y[1:]))))
-        for Y in Ys
+        for Y in res.ys
     ])
     root_n = math.sqrt(N)
     bound = N - res.ts * root_n * (1.0 + 2.0 * g_bound * root_n)
@@ -433,10 +420,11 @@ def lower_bound_audit(
     for i in interior:
         dt_c = res.ts[i + 1] - res.ts[i - 1]
         for m in (1, N):
-            fd = (np.vdot(Ys[i + 1][0], Ys[i + 1][m])
-                  - np.vdot(Ys[i - 1][0], Ys[i - 1][m])) / dt_c
-            an = pairwise_overlap_derivative(kappa, Ys[i][0], Ys[i][m], m)
+            fd = (np.vdot(res.ys[i + 1, 0], res.ys[i + 1, m])
+                  - np.vdot(res.ys[i - 1, 0], res.ys[i - 1, m])) / dt_c
+            an = pairwise_overlap_derivative(kappa, res.ys[i, 0], res.ys[i, m], m)
             deriv_err = max(deriv_err, abs(fd - an) / max(abs(an), 1e-6))
     return AuditReport(N=N, g=g_bound, times=res.ts, S=S, bound=bound,
                        margin=margin, bound_ok=min_margin >= -1e-9 * N,
-                       min_margin=min_margin, derivative_check=deriv_err)
+                       min_margin=min_margin, step_stats=res.stats,
+                       derivative_check=deriv_err)

@@ -135,6 +135,17 @@ def test_lipschitz_separation_bound_quadratic_holds():
     assert rep.max_ratio < 1.0
 
 
+@pytest.mark.parametrize("g", [1.0, 2.5])
+@pytest.mark.parametrize("alpha0", [1e-6, 1e-9])
+def test_lipschitz_separation_bound_holds_at_small_angles(g, alpha0):
+    # the angle comes from u = atanh(c), not from 2 acos(c), which loses
+    # every digit once alpha0 is below ~1e-7
+    rep = bn.check_lipschitz_separation_bound(nl.gross_pitaevskii(g), alpha0, 5.0)
+    assert rep.bound_ok
+    assert rep.max_ratio == pytest.approx(1.0 / (1.0 + 1e-6), rel=0, abs=1e-12)
+    assert rep.alphas[0] == pytest.approx(alpha0, rel=1e-15, abs=0)
+
+
 def test_lipschitz_separation_bound_trivial_for_zero_reduction():
     rep = bn.check_lipschitz_separation_bound(nl.quartic_difference(1.0),
                                               1e-3, 3.0)

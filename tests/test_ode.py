@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 
 from nlqsim import _ode
@@ -8,14 +10,31 @@ def test_fsal_stage_reused_six_rhs_calls_per_attempted_step():
 
     def f(t, y):
         calls.append(t)
-        return -y
+        return 1j * y
 
-    res = _ode.solve(f, 0.0, 10.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
-    assert abs(res.ys[-1, 0] - np.exp(-10.0)) <= 1e-9
+    res = _ode.solve(f, 0.0, 10.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12)
+    assert abs(res.ys[-1, 0] - np.exp(10j)) <= 1e-9
     attempted = res.stats.accepted + res.stats.rejected
-    # f(t0, y0) and one probe in the starting-step heuristic, then the six
-    # new stages of each Dormand-Prince step.
-    assert len(calls) == 2 + 6 * attempted
+    # f(t0, y0) and one probe in the starting-step heuristic, the six new
+    # stages of each Dormand-Prince step, and one evaluation at the
+    # projected state after each accepted step.
+    assert len(calls) == 2 + 6 * attempted + res.stats.accepted
+
+
+def test_solve_takes_exactly_the_documented_parameters():
+    params = list(inspect.signature(_ode.solve).parameters)
+    assert params == ["f", "t0", "t1", "y0", "rtol", "atol", "t_eval"]
+
+
+def test_rows_are_projected_to_unit_norm_and_drift_is_recorded():
+    # two rows rotating at different rates; each keeps unit norm
+    rates = np.array([[1.0], [3.0]])
+    y0 = np.array([[1.0 + 0j, 0.0], [0.6, 0.8j]])
+    res = _ode.solve(lambda t, y: 1j * rates * y, 0.0, 5.0, y0, rtol=1e-8, atol=1e-10)
+    assert res.ys.shape[1:] == (2, 2)
+    assert np.max(np.abs(np.linalg.norm(res.ys, axis=-1) - 1.0)) <= 4e-16
+    assert 0.0 < res.stats.max_norm_drift <= 1e-8
+    assert np.max(np.abs(res.ys[-1] - np.exp(5j * rates) * y0)) <= 1e-6
 
 
 def test_unusable_tolerances_are_refused_before_the_first_rhs_call():

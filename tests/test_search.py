@@ -117,9 +117,17 @@ def test_run_search_decision_time_consistent_with_overlap_floor():
 
 
 def test_run_search_refuses_indistinguishable_epsilon():
+    # the overlap deficit, about t1^2 / (8 N^2), underflows to 0
     with pytest.raises(ValueError, match="raise t1"):
         sr.run_search(sr.SearchInstance(2 ** 16, marked=1),
-                      nl.gross_pitaevskii(1.0), t1=1e-8)
+                      nl.gross_pitaevskii(1.0), t1=1e-200)
+
+
+def test_run_search_tiny_t1_matches_closed_form():
+    rep = sr.run_search(sr.SearchInstance(2 ** 16, marked=1), nl.gross_pitaevskii(1.0), t1=1e-8)
+    eps = _stable_deficit(2 ** 16, 1e-8)
+    assert rep.epsilon == pytest.approx(eps, rel=1e-15, abs=0)
+    assert rep.t2 == pytest.approx(_gp_t2(1.0, eps), rel=1e-9, abs=0)
 
 
 def test_run_search_refuses_non_separating_nonlinearity():
@@ -258,6 +266,14 @@ def test_lower_bound_audit_initial_sum_and_margin():
     assert audit.derivative_check < 1e-3
 
 
+def test_lower_bound_audit_reports_its_integration():
+    N, g = 16, 1.0
+    H = sr.search_schedule(N, g, sr.default_t1(N, g))
+    audit = sr.lower_bound_audit(nl.gross_pitaevskii(g), H, N, 4.0)
+    assert audit.step_stats.accepted > 0
+    assert audit.step_stats.max_norm_drift <= 1e-10
+
+
 def test_lower_bound_audit_linear_case_reduces_to_fg_bound():
     N = 16
     s = sr.uniform_state(N)
@@ -301,6 +317,12 @@ def test_search_report_csv_row():
     assert float(fields[4]) == rep.total_time
 
 
+def _gp_t2(g, eps):
+    # (2/g)(atanh(1 - eps) - atanh(1/sqrt 2)), with atanh(1 - eps) taken as
+    # ln((2 - eps)/eps)/2 so that 1 - eps is never rounded
+    return (2.0 / g) * (0.5 * math.log((2.0 - eps) / eps) - math.atanh(1.0 / math.sqrt(2.0)))
+
+
 def _stable_deficit(N, t1):
     # 1 - |<0|q>| from d = 1 - <s|U|s>, with no subtraction of nearby numbers
     d = (1.0 - cmath.exp(-1j * t1)) / N
@@ -314,7 +336,17 @@ def test_run_search_t2_is_free_of_cancellation(N):
         for t1 in (1.0, 2.5):
             rep = sr.run_search(sr.SearchInstance(N, marked=1), nl.gross_pitaevskii(g), t1=t1)
             eps = _stable_deficit(N, t1)
-            # atanh(1 - eps) = ln((2 - eps)/eps)/2 without rounding 1 - eps
-            want = (2.0 / g) * (0.5 * math.log((2.0 - eps) / eps) - math.atanh(1.0 / math.sqrt(2.0)))
             assert rep.epsilon == pytest.approx(eps, rel=1e-15)
-            assert rep.t2 == pytest.approx(want, rel=1e-12)
+            assert rep.t2 == pytest.approx(_gp_t2(g, eps), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [2 ** k for k in range(24, 41, 2)])
+def test_run_search_reaches_n_two_to_the_forty(N):
+    # no deficit floor: t2 follows the closed form and the total time stays
+    # within a constant of the (1/g) ln(gN) budget out to N = 2^40
+    for g in (0.1, 1.0, 10.0):
+        for t1 in (1.0, 2.5, "auto"):
+            rep = sr.run_search(sr.SearchInstance(N, marked=1), nl.gross_pitaevskii(g), t1=t1)
+            eps = _stable_deficit(N, rep.t1)
+            assert rep.t2 == pytest.approx(_gp_t2(g, eps), rel=1e-9, abs=0)
+            assert rep.total_time / rep.complexity_budget <= 20.0
