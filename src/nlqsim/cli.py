@@ -294,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marked", type=int, default=None, help="marked item (1-indexed)")
     _shared(p, "t1", "seed", "tol", "out")
 
-    p = sub.add_parser("audit", help="co-integrate marked/unmarked trajectories "
-                                     "against the overlap-sum floor")
+    p = sub.add_parser("audit", help="co-integrate marked/unmarked trajectories of "
+                                     "the search schedule against the overlap-sum "
+                                     "floor (any N; the N <= 256 cap is for dense H)")
     _shared(p, "nonlinearity", "n", "t1")
     p.add_argument("--duration", type=float, default=None,
                    help="audit horizon (default: total time of the search run)")

@@ -19,7 +19,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -298,36 +298,45 @@ def integrate_nlse(
                     failed=res.failed, failure_reason=res.failure_reason)
 
 
-def search_schedule(N: int, g: float, t1: float) -> Callable[[float], np.ndarray]:
-    """The driving schedule used by the search pipeline, as an N-dimensional
-    instance-independent H(t).
+class Schedule(NamedTuple):
+    """A driving H(t) that acts only on the catalog coordinates ``support``
+    (0-indexed): ``H(t)`` returns the len(support) x len(support) block."""
+
+    support: tuple
+    H: Callable[[float], np.ndarray]
+
+
+def search_schedule(N: int, g: float, t1: float) -> Schedule:
+    """The driving schedule used by the search pipeline, instance-independent.
 
     Zero while the oracle is queried (t <= t1); afterwards the
-    orientation-holding x rotation of the discrimination stage, acting on
-    the two-dimensional span of the first two catalog states.
+    orientation-holding x rotation of the discrimination stage.  It acts
+    only on the first two catalog states, so it is their support (0, 1) and
+    a 2x2 block, which ``lower_bound_audit`` integrates at any N.
     """
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
     def H(t):
-        mat = np.zeros((N, N), dtype=complex)
+        omega = 0.0
         if t > t1 and alpha0 > 0:
             c = gp_overlap_closed_form(g if g > 0 else 1.0, alpha0, t - t1)
             omega = 0.5 * max(g, 0.0) * max(min(c, 1.0), -1.0)
-            mat[:2, :2] = 0.5 * omega * sx
-        return mat
+        return 0.5 * omega * sx
 
-    return H
+    return Schedule((0, 1), H)
 
 
 @dataclass
 class AuditReport:
     """Co-integrated overlap-sum trace against the analytic floor.
 
-    ``derivative_check`` is the worst relative mismatch between the
-    analytic per-pair overlap derivative and a centered finite difference
-    of the recorded trace at interior sample times.  ``step_stats`` holds
-    the integrator's step counts and its worst drift from unit norm.
+    ``S`` sums over all N marked states, however few class-weighted rows
+    were integrated.  ``derivative_check`` is the worst relative mismatch between
+    the analytic per-pair overlap derivative and a centered finite
+    difference of the recorded trace at interior sample times.
+    ``step_stats`` holds the integrator's step counts and its worst drift
+    from unit norm.
     """
 
     N: int
@@ -349,15 +358,18 @@ class AuditReport:
 
 
 def pairwise_overlap_derivative(kappa: Nonlinearity, psi: np.ndarray,
-                                psi_m: np.ndarray, m: int) -> complex:
+                                psi_m: np.ndarray, m: int,
+                                weights=1.0) -> complex:
     """Analytic d<psi|psi_m>/dt under shared H(t):
 
     -i <psi|m><m|psi_m> + i sum_x (kappa(|psi_x|) - kappa(|psi_m,x|))
                                   <psi|x><x|psi_m>.
-    The driving Hamiltonian cancels from this expression.
+    The driving Hamiltonian cancels from this expression.  With class sizes
+    ``weights`` the states are in scaled amplitudes (see
+    ``overlap_derivative``); the marked coordinate m is a class of its own.
     """
     oracle = -1j * np.conj(psi[m - 1]) * psi_m[m - 1]
-    return complex(oracle + overlap_derivative(kappa, psi, psi_m))
+    return complex(oracle + overlap_derivative(kappa, psi, psi_m, weights))
 
 
 def lower_bound_audit(
@@ -375,28 +387,53 @@ def lower_bound_audit(
         S(t) = sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N))
 
     at every recorded time.  |kappa| is sampled on [0, 1] to determine the
-    bound's g.  Refuses N above ``AUDIT_N_CAP`` (the stacked integration
-    grows as N^2 states).
+    bound's g.
+
+    ``H`` is None, a ``Schedule`` (such as ``search_schedule``), or a dense
+    N x N matrix or callable.  Outside the p support coordinates of H every
+    coordinate is alike, so the amplitudes fall into classes: each support
+    coordinate, one marked coordinate j outside it, and the other N - p - 1
+    coordinates; classes of size zero are dropped.  The marked rows reduce
+    to one per support coordinate plus row j, which stands for all N - p
+    rows marked outside the support.  A class of size w is integrated in
+    the scaled amplitude z = sqrt(w) y, so the unit-norm projection and
+    <psi|psi_m> are plain vector operations, and kappa is evaluated at
+    |z|/sqrt(w).  A dense H makes every coordinate its own class, the
+    brute-force (N+1) x N stack; only a dense H is refused above
+    ``AUDIT_N_CAP``.  None and a ``Schedule`` cost the same at any N.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if N > AUDIT_N_CAP:
-        raise ValueError(f"audit refuses N = {N} above the cap {AUDIT_N_CAP}")
+    if H is None:
+        H = Schedule((), None)
+    elif not isinstance(H, Schedule):
+        if N > AUDIT_N_CAP:
+            raise ValueError(f"audit refuses a dense H at N = {N} above the cap "
+                             f"{AUDIT_N_CAP}")
+        H = Schedule(tuple(range(N)), H)
+    p = len(H.support)
+    if len(set(H.support)) != p or not all(0 <= k < N for k in H.support):
+        raise ValueError(f"H support must be distinct coordinates in [0, {N})")
     xs = np.linspace(0.0, 1.0, 2001)
     g_bound = float(np.max(np.abs(np.asarray(kappa.kappa(xs)))))
 
-    Hfn = _as_hamiltonian(H, N, duration)
+    Hfn = _as_hamiltonian(H.H, p, duration)
 
-    s = uniform_state(N)
-    Y0 = np.tile(s, (N + 1, 1))  # row 0: unmarked; row m: marked item m
-    mask = np.zeros((N + 1, N))
-    mask[1:, :] = np.eye(N)
+    w = np.array([1.0] * p + [min(N - p, 1), N - p - 1.0])
+    w = w[w > 0]
+    R = min(len(w), p + 1)  # marked rows: one per support coordinate, then j
+    mult = np.array([1.0] * p + [N - p])[:R]
+    sw = np.sqrt(w)
+    z0 = sw / math.sqrt(N)
+    Y0 = np.tile(z0 / np.linalg.norm(z0), (R + 1, 1)).astype(complex)
+    mask = np.zeros((R + 1, len(w)))  # row 0: unmarked; row r: marked at class r - 1
+    mask[1:, :R] = np.eye(R)
 
     def f(t, Y):
-        rhs = np.asarray(kappa.kappa(np.abs(Y))) * Y
+        rhs = np.asarray(kappa.kappa(np.abs(Y) / sw)) * Y
         rhs += mask * Y
         if Hfn is not None:
-            rhs = rhs + Y @ Hfn(t).T
+            rhs[:, :p] += Y[:, :p] @ Hfn(t).T
         return -1j * rhs
 
     t_eval = np.linspace(0.0, duration, samples + 1)
@@ -404,25 +441,21 @@ def lower_bound_audit(
     if res.failed:
         raise RuntimeError(f"audit integration failed: {res.failure_reason}")
 
-    S = np.array([
-        float(np.sum(np.abs(np.einsum("j,mj->m", np.conj(Y[0]), Y[1:]))))
-        for Y in res.ys
-    ])
+    S = np.abs(np.einsum("tc,trc->tr", np.conj(res.ys[:, 0]), res.ys[:, 1:])) @ mult
     root_n = math.sqrt(N)
     bound = N - res.ts * root_n * (1.0 + 2.0 * g_bound * root_n)
     margin = S - bound
     min_margin = float(np.min(margin))
 
-    # Per-pair derivative identity, finite-differenced on the recorded grid:
-    # d<psi|psi_m>/dt = -i <psi|m><m|psi_m> + i sum_x (kappa diff) products.
+    # Per-pair derivative identity, finite-differenced on the recorded grid.
     deriv_err = 0.0
     interior = range(1, len(res.ts) - 1, max(1, (len(res.ts) - 2) // 8))
     for i in interior:
         dt_c = res.ts[i + 1] - res.ts[i - 1]
-        for m in (1, N):
+        for m in (1, R):
             fd = (np.vdot(res.ys[i + 1, 0], res.ys[i + 1, m])
                   - np.vdot(res.ys[i - 1, 0], res.ys[i - 1, m])) / dt_c
-            an = pairwise_overlap_derivative(kappa, res.ys[i, 0], res.ys[i, m], m)
+            an = pairwise_overlap_derivative(kappa, res.ys[i, 0], res.ys[i, m], m, w)
             deriv_err = max(deriv_err, abs(fd - an) / max(abs(an), 1e-6))
     return AuditReport(N=N, g=g_bound, times=res.ts, S=S, bound=bound,
                        margin=margin, bound_ok=min_margin >= -1e-9 * N,

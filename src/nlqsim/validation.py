@@ -346,7 +346,7 @@ def check_nlse_norm_phase(ctx: Context) -> CheckResult:
 
 
 def check_audit_margin(ctx: Context) -> CheckResult:
-    combos = [(8, 1.0)] if ctx.quick else [(8, 0.5), (16, 1.0)]
+    combos = [(8, 1.0)] if ctx.quick else [(8, 0.5), (16, 1.0), (2 ** 20, 1.0)]
     min_margin = math.inf
     for N, g in combos:
         t1 = sr.default_t1(N, g)

@@ -140,6 +140,14 @@ def test_audit_cli(tmp_path, capsys):
     assert lines[0] == "t,S,bound,margin"
 
 
+def test_audit_cli_runs_search_schedule_above_dense_cap(capsys):
+    # The N = 256 cap applies to a dense H; the search schedule runs at any N.
+    assert run_cli(["audit", "--n", "1048576", "--nonlinearity", "gp:1"]) == 0
+    captured = capsys.readouterr().out
+    assert "N = 1048576" in captured
+    assert "bound_ok = True" in captured
+
+
 def test_bounds_cli(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert run_cli(["bounds", "--nonlinearity", "gp:1.0", "--z0", "0.5",

@@ -287,8 +287,73 @@ def test_lower_bound_audit_linear_case_reduces_to_fg_bound():
 
 
 def test_lower_bound_audit_refuses_large_n():
+    # The cap holds for a dense H only; None and a Schedule run at any N.
+    N = 512
     with pytest.raises(ValueError, match="cap"):
-        sr.lower_bound_audit(nl.gross_pitaevskii(1.0), None, 512, 1.0)
+        sr.lower_bound_audit(nl.gross_pitaevskii(1.0), np.zeros((N, N)), N, 1.0)
+
+
+def _audit_kinds():
+    return {"gp": nl.gross_pitaevskii(1.0), "log": nl.logarithmic(1.0),
+            "sqrt": nl.square_root_sign(1.0), "quartic": nl.quartic_difference(1.0),
+            "odd": nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z)) / 3.0)}
+
+
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "quartic", "odd"])
+@pytest.mark.parametrize("N", [16, 2 ** 20, 2 ** 40])
+def test_audit_free_evolution_closed_form(kind, N):
+    # With H = None every amplitude keeps its magnitude, so the unmarked and
+    # marked states differ only by the oracle phase on the marked coordinate.
+    audit = sr.lower_bound_audit(_audit_kinds()[kind], None, N, 3.0, samples=30,
+                                 rtol=1e-12, atol=1e-14)
+    want = N * np.abs(1.0 - (1.0 - np.exp(-1j * audit.times)) / N)
+    assert np.max(np.abs(audit.S - want) / want) <= 1e-9
+    assert audit.bound_ok
+
+
+def _dense_rebuild(schedule, N):
+    """The schedule's block embedded in an N x N callable (the dense path)."""
+    support = list(schedule.support)
+
+    def H(t):
+        mat = np.zeros((N, N), dtype=complex)
+        mat[np.ix_(support, support)] = schedule.H(t)
+        return mat
+
+    return H
+
+
+@pytest.mark.parametrize("kind", ["gp", "log"])
+@pytest.mark.parametrize("N", [2, 3, 8, 16, 64])
+def test_audit_search_schedule_matches_dense_rebuild(kind, N):
+    g = 1.0
+    t1 = sr.default_t1(N, g)
+    duration = sr.run_search(sr.SearchInstance(N, marked=1),
+                             nl.gross_pitaevskii(g), t1=t1).total_time
+    schedule = sr.search_schedule(N, g, t1)
+    assert schedule.support == (0, 1)
+    kappa = _audit_kinds()[kind]
+    reduced = sr.lower_bound_audit(kappa, schedule, N, duration, samples=20,
+                                   rtol=1e-12, atol=1e-14)
+    dense = sr.lower_bound_audit(kappa, _dense_rebuild(schedule, N), N, duration,
+                                 samples=20, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(reduced.times, dense.times)
+    assert np.max(np.abs(reduced.S - dense.S)) <= 1e-10 * N
+    assert np.array_equal(reduced.bound, dense.bound)
+
+
+def test_audit_search_schedule_at_n_2_40():
+    N, g = 2 ** 40, 1.0
+    t1 = sr.default_t1(N, g)
+    rep = sr.run_search(sr.SearchInstance(N, marked=1), nl.gross_pitaevskii(g), t1=t1)
+    audit = sr.lower_bound_audit(nl.gross_pitaevskii(g), sr.search_schedule(N, g, t1),
+                                 N, rep.total_time)
+    assert audit.N == N
+    assert audit.S[0] == N
+    assert audit.bound_ok
+    oracle = audit.times <= t1
+    want = N * np.abs(1.0 - (1.0 - np.exp(-1j * audit.times[oracle])) / N)
+    assert np.max(np.abs(audit.S[oracle] - want) / want) <= 1e-9
 
 
 def test_audit_csv_format():
