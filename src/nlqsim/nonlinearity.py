@@ -252,19 +252,14 @@ class ReducedNonlinearity:
         return out if out.ndim else float(out)
 
 
-def overlap_derivative(kappa: Nonlinearity, psi, phi, weights=1.0):
+def overlap_derivative(kappa: Nonlinearity, psi, phi):
     """Nonlinear part of d<psi|phi>/dt when both states share the flow,
 
         i sum_x (kappa(|psi_x|) - kappa(|phi_x|)) psi_x^* phi_x,
 
-    summed along the last axis (leading axes are batch axes).  For states
-    constant on classes of sizes ``weights``, psi and phi may hold scaled
-    amplitudes z = sqrt(w) y, one per class: kappa is then taken at
-    |z|/sqrt(w), and the sum carries the class sizes.
+    summed along the last axis (leading axes are batch axes).
     """
-    root = np.sqrt(weights)
-    w = (np.asarray(kappa.kappa(np.abs(psi) / root))
-         - np.asarray(kappa.kappa(np.abs(phi) / root)))
+    w = np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi)))
     return 1j * np.sum(w * np.conj(psi) * phi, axis=-1)
 
 

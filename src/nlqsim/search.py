@@ -358,18 +358,15 @@ class AuditReport:
 
 
 def pairwise_overlap_derivative(kappa: Nonlinearity, psi: np.ndarray,
-                                psi_m: np.ndarray, m: int,
-                                weights=1.0) -> complex:
+                                psi_m: np.ndarray, m: int) -> complex:
     """Analytic d<psi|psi_m>/dt under shared H(t):
 
     -i <psi|m><m|psi_m> + i sum_x (kappa(|psi_x|) - kappa(|psi_m,x|))
                                   <psi|x><x|psi_m>.
-    The driving Hamiltonian cancels from this expression.  With class sizes
-    ``weights`` the states are in scaled amplitudes (see
-    ``overlap_derivative``); the marked coordinate m is a class of its own.
+    The driving Hamiltonian cancels from this expression.
     """
     oracle = -1j * np.conj(psi[m - 1]) * psi_m[m - 1]
-    return complex(oracle + overlap_derivative(kappa, psi, psi_m, weights))
+    return complex(oracle + overlap_derivative(kappa, psi, psi_m))
 
 
 def lower_bound_audit(
@@ -397,21 +394,24 @@ def lower_bound_audit(
     to one per support coordinate plus row j, which stands for all N - p
     rows marked outside the support.  A class of size w is integrated in
     the scaled amplitude z = sqrt(w) y, so the unit-norm projection and
-    <psi|psi_m> are plain vector operations, and kappa is evaluated at
-    |z|/sqrt(w).  A dense H makes every coordinate its own class, the
-    brute-force (N+1) x N stack; only a dense H is refused above
-    ``AUDIT_N_CAP``.  None and a ``Schedule`` cost the same at any N.
+    <psi|psi_m> are plain vector operations.  kappa is taken at |z|: only
+    the class of the N - p - 1 others has w > 1, and it is never marked, so
+    its magnitude is the same in every row and its kappa turns a phase
+    common to all rows, which S does not see.  A dense H makes every
+    coordinate its own class, the brute-force (N+1) x N stack.  A support
+    larger than ``AUDIT_N_CAP`` is refused; None and the search schedule
+    run at any N on at most four classes.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     if H is None:
         H = Schedule((), None)
     elif not isinstance(H, Schedule):
-        if N > AUDIT_N_CAP:
-            raise ValueError(f"audit refuses a dense H at N = {N} above the cap "
-                             f"{AUDIT_N_CAP}")
         H = Schedule(tuple(range(N)), H)
     p = len(H.support)
+    if p > AUDIT_N_CAP:
+        raise ValueError(f"audit refuses an H on {p} coordinates above the cap "
+                         f"{AUDIT_N_CAP}")
     if len(set(H.support)) != p or not all(0 <= k < N for k in H.support):
         raise ValueError(f"H support must be distinct coordinates in [0, {N})")
     xs = np.linspace(0.0, 1.0, 2001)
@@ -423,14 +423,13 @@ def lower_bound_audit(
     w = w[w > 0]
     R = min(len(w), p + 1)  # marked rows: one per support coordinate, then j
     mult = np.array([1.0] * p + [N - p])[:R]
-    sw = np.sqrt(w)
-    z0 = sw / math.sqrt(N)
+    z0 = np.sqrt(w) / math.sqrt(N)
     Y0 = np.tile(z0 / np.linalg.norm(z0), (R + 1, 1)).astype(complex)
     mask = np.zeros((R + 1, len(w)))  # row 0: unmarked; row r: marked at class r - 1
     mask[1:, :R] = np.eye(R)
 
     def f(t, Y):
-        rhs = np.asarray(kappa.kappa(np.abs(Y) / sw)) * Y
+        rhs = np.asarray(kappa.kappa(np.abs(Y))) * Y
         rhs += mask * Y
         if Hfn is not None:
             rhs[:, :p] += Y[:, :p] @ Hfn(t).T
@@ -455,7 +454,7 @@ def lower_bound_audit(
         for m in (1, R):
             fd = (np.vdot(res.ys[i + 1, 0], res.ys[i + 1, m])
                   - np.vdot(res.ys[i - 1, 0], res.ys[i - 1, m])) / dt_c
-            an = pairwise_overlap_derivative(kappa, res.ys[i, 0], res.ys[i, m], m, w)
+            an = pairwise_overlap_derivative(kappa, res.ys[i, 0], res.ys[i, m], m)
             deriv_err = max(deriv_err, abs(fd - an) / max(abs(an), 1e-6))
     return AuditReport(N=N, g=g_bound, times=res.ts, S=S, bound=bound,
                        margin=margin, bound_ok=min_margin >= -1e-9 * N,

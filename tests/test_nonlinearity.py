@@ -174,16 +174,3 @@ def test_strength_validation():
         nl.gross_pitaevskii(-1.0)
     # g = 0 is allowed: it turns the nonlinear term off
     assert nl.gross_pitaevskii(0.0).g == 0.0
-
-
-@pytest.mark.parametrize("kappa", CATALOG)
-def test_overlap_derivative_weighted_classes_match_expanded_sum(kappa):
-    # States constant on classes of sizes w, given one scaled amplitude
-    # z = sqrt(w) y per class, give the same sum as the expanded vectors.
-    rng = np.random.default_rng(7)
-    w = np.array([1.0, 1.0, 3.0, 5.0])
-    y = (rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))) * 0.3
-    expanded = np.repeat(y, w.astype(int), axis=-1)
-    want = nl.overlap_derivative(kappa, expanded[0], expanded[1])
-    got = nl.overlap_derivative(kappa, np.sqrt(w) * y[0], np.sqrt(w) * y[1], w)
-    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))

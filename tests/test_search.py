@@ -287,10 +287,14 @@ def test_lower_bound_audit_linear_case_reduces_to_fg_bound():
 
 
 def test_lower_bound_audit_refuses_large_n():
-    # The cap holds for a dense H only; None and a Schedule run at any N.
+    # The cap is on the coordinates H acts on, dense or a Schedule; None and
+    # the search schedule run at any N.
     N = 512
     with pytest.raises(ValueError, match="cap"):
         sr.lower_bound_audit(nl.gross_pitaevskii(1.0), np.zeros((N, N)), N, 1.0)
+    block = sr.Schedule(tuple(range(N)), lambda t: np.zeros((N, N)))
+    with pytest.raises(ValueError, match="cap"):
+        sr.lower_bound_audit(nl.gross_pitaevskii(1.0), block, 2 ** 20, 1.0)
 
 
 def _audit_kinds():
