@@ -55,6 +55,17 @@ def tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def ranged(convert, ok, what: str):
+    """argparse type that converts the text and refuses values not ``what``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def cmd_discriminate(args) -> int:
     n = nl.parse(args.nonlinearity)
     alpha0 = (args.alpha0 if args.alpha0 is not None
@@ -159,6 +170,7 @@ def cmd_optimize(args) -> int:
     print(f"best_rate = {fmt(result.best_rate)}")
     print(f"gap_vs_dim2 = {fmt(gap)}")
     print(f"sweeps = {result.converged_sweeps}, capped = {result.capped}")
+    print(f"grad_norm = {result.grad_norm:.3e}")
     if result.angles is not None:
         print(f"orientation (phi, theta) = ({fmt(result.angles[0])}, {fmt(result.angles[1])})")
     if args.out:
@@ -305,10 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="orientation search over embeddings")
     _shared(p, "nonlinearity")
-    p.add_argument("--alpha", type=float, default=0.5, help="pair separation angle")
-    p.add_argument("--dim", type=int, default=2, help="embedding dimension")
-    p.add_argument("--restarts", type=int, default=64,
-                   help="optimizer restart count (used by the d >= 3 links)")
+    p.add_argument("--alpha", type=ranged(float, lambda a: 0.0 < a < math.pi, "in (0, pi)"),
+                   default=0.5, help="pair separation angle, in (0, pi)")
+    p.add_argument("--dim", type=ranged(int, lambda d: 2 <= d <= 8, "in 2..8"), default=2,
+                   help="embedding dimension, 2..8")
+    p.add_argument("--restarts", type=ranged(int, lambda r: r >= 1, ">= 1"), default=64,
+                   help="L-BFGS restarts of each d >= 3 link (at least 1)")
     _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")

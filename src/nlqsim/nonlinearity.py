@@ -35,6 +35,10 @@ LOG_POLE_CLAMP = 1e-12
 # state-vector component passes through zero.
 LOG_AMPLITUDE_FLOOR = 1e-12
 
+# Half-width of the central difference that gives kappa' of custom kinds:
+# about eps^(1/3), where truncation and rounding errors balance.
+KAPPA_PRIME_STEP = 2.0 ** -17
+
 
 class Kind(enum.Enum):
     GROSS_PITAEVSKII = "gp"
@@ -80,6 +84,29 @@ class Nonlinearity:
             out = self.g * (x2 - x2 * x2)
         else:
             out = self.g * np.asarray(self.custom_fn(x), dtype=float).reshape(x.shape)
+        return out if out.ndim else float(out)
+
+    def kappa_prime(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Evaluate dkappa/dx for x in [0, 1] (vectorized); 0 where kappa is flat
+        by construction (log below its amplitude floor, sqrt up to 1/sqrt(2)).
+        Custom kinds take a central difference of ``kappa`` kept inside [0, 1]."""
+        x = np.asarray(x, dtype=float)
+        g = self.g
+        if self.kind is Kind.GROSS_PITAEVSKII:
+            out = 2.0 * g * x
+        elif self.kind is Kind.LOGARITHMIC:
+            above = x > LOG_AMPLITUDE_FLOOR
+            out = np.where(above, 2.0 * g / np.where(above, x, 1.0), 0.0)
+        elif self.kind is Kind.SQUARE_ROOT_SIGN:
+            above = x > INV_SQRT2
+            out = np.where(above, 2.0 * g * x / np.sqrt(np.where(above, 2.0 * x * x - 1.0, 1.0)),
+                           0.0)
+        elif self.kind is Kind.QUARTIC_DIFFERENCE:
+            out = g * (2.0 * x - 4.0 * x ** 3)
+        else:
+            lo = np.maximum(x - KAPPA_PRIME_STEP, 0.0)
+            hi = np.minimum(x + KAPPA_PRIME_STEP, 1.0)
+            out = (np.asarray(self.kappa(hi)) - np.asarray(self.kappa(lo))) / (hi - lo)
         return out if out.ndim else float(out)
 
     def __call__(self, x):
@@ -236,6 +263,8 @@ class ReducedNonlinearity:
             out = 2.0 * g * np.arctanh(np.clip(z, -1.0 + LOG_POLE_CLAMP, 1.0 - LOG_POLE_CLAMP))
         elif kind is Kind.SQUARE_ROOT_SIGN:
             out = g * np.sign(z) * np.sqrt(np.abs(z))
+        elif kind is Kind.QUARTIC_DIFFERENCE:
+            out = np.zeros_like(z)
         else:
             return self.generic(z)
         return out if out.ndim else float(out)

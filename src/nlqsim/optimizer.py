@@ -16,8 +16,9 @@ Bloch orientation (phi, theta) = (2 theta, beta) of the pair, so the optimum
 comes from the same narrowing-grid search over the Bloch sphere that the
 re-optimized discrimination policy uses
 (:func:`discrimination.reoptimize_orientation`).  For dim >= 3 the search
-is multi-start derivative-free coordinate descent, batched across restarts
-and deterministic given a seed.
+is multi-start L-BFGS (Liu & Nocedal, Math. Program. 45, 503 (1989)) on the
+rotation angles with the exact gradient from a reverse pass over the chain,
+batched across restarts and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -31,10 +32,16 @@ import numpy as np
 from . import discrimination
 from .nonlinearity import Nonlinearity, overlap_derivative, reduce
 
-_STEP_INIT = 0.4
-_STEP_MIN = 5e-8
-_CONVERGENCE = 1e-12
-_MAX_SWEEPS = 400
+_MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search
+_MEMORY = 10  # L-BFGS curvature pairs kept per restart
+_ARMIJO = 1e-4
+_GRAD_TOL = 1e-12
+_FIRST_STEP = 0.4  # largest angle change of a steepest-descent step
+_REL_DECREASE = 1e-15
+# Turn of each rotation into a new coordinate at warm-start restart 1: the
+# padded lower-dimensional optimum can be a local minimum (quartic), with
+# the better basin a finite step away.
+_NEW_COORDINATE_TURN = 0.4
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,8 @@ class OptimizationResult:
     seed: int
     alpha: float
     converged_sweeps: int = 0
-    capped: bool = False  # max_sweeps stopped the descent (always False at dim 2)
+    capped: bool = False  # max_sweeps stopped the search (always False at dim 2)
+    grad_norm: float = 0.0  # largest |d rate / d param| at the returned frame
     degenerate: bool = False
     angles: Optional[tuple] = None  # (phi, theta) for dim = 2
     params: np.ndarray = field(default=None, repr=False)
@@ -155,6 +163,55 @@ def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
     return np.real(np.conj(inner / mag) * t)
 
 
+_SIGNS = np.array([-1.0, 1.0])  # the psi and phi columns of the state gradient
+
+
+def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
+                   pairs) -> np.ndarray:
+    """d rate / d params, (R, K, 2), for the chain that built ``states``.
+
+    The overlap is real and fixed by the frame, so the rate is
+    -sum_x w_x Im(psi_x^* phi_x) with w = kappa(|psi|) - kappa(|phi|), and
+    delta rate = Re sum conj(lam) delta states for the state gradient lam.
+    A reverse pass undoes each rotation, takes its two angle derivatives and
+    carries lam back through the rotation's adjoint.
+    """
+    psi, phi = states[:, :, 0], states[:, :, 1]
+    amp = np.abs(states)
+    kap = kappa.kappa(amp)
+    w = (kap[:, :, 0] - kap[:, :, 1])[:, :, None]
+    im = np.imag(np.conj(psi) * phi)[:, :, None]
+    # kappa'(|x|)/|x| * x, the gradient of kappa(|x|); 0 where x = 0
+    radial = np.divide(kappa.kappa_prime(amp), amp, out=np.zeros_like(amp),
+                       where=amp > 0.0) * states
+    lam = (im * radial - 1j * w * states[:, :, ::-1]) * _SIGNS
+    cos = np.cos(params[:, :, 0])
+    sin = np.sin(params[:, :, 0])
+    phase = np.exp(1j * params[:, :, 1])
+    es, ces = phase * sin, np.conj(phase) * sin
+    # Rows i and j of the states after rotation k (ni, nj) and before it
+    # (ri, rj), and of lam after it, kept for the angle derivatives.
+    K = len(pairs)
+    ni, nj, ri, rj, li, lj = (np.empty((K,) + states.shape[:1] + (2,), dtype=complex)
+                              for _ in range(6))
+    states = states.copy()
+    for k in range(K - 1, -1, -1):
+        i, j = pairs[k]
+        c, a, b = cos[:, k, None], es[:, k, None], ces[:, k, None]
+        ni[k], nj[k], li[k], lj[k] = states[:, i], states[:, j], lam[:, i], lam[:, j]
+        states[:, i] = ri[k] = c * ni[k] + a * nj[k]
+        states[:, j] = rj[k] = c * nj[k] - b * ni[k]
+        lam[:, i] = c * li[k] + a * lj[k]
+        lam[:, j] = c * lj[k] - b * li[k]
+    # d/dtheta of the rotated rows (i, j) is (-e n_j, conj(e) n_i), and
+    # d/dbeta is (-i e s r_j, -i conj(e) s r_i).
+    e = phase.T[:, :, None]
+    li, lj = np.conj(li), np.conj(lj)
+    d_theta = np.real(np.conj(e) * lj * ni - e * li * nj).sum(axis=2)
+    d_beta = np.imag(e * li * rj + np.conj(e) * lj * ri).sum(axis=2) * sin.T
+    return np.stack([d_theta.T, d_beta.T], axis=2)
+
+
 def optimize_orientation(
     kappa: Nonlinearity,
     alpha: float,
@@ -168,17 +225,23 @@ def optimize_orientation(
 
     At dim = 2 the optimum is the Bloch-sphere search of
     :func:`discrimination.reoptimize_orientation`; ``restarts``, ``seed``,
-    ``warm_start`` and ``max_sweeps`` act on the dim >= 3 descent only, and
+    ``warm_start`` and ``max_sweeps`` act on the dim >= 3 search only, and
     ``converged_sweeps`` is 0.
 
-    For dim >= 3: multi-start coordinate descent on the Givens-frame
-    parameterization; per-restart step sizes shrink when a sweep yields no
-    improvement, and a restart is converged once a full sweep improves its
-    rate by less than 1e-12.  ``capped`` is set when ``max_sweeps`` ends the
-    descent first.  Restart 0 starts at the identity frame; when
-    ``warm_start`` is given (a result from a lower dimension), restart 1
-    starts from its frame padded with zeros.  The reported minimum is the
-    exact rate at the returned embedding; ties pick the lowest restart
+    For dim >= 3: multi-start L-BFGS on the Givens-frame angles with the
+    exact gradient (:func:`_rate_gradient`), batched over restarts; each
+    restart keeps its own memory and line search, so its result does not
+    depend on the others.  A restart stops when its gradient is at most
+    1e-12, its line search fails, or an accepted step lowers its rate by at
+    most 1e-15 of the rate.  ``max_sweeps`` caps the iterations,
+    ``converged_sweeps`` is the largest iteration count of any restart, and
+    ``capped`` is set when the cap stopped a restart.  Restarts start at
+    uniform random angles.  When ``warm_start`` is given (a result from a
+    lower dimension), restart 0 starts at its frame padded with zeros, so a
+    chain of dimensions never rises, and restart 1 at the same frame with
+    every rotation into a new coordinate turned by 0.4.  The reported
+    minimum is the exact rate at the returned embedding, and ``grad_norm``
+    the largest gradient component there; ties pick the lowest restart
     index.
     """
     if dim < 2:
@@ -197,73 +260,135 @@ def optimize_orientation(
         params = np.array([[[phi / 2.0, theta]]])
         best, sweeps_done, capped, angles = 0, 0, False, (phi, theta)
     else:
-        params, rates, sweeps_done, capped = _descend(kappa, base, pairs, restarts, seed,
-                                                      warm_start, max_sweeps)
+        params = _starting_points(pairs, restarts, seed, warm_start)
+        params, rates, sweeps_done, capped = _lbfgs(kappa, base, pairs, params, max_sweeps)
         best, angles = int(np.argmin(rates)), None
 
-    states = _build_states(params[best:best + 1], base, pairs)[0]
-    embedding = PairEmbedding(dim=dim, psi=states[:, 0], phi=states[:, 1])
+    params = params[best:best + 1]
+    states = _build_states(params, base, pairs)
+    grad = _rate_gradient(kappa, params, states, pairs)
+    embedding = PairEmbedding(dim=dim, psi=states[0, :, 0], phi=states[0, :, 1])
     rate, degenerate = rate_functional_flagged(kappa, embedding)
     return OptimizationResult(
         best_rate=rate, argmax=embedding, restarts=restarts, seed=seed,
         alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
-        degenerate=degenerate, angles=angles, params=params[best].copy(),
+        grad_norm=float(np.max(np.abs(grad))), degenerate=degenerate,
+        angles=angles, params=params[0].copy(),
     )
 
 
-def _descend(kappa, base, pairs, restarts, seed, warm_start, max_sweeps):
-    """Coordinate descent over the Givens chain, batched over restarts.
-
-    Returns (params, rates, sweeps, capped).  The + and - trials of one
-    coordinate are one batch of 2R rows; a - trial counts only where the +
-    trial was not taken.  Trials on rotation k start from the cached states
-    after rotations 0..k-1, which advance by one rotation once k is done.
-    """
-    R, K = restarts, len(pairs)
+def _starting_points(pairs, restarts, seed, warm_start):
+    """(R, K, 2) starting angles: uniform draws, with restarts 0 and 1 taken
+    from the padded warm-start frame when there is one."""
     rng = np.random.default_rng(seed)
-    params = rng.uniform(-math.pi, math.pi, size=(R, K, 2))
-    params[0] = 0.0
-    if warm_start is not None and warm_start.params is not None and R > 1:
-        params[1] = 0.0
-        prev_pairs = _pair_indices(warm_start.argmax.dim)
+    params = rng.uniform(-math.pi, math.pi, size=(restarts, len(pairs), 2))
+    if warm_start is not None and warm_start.params is not None:
+        prev_dim = warm_start.argmax.dim
+        padded = np.zeros((len(pairs), 2))
         lookup = {pq: k for k, pq in enumerate(pairs)}
-        for k_prev, pq in enumerate(prev_pairs):
+        for k_prev, pq in enumerate(_pair_indices(prev_dim)):
             if pq in lookup:
-                params[1, lookup[pq]] = warm_start.params[k_prev]
+                padded[lookup[pq]] = warm_start.params[k_prev]
+        params[0] = padded
+        if restarts > 1:
+            params[1] = padded
+            new = [k for k, (_, j) in enumerate(pairs) if j >= prev_dim]
+            params[1, new, 0] = _NEW_COORDINATE_TURN
+    return params
 
-    rates = _batch_rates(kappa, _build_states(params, base, pairs))
-    steps = np.full(R, _STEP_INIT)
-    active = np.ones(R, dtype=bool)
-    sweeps_done = 0
 
-    for sweep in range(max_sweeps):
-        if not active.any():
-            break
-        sweeps_done = sweep + 1
-        best_sweep_gain = np.zeros(R)
-        prefix = np.broadcast_to(base, (R,) + base.shape)
-        for k in range(K):
-            prefix2 = np.concatenate([prefix, prefix])
-            for comp in (0, 1):
-                trial = np.concatenate([params[:, k:], params[:, k:]])
-                trial[:R, 0, comp] += steps
-                trial[R:, 0, comp] += -steps
-                trial_rates = _batch_rates(kappa, _build_states(trial, prefix2, pairs[k:]))
-                plus, minus = trial_rates[:R], trial_rates[R:]
-                take_plus = (plus < rates - 1e-16) & active
-                take_minus = (minus < rates - 1e-16) & active & ~take_plus
-                for take, tr, moved in ((take_plus, plus, trial[:R]),
-                                        (take_minus, minus, trial[R:])):
-                    if take.any():
-                        params[take, k, comp] = moved[take, 0, comp]
-                        best_sweep_gain[take] = np.maximum(
-                            best_sweep_gain[take], rates[take] - tr[take])
-                        rates[take] = tr[take]
-            prefix = _build_states(params[:, k:k + 1], prefix, pairs[k:k + 1])
-        no_gain = best_sweep_gain <= _CONVERGENCE
-        steps = np.where(no_gain, steps * 0.5, steps)
-        active &= ~(no_gain & (steps < _STEP_MIN))
-    return params, rates, sweeps_done, bool(active.any())
+def _lbfgs(kappa, base, pairs, params, max_iter):
+    """L-BFGS with Armijo backtracking on every restart row at once.
+
+    Returns (params, rates, iterations, capped).  Each row keeps its own
+    memory of the last _MEMORY steps (unused slots hold zeros) and its own
+    step length; every evaluation is one _build_states/_batch_rates call on
+    the rows that need it, and the gradient comes from the accepted states.
+    """
+    R, shape = params.shape[0], params.shape[1:]
+
+    def evaluate(x):
+        states = _build_states(x.reshape((-1,) + shape), base, pairs)
+        return states, _batch_rates(kappa, states)
+
+    x = params.reshape(R, -1).copy()
+    states, rates = evaluate(x)
+    grad = _rate_gradient(kappa, params, states, pairs).reshape(R, -1)
+    S, Y = np.zeros((2, R, _MEMORY, x.shape[1]))
+    rho = np.zeros((R, _MEMORY))
+    active = np.max(np.abs(grad), axis=1) > _GRAD_TOL
+    iterations = 0
+    while active.any() and iterations < max_iter:
+        iterations += 1
+        rows = np.flatnonzero(active)
+        g = grad[rows]
+        d = -_two_loop(g, S[rows], Y[rows], rho[rows])
+        uphill = np.sum(g * d, axis=1) >= 0.0
+        if uphill.any():  # stale curvature pairs: forget them
+            rho[rows[uphill]] = 0.0
+            d[uphill] = -_steepest(g[uphill])
+        slope = np.sum(g * d, axis=1)
+
+        # Halve each row's step from 1 until the Armijo condition holds.
+        step = np.ones(len(rows))
+        x_new = np.empty_like(g)
+        states_new = np.empty((len(rows),) + base.shape, dtype=complex)
+        rates_new = np.empty(len(rows))
+        searching = np.ones(len(rows), dtype=bool)
+        failed = np.zeros(len(rows), dtype=bool)
+        while searching.any():
+            idx = np.flatnonzero(searching)
+            trial = x[rows[idx]] + step[idx, None] * d[idx]
+            trial_states, trial_rates = evaluate(trial)
+            ok = trial_rates <= rates[rows[idx]] + _ARMIJO * step[idx] * slope[idx]
+            done, bad = idx[ok], idx[~ok]
+            x_new[done], states_new[done], rates_new[done] = (
+                trial[ok], trial_states[ok], trial_rates[ok])
+            step[bad] *= 0.5
+            # Give up once the step could lower the rate by no more than the
+            # stopping threshold: the comparison is then rounding noise.
+            hopeless = bad[-step[bad] * slope[bad] <= _REL_DECREASE * np.abs(rates[rows[bad]])]
+            failed[hopeless] = True
+            searching[done] = searching[hopeless] = False
+
+        active[rows[failed]] = False
+        moved, ok = rows[~failed], ~failed
+        if not moved.size:
+            continue
+        grad_new = _rate_gradient(kappa, x_new[ok].reshape((-1,) + shape), states_new[ok],
+                                  pairs).reshape(moved.size, -1)
+        s, y = x_new[ok] - x[moved], grad_new - grad[moved]
+        sy = np.sum(s * y, axis=1)
+        u = moved[sy > 0.0]  # keep only pairs with positive curvature
+        S[u], Y[u], rho[u] = np.roll(S[u], -1, 1), np.roll(Y[u], -1, 1), np.roll(rho[u], -1, 1)
+        S[u, -1], Y[u, -1], rho[u, -1] = s[sy > 0.0], y[sy > 0.0], 1.0 / sy[sy > 0.0]
+        gain = rates[moved] - rates_new[ok]
+        x[moved], rates[moved], grad[moved] = x_new[ok], rates_new[ok], grad_new
+        active[moved] &= ((gain > _REL_DECREASE * np.abs(rates[moved]))
+                          & (np.max(np.abs(grad_new), axis=1) > _GRAD_TOL))
+    return x.reshape(params.shape), rates, iterations, bool(active.any())
+
+
+def _steepest(g):
+    """Steepest-descent step whose largest angle change is _FIRST_STEP."""
+    return _FIRST_STEP * g / np.max(np.abs(g), axis=1, keepdims=True)
+
+
+def _two_loop(g, S, Y, rho):
+    """L-BFGS two-loop recursion H g for each row, newest pair last; a slot
+    with rho = 0 is empty, and a row whose newest slot is empty gets
+    :func:`_steepest`."""
+    q = g.copy()
+    a = np.zeros(rho.shape)
+    for j in range(rho.shape[1] - 1, -1, -1):
+        a[:, j] = rho[:, j] * np.sum(S[:, j] * q, axis=1)
+        q -= a[:, j, None] * Y[:, j]
+    fresh = rho[:, -1] == 0.0
+    q[~fresh] /= (rho[~fresh, -1] * np.sum(Y[~fresh, -1] ** 2, axis=1))[:, None]
+    for j in range(rho.shape[1]):
+        q += S[:, j] * (a[:, j] - rho[:, j] * np.sum(Y[:, j] * q, axis=1))[:, None]
+    q[fresh] = _steepest(g[fresh])
+    return q
 
 
 def optimality_gap_scan(

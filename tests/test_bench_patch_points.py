@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps nlqsim entry points by name; a rename in
 ``src/`` must fail here rather than only in the slower benchmark suite."""
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -47,3 +48,30 @@ def test_tracer_install_and_uninstall_restore_every_patch_point():
     assert "N" in inspect.signature(nlqsim.search.lower_bound_audit).parameters
     assert "max_sweeps" in inspect.signature(
         nlqsim.optimizer.optimize_orientation).parameters
+    # result fields the optimizer counters read
+    fields = {f.name for f in dataclasses.fields(nlqsim.optimizer.OptimizationResult)}
+    assert "converged_sweeps" in fields
+
+
+def test_optimizer_calls_its_patch_points_through_the_module(monkeypatch):
+    # the orient workload counts rows through these two names; an optimizer
+    # that bound them early, or stopped calling them, would read 0
+    op = nlqsim.optimizer
+    rows = {"_build_states": 0, "_batch_rates": 0}
+
+    def counting(name):
+        inner = getattr(op, name)
+
+        def wrapper(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            rows[name] += len(out)
+            return out
+        return wrapper
+
+    for name in rows:
+        monkeypatch.setattr(op, name, counting(name))
+    res = op.optimize_orientation(nlqsim.nonlinearity.logarithmic(1.0), 0.6, 3,
+                                  restarts=3, seed=1)
+    assert res.converged_sweeps > 0
+    assert rows["_build_states"] >= res.converged_sweeps + 3
+    assert rows["_batch_rates"] >= 3

@@ -176,7 +176,23 @@ def test_optimize_cli_reports_sweep_cap(capsys):
     assert "sweeps = 0, capped = False" in capsys.readouterr().out
     assert run_cli(["optimize", "--nonlinearity", "quartic", "--alpha", "0.5",
                     "--dim", "3", "--restarts", "2"]) == 0
-    assert "sweeps = 210, capped = False" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    rate = float(out.split("best_rate = ")[1].split("\n")[0])
+    assert rate == pytest.approx(-7.532162954001e-3, rel=1e-9, abs=0.0)
+    assert "capped = False" in out
+    assert float(out.split("grad_norm = ")[1].split("\n")[0]) <= 1e-8
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dim", "1", "argument --dim: must be in 2..8, got 1"),
+    ("--restarts", "0", "argument --restarts: must be >= 1, got 0"),
+    ("--alpha", "0", "argument --alpha: must be in (0, pi), got 0"),
+])
+def test_optimize_refuses_out_of_range_input(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["optimize", flag, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_validate_quick_passes_and_is_deterministic(capsys):

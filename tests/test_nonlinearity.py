@@ -66,7 +66,31 @@ def test_odd_parity_property():
 def test_quartic_reduction_vanishes():
     kbar = nl.reduce(nl.quartic_difference(1.0))
     zs = np.linspace(-1.0, 1.0, 4001)
-    assert np.max(np.abs(kbar(zs))) <= 1e-12
+    assert np.array_equal(kbar(zs), np.zeros_like(zs))  # closed form, no rounding noise
+    assert kbar(0.3) == 0.0
+    assert np.max(np.abs(kbar.generic(zs))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", CATALOG + [
+    nl.piecewise_from_table(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41) ** 3, g=0.8),
+    nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0),
+], ids=lambda n: n.spec_string())
+def test_kappa_prime_matches_central_difference(n):
+    # away from the kinks: the sqrt threshold at 1/sqrt(2), the mu/nu seam
+    # there, and the table's nodes
+    xs = np.concatenate([np.linspace(0.013, 0.69, 40), np.linspace(0.725, 0.987, 30)])
+    h = 1e-6
+    fd = (n.kappa(xs + h) - n.kappa(xs - h)) / (2.0 * h)
+    scale = np.maximum(np.abs(fd), 1.0)
+    assert np.max(np.abs(n.kappa_prime(xs) - fd) / scale) <= 1e-6
+    assert isinstance(n.kappa_prime(0.5), float)
+
+
+def test_kappa_prime_is_zero_where_kappa_is_flat():
+    assert nl.logarithmic(1.0).kappa_prime(0.0) == 0.0
+    assert nl.logarithmic(1.0).kappa_prime(1e-13) == 0.0
+    sqrt = nl.square_root_sign(1.0)
+    assert np.array_equal(sqrt.kappa_prime(np.array([0.0, 0.3, nl.INV_SQRT2])), np.zeros(3))
 
 
 def test_logarithmic_clamped_at_poles():

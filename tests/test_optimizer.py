@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -271,30 +270,94 @@ def test_qubit_parameters_round_trip():
         assert bloch_rate == pytest.approx(res.best_rate, rel=1e-12, abs=0.0)
 
 
-# Cold-start descents recorded with the sequential coordinate sweep (one
-# trial per call, full chain rebuilt each time) on x86-64 with numpy 2.4:
-# (kind, dim, best_rate.hex(), converged_sweeps, sha256 of params.tobytes()).
-GOLDEN_DESCENTS = [
-    ("gp", 3, "-0x1.390ac5c60ffe4p-4", 87,
-     "989747bc1aacf8d50746fcdbe65cb03052666b1995dc29d9b116796d1fdb7334"),
-    ("gp", 4, "-0x1.390ac5c60ffdap-4", 120,
-     "5c5bcb01fc173e206c96715186e659c60de01706a19119fe30e23cb4ba55727b"),
-    ("log", 3, "-0x1.3f787fa48f67ep-3", 96,
-     "166f84cbf416a99a78a3229765b7cd3cc96e0f4e2eaab76a2bc7694e0ff37365"),
-    ("log", 4, "-0x1.3f787fa46c0d8p-3", 120,
-     "cb82765ef9e3850b9cb4dc56d95f3585d32f66b430c36f521c46cb411ee20076"),
-    ("quartic", 3, "-0x1.2f8d796f73c20p-6", 120,
-     "37177ee439e3710ce5b9431790438364569ff262c92b2ffa72d83646d424f28d"),
-    ("quartic", 4, "-0x1.375b4297db9aep-6", 120,
-     "3d8d71fb9e3df166fe1188c7e4694c284fc70e537eed612d3053b8d51f8298d0"),
+@pytest.mark.parametrize("kind", sorted(QUBIT_KINDS))
+@pytest.mark.parametrize("dim", [3, 4])
+def test_rate_gradient_matches_central_differences(kind, dim):
+    kappa = QUBIT_KINDS[kind]
+    pairs = op._pair_indices(dim)
+    base = op.canonical_pair(0.7, dim)
+    params = np.random.default_rng(dim).uniform(-math.pi, math.pi, size=(3, len(pairs), 2))
+    grad = op._rate_gradient(kappa, params, op._build_states(params, base, pairs), pairs)
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for k, c in np.ndindex(params.shape[1:]):
+        up, down = params.copy(), params.copy()
+        up[:, k, c] += h
+        down[:, k, c] -= h
+        fd[:, k, c] = (op._batch_rates(kappa, op._build_states(up, base, pairs))
+                       - op._batch_rates(kappa, op._build_states(down, base, pairs))) / (2 * h)
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+
+def test_qubit_quartic_rate_is_exactly_zero():
+    # kbar == 0 in closed form: the Bloch search returns the identity frame,
+    # where |psi_x| = |phi_x| and the rate has no rounding noise
+    for alpha in (0.01, 0.5, 1.0, 2.0, 3.1):
+        res = op.optimize_orientation(nl.quartic_difference(1.0), alpha, 2)
+        assert res.best_rate == 0.0, alpha
+
+
+def _chain(kappa, alpha, dims=(3, 4, 5, 6)):
+    prev = op.optimize_orientation(kappa, alpha, 2, restarts=16, seed=0)
+    out = {}
+    for d in dims:
+        prev = out[d] = op.optimize_orientation(kappa, alpha, d, restarts=24, seed=d,
+                                                warm_start=prev)
+    return out
+
+
+def test_quartic_chain_reaches_reference_optima():
+    # references: scipy BFGS polished from the capped descent of the
+    # coordinate-descent optimizer, which agreed to 4e-16 across d = 4..6
+    chain = _chain(nl.quartic_difference(1.0), 0.5)
+    assert chain[3].best_rate == pytest.approx(-7.532162954001e-3, rel=1e-9, abs=0.0)
+    for d in (4, 5, 6):
+        assert chain[d].best_rate == pytest.approx(-7.6510898818517e-3, rel=1e-9, abs=0.0)
+    for res in chain.values():
+        assert res.grad_norm <= 1e-8
+
+
+def test_quadratic_chain_holds_the_qubit_optimum():
+    g, alpha = 1.0, math.pi / 4
+    want = -(g / 2) * math.sin(alpha / 2) ** 2
+    for res in _chain(nl.gross_pitaevskii(g), alpha).values():
+        assert res.best_rate == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert res.grad_norm <= 1e-8
+
+
+# Best rates of cold-start runs of the coordinate-descent optimizer this one
+# replaced (120 sweeps, x86-64, numpy 2.4): (kind, dim, best_rate.hex()).
+DESCENT_RATES = [
+    ("gp", 3, "-0x1.390ac5c60ffe4p-4"),
+    ("gp", 4, "-0x1.390ac5c60ffdap-4"),
+    ("log", 3, "-0x1.3f787fa48f67ep-3"),
+    ("log", 4, "-0x1.3f787fa46c0d8p-3"),
+    ("quartic", 3, "-0x1.2f8d796f73c20p-6"),
+    ("quartic", 4, "-0x1.375b4297db9aep-6"),
 ]
 
 
-@pytest.mark.parametrize("kind,dim,rate_hex,sweeps,params_sha", GOLDEN_DESCENTS)
-def test_descent_is_bit_identical_to_recorded_runs(kind, dim, rate_hex, sweeps, params_sha):
+@pytest.mark.parametrize("kind,dim,rate_hex", DESCENT_RATES)
+def test_no_worse_than_recorded_descent(kind, dim, rate_hex):
     res = op.optimize_orientation(nl.parse(kind + ":1.3"), 0.7, dim, restarts=5,
                                   seed=7 * dim, max_sweeps=120)
-    assert res.best_rate.hex() == rate_hex
-    assert res.converged_sweeps == sweeps
-    assert hashlib.sha256(res.params.tobytes()).hexdigest() == params_sha
-    assert res.capped == (sweeps == 120)
+    recorded = float.fromhex(rate_hex)
+    assert res.best_rate <= recorded + 1e-9 * abs(recorded)
+    assert res.converged_sweeps <= 120
+
+
+def test_restarts_do_not_interact():
+    # the first rows of a larger batch start at the same draws and run the
+    # same iterations, so adding restarts can only lower the best rate
+    kappa = nl.logarithmic(1.0)
+    few = op.optimize_orientation(kappa, 0.6, 4, restarts=3, seed=5)
+    many = op.optimize_orientation(kappa, 0.6, 4, restarts=9, seed=5)
+    assert many.best_rate <= few.best_rate
+    one = op.optimize_orientation(kappa, 0.6, 4, restarts=1, seed=5)
+    assert few.best_rate <= one.best_rate
+
+
+def test_iteration_cap_sets_capped():
+    res = op.optimize_orientation(nl.quartic_difference(1.0), 0.5, 4, restarts=4, seed=1,
+                                  max_sweeps=3)
+    assert res.capped and res.converged_sweeps == 3
