@@ -18,10 +18,10 @@ from .nonlinearity import (  # noqa: F401
     reduce,
     square_root_sign,
 )
+from ._ode import SimTrace  # noqa: F401
 from .blochdyn import (  # noqa: F401
     DriveSchedule,
     PairOrientation,
-    SimTrace,
     integrate,
     ip_rate,
     ip_rate_vectors,

@@ -6,8 +6,9 @@ complex array whose rows along the last axis have unit norm: one vector
 (a state vector), or a stack of them (Bloch vectors, the audit's states).
 After every accepted step each row is divided by its norm; the largest
 drift from unit norm before that projection is recorded.  Error norms use
-elementwise magnitudes.  Scalar autonomous problems (the overlap laws of
-``discrimination`` and ``bounds``) are quadratures and do not come here.
+elementwise magnitudes.  ``SimTrace`` is the package's one trajectory
+record.  Scalar autonomous problems (the overlap laws of ``discrimination``
+and ``bounds``) are quadratures and do not come here.
 """
 
 from __future__ import annotations
@@ -52,17 +53,20 @@ class StepStats:
 
 
 @dataclass
-class OdeResult:
+class SimTrace:
     """Recorded trajectory of an adaptive integration.
 
-    ``ts``/``ys`` hold the recorded sample points (forced sample times when
-    ``t_eval`` was given, otherwise every accepted step).  ``failed`` is set
+    ``times``/``states`` hold the recorded samples (the ``t_eval`` times when
+    given, otherwise every accepted step); ``states`` has the shape of
+    ``y0`` after its leading time axis.  ``overlaps`` holds cos(alpha) of a
+    Bloch pair where ``blochdyn.integrate`` records it.  ``failed`` is set
     on step-size underflow; the partial trajectory up to the failure is kept.
     """
 
-    ts: np.ndarray
-    ys: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
     stats: StepStats
+    overlaps: Optional[np.ndarray] = None
     failed: bool = False
     failure_reason: str = ""
 
@@ -103,7 +107,7 @@ def solve(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
-) -> OdeResult:
+) -> SimTrace:
     """Integrate the norm-preserving flow ``y' = f(t, y)`` from ``t0`` to
     ``t1``, starting from unit-norm rows ``y0``.
 
@@ -113,20 +117,24 @@ def solve(
     times in [t0, t1]; steps are clipped so each is hit exactly and
     recorded.  Without it, every accepted step is recorded.
 
-    ``rtol`` and ``atol`` must be finite and > 0; anything else raises
+    ``rtol`` and ``atol`` must be finite and > 0, and ``t_eval`` finite,
+    strictly increasing and inside [t0, t1]; anything else raises
     ``ValueError`` before ``f`` is first called.
     """
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(tol) and tol > 0.0):
             raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
-    y = np.array(y0, copy=True)
-    t = float(t0)
-    stats = StepStats()
-
     eval_times = None
     eval_idx = 0
     if t_eval is not None:
         eval_times = np.asarray(t_eval, dtype=float)
+        if not (eval_times.ndim == 1 and np.all(np.diff(eval_times) > 0.0)
+                and np.all((t0 <= eval_times) & (eval_times <= t1))):
+            raise ValueError(f"t_eval must be finite, strictly increasing and "
+                             f"inside [{t0!r}, {t1!r}], got {t_eval!r}")
+    y = np.array(y0, copy=True)
+    t = float(t0)
+    stats = StepStats()
 
     ts = [t]
     ys = [y.copy()]
@@ -138,7 +146,7 @@ def solve(
             eval_idx += 1
 
     if t1 <= t0:
-        return OdeResult(np.array(ts if ts else [t]), np.array(ys if ys else [y]), stats)
+        return SimTrace(np.array(ts if ts else [t]), np.array(ys if ys else [y]), stats)
 
     fk = f(t, y)
     h = _initial_step(f, t, y, fk, t1, rtol, atol)
@@ -148,7 +156,7 @@ def solve(
         if eval_times is not None and eval_idx < len(eval_times):
             h = min(h, eval_times[eval_idx] - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            return OdeResult(
+            return SimTrace(
                 np.array(ts), np.array(ys), stats, failed=True,
                 failure_reason=f"step size underflow at t={t:.6g}",
             )
@@ -189,4 +197,4 @@ def solve(
 
         h *= min(MAX_STEP_FACTOR, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
 
-    return OdeResult(np.array(ts), np.array(ys), stats)
+    return SimTrace(np.array(ts), np.array(ys), stats)

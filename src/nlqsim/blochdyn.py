@@ -13,11 +13,13 @@ rotation theta about the midpoint (midpoint gauged into the xz plane):
     x_pm = cos(a/2) sin(phi) +- sin(a/2) cos(phi) cos(theta)
     y_pm = +- sin(a/2) sin(theta)
     z_pm = cos(a/2) cos(phi) -+ sin(a/2) sin(phi) cos(theta)
+
+``integrate`` steps one or two Bloch vectors with ``_ode.solve`` and returns
+its ``SimTrace``, with cos(alpha) of a pair in ``overlaps``.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -92,52 +94,6 @@ class DriveSchedule:
 
 def x_drive(omega) -> DriveSchedule:
     return DriveSchedule(np.array([1.0, 0.0, 0.0]), omega)
-
-
-@dataclass
-class SimTrace:
-    """Time-stamped integrator output.
-
-    ``states`` has shape (T, k, 3) for k co-evolved Bloch vectors, (T, d)
-    complex for state-vector runs, or (T,) for scalar overlap traces.
-    ``overlaps`` carries cos(alpha) for Bloch pairs / |<psi|phi>| where the
-    producer records it.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    step_stats: _ode.StepStats
-    overlaps: Optional[np.ndarray] = None
-    failed: bool = False
-    failure_reason: str = ""
-
-    def to_csv(self) -> str:
-        """CSV export: header t,x,y,z[,x2,y2,z2,cos_alpha] for Bloch traces,
-        t,overlap for scalar overlap traces, and t,re_k,im_k columns for
-        complex amplitude traces; one row per sample."""
-        buf = io.StringIO()
-        if self.states.ndim == 3:
-            pair = self.states.shape[1] == 2
-            buf.write("t,x,y,z,x2,y2,z2,cos_alpha\n" if pair else "t,x,y,z\n")
-            for i, t in enumerate(self.times):
-                row = [t, *self.states[i, 0]]
-                if pair:
-                    row.extend(self.states[i, 1])
-                    row.append(float(np.dot(self.states[i, 0], self.states[i, 1])))
-                buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        elif self.states.ndim == 2:
-            dim = self.states.shape[1]
-            buf.write("t," + ",".join(f"re_{k},im_{k}" for k in range(dim)) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t]
-                for amp in self.states[i]:
-                    row.extend((amp.real, amp.imag))
-                buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        else:
-            buf.write("t,overlap\n")
-            for t, c in zip(self.times, np.atleast_1d(self.states)):
-                buf.write(f"{t:.17g},{float(c):.17g}\n")
-        return buf.getvalue()
 
 
 def pair_to_bloch(p: PairOrientation):
@@ -221,14 +177,15 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
-) -> SimTrace:
+) -> _ode.SimTrace:
     """Integrate one or two Bloch vectors under nonlinearity plus drive.
 
     The flow is d/dt v = kbar(z) (-y, x, 0) + omega(t) (axis x v), stepped
     by ``_ode.solve`` on the (k, 3) stack, which projects the vectors back
     to the unit sphere after each accepted step and records the worst
-    drift in the step stats.  Step-size underflow returns a trace with
-    ``failed`` set and the partial history.
+    drift in ``stats``.  A pair's cos(alpha) goes in ``overlaps``.
+    Step-size underflow returns a trace with ``failed`` set and the partial
+    history.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -237,10 +194,8 @@ def integrate(
         raise ValueError("initial must be one or two Bloch 3-vectors")
     vs = np.stack([_as_unit(v) for v in vs])
 
-    res = _ode.solve(_flow(kbar, drive), 0.0, float(duration), vs,
-                     rtol=rtol, atol=atol, t_eval=t_eval)
-    overlaps = None
+    tr = _ode.solve(_flow(kbar, drive), 0.0, float(duration), vs,
+                    rtol=rtol, atol=atol, t_eval=t_eval)
     if vs.shape[0] == 2:
-        overlaps = np.einsum("ij,ij->i", res.ys[:, 0], res.ys[:, 1])
-    return SimTrace(res.ts, res.ys, res.stats, overlaps=overlaps,
-                    failed=res.failed, failure_reason=res.failure_reason)
+        tr.overlaps = np.einsum("ij,ij->i", tr.states[:, 0], tr.states[:, 1])
+    return tr

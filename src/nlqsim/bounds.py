@@ -249,7 +249,7 @@ def check_lipschitz_separation_bound(
 
     result = separation_trace(n, alpha0, policy=OrientationPolicy.REOPTIMIZED,
                               duration=duration, rtol=rtol)
-    times, alphas = result.trace.times, result.alphas
+    times, alphas = result.times, result.alphas
     if result.status == "no_progress":
         times = np.array([0.0, duration])
         alphas = np.array([alpha0, alpha0])

@@ -24,8 +24,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import bounds as bn
 from . import discrimination as dc
 from . import meanfield as mf
@@ -82,8 +80,8 @@ def cmd_discriminate(args) -> int:
         print(f"diagnostic = {res.diagnostic}")
     if args.out:
         lines = ["t,gt,overlap"]
-        for t, c in zip(res.trace.times, np.atleast_1d(res.trace.states)):
-            lines.append(f"{fmt(t)},{fmt(n.g * t)},{fmt(float(c))}")
+        for t, c in zip(res.times, res.overlaps):
+            lines.append(f"{fmt(t)},{fmt(n.g * t)},{fmt(c)}")
         write_text(args.out, "\n".join(lines) + "\n")
         print(f"trace written to {args.out}")
     return 0
@@ -155,28 +153,19 @@ def cmd_audit(args) -> int:
 
 def cmd_optimize(args) -> int:
     n = nl.parse(args.nonlinearity)
-    alpha, dim, restarts = args.alpha, args.dim, args.restarts
-    base = op.optimize_orientation(n, alpha, 2, restarts=restarts, seed=args.seed)
-    if dim == 2:
-        result = base
-    else:
-        prev = base
-        for d in range(3, dim + 1):
-            prev = op.optimize_orientation(n, alpha, d, restarts=restarts,
-                                           seed=args.seed + d, warm_start=prev)
-        result = prev
-    gap = result.best_rate - base.best_rate
-    print(f"alpha = {fmt(alpha)}, dim = {dim}")
+    rows = op.optimality_gap_scan(n, [args.alpha], range(2, args.dim + 1),
+                                  restarts=args.restarts, seed=args.seed)
+    row = rows[-1]
+    result = row["result"]
+    print(f"alpha = {fmt(args.alpha)}, dim = {args.dim}")
     print(f"best_rate = {fmt(result.best_rate)}")
-    print(f"gap_vs_dim2 = {fmt(gap)}")
+    print(f"gap_vs_dim2 = {fmt(row['gap_vs_dim2'])}")
     print(f"sweeps = {result.converged_sweeps}, capped = {result.capped}")
     print(f"grad_norm = {result.grad_norm:.3e}")
     if result.angles is not None:
         print(f"orientation (phi, theta) = ({fmt(result.angles[0])}, {fmt(result.angles[1])})")
     if args.out:
-        text = "alpha,dim,best_rate,gap_vs_dim2\n" + \
-            f"{fmt(alpha)},{dim},{fmt(result.best_rate)},{fmt(gap)}\n"
-        write_text(args.out, text)
+        write_text(args.out, op.gap_scan_csv([row]))
         print(f"result written to {args.out}")
     return 0
 
@@ -190,11 +179,10 @@ def cmd_gp_validity(args) -> int:
             "t_star": mf.gp_validity_time(p, args.target_overlap),
             "scaling": mf.validity_scaling_constant(p, args.target_overlap),
         })
-    print("N_atoms,g,t_star,t_star_times_N_over_logN")
-    for r in rows:
-        print(f"{r['n_atoms']},{fmt(r['g'])},{fmt(r['t_star'])},{fmt(r['scaling'])}")
+    text = mf.validity_csv(rows)
+    sys.stdout.write(text)
     if args.out:
-        write_text(args.out, mf.validity_csv(rows))
+        write_text(args.out, text)
         print(f"table written to {args.out}")
     return 0
 
@@ -229,8 +217,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ctx = validation.Context(quick=args.quick, seed=args.seed,
-                             inject_bug=args.inject_bug)
+    ctx = validation.Context(quick=args.quick, seed=args.seed)
     results = validation.run_all(ctx)
     width = max(len(r.name) for r in results)
     lines = []
@@ -310,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "the search schedule against the overlap-sum "
                                      "floor (any N; the N <= 256 cap is for dense H)")
     _shared(p, "nonlinearity", "n", "t1")
-    p.add_argument("--duration", type=float, default=None,
-                   help="audit horizon (default: total time of the search run)")
+    p.add_argument("--duration", type=ranged(float, lambda d: d > 0, "> 0"), default=None,
+                   help="audit horizon, > 0 (default: total time of the search run)")
     p.add_argument("--samples", type=int, default=200)
     _shared(p, "seed", "out")
 
@@ -339,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the named invariant checks")
     p.add_argument("--quick", action="store_true", help="reduced grids")
     _shared(p, "seed", "out")
-    p.add_argument("--inject-bug", default=None, help=argparse.SUPPRESS)
 
     return parser
 

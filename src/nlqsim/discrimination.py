@@ -19,6 +19,9 @@ in u = atanh(c) (c = tanh u, s = sech u), from the exact start
 u0 = ln cot(alpha0/4); the quadratic law has the constant integrand 2/g:
 
     t(u) = int_u^u0 sech^2(v) / -R(v) dv.
+
+A ``DiscriminationResult`` holds the sampled times and overlaps c of that
+quadrature and the number of unit panels in u it took; no ODE is stepped.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from . import _ode
-from .blochdyn import SimTrace, pair_overlap_rate
+from .blochdyn import pair_overlap_rate
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 SQRT2 = math.sqrt(2.0)
@@ -59,9 +61,11 @@ class DiscriminationResult:
     """Outcome of driving a pair from overlap cos(alpha0/2) to a target."""
 
     t_perp: float
-    trace: SimTrace
+    times: np.ndarray
+    overlaps: np.ndarray  # cos(alpha/2) at each time
+    panels: int  # unit panels in u integrated
     control: np.ndarray  # rows (t, omega)
-    alphas: np.ndarray  # pair angle at each trace time, 4 atan(e^-u)
+    alphas: np.ndarray  # pair angle at each time, 4 atan(e^-u)
     target_overlap: float
     status: str = "reached"  # reached | no_progress
     diagnostic: str = ""
@@ -120,11 +124,12 @@ def gp_t_perp(g: float, alpha0: float) -> float:
 
 
 def gp_time_to_overlap(g: float, alpha0: float, target: float) -> float:
-    """Closed-form time for the quadratic protocol to reach a target overlap."""
-    c0 = math.cos(alpha0 / 2)
-    if not 0.0 <= target < c0:
+    """Closed-form time for the quadratic protocol to reach a target overlap,
+    (2/g) (ln cot(alpha0/4) - atanh(target)); ln cot(alpha0/4) is
+    atanh(cos(alpha0/2)) without its cancellation at small alpha0."""
+    if not 0.0 <= target < math.cos(alpha0 / 2):
         raise ValueError("target overlap must be in [0, cos(alpha0/2))")
-    return (2.0 / g) * (math.atanh(c0) - math.atanh(target))
+    return (2.0 / g) * (math.log(1.0 / math.tan(alpha0 / 4.0)) - math.atanh(target))
 
 
 def gp_control_omega(g: float, alpha: float) -> float:
@@ -238,7 +243,7 @@ def separation_trace(
     ``target_overlap`` or for ``duration``; exactly one must be given.
 
     The time t(u) is integrated in unit panels of u to relative tolerance
-    ``rtol``.  The trace holds the panel ends, or the ``t_eval`` samples
+    ``rtol``.  ``times`` holds the panel ends, or the ``t_eval`` samples
     within the run.  A rate weaker than ``NO_PROGRESS_RATE`` max(g, 1)
     sin(alpha/2) anywhere on the way yields ``no_progress`` and t = inf.
     """
@@ -287,18 +292,15 @@ def separation_trace(
             samples = [t for t in np.asarray(t_eval, dtype=float) if 0.0 <= t <= t_end]
         us = [_u_at(dt_du, t, us, ts, rtol) for t in samples]
     except _Stall as stall:
-        empty = SimTrace(np.array([0.0]), np.array([c0]), _ode.StepStats())
         return DiscriminationResult(
-            math.inf, empty, np.array([[0.0, 0.0]]), np.array([alpha0]),
-            target_overlap or 0.0, status="no_progress",
+            math.inf, np.array([0.0]), np.array([c0]), 0, np.array([[0.0, 0.0]]),
+            np.array([alpha0]), target_overlap or 0.0, status="no_progress",
             diagnostic="separation rate {1:.3e} at overlap "
             "{0:.17g} is not reliably negative".format(*stall.args))
-    cs = np.tanh(np.array(us, dtype=float))
-    trace = SimTrace(np.array(samples, dtype=float), cs, _ode.StepStats(accepted=panels),
-                     overlaps=cs)
     control = np.array([(t, control_omega(kbar, *_tanh_sech(u))) for t, u in zip(samples, us)])
-    alphas = 4.0 * np.arctan(np.exp(-np.array(us, dtype=float)))
-    return DiscriminationResult(float(t_end), trace, control, alphas,
+    us = np.array(us, dtype=float)
+    return DiscriminationResult(float(t_end), np.array(samples, dtype=float), np.tanh(us),
+                                panels, control, 4.0 * np.arctan(np.exp(-us)),
                                 target_overlap if target_overlap is not None else 0.0)
 
 

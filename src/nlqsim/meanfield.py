@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrimination import gp_time_to_overlap
+from .discrimination import epsilon_to_alpha0, gp_time_to_overlap
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,10 @@ def gp_validity_time(p: CondensateParams, target_overlap: float = 0.0) -> float:
 
         t_star = (2/g) (atanh(1 - 1/n) - atanh(target_overlap)),
 
-    i.e. (2/g) atanh(1 - 1/n) for the default target 0.
+    i.e. (2/g) atanh(1 - 1/n) for the default target 0.  The angle comes
+    from ``epsilon_to_alpha0``, which keeps its digits at any n.
     """
-    eps = 1.0 / p.n_atoms
-    alpha0 = 2.0 * math.acos(1.0 - eps)
-    return gp_time_to_overlap(p.g, alpha0, target_overlap)
+    return gp_time_to_overlap(p.g, epsilon_to_alpha0(1.0 / p.n_atoms), target_overlap)
 
 
 def validity_scaling_constant(p: CondensateParams, target_overlap: float = 0.0) -> float:

@@ -400,8 +400,9 @@ def optimality_gap_scan(
 ) -> list:
     """Best rates and gaps versus the qubit optimum across (alpha, dim).
 
-    Returns rows of dicts with keys alpha, dim, best_rate, gap_vs_dim2;
-    higher dimensions are warm-started from the previous dimension's frame.
+    Returns rows of dicts with keys alpha, dim, best_rate, gap_vs_dim2,
+    angles and result (the ``OptimizationResult``); higher dimensions are
+    warm-started from the previous dimension's frame.
     """
     dims = sorted(set(dims))
     if any(d < 2 or d > 8 for d in dims):
@@ -424,6 +425,7 @@ def optimality_gap_scan(
                 "best_rate": result.best_rate,
                 "gap_vs_dim2": result.best_rate - base_result.best_rate,
                 "angles": result.angles,
+                "result": result,
             })
     return rows
 

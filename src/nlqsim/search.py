@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import _ode
-from .blochdyn import SimTrace
 from .discrimination import (OrientationPolicy, epsilon_to_alpha0,
                              gp_overlap_closed_form, time_to_overlap)
 from .nonlinearity import Nonlinearity, overlap_derivative
@@ -259,13 +258,13 @@ def integrate_nlse(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
-) -> SimTrace:
+) -> _ode.SimTrace:
     """Integrate i dpsi/dt = (|m><m| [if oracle] + H(t)) psi + K psi.
 
     K is the diagonal amplitude nonlinearity (K psi)_x = kappa(|psi_x|)
     psi_x; since kappa is real the flow is norm-preserving, and
     ``_ode.solve`` re-normalizes the state after each accepted step
-    (drift recorded in step stats).
+    (drift recorded in ``stats``) and its trace is returned as it is.
     ``oracle`` is a 1-indexed marked item or None.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -293,9 +292,7 @@ def integrate_nlse(
             rhs = rhs + Hfn(t) @ psi
         return -1j * rhs
 
-    res = _ode.solve(f, 0.0, duration, psi0, rtol=rtol, atol=atol, t_eval=t_eval)
-    return SimTrace(res.ts, res.ys, res.stats,
-                    failed=res.failed, failure_reason=res.failure_reason)
+    return _ode.solve(f, 0.0, duration, psi0, rtol=rtol, atol=atol, t_eval=t_eval)
 
 
 class Schedule(NamedTuple):
@@ -404,6 +401,8 @@ def lower_bound_audit(
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if not duration > 0:
+        raise ValueError(f"duration must be > 0, got {duration!r}")
     if H is None:
         H = Schedule((), None)
     elif not isinstance(H, Schedule):
@@ -436,27 +435,28 @@ def lower_bound_audit(
         return -1j * rhs
 
     t_eval = np.linspace(0.0, duration, samples + 1)
-    res = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol, t_eval=t_eval)
-    if res.failed:
-        raise RuntimeError(f"audit integration failed: {res.failure_reason}")
+    tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol, t_eval=t_eval)
+    if tr.failed:
+        raise RuntimeError(f"audit integration failed: {tr.failure_reason}")
+    times, ys = tr.times, tr.states
 
-    S = np.abs(np.einsum("tc,trc->tr", np.conj(res.ys[:, 0]), res.ys[:, 1:])) @ mult
+    S = np.abs(np.einsum("tc,trc->tr", np.conj(ys[:, 0]), ys[:, 1:])) @ mult
     root_n = math.sqrt(N)
-    bound = N - res.ts * root_n * (1.0 + 2.0 * g_bound * root_n)
+    bound = N - times * root_n * (1.0 + 2.0 * g_bound * root_n)
     margin = S - bound
     min_margin = float(np.min(margin))
 
     # Per-pair derivative identity, finite-differenced on the recorded grid.
     deriv_err = 0.0
-    interior = range(1, len(res.ts) - 1, max(1, (len(res.ts) - 2) // 8))
+    interior = range(1, len(times) - 1, max(1, (len(times) - 2) // 8))
     for i in interior:
-        dt_c = res.ts[i + 1] - res.ts[i - 1]
+        dt_c = times[i + 1] - times[i - 1]
         for m in (1, R):
-            fd = (np.vdot(res.ys[i + 1, 0], res.ys[i + 1, m])
-                  - np.vdot(res.ys[i - 1, 0], res.ys[i - 1, m])) / dt_c
-            an = pairwise_overlap_derivative(kappa, res.ys[i, 0], res.ys[i, m], m)
+            fd = (np.vdot(ys[i + 1, 0], ys[i + 1, m])
+                  - np.vdot(ys[i - 1, 0], ys[i - 1, m])) / dt_c
+            an = pairwise_overlap_derivative(kappa, ys[i, 0], ys[i, m], m)
             deriv_err = max(deriv_err, abs(fd - an) / max(abs(an), 1e-6))
-    return AuditReport(N=N, g=g_bound, times=res.ts, S=S, bound=bound,
+    return AuditReport(N=N, g=g_bound, times=times, S=S, bound=bound,
                        margin=margin, bound_ok=min_margin >= -1e-9 * N,
-                       min_margin=min_margin, step_stats=res.stats,
+                       min_margin=min_margin, step_stats=tr.stats,
                        derivative_check=deriv_err)

@@ -27,10 +27,10 @@ def test_criterion_01_closed_form_vs_ode():
     samples = np.linspace(0.0, 7.5, 512)
     res = dc.separation_trace(nl.gross_pitaevskii(g), a0, duration=7.5,
                               t_eval=samples)
-    err = np.max(np.abs(np.asarray(res.trace.states)
-                        - dc.gp_overlap_closed_form(g, a0, res.trace.times)))
+    err = np.max(np.abs(np.asarray(res.overlaps)
+                        - dc.gp_overlap_closed_form(g, a0, res.times)))
     elapsed = time.perf_counter() - start
-    ok = len(res.trace.times) == 512 and err <= 1e-8 and elapsed < 1.0
+    ok = len(res.times) == 512 and err <= 1e-8 and elapsed < 1.0
     report(1, ok, f"max |ODE - closed form| = {err:.2e} "
                   f"over 512 samples in {elapsed:.2f} s")
 
@@ -100,9 +100,9 @@ def test_criterion_05_logarithmic_time_scaling():
 def test_criterion_06_lipschitz_and_sqrt_constant_time():
     g, a0 = 1.0, 1e-3
     res = dc.separation_trace(nl.gross_pitaevskii(g), a0, duration=4.8)
-    alphas = 2.0 * np.arccos(np.clip(np.asarray(res.trace.states), -1.0, 1.0))
+    alphas = 2.0 * np.arccos(np.clip(np.asarray(res.overlaps), -1.0, 1.0))
     mask = alphas <= 0.1
-    envelope = np.exp(2.0 * g * res.trace.times[mask]) * a0 * (1.0 + 1e-6)
+    envelope = np.exp(2.0 * g * res.times[mask]) * a0 * (1.0 + 1e-6)
     lip_ok = bool(np.all(alphas[mask] <= envelope))
 
     times = [dc.time_to_overlap(nl.square_root_sign(1.0), a, 0.0).t_perp

@@ -6,6 +6,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+import nlqsim
 import nlqsim._ode
 import nlqsim.blochdyn
 import nlqsim.bounds
@@ -75,3 +78,27 @@ def test_optimizer_calls_its_patch_points_through_the_module(monkeypatch):
     assert res.converged_sweeps > 0
     assert rows["_build_states"] >= res.converged_sweeps + 3
     assert rows["_batch_rates"] >= 3
+
+
+def test_trace_fields_the_benchmark_reads():
+    # bench/execute.py reads times, states, overlaps, failed and
+    # failure_reason from integrate and integrate_nlse; the tracer reads
+    # stats.accepted and stats.rejected from solve
+    SimTrace = nlqsim._ode.SimTrace
+    assert nlqsim.SimTrace is SimTrace
+    assert tuple(f.name for f in dataclasses.fields(SimTrace)) == (
+        "times", "states", "stats", "overlaps", "failed", "failure_reason")
+    gp = nlqsim.nonlinearity.gross_pitaevskii(1.0)
+    pair = np.stack(nlqsim.blochdyn.pair_to_bloch(nlqsim.blochdyn.optimal_pair(0.5)))
+    traces = [
+        nlqsim._ode.solve(lambda t, y: 1j * y, 0.0, 1.0, np.array([1.0 + 0j])),
+        nlqsim.blochdyn.integrate(nlqsim.nonlinearity.reduce(gp), None, pair, 0.5),
+        nlqsim.search.integrate_nlse(gp, None, 1, nlqsim.search.uniform_state(3), 0.5),
+    ]
+    for tr in traces:
+        assert type(tr) is SimTrace
+        assert tr.stats.accepted > 0 and tr.stats.rejected >= 0
+        assert len(tr.times) == len(tr.states) and not tr.failed
+    assert traces[1].overlaps.shape == traces[1].times.shape
+    # the quadrature's results are not ODE traces
+    assert not hasattr(nlqsim.discrimination, "_ode")

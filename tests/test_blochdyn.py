@@ -165,7 +165,7 @@ def test_integrate_norm_drift_below_projection():
     v = rng.normal(size=(2, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     tr = bd.integrate(kbar, drive, v, 8.0)
-    assert tr.step_stats.max_norm_drift <= 1e-8
+    assert tr.stats.max_norm_drift <= 1e-8
 
 
 def test_integrate_drive_neutrality_with_zero_reduction():
@@ -192,36 +192,6 @@ def test_integrate_step_underflow_carries_partial_trace():
     assert "underflow" in tr.failure_reason
     assert len(tr.times) > 1          # partial history retained
     assert tr.times[-1] < 2.0
-
-
-def test_trace_csv_export_shape():
-    kbar = nl.reduce(nl.gross_pitaevskii(1.0))
-    v = np.stack(bd.pair_to_bloch(bd.optimal_pair(0.5)))
-    tr = bd.integrate(kbar, None, v, 0.5)
-    text = tr.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x,y,z,x2,y2,z2,cos_alpha"
-    assert len(lines) == len(tr.times) + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0
-    assert first[7] == pytest.approx(math.cos(0.5), abs=1e-12)
-
-
-def test_trace_csv_export_scalar_and_amplitude_layouts():
-    from nlqsim import discrimination as dc
-    from nlqsim import search as sr
-    from nlqsim import nonlinearity as nlmod
-
-    res = dc.separation_trace(nlmod.gross_pitaevskii(1.0), 0.3, duration=0.5)
-    lines = res.trace.to_csv().strip().split("\n")
-    assert lines[0] == "t,overlap"
-    assert float(lines[1].split(",")[1]) == pytest.approx(math.cos(0.15), abs=1e-12)
-
-    tr = sr.integrate_nlse(nlmod.gross_pitaevskii(1.0), None, 1,
-                           sr.uniform_state(3), 0.2)
-    lines = tr.to_csv().strip().split("\n")
-    assert lines[0] == "t,re_0,im_0,re_1,im_1,re_2,im_2"
-    assert len(lines) == len(tr.times) + 1
 
 
 def test_pair_orientation_validation():

@@ -23,7 +23,7 @@ SUBCOMMAND_FLAGS = {
     "optimize": {"nonlinearity", "alpha", "dim", "restarts", "seed", "out"},
     "gp-validity": {"atoms", "interaction", "target-overlap", "out"},
     "figures": {"which", "out"},
-    "validate": {"quick", "seed", "out", "inject-bug"},
+    "validate": {"quick", "seed", "out"},
 }
 
 
@@ -36,7 +36,7 @@ def test_parser_flags_are_exactly_those_read():
         seen[name] = {opt[2:] for action in sub._actions for opt in action.option_strings
                       if opt.startswith("--") and opt != "--help"}
     assert seen == SUBCOMMAND_FLAGS
-    assert sum(len(f) for f in seen.values()) == 45
+    assert sum(len(f) for f in seen.values()) == 44
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,6 +130,20 @@ def test_gp_validity_cli(tmp_path, capsys):
     assert lines[1].startswith("1000,1,")
 
 
+def test_gp_validity_cli_at_large_atom_counts(capsys):
+    assert run_cli(["gp-validity", "--atoms", "1e17"]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert row[0] == "100000000000000000"
+    assert 0.0 < float(row[2]) < math.inf
+
+
+def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "--n", "8", "--duration", "-1"])
+    assert exc.value.code == 2
+    assert "argument --duration: must be > 0, got -1" in capsys.readouterr().err
+
+
 def test_audit_cli(tmp_path, capsys):
     out = tmp_path / "audit.csv"
     assert run_cli(["audit", "--n", "8", "--nonlinearity", "gp:0.5",
@@ -204,8 +218,24 @@ def test_validate_quick_passes_and_is_deterministic(capsys):
     assert "checks passed" in first
 
 
-def test_validate_reports_injected_parity_bug(capsys):
-    code = run_cli(["validate", "--quick", "--inject-bug", "kbar-parity"])
+def test_validate_reports_injected_parity_bug(monkeypatch, capsys):
+    from nlqsim import validation
+    from nlqsim.nonlinearity import ReducedNonlinearity
+
+    def parity_broken(check):
+        # every reduction drops the sign of z, inside this one check only
+        def run(ctx):
+            call = ReducedNonlinearity.__call__
+            with monkeypatch.context() as m:
+                m.setattr(ReducedNonlinearity, "__call__",
+                          lambda self, z: call(self, np.abs(np.asarray(z, dtype=float))))
+                return check(ctx)
+        return run
+
+    monkeypatch.setattr(validation, "ALL_CHECKS", [
+        parity_broken(c) if c is validation.check_kbar_odd else c
+        for c in validation.ALL_CHECKS])
+    code = run_cli(["validate", "--quick"])
     captured = capsys.readouterr().out
     assert code == 1
     assert "kbar_odd" in captured

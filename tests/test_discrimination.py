@@ -48,8 +48,8 @@ def test_closed_form_vs_ode_trace():
         a0 = float(rng.uniform(0.02, 3.0))
         res = dc.separation_trace(nl.gross_pitaevskii(g), a0,
                                   duration=0.98 * dc.gp_t_perp(g, a0))
-        ref = dc.gp_overlap_closed_form(g, a0, res.trace.times)
-        assert np.max(np.abs(res.trace.states - ref)) <= 1e-8
+        ref = dc.gp_overlap_closed_form(g, a0, res.times)
+        assert np.max(np.abs(res.overlaps - ref)) <= 1e-8
 
 
 def test_t_perp_value_and_identity():
@@ -133,7 +133,7 @@ def test_time_to_overlap_matches_closed_form():
         assert res.reached
         assert res.t_perp == pytest.approx(dc.gp_t_perp(g, a0), rel=1e-6)
         # the overlap trace is monotone decreasing
-        assert np.all(np.diff(np.asarray(res.trace.states)) <= 1e-12)
+        assert np.all(np.diff(np.asarray(res.overlaps)) <= 1e-12)
 
 
 def test_overlap_trace_monotone_for_catalog():
@@ -141,7 +141,7 @@ def test_overlap_trace_monotone_for_catalog():
               nl.square_root_sign(1.0)):
         res = dc.time_to_overlap(n, 0.3, 0.2)
         assert res.reached
-        assert np.all(np.diff(np.asarray(res.trace.states)) <= 1e-12)
+        assert np.all(np.diff(np.asarray(res.overlaps)) <= 1e-12)
 
 
 def test_time_to_overlap_quartic_reports_no_progress():
@@ -166,8 +166,8 @@ def test_sqrt_nonlinearity_constant_time_separation():
     # r = 1 / (2^(3/4) sqrt(pi))
     res = dc.separation_trace(nl.square_root_sign(1.0), 1e-4, duration=2.0)
     r = 1.0 / (2 ** 0.75 * math.sqrt(math.pi))
-    alphas = 2.0 * np.arccos(np.clip(np.asarray(res.trace.states), -1.0, 1.0))
-    lower = (math.sqrt(1e-4) + r * res.trace.times) ** 2
+    alphas = 2.0 * np.arccos(np.clip(np.asarray(res.overlaps), -1.0, 1.0))
+    lower = (math.sqrt(1e-4) + r * res.times) ** 2
     # slack covers the arccos round trip of alpha0 through the overlap
     assert np.all(alphas >= lower * (1.0 - 1e-6))
 
@@ -187,6 +187,17 @@ def test_reoptimized_policy_never_slower_than_fixed():
                                    dc.OrientationPolicy.REOPTIMIZED)
         assert reopt.reached and fixed.reached
         assert reopt.t_perp <= fixed.t_perp * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("alpha0", [1e-4, 1e-6, 1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("target", [0.0, 1.0 / math.sqrt(2.0)])
+def test_gp_time_to_overlap_keeps_its_digits_at_tiny_angles(alpha0, target):
+    # atanh(cos(alpha0/2)) cancels its digits here and fails below 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = float(2 * (mpmath.log(mpmath.cot(mpmath.mpf(alpha0) / 4))
+                          - mpmath.atanh(mpmath.mpf(target))))
+    assert dc.gp_time_to_overlap(1.0, alpha0, target) == pytest.approx(want, rel=1e-14)
 
 
 def test_epsilon_alpha_conversion_is_exact():
@@ -221,9 +232,9 @@ def test_lower_bound_consistency_exponential_envelope():
                    dc.OrientationPolicy.REOPTIMIZED):
         res = dc.separation_trace(nl.gross_pitaevskii(g), a0, policy=policy,
                                   duration=4.5)
-        alphas = 2.0 * np.arccos(np.clip(np.asarray(res.trace.states), -1, 1))
+        alphas = 2.0 * np.arccos(np.clip(np.asarray(res.overlaps), -1, 1))
         mask = alphas <= 0.1
-        bound = np.exp(2.0 * g * res.trace.times[mask]) * a0 * (1.0 + 1e-6)
+        bound = np.exp(2.0 * g * res.times[mask]) * a0 * (1.0 + 1e-6)
         assert np.all(alphas[mask] <= bound)
 
 
@@ -393,10 +404,10 @@ def test_duration_trace_follows_the_closed_form_past_orthogonality(periods):
     duration = periods * dc.gp_t_perp(g, a0)
     res = dc.separation_trace(nl.gross_pitaevskii(g), a0, duration=duration,
                               t_eval=np.linspace(0.0, duration, 50))
-    assert res.t_perp == duration and len(res.trace.times) == 50
-    ref = dc.gp_overlap_closed_form(g, a0, res.trace.times)
-    assert np.max(np.abs(res.trace.states - ref)) <= 1e-12
-    assert np.allclose(res.control[:, 1], 0.5 * g * res.trace.states, rtol=1e-12)
+    assert res.t_perp == duration and len(res.times) == 50
+    ref = dc.gp_overlap_closed_form(g, a0, res.times)
+    assert np.max(np.abs(res.overlaps - ref)) <= 1e-12
+    assert np.allclose(res.control[:, 1], 0.5 * g * res.overlaps, rtol=1e-12)
 
 
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-8, 1e-15])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlqsim import meanfield as mf
-from nlqsim.discrimination import gp_t_perp
+from nlqsim.discrimination import epsilon_to_alpha0, gp_t_perp
 
 
 def test_overlap_identity_trivial_cases():
@@ -59,7 +59,8 @@ def test_validity_time_scales_inversely_with_g():
 def test_validity_time_consistent_with_orthogonality_time():
     for n_atoms in (10, 1000, 10 ** 5):
         p = mf.CondensateParams(n_atoms, U=1.0 / n_atoms)  # g = 1
-        alpha0 = 2.0 * math.acos(1.0 - 1.0 / n_atoms)
+        # the exact angle: 2 acos(1 - 1/n) is 4.6e-12 off in t at n = 1e5
+        alpha0 = epsilon_to_alpha0(1.0 / n_atoms)
         assert abs(mf.gp_validity_time(p) - gp_t_perp(p.g, alpha0)) <= 1e-12
 
 
@@ -90,3 +91,14 @@ def test_validity_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "N_atoms,g,t_star,t_star_times_N_over_logN"
     assert lines[1].startswith("100,1,")
+
+
+@pytest.mark.parametrize("n_atoms", [10 ** 3, 10 ** 9, 10 ** 12, 10 ** 16, 10 ** 17, 10 ** 20])
+def test_validity_time_keeps_its_digits_at_large_atom_counts(n_atoms):
+    # 2 acos(1 - 1/n) cancels its digits here and fails from n = 1e17
+    mpmath = pytest.importorskip("mpmath")
+    p = mf.CondensateParams(n_atoms, U=1e-3)
+    with mpmath.workdps(50):
+        a0 = 4 * mpmath.asin(mpmath.sqrt(1 / mpmath.mpf(2 * n_atoms)))
+        want = float(2 / mpmath.mpf(p.g) * mpmath.log(mpmath.cot(a0 / 4)))
+    assert mf.gp_validity_time(p) == pytest.approx(want, rel=1e-14)

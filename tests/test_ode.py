@@ -1,6 +1,7 @@
 import inspect
 
 import numpy as np
+import pytest
 
 from nlqsim import _ode
 
@@ -13,7 +14,7 @@ def test_fsal_stage_reused_six_rhs_calls_per_attempted_step():
         return 1j * y
 
     res = _ode.solve(f, 0.0, 10.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12)
-    assert abs(res.ys[-1, 0] - np.exp(10j)) <= 1e-9
+    assert abs(res.states[-1, 0] - np.exp(10j)) <= 1e-9
     attempted = res.stats.accepted + res.stats.rejected
     # f(t0, y0) and one probe in the starting-step heuristic, the six new
     # stages of each Dormand-Prince step, and one evaluation at the
@@ -31,10 +32,10 @@ def test_rows_are_projected_to_unit_norm_and_drift_is_recorded():
     rates = np.array([[1.0], [3.0]])
     y0 = np.array([[1.0 + 0j, 0.0], [0.6, 0.8j]])
     res = _ode.solve(lambda t, y: 1j * rates * y, 0.0, 5.0, y0, rtol=1e-8, atol=1e-10)
-    assert res.ys.shape[1:] == (2, 2)
-    assert np.max(np.abs(np.linalg.norm(res.ys, axis=-1) - 1.0)) <= 4e-16
+    assert res.states.shape[1:] == (2, 2)
+    assert np.max(np.abs(np.linalg.norm(res.states, axis=-1) - 1.0)) <= 4e-16
     assert 0.0 < res.stats.max_norm_drift <= 1e-8
-    assert np.max(np.abs(res.ys[-1] - np.exp(5j * rates) * y0)) <= 1e-6
+    assert np.max(np.abs(res.states[-1] - np.exp(5j * rates) * y0)) <= 1e-6
 
 
 def test_unusable_tolerances_are_refused_before_the_first_rhs_call():
@@ -47,3 +48,14 @@ def test_unusable_tolerances_are_refused_before_the_first_rhs_call():
                        (1e-10, -1.0), (float("inf"), 1e-12)):
         with pytest.raises(ValueError, match="tol"):
             _ode.solve(f, 0.0, 1.0, np.array([1.0]), rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("t_eval", [
+    [0.0, 0.7, 0.3, 1.0], [-0.5, 0.5], [0.0, 0.5, 2.0], [0.2, float("nan"), 1.0],
+], ids=["unordered", "before_t0", "beyond_t1", "nan"])
+def test_malformed_t_eval_is_refused_before_the_first_rhs_call(t_eval):
+    def f(t, y):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="t_eval"):
+        _ode.solve(f, 0.0, 1.0, np.array([1.0 + 0j]), t_eval=np.array(t_eval))

@@ -214,7 +214,7 @@ def test_integrate_nlse_norm_preserved_and_phase_covariant():
     H = rng.normal(size=(8, 8))
     H = (H + H.T) / 2
     tr = sr.integrate_nlse(nl.gross_pitaevskii(1.0), H, 3, psi0, 2.0)
-    assert tr.step_stats.max_norm_drift <= 1e-8
+    assert tr.stats.max_norm_drift <= 1e-8
     tr2 = sr.integrate_nlse(nl.gross_pitaevskii(1.0), H, 3,
                             psi0 * cmath.exp(0.9j), 2.0)
     assert np.max(np.abs(np.abs(tr2.states[-1]) - np.abs(tr.states[-1]))) <= 1e-12
@@ -295,6 +295,15 @@ def test_lower_bound_audit_refuses_large_n():
     block = sr.Schedule(tuple(range(N)), lambda t: np.zeros((N, N)))
     with pytest.raises(ValueError, match="cap"):
         sr.lower_bound_audit(nl.gross_pitaevskii(1.0), block, 2 ** 20, 1.0)
+
+
+@pytest.mark.parametrize("duration", [-1.0, 0.0, float("nan")])
+def test_lower_bound_audit_refuses_a_horizon_that_is_not_positive(duration):
+    # a negative horizon records times 0 ... duration and reports a false
+    # violation of the floor; 0 divides 0 by 0 in the derivative check
+    H = sr.search_schedule(8, 1.0, sr.default_t1(8, 1.0))
+    with pytest.raises(ValueError, match="duration"):
+        sr.lower_bound_audit(nl.gross_pitaevskii(1.0), H, 8, duration)
 
 
 def _audit_kinds():
