@@ -61,9 +61,6 @@ class PairOrientation:
         if not 0.0 <= self.phi <= math.pi + 1e-12:
             raise ValueError(f"phi must be in [0, pi], got {self.phi}")
 
-    def vectors(self):
-        return pair_to_bloch(self)
-
     def z_pair(self):
         """Latitudes (z_plus, z_minus) of the two states."""
         ca, sa = math.cos(self.alpha / 2), math.sin(self.alpha / 2)

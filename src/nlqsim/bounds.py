@@ -11,7 +11,8 @@ states apart:
   square-root-sign form) violate any such proxy bound.
 
 All certificates are sampled-numerical: grids with one refinement round to
-detect unbounded difference quotients.
+detect unbounded difference quotients.  Both trajectory checks integrate
+the overlap law with ``discrimination.separation_trace``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blochdyn import pair_overlap_rate
-from .discrimination import OrientationPolicy, check_rtol, quad_panel, separation_trace
+from .discrimination import OrientationPolicy, separation_trace
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 DEFAULT_GRID = 10_000
@@ -176,29 +176,17 @@ def growth_trace(kbar: ReducedNonlinearity, cert: GrowthCertificate, alpha0: flo
     """Times at which the pair held at the certificate's (phi, theta) widens
     from alpha0 to alpha_stop.
 
-    Returns (times, alphas) at the ends of unit panels in ln(alpha), the
-    last at alpha_stop.  The time is the quadrature of alpha / (d alpha/dt)
-    over ln(alpha), with d(alpha)/dt = -(2/s) dc/dt, c = cos(alpha/2) and
-    s = sin(alpha/2); a pair that stops widening on the way is refused.
+    Returns (times, alphas) at the ends of the unit panels in u = atanh(c),
+    c = cos(alpha/2), of ``separation_trace`` with that orientation held, the
+    last at alpha_stop.  A pair that stops widening on the way is refused.
     """
-    check_rtol(rtol)
     if not 0.0 < alpha0 < alpha_stop <= math.pi:
         raise ValueError("need 0 < alpha0 < alpha_stop <= pi")
-
-    def dt_dw(w):
-        a = math.exp(w)
-        s = math.sin(a / 2.0)
-        widen = -2.0 * pair_overlap_rate(kbar, math.cos(a / 2.0), s, cert.phi, cert.theta) / s
-        if not widen > 0.0:
-            raise ValueError(f"the pair stops widening at alpha = {a:.6g}")
-        return a / widen
-
-    ws = np.append(np.arange(math.log(alpha0), math.log(alpha_stop), 1.0), math.log(alpha_stop))
-    times = np.concatenate([[0.0], np.cumsum([quad_panel(dt_dw, a, b, rtol)
-                                              for a, b in zip(ws[:-1], ws[1:])])])
-    alphas = np.exp(ws)
-    alphas[0], alphas[-1] = alpha0, alpha_stop
-    return times, alphas
+    res = separation_trace(kbar.source, alpha0, policy=(cert.phi, cert.theta),
+                           target_overlap=math.cos(alpha_stop / 2.0), rtol=rtol)
+    if not res.reached:
+        raise ValueError(f"the pair stops widening: {res.diagnostic}")
+    return res.times, np.concatenate(([alpha0], res.alphas[1:-1], [alpha_stop]))
 
 
 def estimate_lipschitz(kbar: ReducedNonlinearity, grid: int = DEFAULT_GRID) -> LipschitzEstimate:

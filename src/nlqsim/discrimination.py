@@ -4,24 +4,26 @@ For the quadratic nonlinearity ``g x^2`` the optimally-oriented pair
 (phi = pi/2, theta = 3*pi/4) has overlap c = cos(alpha/2) obeying
 
     dc/dt = -(g/2) (1 - c^2),
-    c(t)  = (c0 cosh(gt/2) - sinh(gt/2)) / (cosh(gt/2) - c0 sinh(gt/2)),
+    c(t)  = tanh(u0 - gt/2),   u0 = atanh(c0) = ln cot(alpha0/4),
 
-reaching orthogonality at t_perp = (2/g) ln(cot(alpha0/4)).  The drive
-keeping the pair optimally oriented is an x rotation at omega = (g/2) c.
+reaching orthogonality at t_perp = (2/g) u0.  The drive keeping the pair
+so oriented is an x rotation at omega = (g/2) c (``control_omega`` in general).
 
 For a general reduced nonlinearity kbar the same orientation gives
 
     dc/dt = -(1/sqrt(2)) kbar(s / sqrt(2)) s,   s = sin(alpha/2),
 
+any other held orientation (phi, theta) gives ``pair_overlap_rate`` there,
 and the re-optimized policy takes the most negative rate over all
-orientations instead.  Either way dc/dt = R(c), so the time is a quadrature
-in u = atanh(c) (c = tanh u, s = sech u), from the exact start
-u0 = ln cot(alpha0/4); the quadratic law has the constant integrand 2/g:
+orientations.  Each way dc/dt = R(c), so the time is one quadrature,
+``separation_trace``, in u = atanh(c) (c = tanh u, s = sech u) from the
+exact start u0; the quadratic law has the constant integrand 2/g:
 
     t(u) = int_u^u0 sech^2(v) / -R(v) dv.
 
-A ``DiscriminationResult`` holds the sampled times and overlaps c of that
-quadrature and the number of unit panels in u it took; no ODE is stepped.
+A ``DiscriminationResult`` holds the sampled times, overlaps and angles of
+that quadrature and its count of unit panels in u; it steps no ODE and
+carries no drive.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ U_MAX = 20.0
 
 
 class OrientationPolicy(enum.Enum):
-    FIXED_OPTIMAL_GP = "fixed"
+    FIXED_OPTIMAL_GP = "fixed"  # held at (phi, theta) = (pi/2, 3 pi/4)
     REOPTIMIZED = "reopt"
 
 
@@ -64,7 +66,6 @@ class DiscriminationResult:
     times: np.ndarray
     overlaps: np.ndarray  # cos(alpha/2) at each time
     panels: int  # unit panels in u integrated
-    control: np.ndarray  # rows (t, omega)
     alphas: np.ndarray  # pair angle at each time, 4 atan(e^-u)
     target_overlap: float
     status: str = "reached"  # reached | no_progress
@@ -86,47 +87,33 @@ def epsilon_to_alpha0(epsilon: float) -> float:
     return 4.0 * math.asin(math.sqrt(epsilon / 2.0))
 
 
-def gp_overlap_closed_form(g: float, alpha0: float, t, flag_pole: bool = False):
-    """Overlap cos(alpha/2) at time t under the optimal quadratic protocol.
-
-    Evaluated in the tanh form (c0 - tanh(gt/2)) / (1 - c0 tanh(gt/2)),
-    which is stable for large gt.  When ``flag_pole`` is set, returns
-    (value, pole) with pole True where |denominator| < 1e-14.
-    """
+def gp_overlap_closed_form(g: float, alpha0: float, t):
+    """Overlap cos(alpha/2) at time t under the optimal quadratic protocol,
+    tanh(u0 - gt/2) with u0 = ln cot(alpha0/4): the overlap keeps its digits
+    where cos(alpha0/2) rounds to 1."""
     if g <= 0:
         raise ValueError("g must be > 0")
     if not 0.0 < alpha0 <= math.pi + 1e-12:
         raise ValueError("alpha0 must be in (0, pi]")
-    c0 = math.cos(alpha0 / 2)
-    tau = np.tanh(g * np.asarray(t, dtype=float) / 2.0)
-    den = 1.0 - c0 * tau
-    pole = np.abs(den) < 1e-14
-    val = (c0 - tau) / np.where(pole, 1.0, den)
-    # Continuity value at a flagged denominator: identical states stay at
-    # overlap 1 (c0 rounded to 1), otherwise keep the sign of the numerator.
-    cont = 1.0 if c0 == 1.0 else np.sign(c0 - tau)
-    val = np.where(pole, cont, val)
-    if np.ndim(t) == 0:
-        val = float(val)
-        pole = bool(pole)
-    return (val, pole) if flag_pole else val
+    val = np.tanh(math.log(1.0 / math.tan(alpha0 / 4.0)) - g * np.asarray(t, dtype=float) / 2.0)
+    return float(val) if np.ndim(t) == 0 else val
 
 
 def gp_t_perp(g: float, alpha0: float) -> float:
     """Time to orthogonality, (2/g) ln(cot(alpha0/4)); inf at alpha0 = 0."""
-    if g <= 0:
-        raise ValueError("g must be > 0")
     if alpha0 < 0 or alpha0 > math.pi + 1e-12:
         raise ValueError("alpha0 must be in [0, pi]")
-    if alpha0 == 0.0:
+    if alpha0 == 0.0 and g > 0:
         return math.inf
-    return (2.0 / g) * math.log(1.0 / math.tan(alpha0 / 4.0))
+    return gp_time_to_overlap(g, alpha0, 0.0)
 
 
 def gp_time_to_overlap(g: float, alpha0: float, target: float) -> float:
     """Closed-form time for the quadratic protocol to reach a target overlap,
     (2/g) (ln cot(alpha0/4) - atanh(target)); ln cot(alpha0/4) is
     atanh(cos(alpha0/2)) without its cancellation at small alpha0."""
+    if not g > 0:
+        raise ValueError("g must be > 0")
     if not 0.0 <= target < math.cos(alpha0 / 2):
         raise ValueError("target overlap must be in [0, cos(alpha0/2))")
     return (2.0 / g) * (math.log(1.0 / math.tan(alpha0 / 4.0)) - math.atanh(target))
@@ -140,9 +127,9 @@ def gp_control_omega(g: float, alpha: float) -> float:
 
 
 def control_omega(kbar: ReducedNonlinearity, c: float, s: float) -> float:
-    """Orientation-holding drive rate for a general reduction at overlap c,
-    with s = sin(alpha/2) given by the caller (1 - c^2 loses its digits as
-    c -> 1).
+    """Orientation-holding drive rate for a general reduction at overlap c
+    and s = sin(alpha/2), e.g. a result's ``overlaps`` and sin(``alphas``/2);
+    s is taken, not recomputed as sqrt(1 - c^2), which loses digits as c -> 1.
 
     Solving d/dt (y - z) = 0 at phi = pi/2, theta = 3*pi/4 gives
     omega = kbar(s/sqrt(2)) c / (sqrt(2) s); reduces to (g/2) c for the
@@ -167,18 +154,6 @@ def gp_overlap_rate(g: float, alpha) -> float:
     s = np.sin(np.asarray(alpha, dtype=float) / 2.0)
     out = -(g / 2.0) * s * s
     return float(out) if out.ndim == 0 else out
-
-
-def _sin_half(c):
-    """s = sin(alpha/2) from the overlap c = cos(alpha/2)."""
-    c = np.asarray(c, dtype=float)
-    return np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
-
-
-def fixed_orientation_rate(kbar: ReducedNonlinearity, c):
-    """dc/dt at the quadratic-optimal orientation (phi, theta) = (pi/2, 3 pi/4):
-    -(1/sqrt(2)) kbar(s/sqrt(2)) s with s = sin(alpha/2)."""
-    return pair_overlap_rate(kbar, c, _sin_half(c), math.pi / 2.0, 3.0 * math.pi / 4.0)
 
 
 # Offsets of the re-optimized policy's 9 x 9 orientation grid, in units of
@@ -230,10 +205,21 @@ class _Stall(Exception):
     """Raised with (c, rate) where the separation rate is not reliably negative."""
 
 
+def _held_orientation(policy):
+    """(phi, theta) a policy other than REOPTIMIZED holds, or ``ValueError``."""
+    if policy is OrientationPolicy.FIXED_OPTIMAL_GP:
+        return math.pi / 2.0, 3.0 * math.pi / 4.0
+    held = np.asarray(policy if isinstance(policy, (tuple, list)) else [], dtype=float)
+    if held.shape != (2,) or not np.all(np.isfinite(held)):
+        raise ValueError("policy must be an OrientationPolicy or a finite "
+                         f"(phi, theta), got {policy!r}")
+    return float(held[0]), float(held[1])
+
+
 def separation_trace(
     n: Nonlinearity,
     alpha0: float,
-    policy: OrientationPolicy = OrientationPolicy.FIXED_OPTIMAL_GP,
+    policy: OrientationPolicy | tuple = OrientationPolicy.FIXED_OPTIMAL_GP,
     target_overlap: Optional[float] = None,
     duration: Optional[float] = None,
     rtol: float = 1e-10,
@@ -241,6 +227,8 @@ def separation_trace(
 ) -> DiscriminationResult:
     """Drive the pair from separation alpha0 until the overlap reaches
     ``target_overlap`` or for ``duration``; exactly one must be given.
+    ``policy`` re-optimizes the orientation at every overlap or holds it at
+    (phi, theta), which ``FIXED_OPTIMAL_GP`` sets to (pi/2, 3 pi/4).
 
     The time t(u) is integrated in unit panels of u to relative tolerance
     ``rtol``.  ``times`` holds the panel ends, or the ``t_eval`` samples
@@ -259,14 +247,14 @@ def separation_trace(
     check_rtol(rtol)
     kbar = reduce(n)
     floor = NO_PROGRESS_RATE * max(n.g, 1.0)
-    reopt = policy is OrientationPolicy.REOPTIMIZED
+    held = None if policy is OrientationPolicy.REOPTIMIZED else _held_orientation(policy)
 
     def dt_du(u):
         c, s = _tanh_sech(u)
-        if reopt:
+        if held is None:
             rate = reoptimize_orientation(kbar, c, s)[2]
         else:
-            rate = pair_overlap_rate(kbar, c, s, math.pi / 2.0, 3.0 * math.pi / 4.0)
+            rate = pair_overlap_rate(kbar, c, s, *held)
         if not rate < -floor * s:
             raise _Stall(c, rate)
         return s * s / -rate
@@ -293,14 +281,13 @@ def separation_trace(
         us = [_u_at(dt_du, t, us, ts, rtol) for t in samples]
     except _Stall as stall:
         return DiscriminationResult(
-            math.inf, np.array([0.0]), np.array([c0]), 0, np.array([[0.0, 0.0]]),
-            np.array([alpha0]), target_overlap or 0.0, status="no_progress",
+            math.inf, np.array([0.0]), np.array([c0]), 0, np.array([alpha0]),
+            target_overlap or 0.0, status="no_progress",
             diagnostic="separation rate {1:.3e} at overlap "
             "{0:.17g} is not reliably negative".format(*stall.args))
-    control = np.array([(t, control_omega(kbar, *_tanh_sech(u))) for t, u in zip(samples, us)])
     us = np.array(us, dtype=float)
     return DiscriminationResult(float(t_end), np.array(samples, dtype=float), np.tanh(us),
-                                panels, control, 4.0 * np.arctan(np.exp(-us)),
+                                panels, 4.0 * np.arctan(np.exp(-us)),
                                 target_overlap if target_overlap is not None else 0.0)
 
 
@@ -330,7 +317,7 @@ def time_to_overlap(
     n: Nonlinearity,
     alpha0: float,
     target_overlap: float,
-    orientation_policy: OrientationPolicy = OrientationPolicy.FIXED_OPTIMAL_GP,
+    orientation_policy: OrientationPolicy | tuple = OrientationPolicy.FIXED_OPTIMAL_GP,
     rtol: float = 1e-10,
 ) -> DiscriminationResult:
     """First time the pair overlap reaches ``target_overlap``."""

@@ -316,9 +316,8 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
 
     def H(t):
         omega = 0.0
-        if t > t1 and alpha0 > 0:
-            c = gp_overlap_closed_form(g if g > 0 else 1.0, alpha0, t - t1)
-            omega = 0.5 * max(g, 0.0) * max(min(c, 1.0), -1.0)
+        if t > t1 and alpha0 > 0 and g > 0:
+            omega = 0.5 * g * gp_overlap_closed_form(g, alpha0, t - t1)
         return 0.5 * omega * sx
 
     return Schedule((0, 1), H)

@@ -235,7 +235,8 @@ def check_log_generalip(ctx: Context) -> CheckResult:
     kbar = nl.reduce(nl.logarithmic(1.0))
     alphas = np.linspace(0.05, math.pi - 0.05, ctx.n(400, 100))
     direct = dc.log_overlap_rate(1.0, alphas)
-    generic = dc.fixed_orientation_rate(kbar, np.cos(alphas / 2))
+    generic = bd.pair_overlap_rate(kbar, np.cos(alphas / 2), np.sin(alphas / 2),
+                                   math.pi / 2, 3 * math.pi / 4)
     worst = float(np.max(np.abs(direct - generic)))
     return CheckResult("log_generalip_crosscheck", worst <= 1e-12,
                        f"max formula mismatch = {worst:.3e}")

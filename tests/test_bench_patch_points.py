@@ -100,5 +100,25 @@ def test_trace_fields_the_benchmark_reads():
         assert tr.stats.accepted > 0 and tr.stats.rejected >= 0
         assert len(tr.times) == len(tr.states) and not tr.failed
     assert traces[1].overlaps.shape == traces[1].times.shape
-    # the quadrature's results are not ODE traces
+    # the quadrature's results are not ODE traces, and carry no drive
     assert not hasattr(nlqsim.discrimination, "_ode")
+    fields = {f.name for f in dataclasses.fields(nlqsim.discrimination.DiscriminationResult)}
+    assert "control" not in fields
+
+
+def test_growth_trace_calls_the_quadrature_through_the_bounds_module(monkeypatch):
+    # the tracer counts growth runs by patching bounds.separation_trace; a
+    # growth_trace that bound it early, or integrated on its own, would read 0
+    bn = nlqsim.bounds
+    inner, calls = bn.separation_trace, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["policy"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bn, "separation_trace", counting)
+    kbar = nlqsim.nonlinearity.reduce(nlqsim.nonlinearity.logarithmic(1.0))
+    cert = bn.certify_growth(kbar, 0.3, 0.2)
+    ts, alphas = bn.growth_trace(kbar, cert, 1e-2, 0.255)
+    assert calls == [(cert.phi, cert.theta)]
+    assert alphas[-1] == 0.255 and ts[-1] > 0.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nlqsim import blochdyn as bd
 from nlqsim import bounds as bn
@@ -182,6 +183,41 @@ def test_growth_trace_refuses_unmeetable_rtol_and_reversed_angles():
             bn.growth_trace(kbar, cert, 1e-3, 0.05, rtol=rtol)
     with pytest.raises(ValueError, match="alpha_stop"):
         bn.growth_trace(kbar, cert, 0.05, 1e-3)
+
+
+# Closed-form reductions, independent of nlqsim.nonlinearity.
+_KBAR = {"log": lambda z: 2.0 * math.atanh(z),
+         "sqrt": lambda z: math.copysign(math.sqrt(abs(z)), z),
+         "odd": lambda z: math.sinh(3.0 * z) / 3.0}
+
+
+@pytest.mark.parametrize("kind", ["log", "sqrt", "odd"])
+def test_growth_trace_matches_a_log_angle_quadrature(kind):
+    # the held-orientation quadrature in u = atanh(cos(alpha/2)) against the
+    # widening rate d alpha/dt = -sin(phi) sin(theta) (kbar(z-) - kbar(z+))
+    # integrated over ln(alpha) in unit pieces
+    n = {"log": nl.logarithmic(1.0), "sqrt": nl.square_root_sign(1.0),
+         "odd": nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z)) / 3.0)}[kind]
+    z0, alpha0, alpha_stop = 0.3, 1e-2, 0.255
+    cert = bn.certify_growth(nl.reduce(n), z0, 0.2)
+    assert cert.theta == 3.0 * math.pi / 4.0
+    sp, cp = math.sqrt(1.0 - z0 * z0), z0
+    st, ct = math.sqrt(0.5), -math.sqrt(0.5)
+    kbar = _KBAR[kind]
+
+    def dt_dw(w):
+        a = math.exp(w)
+        ca, sa = math.cos(a / 2.0), math.sin(a / 2.0)
+        zp, zm = ca * cp - sa * sp * ct, ca * cp + sa * sp * ct
+        return a / (-sp * st * (kbar(zm) - kbar(zp)))
+
+    edges = np.append(np.arange(math.log(alpha0), math.log(alpha_stop), 1.0),
+                      math.log(alpha_stop))
+    want = sum(quad(dt_dw, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+    ts, alphas = bn.growth_trace(nl.reduce(n), cert, alpha0, alpha_stop)
+    assert alphas[0] == alpha0 and alphas[-1] == alpha_stop
+    assert ts[-1] == pytest.approx(want, rel=1e-9)
 
 
 def test_growth_trace_gp_equator_matches_closed_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,14 +32,22 @@ def test_closed_form_value_frozen():
         0.93397773824776253, abs=5e-14)
 
 
-def test_closed_form_pole_flag():
-    # alpha0 so small that the overlap rounds to 1: the denominator
-    # underflows at large t, and the continuity value is 1
-    val, pole = dc.gp_overlap_closed_form(1.0, 1e-9, 100.0, flag_pole=True)
-    assert pole
-    assert val == 1.0
-    val, pole = dc.gp_overlap_closed_form(1.0, 0.5, 3.0, flag_pole=True)
-    assert not pole
+@pytest.mark.parametrize("alpha0, t", [(1e-9, 40.22), (1e-6, 26.40), (1e-12, 50.0),
+                                       (0.1, 4.0)])
+def test_closed_form_keeps_its_digits_at_tiny_angles(alpha0, t):
+    # cos(alpha0/2) rounds to 1 below alpha0 ~ 2e-8, so the overlap must be
+    # formed from u0 = ln cot(alpha0/4), not from c0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = float(mpmath.tanh(mpmath.log(mpmath.cot(mpmath.mpf(alpha0) / 4))
+                                 - mpmath.mpf(t) / 2))
+    assert dc.gp_overlap_closed_form(1.0, alpha0, t) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("g", [0.0, -1.0, float("nan")])
+def test_gp_time_to_overlap_refuses_a_strength_that_is_not_positive(g):
+    with pytest.raises(ValueError, match="g must be > 0"):
+        dc.gp_time_to_overlap(g, 0.5, 0.0)
 
 
 def test_closed_form_vs_ode_trace():
@@ -86,10 +95,10 @@ def test_control_omega_general_reduces_to_quadratic():
 def test_control_omega_keeps_digits_near_parallel():
     # s = sin(alpha0/2) recomputed as sqrt(1 - c^2) lost 2e-5 of omega here
     alpha0 = 1e-6
-    res = dc.time_to_overlap(nl.square_root_sign(1.0), alpha0, 0.0)
+    kbar = nl.reduce(nl.square_root_sign(1.0))
     c, s = math.cos(alpha0 / 2), math.sin(alpha0 / 2)
     want = math.sqrt(s / SQRT2) * c / (SQRT2 * s)
-    assert res.control[0, 1] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert dc.control_omega(kbar, c, s) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_closed_loop_control_keeps_y_equal_z():
@@ -117,7 +126,8 @@ def test_log_rate_crosscheck_with_generic_reduction():
     kbar = nl.reduce(nl.logarithmic(1.0))
     alphas = np.linspace(0.01, math.pi - 0.01, 1000)
     direct = dc.log_overlap_rate(1.0, alphas)
-    generic = dc.fixed_orientation_rate(kbar, np.cos(alphas / 2))
+    generic = bd.pair_overlap_rate(kbar, np.cos(alphas / 2), np.sin(alphas / 2),
+                                   math.pi / 2, 3 * math.pi / 4)
     assert np.max(np.abs(direct - generic)) <= 1e-12
 
 
@@ -254,14 +264,6 @@ def test_general_upper_bound_vs_quadratic_on_synthetic_reductions():
         res = dc.time_to_overlap(nl.from_odd_function(fn), a0, target)
         assert res.reached
         assert res.t_perp <= gp_time + 1e-6
-
-
-def test_control_samples_recorded():
-    res = dc.time_to_overlap(nl.gross_pitaevskii(2.0), 0.4, 0.0)
-    control = res.control
-    assert control.shape[1] == 2
-    # omega(0) = (g/2) cos(alpha0/2)
-    assert control[0, 1] == pytest.approx(dc.gp_control_omega(2.0, 0.4), rel=1e-12)
 
 
 def test_figure_data_shapes_and_anchors():
@@ -407,7 +409,26 @@ def test_duration_trace_follows_the_closed_form_past_orthogonality(periods):
     assert res.t_perp == duration and len(res.times) == 50
     ref = dc.gp_overlap_closed_form(g, a0, res.times)
     assert np.max(np.abs(res.overlaps - ref)) <= 1e-12
-    assert np.allclose(res.control[:, 1], 0.5 * g * res.overlaps, rtol=1e-12)
+
+
+def test_held_optimal_orientation_is_the_fixed_policy():
+    # FIXED_OPTIMAL_GP is the orientation (pi/2, 3 pi/4) held; both run one code path
+    held = (math.pi / 2, 3 * math.pi / 4)
+    for n in (nl.gross_pitaevskii(1.3), nl.logarithmic(1.0), nl.square_root_sign(1.0)):
+        for stop in ({"target_overlap": 0.2},
+                     {"duration": 5.0, "t_eval": np.linspace(0.0, 5.0, 17)}):
+            fixed = dc.separation_trace(n, 0.05, **stop)
+            other = dc.separation_trace(n, 0.05, policy=held, **stop)
+            for f in dataclasses.fields(dc.DiscriminationResult):
+                assert np.array_equal(getattr(fixed, f.name), getattr(other, f.name)), f.name
+
+
+@pytest.mark.parametrize("policy", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+                                    (1.0, 2.0, 3.0), (1.0,), None],
+                         ids=["nan", "inf", "-inf", "three", "one", "none"])
+def test_held_orientation_must_be_two_finite_angles(policy):
+    with pytest.raises(ValueError, match="phi, theta"):
+        dc.separation_trace(nl.gross_pitaevskii(1.0), 0.5, policy=policy, target_overlap=0.0)
 
 
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-8, 1e-15])

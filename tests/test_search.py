@@ -408,6 +408,19 @@ def _stable_deficit(N, t1):
     return x / (1.0 + math.sqrt(1.0 - x))
 
 
+def test_search_schedule_drive_follows_the_overlap_at_n_2_40():
+    # cos(alpha0/2) rounds to 1 at this N; the drive must still fall as
+    # (g/4) tanh(u0 - g dt/2) instead of holding g/4
+    N, g = 2 ** 40, 1.0
+    t1 = sr.default_t1(N, g)
+    eps = _stable_deficit(N, t1)
+    u0 = 0.5 * math.log((2.0 - eps) / eps)
+    H = sr.search_schedule(N, g, t1).H
+    for dt in (1.0, 20.0, 40.0, 60.0):
+        want = (g / 4.0) * math.tanh(u0 - g * dt / 2.0)
+        assert H(t1 + dt)[0, 1].real == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("N", [2 ** k for k in range(4, 23, 2)])
 def test_run_search_t2_is_free_of_cancellation(N):
     for g in (0.1, 1.0, 10.0):
