@@ -5,8 +5,11 @@ fixed interval [t0, t1] with forced sample times.  The state is a real or
 complex array whose rows along the last axis have unit norm: one vector
 (a state vector), or a stack of them (Bloch vectors, the audit's states).
 After every accepted step each row is divided by its norm; the largest
-drift from unit norm before that projection is recorded.  Error norms use
-elementwise magnitudes.  ``SimTrace`` is the package's one trajectory
+drift from unit norm before that projection is recorded.  The seven stage
+slopes of a step live in one preallocated buffer, so each stage and the
+error estimate are one small matrix product over its flattened rows, and
+an ``f`` that reuses its output array is copied, not aliased.  Error norms
+use elementwise magnitudes.  ``SimTrace`` is the package's one trajectory
 record.  Scalar autonomous problems (the overlap laws of ``discrimination``
 and ``bounds``) are quadratures and do not come here.
 """
@@ -21,15 +24,15 @@ import numpy as np
 # Dormand-Prince 5(4) tableau (FSAL: last stage of an accepted step is
 # the first stage of the next).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
@@ -150,6 +153,8 @@ def solve(
 
     fk = f(t, y)
     h = _initial_step(f, t, y, fk, t1, rtol, atol)
+    K = np.empty((7,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
+    Kf = K.reshape(7, -1)
 
     while t < t1:
         h = min(h, t1 - t)
@@ -161,13 +166,13 @@ def solve(
                 failure_reason=f"step size underflow at t={t:.6g}",
             )
 
-        k = [fk]
+        K[0] = fk
         for i in range(1, 7):
-            yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-            k.append(f(t + _C[i] * h, yi))
+            yi = y + ((h * _A[i, :i]) @ Kf[:i]).reshape(y.shape)
+            K[i] = f(t + _C[i] * h, yi)
         # _A[6] equals _B5[:6], so the last stage was evaluated at (t+h, y_new).
         y_new = yi
-        err = h * sum(e * ki for e, ki in zip(_E, k))
+        err = ((h * _E) @ Kf).reshape(y.shape)
         enorm = _error_norm(err, y, y_new, rtol, atol)
 
         if not np.isfinite(enorm):

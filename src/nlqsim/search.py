@@ -286,7 +286,6 @@ def integrate_nlse(
     def f(t, psi):
         rhs = kappa.kappa(np.abs(psi)) * psi
         if oracle_idx is not None:
-            rhs = rhs.copy()
             rhs[oracle_idx] += psi[oracle_idx]
         if Hfn is not None:
             rhs = rhs + Hfn(t) @ psi
@@ -392,11 +391,20 @@ def lower_bound_audit(
     the scaled amplitude z = sqrt(w) y, so the unit-norm projection and
     <psi|psi_m> are plain vector operations.  kappa is taken at |z|: only
     the class of the N - p - 1 others has w > 1, and it is never marked, so
-    its magnitude is the same in every row and its kappa turns a phase
-    common to all rows, which S does not see.  A dense H makes every
+    its magnitude is the same in every row.  A dense H makes every
     coordinate its own class, the brute-force (N+1) x N stack.  A support
     larger than ``AUDIT_N_CAP`` is refused; None and the search schedule
     run at any N on at most four classes.
+
+    The rows are integrated in a frame that turns each class at its initial
+    kappa: the RHS carries kappa(|z|) - kappa(|z(0)|).  All rows start at
+    the same z(0), so the frame multiplies class c of every row by one
+    phase, which cancels from <psi|psi_m> and S; every support coordinate
+    has w = 1, so the frame commutes with H.  So no steps go to the turn
+    of the big class (at g for gp) or of the 1/sqrt(N) classes (at
+    2 ln(1/sqrt(N)) for log).  ``atol`` is in units of one
+    coordinate's starting amplitude 1/sqrt(N), so at N = 2^40 row j, which
+    stands for N - p rows, is solved to ``rtol`` on its 1e-6 amplitudes.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -423,18 +431,20 @@ def lower_bound_audit(
     mult = np.array([1.0] * p + [N - p])[:R]
     z0 = np.sqrt(w) / math.sqrt(N)
     Y0 = np.tile(z0 / np.linalg.norm(z0), (R + 1, 1)).astype(complex)
-    mask = np.zeros((R + 1, len(w)))  # row 0: unmarked; row r: marked at class r - 1
-    mask[1:, :R] = np.eye(R)
+    # The diagonal beside kappa(|Y|): minus kappa(|z(0)|) (the co-rotating
+    # frame), plus the oracle's 1 on row r's marked class r - 1.
+    shift = -np.asarray(kappa.kappa(np.abs(Y0)))
+    shift[1:, :R] += np.eye(R)
 
     def f(t, Y):
-        rhs = np.asarray(kappa.kappa(np.abs(Y))) * Y
-        rhs += mask * Y
+        rhs = (np.asarray(kappa.kappa(np.abs(Y))) + shift) * Y
         if Hfn is not None:
             rhs[:, :p] += Y[:, :p] @ Hfn(t).T
         return -1j * rhs
 
     t_eval = np.linspace(0.0, duration, samples + 1)
-    tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol, t_eval=t_eval)
+    tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol / math.sqrt(N),
+                    t_eval=t_eval)
     if tr.failed:
         raise RuntimeError(f"audit integration failed: {tr.failure_reason}")
     times, ys = tr.times, tr.states

@@ -59,3 +59,27 @@ def test_malformed_t_eval_is_refused_before_the_first_rhs_call(t_eval):
 
     with pytest.raises(ValueError, match="t_eval"):
         _ode.solve(f, 0.0, 1.0, np.array([1.0 + 0j]), t_eval=np.array(t_eval))
+
+
+def test_real_states_under_a_real_flow_stay_real():
+    # a rotation in the plane: (cos t, sin t)
+    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+    res = _ode.solve(lambda t, y: gen @ y, 0.0, 2.0, np.array([1.0, 0.0]),
+                     rtol=1e-10, atol=1e-12)
+    assert res.states.dtype == np.float64
+    assert np.max(np.abs(res.states[-1] - [np.cos(2.0), np.sin(2.0)])) <= 1e-8
+
+
+@pytest.mark.parametrize("y0, rates", [
+    (np.array([0.6 + 0j, 0.8j]), np.array([1.0, 1.0])),
+    (np.array([[1.0 + 0j, 0.0], [0.6, 0.8j]]), np.array([[1.0], [3.0]])),
+], ids=["vector", "rows"])
+def test_an_rhs_that_reuses_its_output_array_is_copied_per_stage(y0, rates):
+    out = np.empty_like(y0)
+
+    def f(t, y):
+        np.multiply(1j * rates, y, out=out)
+        return out
+
+    res = _ode.solve(f, 0.0, 4.0, y0, rtol=1e-10, atol=1e-12)
+    assert np.max(np.abs(res.states[-1] - np.exp(4j * rates) * y0)) <= 1e-8

@@ -369,6 +369,44 @@ def test_audit_search_schedule_at_n_2_40():
     assert np.max(np.abs(audit.S[oracle] - want) / want) <= 1e-9
 
 
+def _search_audit(kind, N, dense=False):
+    """``lower_bound_audit`` of g = 1 under the search schedule over the
+    search run's duration, at the default tolerances."""
+    g = 1.0
+    t1 = sr.default_t1(N, g)
+    duration = sr.run_search(sr.SearchInstance(N, marked=1),
+                             nl.gross_pitaevskii(g), t1=t1).total_time
+    schedule = sr.search_schedule(N, g, t1)
+    H = _dense_rebuild(schedule, N) if dense else schedule
+    return sr.lower_bound_audit(_audit_kinds()[kind], H, N, duration)
+
+
+@pytest.mark.parametrize("kind", ["gp", "log"])
+def test_audit_at_n_2_40_matches_the_rows_marked_outside_the_support(kind):
+    # Row j stands for N - 2 rows.  Its overlap stays 1 - (1 - e^{-it})/N,
+    # and the two support rows differ from psi by O(1/sqrt(N)) amplitudes,
+    # so N - S(t) = (N - 2)(1 - |1 - d|) up to O(1e-12), d = (1 - e^{-it})/N.
+    # |z_j| = 1e-6 sits under the default atol = 1e-10, so unless atol is
+    # scaled by 1/sqrt(N) row j is solved to a few digits, and its error is
+    # multiplied by N - 2.
+    N = 2 ** 40
+    audit = _search_audit(kind, N)
+    d = (1.0 - cmath.exp(-1j * audit.times[-1])) / N
+    want = (N - 2) * (2.0 * d.real - abs(d) ** 2) / (1.0 + abs(1.0 - d))
+    assert abs((N - audit.S[-1]) - want) <= 1e-3
+
+
+@pytest.mark.parametrize("kind, N, dense, most", [
+    ("gp", 128, False, 260), ("log", 32, False, 252), ("gp", 2 ** 40, False, 1035),
+    ("log", 2 ** 40, False, 1590), ("log", 64, True, 255),
+], ids=["gp-128", "log-32", "gp-2^40", "log-2^40", "log-64-dense"])
+def test_audit_does_not_spend_steps_on_phases_common_to_all_rows(kind, N, dense, most):
+    # In a fixed frame the big class turns at g (gp) and the 1/sqrt(N)
+    # classes at 2 ln(1/sqrt(N)) (log), a phase common to all rows that
+    # costs about twice these steps or more.  Bounds: measured + 20 %.
+    assert _search_audit(kind, N, dense).step_stats.accepted <= most
+
+
 def test_audit_csv_format():
     N, g = 8, 0.5
     audit = sr.lower_bound_audit(nl.gross_pitaevskii(g), None, N, 1.0, samples=10)
