@@ -120,10 +120,12 @@ def solve(
     times in [t0, t1]; steps are clipped so each is hit exactly and
     recorded.  Without it, every accepted step is recorded.
 
-    ``rtol`` and ``atol`` must be finite and > 0, and ``t_eval`` finite,
-    strictly increasing and inside [t0, t1]; anything else raises
-    ``ValueError`` before ``f`` is first called.
+    ``t0`` and ``t1`` must be finite, ``rtol`` and ``atol`` finite and > 0,
+    and ``t_eval`` finite, strictly increasing and inside [t0, t1]; anything
+    else raises ``ValueError`` before ``f`` is first called.
     """
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(tol) and tol > 0.0):
             raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")

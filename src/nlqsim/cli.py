@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "nonlinearity", "n", "t1")
     p.add_argument("--duration", type=ranged(float, lambda d: d > 0, "> 0"), default=None,
                    help="audit horizon, > 0 (default: total time of the search run)")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=ranged(int, lambda s: s >= 2, ">= 2"), default=200)
     _shared(p, "seed", "out")
 
     p = sub.add_parser("optimize", help="orientation search over embeddings")

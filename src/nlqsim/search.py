@@ -11,6 +11,9 @@ audit that co-integrates the no-marked-item state with all N marked-item
 states to verify the information-theoretic floor
 
     sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N)).
+
+Both step i psi' = (H(t) + |m><m| + K) psi through one right-hand side; every
+H is a ``Schedule``, a fixed generator on a few coordinates times omega(t).
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import _ode
-from .discrimination import (OrientationPolicy, epsilon_to_alpha0,
-                             gp_overlap_closed_form, time_to_overlap)
+from .discrimination import OrientationPolicy, epsilon_to_alpha0, time_to_overlap
 from .nonlinearity import Nonlinearity, overlap_derivative
 
 SQRT2 = math.sqrt(2.0)
@@ -227,26 +230,63 @@ def run_search(
     )
 
 
-def _as_hamiltonian(H, dim: int, duration: float):
-    """Normalize an H spec (None, matrix, or callable) and reject
-    non-Hermitian inputs (callables are checked at sampled times)."""
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """H(t) = omega(t) * generator on the catalog coordinates ``support``
+    (0-indexed), zero elsewhere.  The constant generator is checked once, here:
+    len(support) x len(support), finite, Hermitian to 1e-12.  ``omega`` is a
+    float or a callable returning a real scalar, as in ``DriveSchedule``."""
+
+    support: tuple
+    generator: np.ndarray
+    omega: Union[float, Callable[[float], float]] = 1.0
+
+    def __post_init__(self):
+        support = tuple(operator.index(k) for k in self.support)
+        if callable(self.generator):
+            raise TypeError("generator must be a constant matrix; time goes into omega")
+        gen = np.array(self.generator, dtype=complex)
+        if gen.shape != (len(support),) * 2:
+            raise ValueError(f"generator must be {len(support)}x{len(support)}, got {gen.shape}")
+        if not np.all(np.abs(gen - gen.conj().T) <= 1e-12):  # false on nan and inf too
+            raise ValueError("generator must be finite and Hermitian to 1e-12")
+        gen.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "generator", gen)
+
+    def rate(self, t: float) -> float:
+        return float(self.omega(t)) if callable(self.omega) else float(self.omega)
+
+
+def _schedule(H, N: int) -> Optional[Schedule]:
+    """None, a ``Schedule`` on [0, N), or an N x N matrix M as ``Schedule(range(N), M)``."""
     if H is None:
         return None
+    if not isinstance(H, Schedule):
+        H = Schedule(range(N), H)
+    if len(set(H.support)) != len(H.support) or not all(0 <= k < N for k in H.support):
+        raise ValueError(f"H support must be distinct coordinates in [0, {N}), got {H.support}")
+    return H
 
-    def check(mat, label):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"H{label} must be {dim}x{dim}, got {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=1e-12):
-            raise ValueError(f"H{label} is not Hermitian")
-        return mat
 
-    if callable(H):
-        for ts in (0.0, 0.5 * duration, duration):
-            check(H(ts), f"({ts:.3g})")
-        return H
-    mat = check(H, "")
-    return lambda t: mat
+def _nlse_rhs(kappa: Nonlinearity, diag, H: Optional[Schedule], cols):
+    """f(t, Y) = -i [(kappa(|Y|) + diag) Y + omega(t) Y[..., cols] @ G^T], the
+    one right-hand side of the flow, on a state vector or a stack of rows;
+    ``cols`` indexes the coordinates of Y that H's generator G acts on.
+    kappa is taken at |Y|.  On the audit's class amplitudes z = sqrt(w) y
+    that is right only because every class with w > 1 is outside the
+    support: H never couples it, so its |z| is one constant in every row.
+    """
+    GT = None if H is None else H.generator.T
+
+    def f(t, Y):
+        rhs = (kappa.kappa(np.abs(Y)) + diag) * Y
+        w = 0.0 if GT is None else H.rate(t)
+        if w != 0.0:
+            rhs[..., cols] += w * (Y[..., cols] @ GT)
+        return -1j * rhs
+
+    return f
 
 
 def integrate_nlse(
@@ -259,13 +299,12 @@ def integrate_nlse(
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
 ) -> _ode.SimTrace:
-    """Integrate i dpsi/dt = (|m><m| [if oracle] + H(t)) psi + K psi.
-
-    K is the diagonal amplitude nonlinearity (K psi)_x = kappa(|psi_x|)
-    psi_x; since kappa is real the flow is norm-preserving, and
-    ``_ode.solve`` re-normalizes the state after each accepted step
-    (drift recorded in ``stats``) and its trace is returned as it is.
-    ``oracle`` is a 1-indexed marked item or None.
+    """Integrate i dpsi/dt = (H(t) + |m><m| [if oracle]) psi + K psi in the
+    lab frame; ``H`` is None, an N x N matrix or a ``Schedule``, ``oracle``
+    a 1-indexed marked item or None.  K is the diagonal amplitude
+    nonlinearity (K psi)_x = kappa(|psi_x|) psi_x, so the flow is
+    norm-preserving; ``_ode.solve`` re-normalizes the state after each
+    accepted step (drift recorded in ``stats``), and its trace is returned.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
@@ -280,46 +319,24 @@ def integrate_nlse(
     if oracle is not None and not 1 <= oracle <= dim:
         raise ValueError("oracle index out of range")
 
-    Hfn = _as_hamiltonian(H, dim, duration)
-    oracle_idx = None if oracle is None else oracle - 1
-
-    def f(t, psi):
-        rhs = kappa.kappa(np.abs(psi)) * psi
-        if oracle_idx is not None:
-            rhs[oracle_idx] += psi[oracle_idx]
-        if Hfn is not None:
-            rhs = rhs + Hfn(t) @ psi
-        return -1j * rhs
-
+    H = _schedule(H, dim)
+    diag = 0.0 if oracle is None else (np.arange(dim) == oracle - 1) * 1.0
+    f = _nlse_rhs(kappa, diag, H, None if H is None else list(H.support))
     return _ode.solve(f, 0.0, duration, psi0, rtol=rtol, atol=atol, t_eval=t_eval)
 
 
-class Schedule(NamedTuple):
-    """A driving H(t) that acts only on the catalog coordinates ``support``
-    (0-indexed): ``H(t)`` returns the len(support) x len(support) block."""
-
-    support: tuple
-    H: Callable[[float], np.ndarray]
-
-
 def search_schedule(N: int, g: float, t1: float) -> Schedule:
-    """The driving schedule used by the search pipeline, instance-independent.
-
-    Zero while the oracle is queried (t <= t1); afterwards the
-    orientation-holding x rotation of the discrimination stage.  It acts
-    only on the first two catalog states, so it is their support (0, 1) and
-    a 2x2 block, which ``lower_bound_audit`` integrates at any N.
-    """
+    """The search pipeline's instance-independent drive: sigma_x/2 on the
+    first two catalog states, at omega = 0 while the oracle is queried
+    (t <= t1), then at the orientation-holding omega(t) = (g/2) tanh(u0 -
+    g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the stable deficit."""
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-    def H(t):
-        omega = 0.0
-        if t > t1 and alpha0 > 0 and g > 0:
-            omega = 0.5 * g * gp_overlap_closed_form(g, alpha0, t - t1)
-        return 0.5 * omega * sx
-
-    return Schedule((0, 1), H)
+    sx_half = np.array([[0.0, 0.5], [0.5, 0.0]])
+    if not (alpha0 > 0 and g > 0):
+        return Schedule((0, 1), sx_half, 0.0)
+    u0 = math.log(1.0 / math.tan(alpha0 / 4.0))
+    return Schedule((0, 1), sx_half,
+                    lambda t: 0.0 if t <= t1 else 0.5 * g * np.tanh(u0 - g * (t - t1) / 2.0))
 
 
 @dataclass
@@ -378,52 +395,40 @@ def lower_bound_audit(
 
         S(t) = sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N))
 
-    at every recorded time.  |kappa| is sampled on [0, 1] to determine the
-    bound's g.
-
-    ``H`` is None, a ``Schedule`` (such as ``search_schedule``), or a dense
-    N x N matrix or callable.  Outside the p support coordinates of H every
-    coordinate is alike, so the amplitudes fall into classes: each support
-    coordinate, one marked coordinate j outside it, and the other N - p - 1
-    coordinates; classes of size zero are dropped.  The marked rows reduce
-    to one per support coordinate plus row j, which stands for all N - p
-    rows marked outside the support.  A class of size w is integrated in
-    the scaled amplitude z = sqrt(w) y, so the unit-norm projection and
-    <psi|psi_m> are plain vector operations.  kappa is taken at |z|: only
-    the class of the N - p - 1 others has w > 1, and it is never marked, so
-    its magnitude is the same in every row.  A dense H makes every
-    coordinate its own class, the brute-force (N+1) x N stack.  A support
-    larger than ``AUDIT_N_CAP`` is refused; None and the search schedule
-    run at any N on at most four classes.
+    at the ``samples`` + 1 recorded times (``samples`` >= 2), with the
+    bound's g = max |kappa| sampled on [0, 1].  ``H`` is None, a
+    ``Schedule`` (such as ``search_schedule``) or a dense N x N matrix.
+    Outside the p support coordinates of H every coordinate is alike, so
+    the amplitudes fall into classes: each support coordinate, one marked
+    coordinate j outside it, and the other N - p - 1; empty classes are
+    dropped.  The marked rows reduce to one per support coordinate plus
+    row j, which stands for all N - p rows marked outside the support.  A
+    class of size w is integrated in the scaled amplitude z = sqrt(w) y,
+    through the right-hand side of ``integrate_nlse``.  A dense H makes
+    every coordinate its own class; a support above ``AUDIT_N_CAP`` is
+    refused.  None and the search schedule run at any N on at most four
+    classes.
 
     The rows are integrated in a frame that turns each class at its initial
-    kappa: the RHS carries kappa(|z|) - kappa(|z(0)|).  All rows start at
-    the same z(0), so the frame multiplies class c of every row by one
-    phase, which cancels from <psi|psi_m> and S; every support coordinate
-    has w = 1, so the frame commutes with H.  So no steps go to the turn
-    of the big class (at g for gp) or of the 1/sqrt(N) classes (at
-    2 ln(1/sqrt(N)) for log).  ``atol`` is in units of one
-    coordinate's starting amplitude 1/sqrt(N), so at N = 2^40 row j, which
-    stands for N - p rows, is solved to ``rtol`` on its 1e-6 amplitudes.
+    kappa: the diagonal beside kappa(|z|) is the oracle minus kappa(|z(0)|).
+    That multiplies class c of every row by one phase, which cancels from
+    S, and commutes with H (every support class has w = 1); so no steps go
+    to the turn of the big class (at g for gp) or of the 1/sqrt(N) classes
+    (at 2 ln(1/sqrt(N)) for log).  ``atol`` is in units of 1/sqrt(N), one
+    coordinate's starting amplitude, so at N = 2^40 row j is solved to
+    ``rtol`` on its 1e-6 amplitudes.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration!r}")
-    if H is None:
-        H = Schedule((), None)
-    elif not isinstance(H, Schedule):
-        H = Schedule(tuple(range(N)), H)
-    p = len(H.support)
+    if not samples >= 2:
+        raise ValueError(f"samples must be >= 2, got {samples!r}")
+    H = _schedule(H, N)
+    p = 0 if H is None else len(H.support)
     if p > AUDIT_N_CAP:
-        raise ValueError(f"audit refuses an H on {p} coordinates above the cap "
-                         f"{AUDIT_N_CAP}")
-    if len(set(H.support)) != p or not all(0 <= k < N for k in H.support):
-        raise ValueError(f"H support must be distinct coordinates in [0, {N})")
-    xs = np.linspace(0.0, 1.0, 2001)
-    g_bound = float(np.max(np.abs(np.asarray(kappa.kappa(xs)))))
-
-    Hfn = _as_hamiltonian(H.H, p, duration)
+        raise ValueError(f"audit refuses an H on {p} coordinates above the cap {AUDIT_N_CAP}")
+    g_bound = float(np.max(np.abs(kappa.kappa(np.linspace(0.0, 1.0, 2001)))))
 
     w = np.array([1.0] * p + [min(N - p, 1), N - p - 1.0])
     w = w[w > 0]
@@ -435,16 +440,9 @@ def lower_bound_audit(
     # frame), plus the oracle's 1 on row r's marked class r - 1.
     shift = -np.asarray(kappa.kappa(np.abs(Y0)))
     shift[1:, :R] += np.eye(R)
-
-    def f(t, Y):
-        rhs = (np.asarray(kappa.kappa(np.abs(Y))) + shift) * Y
-        if Hfn is not None:
-            rhs[:, :p] += Y[:, :p] @ Hfn(t).T
-        return -1j * rhs
-
-    t_eval = np.linspace(0.0, duration, samples + 1)
+    f = _nlse_rhs(kappa, shift, H, slice(0, p))
     tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol / math.sqrt(N),
-                    t_eval=t_eval)
+                    t_eval=np.linspace(0.0, duration, samples + 1))
     if tr.failed:
         raise RuntimeError(f"audit integration failed: {tr.failure_reason}")
     times, ys = tr.times, tr.states
@@ -457,8 +455,7 @@ def lower_bound_audit(
 
     # Per-pair derivative identity, finite-differenced on the recorded grid.
     deriv_err = 0.0
-    interior = range(1, len(times) - 1, max(1, (len(times) - 2) // 8))
-    for i in interior:
+    for i in range(1, len(times) - 1, max(1, (len(times) - 2) // 8)):
         dt_c = times[i + 1] - times[i - 1]
         for m in (1, R):
             fd = (np.vdot(ys[i + 1, 0], ys[i + 1, m])

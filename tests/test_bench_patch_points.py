@@ -122,3 +122,16 @@ def test_growth_trace_calls_the_quadrature_through_the_bounds_module(monkeypatch
     ts, alphas = bn.growth_trace(kbar, cert, 1e-2, 0.255)
     assert calls == [(cert.phi, cert.theta)]
     assert alphas[-1] == 0.255 and ts[-1] > 0.0
+
+
+def test_schedule_fields_and_the_audit_call_the_benchmark_makes():
+    # bench/execute.py hands search_schedule(...) straight to lower_bound_audit
+    se = nlqsim.search
+    assert tuple(f.name for f in dataclasses.fields(se.Schedule)) == (
+        "support", "generator", "omega")
+    N, g = 16, 1.0
+    t1 = se.default_t1(N, g)
+    H = se.search_schedule(N, g, t1)
+    assert H.support == (0, 1) and H.generator.shape == (2, 2)
+    audit = se.lower_bound_audit(nlqsim.nonlinearity.gross_pitaevskii(g), H, N, t1 + 2.0)
+    assert audit.N == N and audit.bound_ok and audit.step_stats.accepted > 0

@@ -201,6 +201,15 @@ def test_pair_orientation_validation():
         bd.PairOrientation(0.5, 4.0, 0.0)
 
 
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_integrate_refuses_a_duration_that_is_not_finite(duration):
+    def kbar(z):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="t1"):
+        bd.integrate(kbar, None, np.array([1.0, 0.0, 0.0]), duration)
+
+
 def test_drive_schedule_axis_normalized():
     d = bd.DriveSchedule(np.array([2.0, 0.0, 0.0]), 1.0)
     assert np.allclose(d.axis, [1.0, 0.0, 0.0])

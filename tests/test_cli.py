@@ -144,6 +144,14 @@ def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
     assert "argument --duration: must be > 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["-1", "0", "1"])
+def test_audit_refuses_fewer_than_two_samples(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "--n", "8", "--samples", samples])
+    assert exc.value.code == 2
+    assert f"argument --samples: must be >= 2, got {samples}" in capsys.readouterr().err
+
+
 def test_audit_cli(tmp_path, capsys):
     out = tmp_path / "audit.csv"
     assert run_cli(["audit", "--n", "8", "--nonlinearity", "gp:0.5",

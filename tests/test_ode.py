@@ -50,6 +50,18 @@ def test_unusable_tolerances_are_refused_before_the_first_rhs_call():
             _ode.solve(f, 0.0, 1.0, np.array([1.0]), rtol=rtol, atol=atol)
 
 
+@pytest.mark.parametrize("t0, t1", [
+    (0.0, float("inf")), (0.0, float("nan")), (float("-inf"), 1.0), (float("nan"), 1.0),
+], ids=["t1_inf", "t1_nan", "t0_inf", "t0_nan"])
+def test_an_interval_that_is_not_finite_is_refused_before_the_first_rhs_call(t0, t1):
+    # t1 = inf never returned; t1 = nan returned one sample, not failed
+    def f(t, y):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="t0|t1"):
+        _ode.solve(f, t0, t1, np.array([1.0 + 0j]))
+
+
 @pytest.mark.parametrize("t_eval", [
     [0.0, 0.7, 0.3, 1.0], [-0.5, 0.5], [0.0, 0.5, 2.0], [0.2, float("nan"), 1.0],
 ], ids=["unordered", "before_t0", "beyond_t1", "nan"])

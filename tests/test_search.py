@@ -193,10 +193,7 @@ def test_integrate_nlse_closed_loop_reproduces_overlap_decay():
     psi, phi = amplitudes(vp), amplitudes(vm)
     assert np.allclose(qubit_bloch_vector(psi), vp, atol=1e-12)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-    def H(t):
-        omega = 0.5 * g * gp_overlap_closed_form(g, a0, t)
-        return 0.5 * omega * sx
+    H = sr.Schedule((0, 1), 0.5 * sx, lambda t: 0.5 * g * gp_overlap_closed_form(g, a0, t))
 
     duration = 0.9 * 2.0 * math.atanh(math.cos(a0 / 2))
     grid = np.linspace(0.0, duration, 40)
@@ -225,6 +222,70 @@ def test_integrate_nlse_rejects_non_hermitian():
     H = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         sr.integrate_nlse(nl.gross_pitaevskii(1.0), H, None, psi0, 1.0)
+
+
+def _run_nlse(H, N):
+    return sr.integrate_nlse(nl.gross_pitaevskii(1.0), H, None, sr.uniform_state(N), 1.0)
+
+
+def _run_audit(H, N):
+    return sr.lower_bound_audit(nl.gross_pitaevskii(1.0), H, N, 1.0)
+
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("run", [_run_nlse, _run_audit], ids=["nlse", "audit"])
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+     ValueError, "Hermitian"),
+    (lambda: np.eye(4), ValueError, "3x3"),
+    (lambda: np.full((3, 3), np.nan), ValueError, "finite"),
+    (lambda: (lambda t: np.zeros((3, 3))), TypeError, "omega"),
+    (lambda: sr.Schedule((0, 1), np.eye(3)), ValueError, "2x2"),
+    (lambda: sr.Schedule((0, 1), 1j * _SX), ValueError, "Hermitian"),
+    (lambda: sr.Schedule((0, 3), _SX), ValueError, "support"),
+    (lambda: sr.Schedule((1, 1), _SX), ValueError, "support"),
+], ids=["non-hermitian", "shape", "nan", "callable", "schedule-shape",
+        "schedule-non-hermitian", "outside", "repeated"])
+def test_a_malformed_hamiltonian_is_refused_by_both_entry_points(run, make, error, match):
+    # at N = 3; ``make`` builds the H inside the check, since a malformed
+    # Schedule is refused as it is built
+    with pytest.raises(error, match=match):
+        run(make(), 3)
+
+
+def test_integrate_nlse_two_coordinate_schedule_matches_its_dense_embedding():
+    rng = np.random.default_rng(14)
+    N = 8
+    psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi0 /= np.linalg.norm(psi0)
+    gen = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.1]])
+    schedule = sr.Schedule((5, 2), gen, lambda t: 0.7 + 0.3 * math.sin(2.0 * t))
+    grid = np.linspace(0.0, 2.0, 11)
+    for kappa in (nl.gross_pitaevskii(1.0), nl.logarithmic(1.0)):
+        block = sr.integrate_nlse(kappa, schedule, 3, psi0, 2.0, t_eval=grid)
+        dense = sr.integrate_nlse(kappa, _dense_rebuild(schedule, N), 3, psi0, 2.0,
+                                  t_eval=grid)
+        assert np.max(np.abs(block.states - dense.states)) <= 1e-12
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+def test_integrate_nlse_refuses_a_horizon_that_is_not_finite(duration):
+    class Raising:
+        def kappa(self, x):
+            raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="t1"):
+        sr.integrate_nlse(Raising(), None, 1, sr.uniform_state(4), duration)
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_lower_bound_audit_refuses_fewer_than_two_samples(samples):
+    # samples = 0 recorded only t = 0 and skipped the derivative check
+    H = sr.search_schedule(8, 1.0, sr.default_t1(8, 1.0))
+    with pytest.raises(ValueError, match="samples"):
+        sr.lower_bound_audit(nl.gross_pitaevskii(1.0), H, 8, 1.0, samples=samples)
 
 
 def test_pairwise_overlap_derivative_matches_finite_difference():
@@ -292,7 +353,7 @@ def test_lower_bound_audit_refuses_large_n():
     N = 512
     with pytest.raises(ValueError, match="cap"):
         sr.lower_bound_audit(nl.gross_pitaevskii(1.0), np.zeros((N, N)), N, 1.0)
-    block = sr.Schedule(tuple(range(N)), lambda t: np.zeros((N, N)))
+    block = sr.Schedule(range(N), np.zeros((N, N)))
     with pytest.raises(ValueError, match="cap"):
         sr.lower_bound_audit(nl.gross_pitaevskii(1.0), block, 2 ** 20, 1.0)
 
@@ -325,15 +386,11 @@ def test_audit_free_evolution_closed_form(kind, N):
 
 
 def _dense_rebuild(schedule, N):
-    """The schedule's block embedded in an N x N callable (the dense path)."""
+    """The schedule's generator embedded in an N x N one (the dense path)."""
     support = list(schedule.support)
-
-    def H(t):
-        mat = np.zeros((N, N), dtype=complex)
-        mat[np.ix_(support, support)] = schedule.H(t)
-        return mat
-
-    return H
+    gen = np.zeros((N, N), dtype=complex)
+    gen[np.ix_(support, support)] = schedule.generator
+    return sr.Schedule(range(N), gen, schedule.omega)
 
 
 @pytest.mark.parametrize("kind", ["gp", "log"])
@@ -453,10 +510,11 @@ def test_search_schedule_drive_follows_the_overlap_at_n_2_40():
     t1 = sr.default_t1(N, g)
     eps = _stable_deficit(N, t1)
     u0 = 0.5 * math.log((2.0 - eps) / eps)
-    H = sr.search_schedule(N, g, t1).H
+    schedule = sr.search_schedule(N, g, t1)
     for dt in (1.0, 20.0, 40.0, 60.0):
         want = (g / 4.0) * math.tanh(u0 - g * dt / 2.0)
-        assert H(t1 + dt)[0, 1].real == pytest.approx(want, rel=1e-12, abs=0.0)
+        drive = schedule.omega(t1 + dt) * schedule.generator[0, 1]
+        assert drive.real == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("N", [2 ** k for k in range(4, 23, 2)])
