@@ -164,7 +164,7 @@ def solve(
             h = min(h, eval_times[eval_idx] - t)
         if h < 1e-14 * max(1.0, abs(t)):
             return SimTrace(
-                np.array(ts), np.array(ys), stats, failed=True,
+                np.array(ts), np.array(ys).reshape((len(ts),) + y.shape), stats, failed=True,
                 failure_reason=f"step size underflow at t={t:.6g}",
             )
 

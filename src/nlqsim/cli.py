@@ -64,6 +64,22 @@ def ranged(convert, ok, what: str):
     return parse
 
 
+def finite(text: str) -> float:
+    """argparse type for a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def oracle_time(text: str):
+    """argparse type for ``--t1``: ``auto`` or a finite number > 0."""
+    return text if text == "auto" else ranged(finite, lambda t: t > 0, "> 0")(text)
+
+
 def cmd_discriminate(args) -> int:
     n = nl.parse(args.nonlinearity)
     alpha0 = (args.alpha0 if args.alpha0 is not None
@@ -135,7 +151,7 @@ def cmd_search(args) -> int:
 def cmd_audit(args) -> int:
     n = nl.parse(args.nonlinearity)
     g = n.g if n.g > 0 else 1.0
-    t1 = sr.default_t1(args.n, g) if args.t1 == "auto" else float(args.t1)
+    t1 = sr.default_t1(args.n, g) if args.t1 == "auto" else args.t1
     H = sr.search_schedule(args.n, n.g, t1)
     duration = args.duration
     if duration is None:
@@ -244,7 +260,8 @@ _SHARED = {
     "nonlinearity": dict(default="gp:1",
                          help="kind:g spec (gp:1.0, log:0.5, sqrt, quartic, custom:file.csv)"),
     "n": dict(type=int, required=True, help="catalog size N"),
-    "t1": dict(default="auto", help="oracle time (auto or a float)"),
+    "t1": dict(type=oracle_time, default="auto",
+               help="oracle time: auto or a finite number > 0 (default auto)"),
     "seed": dict(type=int, default=0, help="rng seed (default 0)"),
     "tol": dict(type=tolerance, default=1e-10,
                 help="relative tolerance of the time quadrature (default 1e-10)"),
@@ -297,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "the search schedule against the overlap-sum "
                                      "floor (any N; the N <= 256 cap is for dense H)")
     _shared(p, "nonlinearity", "n", "t1")
-    p.add_argument("--duration", type=ranged(float, lambda d: d > 0, "> 0"), default=None,
-                   help="audit horizon, > 0 (default: total time of the search run)")
+    p.add_argument("--duration", type=ranged(finite, lambda d: d > 0, "> 0"), default=None,
+                   help="audit horizon, finite and > 0 (default: total time of the search run)")
     p.add_argument("--samples", type=ranged(int, lambda s: s >= 2, ">= 2"), default=200)
     _shared(p, "seed", "out")
 

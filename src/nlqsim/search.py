@@ -12,8 +12,10 @@ states to verify the information-theoretic floor
 
     sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N)).
 
-Both step i psi' = (H(t) + |m><m| + K) psi through one right-hand side; every
-H is a ``Schedule``, a fixed generator on a few coordinates times omega(t).
+Both step i psi' = (H(t) + |m><m| + K) psi through one right-hand side, in
+one co-rotating frame (``_solve_in_frame``) that turns each amplitude at the
+rate the undriven flow turns it, kappa(|psi_x(0)|) + [x = m]; every H is a
+``Schedule``, a fixed generator on a few coordinates times omega(t).
 """
 
 from __future__ import annotations
@@ -196,8 +198,8 @@ def run_search(
         t1_val = default_t1(instance.N, n.g)
     else:
         t1_val = float(t1)
-        if t1_val <= 0:
-            raise ValueError("t1 must be > 0")
+        if not 0.0 < t1_val < math.inf:
+            raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
 
     epsilon = _overlap_deficit(instance.N, t1_val)
     if epsilon == 0.0:
@@ -289,6 +291,27 @@ def _nlse_rhs(kappa: Nonlinearity, diag, H: Optional[Schedule], cols):
     return f
 
 
+def _solve_in_frame(kappa: Nonlinearity, diag, H: Optional[Schedule], cols, Y0,
+                    duration: float, rtol: float, atol: float,
+                    t_eval: Optional[np.ndarray]) -> _ode.SimTrace:
+    """Solve i Y' = (kappa(|Y|) + diag + H(t)) Y from Y0 on [0, duration] in
+    a frame that turns coordinate x of each row at Omega_x = kappa(|Y0_x|) +
+    diag_x, as the undriven flow does, and return lab-frame states.  On the
+    coordinates H's generator couples (a nonzero off-diagonal entry in their
+    row) Omega is their mean in each row, so the frame commutes with H.
+    """
+    omega = kappa.kappa(np.abs(Y0)) + diag
+    if H is not None:
+        off = H.generator - np.diag(np.diag(H.generator))
+        coupled = np.arange(Y0.shape[-1])[cols][np.any(off != 0, axis=1)]
+        if len(coupled):
+            omega[..., coupled] = omega[..., coupled].mean(axis=-1, keepdims=True)
+    f = _nlse_rhs(kappa, diag - omega, H, cols)
+    tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol, t_eval=t_eval)
+    tr.states = tr.states * np.exp(-1j * np.multiply.outer(tr.times, omega))
+    return tr
+
+
 def integrate_nlse(
     kappa: Nonlinearity,
     H,
@@ -299,12 +322,15 @@ def integrate_nlse(
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
 ) -> _ode.SimTrace:
-    """Integrate i dpsi/dt = (H(t) + |m><m| [if oracle]) psi + K psi in the
-    lab frame; ``H`` is None, an N x N matrix or a ``Schedule``, ``oracle``
-    a 1-indexed marked item or None.  K is the diagonal amplitude
-    nonlinearity (K psi)_x = kappa(|psi_x|) psi_x, so the flow is
-    norm-preserving; ``_ode.solve`` re-normalizes the state after each
-    accepted step (drift recorded in ``stats``), and its trace is returned.
+    """Integrate i dpsi/dt = (H(t) + |m><m| [if oracle]) psi + K psi;
+    ``H`` is None, an N x N matrix or a ``Schedule``, ``oracle`` a 1-indexed
+    marked item or None, ``duration`` (the end time t1) finite and >= 0.
+    K is the diagonal amplitude nonlinearity (K psi)_x = kappa(|psi_x|)
+    psi_x, so the flow is norm-preserving; ``_ode.solve`` re-normalizes the
+    state after each accepted step (drift recorded in ``stats``).  The steps
+    are taken in the frame of ``_solve_in_frame``, so with H = None the
+    exact psi0 e^{-i (kappa(|psi0|) + [x = m]) t} takes a few steps, and
+    without ``t_eval`` the trace records those few, in the lab frame.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
@@ -314,22 +340,25 @@ def integrate_nlse(
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("psi0 must be unit norm")
     psi0 = psi0 / nrm
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     if oracle is not None and not 1 <= oracle <= dim:
         raise ValueError("oracle index out of range")
 
     H = _schedule(H, dim)
     diag = 0.0 if oracle is None else (np.arange(dim) == oracle - 1) * 1.0
-    f = _nlse_rhs(kappa, diag, H, None if H is None else list(H.support))
-    return _ode.solve(f, 0.0, duration, psi0, rtol=rtol, atol=atol, t_eval=t_eval)
+    return _solve_in_frame(kappa, diag, H, None if H is None else list(H.support), psi0,
+                           duration, rtol, atol, t_eval)
 
 
 def search_schedule(N: int, g: float, t1: float) -> Schedule:
     """The search pipeline's instance-independent drive: sigma_x/2 on the
     first two catalog states, at omega = 0 while the oracle is queried
     (t <= t1), then at the orientation-holding omega(t) = (g/2) tanh(u0 -
-    g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the stable deficit."""
+    g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the stable deficit.
+    ``t1`` must be finite and >= 0."""
+    if not 0.0 <= t1 < math.inf:
+        raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx_half = np.array([[0.0, 0.5], [0.5, 0.0]])
     if not (alpha0 > 0 and g > 0):
@@ -409,19 +438,20 @@ def lower_bound_audit(
     refused.  None and the search schedule run at any N on at most four
     classes.
 
-    The rows are integrated in a frame that turns each class at its initial
-    kappa: the diagonal beside kappa(|z|) is the oracle minus kappa(|z(0)|).
-    That multiplies class c of every row by one phase, which cancels from
-    S, and commutes with H (every support class has w = 1); so no steps go
-    to the turn of the big class (at g for gp) or of the 1/sqrt(N) classes
-    (at 2 ln(1/sqrt(N)) for log).  ``atol`` is in units of 1/sqrt(N), one
-    coordinate's starting amplitude, so at N = 2^40 row j is solved to
-    ``rtol`` on its 1e-6 amplitudes.
+    The rows are integrated in the frame of ``_solve_in_frame``, one per
+    row: class c of row r turns at kappa(|z_c(0)|) plus row r's oracle on c,
+    or at the row's mean of these over the classes H couples.  So no steps
+    go to the turn of the big class (at g for gp), of the 1/sqrt(N) classes
+    (at 2 ln(1/sqrt(N)) for log) or of row j's marked class (at 1).  The
+    frames differ between rows, so S is formed from lab-frame states.
+    ``atol`` is in units of 1/sqrt(N), one coordinate's starting amplitude,
+    so at N = 2^40 row j is solved to ``rtol`` on its 1e-6 amplitudes.
+    ``duration`` must be finite and > 0.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if not duration > 0:
-        raise ValueError(f"duration must be > 0, got {duration!r}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     if not samples >= 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     H = _schedule(H, N)
@@ -436,13 +466,12 @@ def lower_bound_audit(
     mult = np.array([1.0] * p + [N - p])[:R]
     z0 = np.sqrt(w) / math.sqrt(N)
     Y0 = np.tile(z0 / np.linalg.norm(z0), (R + 1, 1)).astype(complex)
-    # The diagonal beside kappa(|Y|): minus kappa(|z(0)|) (the co-rotating
-    # frame), plus the oracle's 1 on row r's marked class r - 1.
-    shift = -np.asarray(kappa.kappa(np.abs(Y0)))
-    shift[1:, :R] += np.eye(R)
-    f = _nlse_rhs(kappa, shift, H, slice(0, p))
-    tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol / math.sqrt(N),
-                    t_eval=np.linspace(0.0, duration, samples + 1))
+    # The oracle's 1 on row r's marked class r - 1.  A slice, not a list, for
+    # the support keeps the right-hand side free of fancy indexing.
+    oracles = np.zeros(Y0.shape)
+    oracles[1:, :R] = np.eye(R)
+    tr = _solve_in_frame(kappa, oracles, H, slice(0, p), Y0, duration, rtol,
+                         atol / math.sqrt(N), np.linspace(0.0, duration, samples + 1))
     if tr.failed:
         raise RuntimeError(f"audit integration failed: {tr.failure_reason}")
     times, ys = tr.times, tr.states

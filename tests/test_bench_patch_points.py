@@ -135,3 +135,25 @@ def test_schedule_fields_and_the_audit_call_the_benchmark_makes():
     assert H.support == (0, 1) and H.generator.shape == (2, 2)
     audit = se.lower_bound_audit(nlqsim.nonlinearity.gross_pitaevskii(g), H, N, t1 + 2.0)
     assert audit.N == N and audit.bound_ok and audit.step_stats.accepted > 0
+
+
+def test_both_nlse_entry_points_reach_the_solver_through_the_ode_module(monkeypatch):
+    # the tracer's ode.* counters patch nlqsim._ode.solve; an entry point that
+    # bound it early, or stepped on its own, would drop out of those counts
+    inner, shapes = nlqsim._ode.solve, []
+    signature = inspect.signature(inner)
+
+    def recording(*args, **kwargs):
+        shapes.append(np.shape(signature.bind(*args, **kwargs).arguments["y0"]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(nlqsim._ode, "solve", recording)
+    se, gp = nlqsim.search, nlqsim.nonlinearity.gross_pitaevskii(1.0)
+    N = 16
+    H = se.search_schedule(N, 1.0, se.default_t1(N, 1.0))
+    tr = se.integrate_nlse(gp, H, 3, se.uniform_state(N), 1.0)
+    assert shapes == [(N,)] and tr.states.shape[1:] == (N,)
+    audit = se.lower_bound_audit(gp, H, N, 1.0)
+    # |s> unmarked plus three marked rows, each on four amplitude classes:
+    # the two support coordinates, one marked coordinate j and the rest
+    assert shapes == [(N,), (4, 4)] and audit.step_stats.accepted > 0

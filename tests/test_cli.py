@@ -144,6 +144,21 @@ def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
     assert "argument --duration: must be > 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["audit", "--n", "8", "--duration", "inf"], "--duration"),
+    (["audit", "--n", "8", "--duration", "nan"], "--duration"),
+    (["search", "--n", "8", "--t1", "inf"], "--t1"),
+    (["audit", "--n", "8", "--t1", "nan"], "--t1"),
+    (["search", "--n", "8", "--t1", "abc"], "--t1"),
+    (["audit", "--n", "8", "--t1", "0"], "--t1"),
+], ids=["duration-inf", "duration-nan", "t1-inf", "t1-nan", "t1-abc", "t1-zero"])
+def test_a_horizon_or_oracle_time_that_is_not_finite_and_positive_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["-1", "0", "1"])
 def test_audit_refuses_fewer_than_two_samples(samples, capsys):
     with pytest.raises(SystemExit) as exc:

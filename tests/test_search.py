@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from nlqsim import blochdyn as bd
 from nlqsim import nonlinearity as nl
 from nlqsim import search as sr
@@ -280,6 +282,90 @@ def test_integrate_nlse_refuses_a_horizon_that_is_not_finite(duration):
         sr.integrate_nlse(Raising(), None, 1, sr.uniform_state(4), duration)
 
 
+@pytest.mark.parametrize("oracle", [None, 3], ids=["no-oracle", "oracle"])
+@pytest.mark.parametrize("N", [8, 64, 256])
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "quartic", "odd"])
+def test_integrate_nlse_without_h_is_its_closed_form_in_a_few_steps(kind, N, oracle):
+    # Each amplitude turns at kappa(|psi0_x|) + [x = m]; the co-rotating frame
+    # writes that phase down, so the solver has nothing left to follow.  In
+    # the lab frame these runs took up to about 300 steps.
+    rng = np.random.default_rng(N)
+    psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi0 /= np.linalg.norm(psi0)
+    kappa = _audit_kinds()[kind]
+    grid = np.linspace(0.0, 2.0, 5)
+    tr = sr.integrate_nlse(kappa, None, oracle, psi0, 2.0, t_eval=grid)
+    rate = kappa.kappa(np.abs(psi0)) + (np.arange(N) == (oracle or 0) - 1)
+    want = psi0 * np.exp(-1j * np.outer(grid, rate))
+    assert np.max(np.abs(tr.states - want)) <= 1e-12
+    free = sr.integrate_nlse(kappa, None, oracle, psi0, 2.0)
+    assert free.stats.accepted + free.stats.rejected <= 15
+    assert np.max(np.abs(free.states[-1] - want[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("oracle", [3, 4], ids=["on-support", "off-support"])
+@pytest.mark.parametrize("kind", ["gp", "log"])
+def test_integrate_nlse_schedule_matches_a_lab_frame_dop853_run(kind, oracle):
+    # A driven schedule on (5, 2) at N = 8, with the (1-indexed) oracle on
+    # coordinate 2 of the support or on coordinate 3 outside it; the
+    # reference steps the lab-frame equation with scipy's DOP853.
+    rng = np.random.default_rng(15)
+    N = 8
+    psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi0 /= np.linalg.norm(psi0)
+    gen = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.1]])
+    schedule = sr.Schedule((5, 2), gen, lambda t: 0.7 + 0.3 * math.sin(2.0 * t))
+    dense = np.zeros((N, N), dtype=complex)
+    dense[np.ix_([5, 2], [5, 2])] = gen
+    marked = np.arange(N) == oracle - 1
+    kappa = _audit_kinds()[kind]
+
+    def lab(t, psi):
+        return -1j * ((kappa.kappa(np.abs(psi)) + marked) * psi
+                      + schedule.omega(t) * (dense @ psi))
+
+    grid = np.linspace(0.0, 2.0, 11)
+    ref = solve_ivp(lab, (0.0, 2.0), psi0, method="DOP853", t_eval=grid,
+                    rtol=1e-12, atol=1e-14)
+    tr = sr.integrate_nlse(kappa, schedule, oracle, psi0, 2.0, t_eval=grid)
+    assert np.max(np.abs(tr.states - ref.y.T)) <= 1e-8
+
+
+def test_integrate_nlse_that_fails_before_its_first_sample_returns_the_failed_trace():
+    # kappa is undefined below |psi_x| = 0.5, which coordinate 1 crosses near
+    # t = 0.12, so the step size underflows before the sample at t = 1
+    class Partial:
+        def kappa(self, x):
+            return np.sqrt(np.asarray(x, dtype=float) - 0.5)
+
+    H = sr.Schedule((0, 1), _SX)
+    with np.errstate(invalid="ignore"):
+        tr = sr.integrate_nlse(Partial(), H, None, np.array([0.8, 0.6j]), 2.0,
+                               t_eval=np.array([1.0, 2.0]))
+    assert tr.failed and "underflow" in tr.failure_reason
+    assert tr.times.shape == (0,) and tr.states.shape == (0, 2)
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+def test_lower_bound_audit_refuses_a_horizon_that_is_not_finite(duration):
+    class Raising:
+        def kappa(self, x):
+            raise AssertionError("kappa called")
+
+    H = sr.search_schedule(8, 1.0, sr.default_t1(8, 1.0))
+    with pytest.raises(ValueError, match="duration"):
+        sr.lower_bound_audit(Raising(), H, 8, duration)
+
+
+@pytest.mark.parametrize("t1", [float("inf"), float("nan")])
+def test_an_oracle_time_that_is_not_finite_is_refused(t1):
+    # these ended in "epsilon must be in [0, 2]" from the NaN overlap deficit
+    with pytest.raises(ValueError, match="t1"):
+        sr.run_search(sr.SearchInstance(8, marked=1), nl.gross_pitaevskii(1.0), t1=t1)
+    with pytest.raises(ValueError, match="t1"):
+        sr.search_schedule(8, 1.0, t1)
+
+
 @pytest.mark.parametrize("samples", [-1, 0, 1])
 def test_lower_bound_audit_refuses_fewer_than_two_samples(samples):
     # samples = 0 recorded only t = 0 and skipped the derivative check
@@ -462,6 +548,14 @@ def test_audit_does_not_spend_steps_on_phases_common_to_all_rows(kind, N, dense,
     # classes at 2 ln(1/sqrt(N)) (log), a phase common to all rows that
     # costs about twice these steps or more.  Bounds: measured + 20 %.
     assert _search_audit(kind, N, dense).step_stats.accepted <= most
+
+
+@pytest.mark.parametrize("kind, kappa_frame", [("gp", 863), ("log", 1325)])
+def test_audit_at_n_2_40_does_not_spend_steps_on_the_oracle_phase(kind, kappa_frame):
+    # Row j's oracle turns its marked class at rate 1 for the whole run, and
+    # each row's frame takes that turn out too.  ``kappa_frame`` is the step
+    # count in a frame that turns the classes at their initial kappa alone.
+    assert _search_audit(kind, 2 ** 40).step_stats.accepted < kappa_frame
 
 
 def test_audit_csv_format():
