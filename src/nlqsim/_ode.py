@@ -63,7 +63,8 @@ class SimTrace:
     given, otherwise every accepted step); ``states`` has the shape of
     ``y0`` after its leading time axis.  ``overlaps`` holds cos(alpha) of a
     Bloch pair where ``blochdyn.integrate`` records it.  ``failed`` is set
-    on step-size underflow; the partial trajectory up to the failure is kept.
+    on step-size underflow, or when ``f`` is not finite at the start; the
+    partial trajectory up to the failure is kept.
     """
 
     times: np.ndarray
@@ -153,7 +154,13 @@ def solve(
     if t1 <= t0:
         return SimTrace(np.array(ts if ts else [t]), np.array(ys if ys else [y]), stats)
 
+    def failure(reason):
+        return SimTrace(np.array(ts), np.array(ys).reshape((len(ts),) + y.shape), stats,
+                        failed=True, failure_reason=reason)
+
     fk = f(t, y)
+    if not np.isfinite(fk).all():  # else the starting step is NaN and never shrinks
+        return failure(f"right-hand side is not finite at t0={t:.6g}")
     h = _initial_step(f, t, y, fk, t1, rtol, atol)
     K = np.empty((7,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
     Kf = K.reshape(7, -1)
@@ -163,10 +170,7 @@ def solve(
         if eval_times is not None and eval_idx < len(eval_times):
             h = min(h, eval_times[eval_idx] - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            return SimTrace(
-                np.array(ts), np.array(ys).reshape((len(ts),) + y.shape), stats, failed=True,
-                failure_reason=f"step size underflow at t={t:.6g}",
-            )
+            return failure(f"step size underflow at t={t:.6g}")
 
         K[0] = fk
         for i in range(1, 7):

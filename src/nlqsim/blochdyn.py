@@ -152,6 +152,9 @@ def ip_rate(kbar: ReducedNonlinearity, p: PairOrientation) -> float:
 
 
 def _flow(kbar, drive):
+    if drive is not None:
+        cross = np.cross(drive.axis, np.eye(3))  # v @ cross == axis x v, row by row
+
     def f(t, v):
         k = kbar(v[:, 2])
         dv = np.empty_like(v)
@@ -159,8 +162,7 @@ def _flow(kbar, drive):
         dv[:, 1] = k * v[:, 0]
         dv[:, 2] = 0.0
         if drive is not None:
-            w = drive.rate(t)
-            dv += w * np.cross(np.broadcast_to(drive.axis, v.shape), v)
+            dv += drive.rate(t) * (v @ cross)
         return dv
 
     return f

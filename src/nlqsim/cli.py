@@ -234,7 +234,7 @@ def cmd_figures(args) -> int:
 
 def cmd_validate(args) -> int:
     ctx = validation.Context(quick=args.quick, seed=args.seed)
-    results = validation.run_all(ctx)
+    results = validation.run_all(ctx, log=sys.stderr)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -265,7 +265,7 @@ _SHARED = {
     "seed": dict(type=int, default=0, help="rng seed (default 0)"),
     "tol": dict(type=tolerance, default=1e-10,
                 help="relative tolerance of the time quadrature (default 1e-10)"),
-    "target-overlap": dict(type=float, default=0.0),
+    "target-overlap": dict(type=finite, default=0.0),
     "out": dict(default=None, help="output CSV path"),
 }
 
@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate", help="drive a qubit pair to a target overlap")
     _shared(p, "nonlinearity")
     start = p.add_mutually_exclusive_group(required=True)
-    start.add_argument("--alpha0", type=float, help="initial separation angle")
-    start.add_argument("--epsilon", type=float,
+    start.add_argument("--alpha0", type=finite, help="initial separation angle")
+    start.add_argument("--epsilon", type=finite,
                        help="initial overlap deficit (overlap = 1 - epsilon)")
     _shared(p, "target-overlap")
     p.add_argument("--policy", choices=["fixed", "reopt"], default="fixed")
@@ -295,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="growth certificates and separation bounds")
     _shared(p, "nonlinearity")
-    p.add_argument("--z0", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--z0", type=finite, default=0.0)
+    p.add_argument("--delta", type=finite, default=0.5)
     p.add_argument("--grid", type=int, default=bn.DEFAULT_GRID)
-    p.add_argument("--alpha0", type=float, default=1e-3,
+    p.add_argument("--alpha0", type=finite, default=1e-3,
                    help="initial separation angle of the bound check (default 1e-3)")
-    p.add_argument("--duration", type=float, default=5.0)
-    p.add_argument("--g-lip", type=float, default=None,
+    p.add_argument("--duration", type=finite, default=5.0)
+    p.add_argument("--g-lip", type=finite, default=None,
                    help="Lipschitz proxy when no finite constant exists")
     _shared(p, "out")
 
@@ -330,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")
-    p.add_argument("--atoms", type=float, nargs="+", required=True,
+    p.add_argument("--atoms", type=finite, nargs="+", required=True,
                    help="condensate atom counts")
-    p.add_argument("--interaction", type=float, default=1e-3,
+    p.add_argument("--interaction", type=finite, default=1e-3,
                    help="interaction strength U (g = U * atoms)")
     _shared(p, "target-overlap", "out")
 

@@ -1,16 +1,19 @@
-"""Named self-checks wiring the module invariants into ``nlqsim validate``.
+"""The one registry of the paper's claims and the module invariants.
 
-Every check is deterministic given the seed, returns a pass/fail with a
-short numeric detail string, and honors a ``quick`` flag that shrinks grids
-and trajectory counts so the whole suite stays under a minute.  Output is
-stable byte-for-byte across runs with the same configuration.
+``ALL_CHECKS`` lists every check; ``nlqsim validate`` runs it, and the
+acceptance suite runs it at full size.  A check is a claim: its name, the
+statement it tests, the figure of merit in its detail string and the
+tolerance it compares against.  Every check is deterministic given the
+seed and honors a ``quick`` flag that shrinks grids and trajectory counts.
+Output is stable byte-for-byte across runs with the same configuration.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, TextIO
 
 import numpy as np
 
@@ -177,8 +180,13 @@ def check_z_rotation_invariance(ctx: Context) -> CheckResult:
 
 
 def check_closed_form_vs_ode(ctx: Context) -> CheckResult:
+    # sampled at g = 1, alpha0 = 0.1 through t_perp, then random runs
+    samples = ctx.n(512, 64)
+    sampled = dc.separation_trace(nl.gross_pitaevskii(1.0), 0.1, duration=7.5,
+                                  t_eval=np.linspace(0.0, 7.5, samples))
+    ref = dc.gp_overlap_closed_form(1.0, 0.1, sampled.times)
+    worst = float(np.max(np.abs(sampled.overlaps - ref)))
     rng = np.random.default_rng(ctx.seed + 6)
-    worst = 0.0
     for _ in range(ctx.n(20, 4)):
         g = float(rng.uniform(0.3, 3.0))
         a0 = float(rng.uniform(0.02, 3.0))
@@ -186,7 +194,8 @@ def check_closed_form_vs_ode(ctx: Context) -> CheckResult:
                                   duration=0.98 * dc.gp_t_perp(g, a0))
         ref = dc.gp_overlap_closed_form(g, a0, res.times)
         worst = max(worst, float(np.max(np.abs(res.overlaps - ref))))
-    return CheckResult("closed_form_vs_ode", worst <= 1e-8,
+    ok = len(sampled.times) == samples and worst <= 1e-8
+    return CheckResult("closed_form_vs_ode", ok,
                        f"max |trace - closed form| = {worst:.3e}")
 
 
@@ -209,7 +218,7 @@ def check_control_law(ctx: Context) -> CheckResult:
     g = 1.0
     worst = 0.0
     for _ in range(ctx.n(10, 3)):
-        a0 = float(rng.uniform(0.05, 2.8))
+        a0 = float(rng.uniform(0.05, 2.9))
         t_perp = dc.gp_t_perp(g, a0)
         omega = lambda t: 0.5 * g * dc.gp_overlap_closed_form(g, a0, t)
         v = np.stack(bd.pair_to_bloch(bd.optimal_pair(a0)))
@@ -223,9 +232,9 @@ def check_control_law(ctx: Context) -> CheckResult:
 
 def check_log_dominance(ctx: Context) -> CheckResult:
     cs, rate_log, rate_gp = dc.fig_rate_comparison(ctx.n(1000, 300))
-    diff = rate_log - rate_gp  # should be <= 0 away from the endpoints
+    diff = rate_log - rate_gp  # <= 0, and < 0 except at the last point
     worst = float(np.max(diff))
-    strict = float(np.max(diff[1:-1]))
+    strict = float(np.max(diff[:-1]))
     ok = worst <= 0.0 and strict < 0.0
     return CheckResult("log_dominance", ok,
                        f"max(rate_log - rate_gp) = {worst:.3e}")
@@ -243,9 +252,16 @@ def check_log_generalip(ctx: Context) -> CheckResult:
 
 
 def check_gp_lipschitz_bound(ctx: Context) -> CheckResult:
+    # re-optimized against the estimated g_lip; fixed policy against the
+    # exact g = 1 while alpha <= 0.1
     rep = bn.check_lipschitz_separation_bound(nl.gross_pitaevskii(1.0), 1e-3, 5.0)
-    return CheckResult("gp_lipschitz_bound", rep.bound_ok,
-                       f"max alpha / bound ratio = {rep.max_ratio:.6f}")
+    res = dc.separation_trace(nl.gross_pitaevskii(1.0), 1e-3, duration=4.8)
+    small = res.alphas <= 0.1
+    envelope = np.exp(2.0 * res.times[small]) * 1e-3 * (1.0 + 1e-6)
+    fixed = float(np.max(res.alphas[small] / envelope))
+    return CheckResult("gp_lipschitz_bound", rep.bound_ok and fixed <= 1.0,
+                       f"max alpha / bound ratio = {rep.max_ratio:.6f}, "
+                       f"fixed policy {fixed:.6f}")
 
 
 def check_sqrt_constant_time(ctx: Context) -> CheckResult:
@@ -294,8 +310,9 @@ def check_hadamard_postselection(ctx: Context) -> CheckResult:
             b = sr.hadamard_test_bruteforce(N, t1, True)
             worst = max(worst, abs(a.success_prob - b.success_prob),
                         abs(a.overlap_with_zero - b.overlap_with_zero))
-    un = sr.hadamard_test(16, 1.0, False)
-    exact = un.success_prob == 1.0 and un.postselected_qubit[0] == 1.0 + 0j
+    unmarked = (sr.hadamard_test(16, 1.0, False), sr.hadamard_test(32, 1.7, False))
+    exact = all(un.success_prob == 1.0 and un.postselected_qubit[0] == 1.0 + 0j
+                and un.postselected_qubit[1] == 0j for un in unmarked)
     return CheckResult("hadamard_postselection", worst <= 1e-10 and exact,
                        f"max closed-form vs circuit gap = {worst:.3e}")
 
@@ -332,7 +349,8 @@ def check_nlse_norm_phase(ctx: Context) -> CheckResult:
 
 
 def check_audit_margin(ctx: Context) -> CheckResult:
-    combos = [(8, 1.0)] if ctx.quick else [(8, 0.5), (16, 1.0), (2 ** 20, 1.0)]
+    combos = [(8, 1.0)] if ctx.quick else [
+        (N, g) for N in (8, 16, 32) for g in (0.5, 1.0)] + [(2 ** 20, 1.0)]
     min_margin = math.inf
     for N, g in combos:
         t1 = sr.default_t1(N, g)
@@ -341,45 +359,75 @@ def check_audit_margin(ctx: Context) -> CheckResult:
                             seed=ctx.seed)
         audit = sr.lower_bound_audit(nl.gross_pitaevskii(g), H, N, rep.total_time,
                                      samples=ctx.n(100, 40))
-        if not audit.bound_ok:
+        if not (audit.bound_ok and np.all(audit.margin >= -1e-9 * N)
+                and np.all(audit.margin[1:] > 0)):
             return CheckResult("audit_margin", False,
                                f"N={N} g={g}: min margin {audit.min_margin:.3e}")
         min_margin = min(min_margin, audit.min_margin)
-    return CheckResult("audit_margin", True,
-                       f"min margin over grid = {min_margin:.3e}")
+    # at g = 0 the floor is N - t sqrt(N)
+    s = sr.uniform_state(16)
+    linear = sr.lower_bound_audit(nl.gross_pitaevskii(0.0), np.outer(s, s.conj()), 16,
+                                  2.0, samples=40)
+    gap = float(np.max(np.abs(linear.bound - (16 - 4.0 * linear.times))))
+    return CheckResult("audit_margin", linear.bound_ok and gap <= 1e-12,
+                       f"min margin over grid = {min_margin:.3e}, "
+                       f"g = 0 floor gap = {gap:.3e}")
+
+
+def _warm_chain(n, alpha, start):
+    """best_rate of the d = 3..6 links, each warm-started from the last."""
+    rates, prev = {}, start
+    for d in (3, 4, 5, 6):
+        prev = op.optimize_orientation(n, alpha, d, restarts=24, seed=d, warm_start=prev)
+        rates[d] = prev.best_rate
+    return rates
 
 
 def check_optimizer_recovery(ctx: Context) -> CheckResult:
     g = 1.0
     alpha = math.pi / 4
-    res = op.optimize_orientation(nl.gross_pitaevskii(g), alpha, 2,
-                                  restarts=ctx.n(16, 6), seed=ctx.seed)
+    gp = nl.gross_pitaevskii(g)
+    res = op.optimize_orientation(gp, alpha, 2, restarts=ctx.n(16, 6), seed=ctx.seed)
     want = -(g / 2) * math.sin(alpha / 2) ** 2
     rate_err = abs(res.best_rate - want)
     phi_a, theta_a = res.angles
     theta_err = min(abs(theta_a - 3 * math.pi / 4), abs(theta_a - 7 * math.pi / 4))
     ok = rate_err <= 1e-8 and abs(phi_a - math.pi / 2) <= 1e-3 and theta_err <= 1e-3
-    q = op.optimize_orientation(nl.quartic_difference(1.0), 0.5, 2,
-                                restarts=ctx.n(8, 4), seed=ctx.seed)
+    quartic = nl.quartic_difference(1.0)
+    q = op.optimize_orientation(quartic, 0.5, 2, restarts=ctx.n(16, 4), seed=ctx.seed)
     ok = ok and abs(q.best_rate) <= 1e-12
-    return CheckResult("optimizer_gp_recovery", ok,
-                       f"rate err = {rate_err:.3e}, theta err = {theta_err:.3e}")
+    detail = f"rate err = {rate_err:.3e}, theta err = {theta_err:.3e}"
+    if not ctx.quick:
+        # quartic turns negative at d = 3 and plateaus from d = 4; the
+        # quadratic rate never beats its qubit optimum
+        rates = _warm_chain(quartic, 0.5, q)
+        q_gain = max((rates[4] - rates[d]) / abs(rates[4]) for d in (5, 6))
+        gp_gain = max((res.best_rate - r) / abs(res.best_rate)
+                      for r in _warm_chain(gp, alpha, res).values())
+        ok = ok and rates[3] < 0.0 and q_gain < 1e-6 and gp_gain < 1e-6
+        detail += f", quartic d = 5-6 gain = {q_gain:.1e}, gp d = 3-6 gain = {gp_gain:.1e}"
+    return CheckResult("optimizer_gp_recovery", ok, detail)
 
 
 def check_meanfield(ctx: Context) -> CheckResult:
     rng = np.random.default_rng(ctx.seed + 9)
     worst = 0.0
     for n_atoms in (1, 2, 3, 4):
-        v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        bf = mf.bosonic_overlap_bruteforce(v[0], v[1], n_atoms)
-        cf = mf.meanfield_overlap(np.vdot(v[0], v[1]), n_atoms)
-        worst = max(worst, abs(bf - cf))
+        for _ in range(5):
+            v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            bf = mf.bosonic_overlap_bruteforce(v[0], v[1], n_atoms)
+            cf = mf.meanfield_overlap(np.vdot(v[0], v[1]), n_atoms)
+            worst = max(worst, abs(bf - cf))
     p = mf.CondensateParams(1000, U=0.001)
     gap = abs(mf.gp_validity_time(p) - dc.gp_t_perp(p.g, dc.epsilon_to_alpha0(1 / 1000)))
-    ok = worst <= 1e-10 and gap <= 1e-12
+    consts = [mf.validity_scaling_constant(mf.CondensateParams(n, U=0.001))
+              for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)]
+    spread = (max(consts) - min(consts)) / min(consts)
+    ok = worst <= 1e-10 and gap <= 1e-12 and spread < 0.10
     return CheckResult("meanfield_identity", ok,
-                       f"bosonic oracle gap = {worst:.3e}, t_star gap = {gap:.3e}")
+                       f"bosonic oracle gap = {worst:.3e}, t_star gap = {gap:.3e}, "
+                       f"t_star N / ln N spread = {spread:.3f}")
 
 
 def check_z_gap_geometry(ctx: Context) -> CheckResult:
@@ -484,10 +532,10 @@ def check_epsilon_scaling(ctx: Context) -> CheckResult:
     for e in eps:
         a0 = dc.epsilon_to_alpha0(e)
         times.append(dc.time_to_overlap(nl.gross_pitaevskii(g), a0, 0.0).t_perp)
-    x = np.log(1.0 / eps)
-    slope = float(np.polyfit(x, times, 1)[0])
-    rel = abs(slope - 1.0 / g) * g
-    return CheckResult("epsilon_scaling", rel <= 0.02,
+    slope = float(np.polyfit(np.log(1.0 / eps), times, 1)[0])
+    slope_half = float(np.polyfit(np.log(1.0 / np.sqrt(eps)), times, 1)[0])
+    ok = abs(slope - 1.0 / g) <= 0.02 / g and abs(slope_half - 2.0 / g) <= 0.04 / g
+    return CheckResult("epsilon_scaling", ok,
                        f"slope vs ln(1/eps) = {slope:.5f} (want {1/g:.3f})")
 
 
@@ -524,5 +572,12 @@ ALL_CHECKS: List[Callable[[Context], CheckResult]] = [
 ]
 
 
-def run_all(ctx: Context) -> List[CheckResult]:
-    return [fn(ctx) for fn in ALL_CHECKS]
+def run_all(ctx: Context, log: TextIO) -> List[CheckResult]:
+    """Run every registered check in order, writing each check's wall time
+    to ``log``, one line per check."""
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        results.append(check(ctx))
+        log.write(f"{results[-1].name}  {time.perf_counter() - start:.3f} s\n")
+    return results

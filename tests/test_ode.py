@@ -95,3 +95,18 @@ def test_an_rhs_that_reuses_its_output_array_is_copied_per_stage(y0, rates):
 
     res = _ode.solve(f, 0.0, 4.0, y0, rtol=1e-10, atol=1e-12)
     assert np.max(np.abs(res.states[-1] - np.exp(4j * rates) * y0)) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_an_rhs_that_is_not_finite_at_t0_fails_at_once(bad):
+    # a NaN rhs used to give a NaN starting step that no rejection could shrink
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.full_like(y, bad)
+
+    res = _ode.solve(f, 0.0, 1.0, np.array([1.0 + 0j]))
+    assert res.failed and "not finite at t0=0" in res.failure_reason
+    assert calls == [0.0]
+    assert res.times.tolist() == [0.0] and res.states.tolist() == [[1.0 + 0j]]
