@@ -80,6 +80,10 @@ def oracle_time(text: str):
     return text if text == "auto" else ranged(finite, lambda t: t > 0, "> 0")(text)
 
 
+# argparse type for an initial separation angle.
+pair_angle = ranged(finite, lambda a: 0.0 < a <= math.pi, "in (0, pi]")
+
+
 def cmd_discriminate(args) -> int:
     n = nl.parse(args.nonlinearity)
     alpha0 = (args.alpha0 if args.alpha0 is not None
@@ -286,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate", help="drive a qubit pair to a target overlap")
     _shared(p, "nonlinearity")
     start = p.add_mutually_exclusive_group(required=True)
-    start.add_argument("--alpha0", type=finite, help="initial separation angle")
-    start.add_argument("--epsilon", type=finite,
+    start.add_argument("--alpha0", type=pair_angle, help="initial separation angle")
+    start.add_argument("--epsilon", type=ranged(finite, lambda e: 0.0 < e < 1.0, "in (0, 1)"),
                        help="initial overlap deficit (overlap = 1 - epsilon)")
     _shared(p, "target-overlap")
     p.add_argument("--policy", choices=["fixed", "reopt"], default="fixed")
@@ -298,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=finite, default=0.0)
     p.add_argument("--delta", type=finite, default=0.5)
     p.add_argument("--grid", type=int, default=bn.DEFAULT_GRID)
-    p.add_argument("--alpha0", type=finite, default=1e-3,
+    p.add_argument("--alpha0", type=pair_angle, default=1e-3,
                    help="initial separation angle of the bound check (default 1e-3)")
-    p.add_argument("--duration", type=finite, default=5.0)
+    p.add_argument("--duration", type=ranged(finite, lambda d: d >= 0, ">= 0"), default=5.0)
     p.add_argument("--g-lip", type=finite, default=None,
                    help="Lipschitz proxy when no finite constant exists")
     _shared(p, "out")
@@ -330,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")
-    p.add_argument("--atoms", type=finite, nargs="+", required=True,
-                   help="condensate atom counts")
-    p.add_argument("--interaction", type=finite, default=1e-3,
+    p.add_argument("--atoms", type=ranged(finite, lambda a: a >= 2, ">= 2"), nargs="+",
+                   required=True, help="condensate atom counts, at least 2")
+    p.add_argument("--interaction", type=ranged(finite, lambda u: u > 0, "> 0"), default=1e-3,
                    help="interaction strength U (g = U * atoms)")
     _shared(p, "target-overlap", "out")
 

@@ -21,6 +21,12 @@ exact start u0; the quadratic law has the constant integrand 2/g:
 
     t(u) = int_u^u0 sech^2(v) / -R(v) dv.
 
+Each unit panel in u is one ``quad_panel``: an adaptive G10/K21
+Gauss-Kronrod rule whose integrand takes every node of every open piece
+as one array, so a re-optimized rule runs its orientation grid for all 21
+nodes at once.  It bisects at most to ``QUAD_LIMIT`` pieces and warns
+(``IntegrationWarning``) where that misses the tolerance.
+
 A ``DiscriminationResult`` holds the sampled times, overlaps and angles of
 that quadrature and its count of unit panels in u; it steps no ODE and
 carries no drive.
@@ -30,11 +36,12 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning
 
 from .blochdyn import pair_overlap_rate
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
@@ -46,7 +53,8 @@ SQRT2 = math.sqrt(2.0)
 # multiplied by sin(alpha/2).  Covers reductions that vanish identically.
 NO_PROGRESS_RATE = 1e-14
 
-# Smallest relative tolerance scipy's quad accepts, 50 machine epsilons.
+# Smallest relative tolerance the quadrature accepts, 50 machine epsilons:
+# the rounding floor of its error estimate, as in QUADPACK.
 QUAD_RTOL_FLOOR = 50.0 * np.finfo(float).eps
 
 # tanh(u) rounds to -1 below u = -U_MAX, where a run of given duration stops.
@@ -161,23 +169,34 @@ def gp_overlap_rate(g: float, alpha) -> float:
 _GRID = np.linspace(-1.0, 1.0, 9)
 
 
-def reoptimize_orientation(kbar: ReducedNonlinearity, c: float, s: float):
+def reoptimize_orientation(kbar: ReducedNonlinearity, c, s):
     """Most negative dc/dt over (phi, theta) at overlap c, s = sin(alpha/2).
 
-    Returns (phi, theta, rate).  Each round evaluates a 9 x 9 grid on the
+    Returns (phi, theta, rate): floats for scalar c and s, else arrays of
+    their common shape.  Each round evaluates a 9 x 9 grid on every point's
     current window and centres a window a quarter as wide on its best point,
-    from the whole (phi, theta) range down to a half-width of 1e-10.
+    from the whole (phi, theta) range down to a half-width of 1e-10.  The
+    points narrow in lockstep, one grid call a round for all of them, and
+    each comes out bit for bit as it would alone.
     """
-    phi, theta = math.pi / 2.0, math.pi
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    shape = c.shape
+    c, s = c.reshape(-1, 1, 1), s.reshape(-1, 1, 1)
+    rows = np.arange(len(c))
+    phi, theta = np.full(len(c), math.pi / 2.0), np.full(len(c), math.pi)
     half_phi, half_theta = math.pi / 2.0, math.pi
     while half_theta > 1e-10:
-        P, T = np.meshgrid(np.clip(phi + half_phi * _GRID, 0.0, math.pi),
-                           theta + half_theta * _GRID, indexing="ij")
-        rates = pair_overlap_rate(kbar, c, s, P, T)
-        k = np.argmin(rates)
-        phi, theta, best = float(P.flat[k]), float(T.flat[k]), float(rates.flat[k])
+        phis = np.clip(phi[:, None] + half_phi * _GRID, 0.0, math.pi)
+        thetas = theta[:, None] + half_theta * _GRID
+        rates = pair_overlap_rate(kbar, c, s, phis[:, :, None], thetas[:, None, :])
+        rates = rates.reshape(len(c), -1)
+        k = np.argmin(rates, axis=1)
+        phi, theta, best = phis[rows, k // 9], thetas[rows, k % 9], rates[rows, k]
         half_phi, half_theta = half_phi / 4.0, half_theta / 4.0
-    return phi, theta % (2.0 * math.pi), best
+    theta = theta % (2.0 * math.pi)
+    if not shape:
+        return float(phi[0]), float(theta[0]), float(best[0])
+    return phi.reshape(shape), theta.reshape(shape), best.reshape(shape)
 
 
 def check_rtol(rtol: float) -> float:
@@ -189,16 +208,92 @@ def check_rtol(rtol: float) -> float:
     return rtol
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al. 1983,
+# qk21): the Kronrod nodes from 1 down to 0 and their weights, and the
+# weights of the 10-point Gauss rule on the nodes of odd index.  Both rules
+# are mirrored about 0.
+_XK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+GK21_NODES = np.concatenate([_XK, -_XK[-2::-1]])
+GK21_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
+G10_WEIGHTS = np.concatenate([_WG, _WG[::-1]])  # on GK21_NODES[1::2]
+
+# Most pieces a panel is split into, as scipy's quad(limit=200).
+QUAD_LIMIT = 200
+
+
+def _gk21(f, lo, hi):
+    """QUADPACK's qk21 on every piece [lo_i, hi_i] from one call of f on all
+    their nodes: (integrals, error estimates, integrals of |f|)."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = np.asarray(f((centre[:, None] + half[:, None] * GK21_NODES).ravel()),
+                    dtype=float).reshape(len(lo), -1)
+    resk, resg = fx @ GK21_WEIGHTS, fx[:, 1::2] @ G10_WEIGHTS
+    resabs = np.abs(fx) @ GK21_WEIGHTS * np.abs(half)
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ GK21_WEIGHTS * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    return resk * half, np.maximum(QUAD_RTOL_FLOOR * resabs, err), resabs
+
+
 def quad_panel(f, a: float, b: float, rtol: float) -> float:
-    """Integral of f over [a, b] to relative tolerance ``rtol``."""
-    return quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=200)[0]
+    """Integral of f over [a, b] to relative tolerance ``rtol``.
+
+    An adaptive Gauss-Kronrod G10/K21 rule with QUADPACK's error estimate.
+    ``f`` takes a 1-d array of points and returns its values there; it is
+    called once per level, on the 21 nodes of every piece still open.  A
+    piece closes once its error estimate is at most ``rtol`` times its
+    integral of |f| (the integral itself for a one-signed f), and every piece
+    still open is bisected, until the summed estimate is at most ``rtol``
+    times the integral.  Bisecting past ``QUAD_LIMIT`` pieces raises
+    ``IntegrationWarning`` and returns the estimate so far.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    closed_res = closed_err = 0.0
+    closed = 0
+    while True:
+        res, err, resabs = _gk21(f, lo, hi)
+        total = closed_res + float(np.sum(res))
+        if closed_err + float(np.sum(err)) <= rtol * abs(total):
+            return total
+        done = err <= rtol * resabs  # a NaN estimate is never done
+        if np.all(done):
+            return total
+        closed_res += float(np.sum(res[done]))
+        closed_err += float(np.sum(err[done]))
+        closed += int(np.count_nonzero(done))
+        lo, hi = lo[~done], hi[~done]
+        if closed + 2 * len(lo) > QUAD_LIMIT:
+            warnings.warn(f"quadrature on [{a:.17g}, {b:.17g}] did not reach rtol "
+                          f"{rtol:.3g} within {QUAD_LIMIT} pieces", IntegrationWarning,
+                          stacklevel=2)
+            return total
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
-def _tanh_sech(u: float):
-    """(c, s) = (tanh u, sech u); s = 2 e^-|u| / (1 + e^-2|u|) keeps full
-    relative precision where cosh u would overflow."""
-    e = math.exp(-abs(u))
-    return math.tanh(u), 2.0 * e / (1.0 + e * e)
+def _tanh_sech(u):
+    """(c, s) = (tanh u, sech u), elementwise; s = 2 e^-|u| / (1 + e^-2|u|)
+    keeps full relative precision where cosh u would overflow."""
+    e = np.exp(-np.abs(u))
+    return np.tanh(u), 2.0 * e / (1.0 + e * e)
 
 
 class _Stall(Exception):
@@ -255,8 +350,10 @@ def separation_trace(
             rate = reoptimize_orientation(kbar, c, s)[2]
         else:
             rate = pair_overlap_rate(kbar, c, s, *held)
-        if not rate < -floor * s:
-            raise _Stall(c, rate)
+        stalled = ~(rate < -floor * s)
+        if np.any(stalled):
+            k = np.flatnonzero(stalled)[0]
+            raise _Stall(float(np.ravel(c)[k]), float(np.ravel(rate)[k]))
         return s * s / -rate
 
     u_end = -U_MAX if target_overlap is None else math.atanh(target_overlap)

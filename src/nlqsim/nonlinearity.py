@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -62,6 +62,9 @@ class Nonlinearity:
     g: float = 1.0
     custom_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
+    # The reduction itself (times g) where it is known exactly, as for
+    # ``from_odd_function``; ``reduce`` evaluates it instead of the difference.
+    kbar_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not np.isfinite(self.g) or self.g < 0:
@@ -235,16 +238,18 @@ def build_from_mu_nu(mu, nu, label: str = "mu-nu") -> Nonlinearity:
 
 
 def from_odd_function(kbar_fn: Callable, label: str = "synthetic") -> Nonlinearity:
-    """Nonlinearity whose reduction equals a given odd function exactly.
+    """Nonlinearity whose reduction is the given odd function ``kbar_fn``.
 
-    Uses the mu/nu construction with mu = 0 and nu(x) = kbar_fn(1 - 2 x^2),
-    so the generic reduction reproduces ``kbar_fn`` up to rounding.
+    kappa is the mu/nu construction with mu = 0 and nu(x) = kbar_fn(1 - 2 x^2),
+    whose defining difference reproduces ``kbar_fn`` up to rounding; ``reduce``
+    evaluates ``kbar_fn`` itself, which keeps full relative precision near z = 0.
     """
-    return build_from_mu_nu(
+    n = build_from_mu_nu(
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lambda x: np.asarray(kbar_fn(1.0 - 2.0 * np.asarray(x) ** 2), dtype=float),
         label=label,
     )
+    return replace(n, kbar_fn=kbar_fn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,6 +270,8 @@ class ReducedNonlinearity:
             out = g * np.sign(z) * np.sqrt(np.abs(z))
         elif kind is Kind.QUARTIC_DIFFERENCE:
             out = np.zeros_like(z)
+        elif self.source.kbar_fn is not None:
+            out = g * np.asarray(self.source.kbar_fn(z), dtype=float).reshape(z.shape)
         else:
             return self.generic(z)
         return out if out.ndim else float(out)

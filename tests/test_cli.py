@@ -161,9 +161,18 @@ def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
     (["bounds", "--duration", "inf"], "--duration"),
     (["gp-validity", "--atoms", "inf"], "--atoms"),
     (["gp-validity", "--atoms", "1e3", "--interaction", "nan"], "--interaction"),
+    (["discriminate", "--alpha0", "0"], "--alpha0"),
+    (["discriminate", "--alpha0", "4"], "--alpha0"),
+    (["discriminate", "--epsilon", "0"], "--epsilon"),
+    (["bounds", "--alpha0", "0"], "--alpha0"),
+    (["bounds", "--duration", "-1"], "--duration"),
+    (["gp-validity", "--atoms", "1"], "--atoms"),
+    (["gp-validity", "--atoms", "1e3", "--interaction", "0"], "--interaction"),
 ], ids=["duration-inf", "duration-nan", "t1-inf", "t1-nan", "t1-abc", "t1-zero",
         "alpha0-nan", "bounds-alpha0-inf", "epsilon-inf", "target-overlap-nan", "z0-inf",
-        "delta-nan", "g-lip-inf", "bounds-duration-inf", "atoms-inf", "interaction-nan"])
+        "delta-nan", "g-lip-inf", "bounds-duration-inf", "atoms-inf", "interaction-nan",
+        "alpha0-zero", "alpha0-above-pi", "epsilon-zero", "bounds-alpha0-zero",
+        "bounds-duration-negative", "atoms-one", "interaction-zero"])
 def test_a_horizon_or_oracle_time_that_is_not_finite_and_positive_exits_2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)

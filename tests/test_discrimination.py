@@ -373,11 +373,10 @@ def test_fixed_policy_matches_angle_quadrature(kind, alpha0):
     assert res.t_perp == pytest.approx(_fixed_reference(kbar, alpha0, 0.0), rel=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["log", "sqrt"])
+@pytest.mark.parametrize("kind", ["log", "sqrt", "odd"])
 @pytest.mark.parametrize("alpha0", [1e-8, 1e-10])
 def test_fixed_policy_closed_form_reduction_near_parallel(kind, alpha0):
-    # the generic kbar difference lost relative precision near z = 0 here;
-    # "odd" still does (the from_odd_function round trip, ROADMAP item 3)
+    # the generic kbar difference lost relative precision near z = 0 here
     n, kbar = REFERENCE_KBAR[kind]
     res = dc.time_to_overlap(n, alpha0, 0.0)
     assert res.reached

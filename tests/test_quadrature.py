@@ -1,0 +1,116 @@
+"""The overlap-law quadrature: the vectorized G10/K21 rule behind
+``separation_trace`` and the batched re-optimized orientation grid."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import roots_legendre
+
+from nlqsim import discrimination as dc
+from nlqsim import nonlinearity as nl
+
+
+def _one_rule(f, a, b):
+    res, err, _ = dc._gk21(f, np.array([a]), np.array([b]))
+    return float(res[0]), float(err[0])
+
+
+@pytest.mark.parametrize("k", range(32))
+def test_kronrod_rule_integrates_polynomials_to_degree_31_exactly(k):
+    a, b = 0.3, 1.7
+    got, _ = _one_rule(lambda x: x ** k, a, b)
+    assert got == pytest.approx((b ** (k + 1) - a ** (k + 1)) / (k + 1), rel=1e-14)
+
+
+def test_gauss_nodes_are_the_legendre_roots_and_both_rules_sum_to_two():
+    nodes = np.sort(dc.GK21_NODES[1::2])
+    roots, weights = roots_legendre(10)
+    assert np.max(np.abs(nodes - roots)) <= 1e-15
+    assert np.max(np.abs(dc.G10_WEIGHTS[np.argsort(dc.GK21_NODES[1::2])] - weights)) <= 1e-15
+    assert dc.GK21_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+    assert dc.G10_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.exp, 0.0, 1.0),  # estimate at the 50 eps rounding floor
+    (lambda x: 1.0 / (1.0 + x * x), -5.0, 5.0),  # capped by the resasc term
+    (np.sqrt, 0.0, 1.0),
+], ids=["exp", "lorentzian", "sqrt"])
+def test_one_rule_and_its_error_estimate_are_quadpacks_qk21(f, a, b):
+    # limit=1 stops QUADPACK after its first 21-point rule
+    want, want_err, info = quad(f, a, b, epsabs=0.0, epsrel=0.5, limit=1, full_output=1)[:3]
+    assert info["neval"] == 21
+    got, err = _one_rule(f, a, b)
+    assert got == pytest.approx(want, rel=1e-15)
+    assert err == pytest.approx(want_err, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.exp, -3.0, 2.0),
+    (lambda x: 1.0 / (1.0 + x * x), -50.0, 50.0),
+    (lambda x: np.sqrt(x), 0.0, 1.0),
+], ids=["exp", "lorentzian", "sqrt-endpoint"])
+def test_adaptive_rule_agrees_with_quadpack(f, a, b):
+    want = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert dc.quad_panel(f, a, b, 1e-12) == pytest.approx(want, rel=1e-12)
+
+
+def test_each_level_is_one_call_on_every_open_piece():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sqrt(x)
+
+    dc.quad_panel(f, 0.0, 1.0, 1e-10)
+    assert sizes[0] == 21 and len(sizes) > 1
+    assert all(n % 21 == 0 and n // 21 <= dc.QUAD_LIMIT for n in sizes)
+
+
+def test_noisy_integrand_warns_at_the_piece_cap_and_returns_the_estimate():
+    pieces = []
+
+    def noisy(x):
+        pieces.append(x.size // 21)
+        return 1.0 + 1e-9 * np.sin(1e6 * x)
+
+    with pytest.warns(IntegrationWarning) as record:
+        got = dc.quad_panel(noisy, 0.0, 1.0, 1e-12)
+    assert [w.category for w in record] == [IntegrationWarning]
+    assert max(pieces) <= dc.QUAD_LIMIT
+    assert got == pytest.approx(1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 3.0])
+def test_a_gp_panel_costs_one_integrand_call(g, monkeypatch):
+    calls = []
+    quad_panel = dc.quad_panel
+
+    def counting(f, a, b, rtol):
+        n = len(calls)
+        out = quad_panel(lambda u: calls.append(np.size(u)) or f(u), a, b, rtol)
+        assert len(calls) - n == 1
+        return out
+
+    monkeypatch.setattr(dc, "quad_panel", counting)
+    alpha0, target = 1e-6, 0.2
+    res = dc.time_to_overlap(nl.gross_pitaevskii(g), alpha0, target)
+    u0 = math.log(1.0 / math.tan(alpha0 / 4.0))
+    assert res.panels == math.ceil(u0 - math.atanh(target))
+    assert calls == [21] * res.panels
+    assert res.t_perp == pytest.approx(dc.gp_time_to_overlap(g, alpha0, target), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["gp:1.3", "log:0.7", "sqrt:2"])
+def test_batched_reoptimized_grid_rows_equal_scalar_calls_bit_for_bit(kind):
+    kbar = nl.reduce(nl.parse(kind))
+    u = np.random.default_rng(5).uniform(-18.0, 18.0, 40)
+    c, s = dc._tanh_sech(u)
+    phi, theta, rate = dc.reoptimize_orientation(kbar, c, s)
+    assert phi.shape == theta.shape == rate.shape == (40,)
+    for i in range(40):
+        one = dc.reoptimize_orientation(kbar, float(c[i]), float(s[i]))
+        assert all(type(x) is float for x in one)
+        assert one == (phi[i], theta[i], rate[i])
