@@ -247,14 +247,3 @@ def check_lipschitz_separation_bound(
     return SeparationBoundReport(g_lip=g_lip, alpha0=alpha0, duration=duration,
                                  bound_ok=max_ratio <= 1.0, max_ratio=max_ratio,
                                  times=times, alphas=alphas)
-
-
-def bound_report_csv(rows) -> str:
-    """CSV report: nonlinearity,z0,g_local,c,bound_ok,max_ratio."""
-    out = ["nonlinearity,z0,g_local,c,bound_ok,max_ratio"]
-    for r in rows:
-        out.append(
-            f"{r['nonlinearity']},{r['z0']:.17g},{r['g_local']:.17g},"
-            f"{r['c']:.17g},{r['bound_ok']},{r['max_ratio']:.17g}"
-        )
-    return "\n".join(out) + "\n"

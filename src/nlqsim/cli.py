@@ -13,8 +13,10 @@ Each subcommand accepts only the flags its handler reads:
     figures       --which --out
     validate      --quick --seed --out
 
-All numeric output is CSV with 17 significant digits so regeneration diffs
-are lossless.
+Every CSV, on stdout or in an ``--out`` file, comes from one writer,
+``csv_text``: float cells at 17 significant digits, so regeneration diffs are
+lossless, and every other cell as text.  The library returns numbers; only
+this module formats them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ from . import validation
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def csv_text(header: str, rows) -> str:
+    """Every CSV nlqsim writes: ``header``, then one line per row, with each
+    float cell at 17 significant digits and any other cell as ``str``."""
+    lines = [header]
+    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_text(path: str, text: str) -> None:
@@ -84,10 +94,20 @@ def oracle_time(text: str):
 pair_angle = ranged(finite, lambda a: 0.0 < a <= math.pi, "in (0, pi]")
 
 
+def check_target_overlap(args, bound: float, what: str) -> None:
+    """Exit 2 as argparse does unless 0 <= --target-overlap < bound; the
+    bound comes from another flag, so no argparse type can check it."""
+    if not 0.0 <= args.target_overlap < bound:
+        sys.stderr.write(f"nlqsim {args.command}: error: argument --target-overlap: must be "
+                         f"in [0, {what}) = [0, {bound!r}), got {args.target_overlap!r}\n")
+        raise SystemExit(2)
+
+
 def cmd_discriminate(args) -> int:
     n = nl.parse(args.nonlinearity)
     alpha0 = (args.alpha0 if args.alpha0 is not None
               else dc.epsilon_to_alpha0(args.epsilon))
+    check_target_overlap(args, math.cos(alpha0 / 2.0), "cos(alpha0/2)")
     policy = (dc.OrientationPolicy.REOPTIMIZED if args.policy == "reopt"
               else dc.OrientationPolicy.FIXED_OPTIMAL_GP)
     res = dc.time_to_overlap(n, alpha0, args.target_overlap, orientation_policy=policy,
@@ -99,10 +119,8 @@ def cmd_discriminate(args) -> int:
     if res.status == "no_progress":
         print(f"diagnostic = {res.diagnostic}")
     if args.out:
-        lines = ["t,gt,overlap"]
-        for t, c in zip(res.times, res.overlaps):
-            lines.append(f"{fmt(t)},{fmt(n.g * t)},{fmt(c)}")
-        write_text(args.out, "\n".join(lines) + "\n")
+        rows = ((t, n.g * t, c) for t, c in zip(res.times, res.overlaps))
+        write_text(args.out, csv_text("t,gt,overlap", rows))
         print(f"trace written to {args.out}")
     return 0
 
@@ -132,10 +150,8 @@ def cmd_bounds(args) -> int:
         print(f"g_lip = {fmt(g_lip)}, bound_ok = {bound_ok}, "
               f"max ratio = {fmt(max_ratio)}")
     if args.out:
-        row = {"nonlinearity": n.spec_string(), "z0": args.z0,
-               "g_local": g_local, "c": c_rate,
-               "bound_ok": bound_ok, "max_ratio": max_ratio}
-        write_text(args.out, bn.bound_report_csv([row]))
+        row = (n.spec_string(), args.z0, g_local, c_rate, bound_ok, max_ratio)
+        write_text(args.out, csv_text("nonlinearity,z0,g_local,c,bound_ok,max_ratio", [row]))
         print(f"report written to {args.out}")
     return 0
 
@@ -143,11 +159,13 @@ def cmd_bounds(args) -> int:
 def cmd_search(args) -> int:
     n = nl.parse(args.nonlinearity)
     instance = sr.SearchInstance(args.n, marked=args.marked)
-    report = sr.run_search(instance, n, t1=args.t1, seed=args.seed, rtol=args.tol)
-    print(sr.SearchReport.csv_header())
-    print(report.csv_row())
+    r = sr.run_search(instance, n, t1=args.t1, seed=args.seed, rtol=args.tol)
+    text = csv_text("N,g,t1,t2,total,budget,decision,success_prob",
+                    [(r.N, r.g, r.t1, r.t2, r.total_time, r.complexity_budget,
+                      r.decision.value, r.success_probability)])
+    sys.stdout.write(text)
     if args.out:
-        write_text(args.out, sr.SearchReport.csv_header() + "\n" + report.csv_row() + "\n")
+        write_text(args.out, text)
         print(f"report written to {args.out}")
     return 0
 
@@ -166,7 +184,8 @@ def cmd_audit(args) -> int:
     print(f"N = {audit.N}, |kappa| bound g = {fmt(audit.g)}")
     print(f"bound_ok = {audit.bound_ok}, min margin = {fmt(audit.min_margin)}")
     if args.out:
-        write_text(args.out, audit.to_csv())
+        write_text(args.out, csv_text("t,S,bound,margin",
+                                      zip(audit.times, audit.S, audit.bound, audit.margin)))
         print(f"audit written to {args.out}")
     return 0
 
@@ -185,21 +204,23 @@ def cmd_optimize(args) -> int:
     if result.angles is not None:
         print(f"orientation (phi, theta) = ({fmt(result.angles[0])}, {fmt(result.angles[1])})")
     if args.out:
-        write_text(args.out, op.gap_scan_csv([row]))
+        write_text(args.out, csv_text("alpha,dim,best_rate,gap_vs_dim2",
+                                      [(args.alpha, args.dim, result.best_rate,
+                                        row["gap_vs_dim2"])]))
         print(f"result written to {args.out}")
     return 0
 
 
 def cmd_gp_validity(args) -> int:
+    # gp_validity_time starts each row at cos(alpha0/2) = 1 - 1/atoms
+    check_target_overlap(args, min(math.cos(dc.epsilon_to_alpha0(1.0 / int(a)) / 2.0)
+                                   for a in args.atoms), "1 - 1/(smallest --atoms)")
     rows = []
     for atoms in args.atoms:
         p = mf.CondensateParams(int(atoms), U=args.interaction)
-        rows.append({
-            "n_atoms": p.n_atoms, "g": p.g,
-            "t_star": mf.gp_validity_time(p, args.target_overlap),
-            "scaling": mf.validity_scaling_constant(p, args.target_overlap),
-        })
-    text = mf.validity_csv(rows)
+        rows.append((p.n_atoms, p.g, mf.gp_validity_time(p, args.target_overlap),
+                     mf.validity_scaling_constant(p, args.target_overlap)))
+    text = csv_text("N_atoms,g,t_star,t_star_times_N_over_logN", rows)
     sys.stdout.write(text)
     if args.out:
         write_text(args.out, text)
@@ -207,31 +228,22 @@ def cmd_gp_validity(args) -> int:
     return 0
 
 
-def _figure_text(which: str) -> str:
-    if which == "fig3a":
-        gts, overlap = dc.fig_overlap_vs_gt()
-        lines = ["gt,overlap"]
-        lines += [f"{fmt(t)},{fmt(c)}" for t, c in zip(gts, overlap)]
-    elif which == "fig3b":
-        alphas, gtp = dc.fig_tperp_vs_alpha0()
-        lines = ["alpha0,gt_perp"]
-        lines += [f"{fmt(a)},{fmt(t)}" for a, t in zip(alphas, gtp)]
-    elif which == "fig4":
-        cs, rl, rg = dc.fig_rate_comparison()
-        lines = ["overlap,rate_log_g1,rate_gp_g2"]
-        lines += [f"{fmt(c)},{fmt(a)},{fmt(b)}" for c, a, b in zip(cs, rl, rg)]
-    else:
-        raise SystemExit(f"unknown figure {which!r}")
-    return "\n".join(lines) + "\n"
+# Each figure's CSV header and the function that returns its columns.
+FIGURES = {
+    "fig3a": ("gt,overlap", dc.fig_overlap_vs_gt),
+    "fig3b": ("alpha0,gt_perp", dc.fig_tperp_vs_alpha0),
+    "fig4": ("overlap,rate_log_g1,rate_gp_g2", dc.fig_rate_comparison),
+}
 
 
 def cmd_figures(args) -> int:
-    which = ["fig3a", "fig3b", "fig4"] if args.which == "all" else [args.which]
+    which = list(FIGURES) if args.which == "all" else [args.which]
     if not os.path.isdir(args.out):
         raise SystemExit(f"output directory {args.out!r} does not exist")
     for w in which:
         path = os.path.join(args.out, f"{w}.csv")
-        write_text(path, _figure_text(w))
+        header, columns = FIGURES[w]
+        write_text(path, csv_text(header, zip(*columns())))
         print(f"wrote {path}")
     return 0
 
@@ -249,9 +261,8 @@ def cmd_validate(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        csv_lines = ["check,ok,detail"]
-        csv_lines += [f"{r.name},{r.ok},\"{r.detail}\"" for r in results]
-        write_text(args.out, "\n".join(csv_lines) + "\n")
+        write_text(args.out, csv_text("check,ok,detail",
+                                      ((r.name, r.ok, f'"{r.detail}"') for r in results)))
     if n_fail:
         failing = ", ".join(r.name for r in results if not r.ok)
         sys.stdout.write(f"failing: {failing}\n")
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "nonlinearity")
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("--alpha0", type=pair_angle, help="initial separation angle")
-    start.add_argument("--epsilon", type=ranged(finite, lambda e: 0.0 < e < 1.0, "in (0, 1)"),
+    start.add_argument("--epsilon", type=ranged(finite, lambda e: 0.0 < e <= 1.0, "in (0, 1]"),
                        help="initial overlap deficit (overlap = 1 - epsilon)")
     _shared(p, "target-overlap")
     p.add_argument("--policy", choices=["fixed", "reopt"], default="fixed")
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "target-overlap", "out")
 
     p = sub.add_parser("figures", help="regenerate figure data CSVs")
-    p.add_argument("--which", choices=["fig3a", "fig3b", "fig4", "all"], default="all")
+    p.add_argument("--which", choices=[*FIGURES, "all"], default="all")
     p.add_argument("--out", default=".", help="output directory (default .)")
 
     p = sub.add_parser("validate", help="run the named invariant checks")

@@ -88,11 +88,12 @@ def epsilon_to_alpha0(epsilon: float) -> float:
     """Exact conversion of overlap deficit to Bloch separation angle.
 
     Evaluates 2 acos(1 - epsilon) as the identical 4 asin(sqrt(epsilon/2)),
-    which keeps full relative precision for tiny epsilon.
+    which keeps full relative precision for tiny epsilon.  Only [0, 1] maps
+    to an angle in [0, pi]; the clip keeps epsilon = 1 at pi, not an ulp past.
     """
-    if not 0.0 <= epsilon <= 2.0:
-        raise ValueError("epsilon must be in [0, 2]")
-    return 4.0 * math.asin(math.sqrt(epsilon / 2.0))
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must be in [0, 1]")
+    return min(math.pi, 4.0 * math.asin(math.sqrt(epsilon / 2.0)))
 
 
 def gp_overlap_closed_form(g: float, alpha0: float, t):

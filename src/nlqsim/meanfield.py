@@ -96,11 +96,3 @@ def gp_validity_time(p: CondensateParams, target_overlap: float = 0.0) -> float:
 def validity_scaling_constant(p: CondensateParams, target_overlap: float = 0.0) -> float:
     """t_star * n_atoms / ln(n_atoms): the homogeneous-condensate constant."""
     return gp_validity_time(p, target_overlap) * p.n_atoms / math.log(p.n_atoms)
-
-
-def validity_csv(rows) -> str:
-    out = ["N_atoms,g,t_star,t_star_times_N_over_logN"]
-    for r in rows:
-        out.append(f"{r['n_atoms']},{r['g']:.17g},{r['t_star']:.17g},"
-                   f"{r['scaling']:.17g}")
-    return "\n".join(out) + "\n"

@@ -428,11 +428,3 @@ def optimality_gap_scan(
                 "result": result,
             })
     return rows
-
-
-def gap_scan_csv(rows) -> str:
-    out = ["alpha,dim,best_rate,gap_vs_dim2"]
-    for r in rows:
-        out.append(f"{r['alpha']:.17g},{r['dim']},{r['best_rate']:.17g},"
-                   f"{r['gap_vs_dim2']:.17g}")
-    return "\n".join(out) + "\n"

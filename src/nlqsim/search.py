@@ -77,15 +77,6 @@ class SearchReport:
     epsilon: float
     alpha0: float
 
-    def csv_row(self) -> str:
-        return (f"{self.N},{self.g:.17g},{self.t1:.17g},{self.t2:.17g},"
-                f"{self.total_time:.17g},{self.complexity_budget:.17g},"
-                f"{self.decision.value},{self.success_probability:.17g}")
-
-    @staticmethod
-    def csv_header() -> str:
-        return "N,g,t1,t2,total,budget,decision,success_prob"
-
 
 def uniform_state(N: int) -> np.ndarray:
     psi = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
@@ -390,12 +381,6 @@ class AuditReport:
     min_margin: float
     step_stats: _ode.StepStats
     derivative_check: float = 0.0
-
-    def to_csv(self) -> str:
-        out = ["t,S,bound,margin"]
-        for t, s, b, m in zip(self.times, self.S, self.bound, self.margin):
-            out.append(f"{t:.17g},{s:.17g},{b:.17g},{m:.17g}")
-        return "\n".join(out) + "\n"
 
 
 def pairwise_overlap_derivative(kappa: Nonlinearity, psi: np.ndarray,

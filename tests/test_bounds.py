@@ -165,16 +165,6 @@ def test_lipschitz_separation_bound_violated_by_sqrt():
         bn.check_lipschitz_separation_bound(nl.square_root_sign(1.0), 1e-6, 1.0)
 
 
-def test_bound_report_csv_format():
-    text = bn.bound_report_csv([{
-        "nonlinearity": "gp:1", "z0": 0.0, "g_local": 1.0, "c": 0.5,
-        "bound_ok": True, "max_ratio": 0.25,
-    }])
-    lines = text.strip().split("\n")
-    assert lines[0] == "nonlinearity,z0,g_local,c,bound_ok,max_ratio"
-    assert lines[1].startswith("gp:1,0,1,")
-
-
 def test_growth_trace_refuses_unmeetable_rtol_and_reversed_angles():
     kbar = nl.reduce(nl.gross_pitaevskii(1.0))
     cert = bn.certify_growth(kbar, 0.0, 0.4)

@@ -1,10 +1,20 @@
 import argparse
+import io
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from nlqsim import bounds as bn
 from nlqsim import cli
+from nlqsim import discrimination as dc
+from nlqsim import meanfield as mf
+from nlqsim import nonlinearity as nl
+from nlqsim import optimizer as op
+from nlqsim import search as sr
+from nlqsim import validation
 from nlqsim.discrimination import gp_overlap_closed_form, gp_t_perp
 
 
@@ -37,6 +47,118 @@ def test_parser_flags_are_exactly_those_read():
                       if opt.startswith("--") and opt != "--help"}
     assert seen == SUBCOMMAND_FLAGS
     assert sum(len(f) for f in seen.values()) == 44
+
+
+def _documented_flags(text):
+    """{subcommand: flags} from lines that name a subcommand, then its flags."""
+    return {name: set(re.findall(r"--([a-z0-9-]+)", flags)) for name, flags in text}
+
+
+def test_cli_docs_list_exactly_the_parser_flags():
+    docstring = re.sub(r"\n {18}", " ", cli.__doc__)  # join continuation lines
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Command line")[1].split("\n## ")[0]
+    assert _documented_flags(re.findall(r"^    ([a-z-]+) +(--.*)$", docstring, re.M)) \
+        == SUBCOMMAND_FLAGS
+    assert _documented_flags(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", table, re.M)) \
+        == SUBCOMMAND_FLAGS
+
+
+def _discriminate_csv():
+    n = nl.parse("gp:1.0")
+    res = dc.time_to_overlap(n, 0.1, 0.0)
+    return "t,gt,overlap", [(t, n.g * t, c) for t, c in zip(res.times, res.overlaps)]
+
+
+def _bounds_csv():
+    n = nl.parse("gp:1.0")
+    kbar = nl.reduce(n)
+    cert = bn.certify_growth(kbar, 0.0, 0.5, grid=2000)
+    assert cert.g_local == 1.0  # so the cell below is "1", not "1.0"
+    rep = bn.check_lipschitz_separation_bound(
+        n, 1e-3, 3.0, g_lip=bn.estimate_lipschitz(kbar, grid=2000).g_lip)
+    return ("nonlinearity,z0,g_local,c,bound_ok,max_ratio",
+            [("gp:1", "0", "1", bn.exp_growth_rate(cert), "True", rep.max_ratio)])
+
+
+def _search_csv():
+    r = sr.run_search(sr.SearchInstance(1024, marked=7), nl.parse("gp:1.0"))
+    return ("N,g,t1,t2,total,budget,decision,success_prob",
+            [("1024", r.g, r.t1, r.t2, r.total_time, r.complexity_budget, "marked",
+              r.success_probability)])
+
+
+def _audit_csv():
+    n = nl.parse("gp:0.5")
+    H = sr.search_schedule(8, n.g, sr.default_t1(8, n.g))
+    audit = sr.lower_bound_audit(n, H, 8, 2.0, samples=10)
+    return "t,S,bound,margin", list(zip(audit.times, audit.S, audit.bound, audit.margin))
+
+
+def _optimize_csv():
+    row = op.optimality_gap_scan(nl.parse("quartic"), [0.5], range(2, 4),
+                                 restarts=8, seed=42)[-1]
+    return "alpha,dim,best_rate,gap_vs_dim2", [(0.5, "3", row["best_rate"], row["gap_vs_dim2"])]
+
+
+def _gp_validity_csv():
+    rows = []
+    for n_atoms in (1000, 10000):
+        p = mf.CondensateParams(n_atoms, U=0.001)
+        rows.append((str(n_atoms), p.g, mf.gp_validity_time(p),
+                     mf.validity_scaling_constant(p)))
+    return "N_atoms,g,t_star,t_star_times_N_over_logN", rows
+
+
+def _fig3a_csv():
+    return "gt,overlap", list(zip(*dc.fig_overlap_vs_gt()))
+
+
+def _validate_csv():
+    results = validation.run_all(validation.Context(quick=True, seed=0), log=io.StringIO())
+    return "check,ok,detail", [(r.name, "True", f'"{r.detail}"') for r in results]
+
+
+# argv with {tmp} for the test's directory, the file --out writes, and the
+# header and rows that file should hold: a str cell is compared as text, and
+# any other cell must be the float that the file's cell reads back as.
+CSV_CASES = {
+    "discriminate": (["discriminate", "--nonlinearity", "gp:1.0", "--alpha0", "0.1",
+                      "--out", "{tmp}/out.csv"], "out.csv", _discriminate_csv),
+    "bounds": (["bounds", "--nonlinearity", "gp:1.0", "--z0", "0", "--grid", "2000",
+                "--duration", "3.0", "--out", "{tmp}/out.csv"], "out.csv", _bounds_csv),
+    "search": (["search", "--n", "1024", "--nonlinearity", "gp:1.0", "--marked", "7",
+                "--out", "{tmp}/out.csv"], "out.csv", _search_csv),
+    "audit": (["audit", "--n", "8", "--nonlinearity", "gp:0.5", "--duration", "2.0",
+               "--samples", "10", "--out", "{tmp}/out.csv"], "out.csv", _audit_csv),
+    "optimize": (["optimize", "--nonlinearity", "quartic", "--alpha", "0.5", "--dim", "3",
+                  "--restarts", "8", "--seed", "42", "--out", "{tmp}/out.csv"],
+                 "out.csv", _optimize_csv),
+    "gp-validity": (["gp-validity", "--atoms", "1e3", "1e4", "--interaction", "0.001",
+                     "--out", "{tmp}/out.csv"], "out.csv", _gp_validity_csv),
+    "figures": (["figures", "--which", "fig3a", "--out", "{tmp}"], "fig3a.csv", _fig3a_csv),
+    "validate": (["validate", "--quick", "--out", "{tmp}/out.csv"], "out.csv", _validate_csv),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_CASES))
+def test_csv_out_reads_back_the_library_numbers(command, tmp_path, capsys):
+    argv, file, expected = CSV_CASES[command]
+    assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / file).read_text().split("\n")
+    assert lines.pop() == ""
+    header, rows = expected()
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",", len(row) - 1)  # validate's quoted detail may hold commas
+        assert len(cells) == len(row)
+        for cell, want in zip(cells, row):
+            if isinstance(want, str):
+                assert cell == want
+            else:
+                assert float(cell) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -164,6 +286,7 @@ def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
     (["discriminate", "--alpha0", "0"], "--alpha0"),
     (["discriminate", "--alpha0", "4"], "--alpha0"),
     (["discriminate", "--epsilon", "0"], "--epsilon"),
+    (["discriminate", "--epsilon", "1.5"], "--epsilon"),
     (["bounds", "--alpha0", "0"], "--alpha0"),
     (["bounds", "--duration", "-1"], "--duration"),
     (["gp-validity", "--atoms", "1"], "--atoms"),
@@ -171,13 +294,34 @@ def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
 ], ids=["duration-inf", "duration-nan", "t1-inf", "t1-nan", "t1-abc", "t1-zero",
         "alpha0-nan", "bounds-alpha0-inf", "epsilon-inf", "target-overlap-nan", "z0-inf",
         "delta-nan", "g-lip-inf", "bounds-duration-inf", "atoms-inf", "interaction-nan",
-        "alpha0-zero", "alpha0-above-pi", "epsilon-zero", "bounds-alpha0-zero",
+        "alpha0-zero", "alpha0-above-pi", "epsilon-zero", "epsilon-above-one",
+        "bounds-alpha0-zero",
         "bounds-duration-negative", "atoms-one", "interaction-zero"])
 def test_a_horizon_or_oracle_time_that_is_not_finite_and_positive_exits_2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["discriminate", "--alpha0", "0.5", "--target-overlap", "0.99"],
+     f"cos(alpha0/2)) = [0, {math.cos(0.25)!r})"),
+    (["gp-validity", "--atoms", "1e3", "100", "--target-overlap", "1.5"],
+     "1 - 1/(smallest --atoms)) = [0, 0.99)"),
+], ids=["discriminate", "gp-validity"])
+def test_a_target_overlap_past_the_starting_overlap_exits_2(argv, bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert f"argument --target-overlap: must be in [0, {bound}, got {argv[-1]}" in (
+        capsys.readouterr().err)
+
+
+def test_discriminate_cli_starts_an_orthogonal_pair_at_epsilon_one(capsys):
+    assert run_cli(["discriminate", "--epsilon", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"alpha0 = {cli.fmt(math.pi)}" in out and "status = reached" in out
 
 
 @pytest.mark.parametrize("samples", ["-1", "0", "1"])
@@ -254,7 +398,6 @@ def test_optimize_refuses_out_of_range_input(flag, value, message, capsys):
 
 
 def test_validate_reports_injected_parity_bug(monkeypatch, capsys):
-    from nlqsim import validation
     from nlqsim.nonlinearity import ReducedNonlinearity
 
     def parity_broken(check):
@@ -280,8 +423,6 @@ def test_validate_reports_injected_parity_bug(monkeypatch, capsys):
 
 
 def test_validate_csv_output(tmp_path, capsys):
-    from nlqsim import validation
-
     out = tmp_path / "checks.csv"
     assert run_cli(["validate", "--quick", "--out", str(out)]) == 0
     captured = capsys.readouterr()

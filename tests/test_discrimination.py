@@ -224,6 +224,16 @@ def test_epsilon_alpha_conversion_keeps_precision_for_tiny_deficits(eps):
     assert dc.epsilon_to_alpha0(eps) == pytest.approx(want, rel=1e-15)
 
 
+def test_epsilon_one_is_an_orthogonal_pair_and_above_one_is_refused():
+    # 4 asin(sqrt(1/2)) rounds to pi + 4.4e-16, past the range of alpha0
+    assert dc.epsilon_to_alpha0(1.0) == math.pi
+    res = dc.time_to_overlap(nl.gross_pitaevskii(1.0), dc.epsilon_to_alpha0(1.0), 0.0)
+    assert res.reached and 0.0 <= res.t_perp < 1e-15
+    for eps in (1.5, -1e-300):
+        with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\]"):
+            dc.epsilon_to_alpha0(eps)
+
+
 def test_log_time_scaling_regression():
     g = 1.0
     eps = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

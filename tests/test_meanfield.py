@@ -81,18 +81,6 @@ def test_validity_time_with_constant_advantage_target():
         2.0 * math.atanh(1 / math.sqrt(2)) / p.g, rel=1e-12)
 
 
-def test_validity_csv_format():
-    p = mf.CondensateParams(100, U=0.01)
-    text = mf.validity_csv([{
-        "n_atoms": p.n_atoms, "g": p.g,
-        "t_star": mf.gp_validity_time(p),
-        "scaling": mf.validity_scaling_constant(p),
-    }])
-    lines = text.strip().split("\n")
-    assert lines[0] == "N_atoms,g,t_star,t_star_times_N_over_logN"
-    assert lines[1].startswith("100,1,")
-
-
 @pytest.mark.parametrize("n_atoms", [10 ** 3, 10 ** 9, 10 ** 12, 10 ** 16, 10 ** 17, 10 ** 20])
 def test_validity_time_keeps_its_digits_at_large_atom_counts(n_atoms):
     # 2 acos(1 - 1/n) cancels its digits here and fails from n = 1e17

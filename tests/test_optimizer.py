@@ -184,15 +184,6 @@ def test_gap_scan_log_optimum_theta_near_three_quarter_pi():
         assert theta_err <= 0.05
 
 
-def test_gap_scan_csv_shape():
-    rows = op.optimality_gap_scan(nl.gross_pitaevskii(1.0), [0.5], [2, 3],
-                                  restarts=4, seed=0)
-    text = op.gap_scan_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "alpha,dim,best_rate,gap_vs_dim2"
-    assert len(lines) == 3
-
-
 def _grid_rates(kappa, states):
     """d|<psi|phi>|/dt for each row of a (R, dim, 2) batch of pairs."""
     psi, phi = states[:, :, 0], states[:, :, 1]

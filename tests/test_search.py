@@ -558,30 +558,12 @@ def test_audit_at_n_2_40_does_not_spend_steps_on_the_oracle_phase(kind, kappa_fr
     assert _search_audit(kind, 2 ** 40).step_stats.accepted < kappa_frame
 
 
-def test_audit_csv_format():
-    N, g = 8, 0.5
-    audit = sr.lower_bound_audit(nl.gross_pitaevskii(g), None, N, 1.0, samples=10)
-    lines = audit.to_csv().strip().split("\n")
-    assert lines[0] == "t,S,bound,margin"
-    assert len(lines) == len(audit.times) + 1
-
-
 def test_search_instance_validation():
     with pytest.raises(ValueError):
         sr.SearchInstance(1)
     with pytest.raises(ValueError):
         sr.SearchInstance(8, marked=9)
     assert sr.SearchInstance(8, marked=8).marked == 8
-
-
-def test_search_report_csv_row():
-    rep = sr.run_search(sr.SearchInstance(64, marked=1), nl.gross_pitaevskii(1.0))
-    row = rep.csv_row()
-    fields = row.split(",")
-    assert fields[0] == "64"
-    assert fields[6] in ("marked", "unmarked")
-    # 17-significant-digit round trip
-    assert float(fields[4]) == rep.total_time
 
 
 def _gp_t2(g, eps):
