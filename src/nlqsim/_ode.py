@@ -1,17 +1,22 @@
 """Adaptive embedded Runge-Kutta integration of norm-preserving flows.
 
-Implements the Dormand-Prince 5(4) pair with PI step-size control over a
-fixed interval [t0, t1] with forced sample times.  The state is a real or
-complex array whose rows along the last axis have unit norm: one vector
+Implements the Dormand-Prince 5(4) pair over a fixed interval [t0, t1].
+The step-size control is integral: the next step is h * 0.9 * err^(-1/5),
+clipped to [0.2 h, 5 h], with no memory of earlier errors; the step after
+a rejection may shrink but not grow (Hairer's facmax = 1).  Sample times
+are filled from each accepted step by the pair's 4th-order continuous
+extension (Shampine 1986), so they never end a step.  The state is a real
+or complex array whose rows along the last axis have unit norm: one vector
 (a state vector), or a stack of them (Bloch vectors, the audit's states).
-After every accepted step each row is divided by its norm; the largest
-drift from unit norm before that projection is recorded.  The seven stage
-slopes of a step live in one preallocated buffer, so each stage and the
-error estimate are one small matrix product over its flattened rows, and
-an ``f`` that reuses its output array is copied, not aliased.  Error norms
-use elementwise magnitudes.  ``SimTrace`` is the package's one trajectory
-record.  Scalar autonomous problems (the overlap laws of ``discrimination``
-and ``bounds``) are quadratures and do not come here.
+After every accepted step, and at every sample, each row is divided by its
+norm; the largest drift from unit norm before a step end's projection is
+recorded.  The seven stage slopes of a step live in one preallocated
+buffer, so each stage, the error estimate and a step's samples are each
+one small matrix product over its flattened rows, and an ``f`` that reuses
+its output array is copied, not aliased.  Error norms use elementwise
+magnitudes.  ``SimTrace`` is the package's one trajectory record.  Scalar
+autonomous problems (the overlap laws of ``discrimination`` and
+``bounds``) are quadratures and do not come here.
 """
 
 from __future__ import annotations
@@ -38,6 +43,16 @@ _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _E = _B5 - _B4
+# Dense output (Shampine; scipy's RK45.P): y(t + s h) = y(t) + h K.T @ _P @ (s, .., s^4)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 MIN_STEP_FACTOR = 0.2
 MAX_STEP_FACTOR = 5.0
@@ -60,11 +75,11 @@ class SimTrace:
     """Recorded trajectory of an adaptive integration.
 
     ``times``/``states`` hold the recorded samples (the ``t_eval`` times when
-    given, otherwise every accepted step); ``states`` has the shape of
-    ``y0`` after its leading time axis.  ``overlaps`` holds cos(alpha) of a
-    Bloch pair where ``blochdyn.integrate`` records it.  ``failed`` is set
-    on step-size underflow, or when ``f`` is not finite at the start; the
-    partial trajectory up to the failure is kept.
+    given, interpolated within the steps, otherwise every accepted step);
+    ``states`` has the shape of ``y0`` after its leading time axis.
+    ``overlaps`` holds cos(alpha) of a Bloch pair where ``blochdyn.integrate``
+    records it.  ``failed`` is set on step-size underflow, or when ``f`` is
+    not finite at the start; the partial trajectory up to it is kept.
     """
 
     times: np.ndarray
@@ -118,8 +133,12 @@ def solve(
     After every accepted step the rows are projected back to unit norm and
     ``f`` is re-evaluated there; ``stats.max_norm_drift`` is the largest
     drift before a projection.  ``t_eval`` holds strictly increasing sample
-    times in [t0, t1]; steps are clipped so each is hit exactly and
-    recorded.  Without it, every accepted step is recorded.
+    times in [t0, t1], recorded as given.  They do not end steps: a sample
+    inside a step is interpolated from its stage slopes and projected to
+    unit norm, and one at a step end records that step's state.  So the
+    steps and ``stats`` do not depend on ``t_eval``, and a sample is as
+    accurate as ``rtol`` asks, no more.  Without it, every accepted step is
+    recorded.
 
     ``t0`` and ``t1`` must be finite, ``rtol`` and ``atol`` finite and > 0,
     and ``t_eval`` finite, strictly increasing and inside [t0, t1]; anything
@@ -165,10 +184,9 @@ def solve(
     K = np.empty((7,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
     Kf = K.reshape(7, -1)
 
+    max_growth = MAX_STEP_FACTOR
     while t < t1:
         h = min(h, t1 - t)
-        if eval_times is not None and eval_idx < len(eval_times):
-            h = min(h, eval_times[eval_idx] - t)
         if h < 1e-14 * max(1.0, abs(t)):
             return failure(f"step size underflow at t={t:.6g}")
 
@@ -181,31 +199,37 @@ def solve(
         err = ((h * _E) @ Kf).reshape(y.shape)
         enorm = _error_norm(err, y, y_new, rtol, atol)
 
-        if not np.isfinite(enorm):
+        if not enorm <= 1.0:
             stats.rejected += 1
-            h *= MIN_STEP_FACTOR
-            continue
-        if enorm > 1.0:
-            stats.rejected += 1
-            h *= max(MIN_STEP_FACTOR, SAFETY * enorm ** -ORDER_EXP)
+            max_growth = 1.0  # the step after a rejection may shrink but not grow
+            shrink = SAFETY * enorm ** -ORDER_EXP  # NaN on a NaN error: shrink the most
+            h *= shrink if shrink > MIN_STEP_FACTOR else MIN_STEP_FACTOR
             continue
 
         stats.accepted += 1
         stats.max_error_estimate = max(stats.max_error_estimate, enorm)
+        t_old, y_old = t, y
         t += h
         y, drift = _project(y_new)
         stats.max_norm_drift = max(stats.max_norm_drift, drift)
         fk = f(t, y)
 
-        if eval_times is not None:
-            while eval_idx < len(eval_times) and eval_times[eval_idx] <= t + 1e-12 * max(1.0, abs(t)):
-                ts.append(eval_times[eval_idx])
-                ys.append(y.copy())
-                eval_idx += 1
-        else:
+        if eval_times is None:
             ts.append(t)
             ys.append(y.copy())
+        else:
+            # The samples in (t_old, t], from the step's continuous extension.
+            k = np.searchsorted(eval_times, t + 1e-12 * max(1.0, abs(t)), side="right")
+            if k > eval_idx:
+                samples = eval_times[eval_idx:k]
+                weights = (h * ((samples - t_old) / h)[:, None] ** np.arange(1, 5)) @ _P.T
+                dense, _ = _project(y_old + (weights @ Kf).reshape(samples.shape + y.shape))
+                dense[samples >= t] = y
+                ts.extend(samples)
+                ys.extend(dense)
+                eval_idx = k
 
-        h *= min(MAX_STEP_FACTOR, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
+        h *= min(max_growth, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
+        max_growth = MAX_STEP_FACTOR
 
     return SimTrace(np.array(ts), np.array(ys), stats)

@@ -90,6 +90,11 @@ def oracle_time(text: str):
     return text if text == "auto" else ranged(finite, lambda t: t > 0, "> 0")(text)
 
 
+def atom_count(text: str) -> int:
+    """argparse type for ``--atoms``: a whole number >= 2, such as 1000 or 1e3."""
+    return int(ranged(finite, lambda a: a >= 2 and a.is_integer(), "a whole number >= 2")(text))
+
+
 # argparse type for an initial separation angle.
 pair_angle = ranged(finite, lambda a: 0.0 < a <= math.pi, "in (0, pi]")
 
@@ -213,11 +218,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_gp_validity(args) -> int:
     # gp_validity_time starts each row at cos(alpha0/2) = 1 - 1/atoms
-    check_target_overlap(args, min(math.cos(dc.epsilon_to_alpha0(1.0 / int(a)) / 2.0)
+    check_target_overlap(args, min(math.cos(dc.epsilon_to_alpha0(1.0 / a) / 2.0)
                                    for a in args.atoms), "1 - 1/(smallest --atoms)")
     rows = []
     for atoms in args.atoms:
-        p = mf.CondensateParams(int(atoms), U=args.interaction)
+        p = mf.CondensateParams(atoms, U=args.interaction)
         rows.append((p.n_atoms, p.g, mf.gp_validity_time(p, args.target_overlap),
                      mf.validity_scaling_constant(p, args.target_overlap)))
     text = csv_text("N_atoms,g,t_star,t_star_times_N_over_logN", rows)
@@ -345,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")
-    p.add_argument("--atoms", type=ranged(finite, lambda a: a >= 2, ">= 2"), nargs="+",
-                   required=True, help="condensate atom counts, at least 2")
+    p.add_argument("--atoms", type=atom_count, nargs="+",
+                   required=True, help="condensate atom counts, whole numbers >= 2")
     p.add_argument("--interaction", type=ranged(finite, lambda u: u > 0, "> 0"), default=1e-3,
                    help="interaction strength U (g = U * atoms)")
     _shared(p, "target-overlap", "out")

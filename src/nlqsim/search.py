@@ -410,7 +410,8 @@ def lower_bound_audit(
         S(t) = sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N))
 
     at the ``samples`` + 1 recorded times (``samples`` >= 2), with the
-    bound's g = max |kappa| sampled on [0, 1].  ``H`` is None, a
+    bound's g = max |kappa| sampled on [0, 1].  The samples are
+    interpolated within the steps, so they cost no steps.  ``H`` is None, a
     ``Schedule`` (such as ``search_schedule``) or a dense N x N matrix.
     Outside the p support coordinates of H every coordinate is alike, so
     the amplitudes fall into classes: each support coordinate, one marked

@@ -259,6 +259,23 @@ def test_gp_validity_cli_at_large_atom_counts(capsys):
     assert 0.0 < float(row[2]) < math.inf
 
 
+def test_gp_validity_refuses_an_atom_count_that_is_not_whole(capsys):
+    # 2.5 atoms used to be truncated to 2 and computed
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gp-validity", "--atoms", "1e3", "2.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --atoms: must be a whole number >= 2, got 2.5" in err
+
+
+def test_gp_validity_reads_an_atom_count_in_float_notation_as_that_integer(capsys):
+    assert run_cli(["gp-validity", "--atoms", "1e3"]) == 0
+    as_float = capsys.readouterr().out
+    assert run_cli(["gp-validity", "--atoms", "1000"]) == 0
+    assert as_float == capsys.readouterr().out
+    assert as_float.split("\n")[1].startswith("1000,1,")
+
+
 def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["audit", "--n", "8", "--duration", "-1"])

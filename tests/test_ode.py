@@ -110,3 +110,27 @@ def test_an_rhs_that_is_not_finite_at_t0_fails_at_once(bad):
     assert res.failed and "not finite at t0=0" in res.failure_reason
     assert calls == [0.0]
     assert res.times.tolist() == [0.0] and res.states.tolist() == [[1.0 + 0j]]
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-8])
+def test_interpolated_samples_of_a_rotation_match_its_closed_form(rtol):
+    # samples fall inside steps and come from the step's continuous
+    # extension; they are as accurate as rtol asks and projected to unit norm
+    w = np.array([0.3, 1.0, 2.7])
+    y0 = np.ones(3, dtype=complex) / np.sqrt(3.0)
+    t_eval = np.linspace(0.0, 2.0, 101)
+    res = _ode.solve(lambda t, y: -1j * w * y, 0.0, 2.0, y0, rtol=rtol, t_eval=t_eval)
+    assert np.array_equal(res.times, t_eval)
+    assert np.max(np.abs(res.states - np.exp(-1j * np.outer(t_eval, w)) * y0)) <= 2 * rtol
+    assert np.max(np.abs(np.linalg.norm(res.states, axis=-1) - 1.0)) <= 1e-14
+
+
+def test_a_sample_at_t1_is_the_state_a_run_without_samples_ends_on():
+    def f(t, y):
+        return -1j * np.array([0.5, 2.0 + np.sin(t)]) * y
+
+    y0 = np.array([0.6 + 0j, 0.8j])
+    free = _ode.solve(f, 0.0, 3.0, y0)
+    sampled = _ode.solve(f, 0.0, 3.0, y0, t_eval=np.array([0.0, 1.234, 3.0]))
+    assert np.array_equal(sampled.states[-1], free.states[-1])
+    assert sampled.stats == free.stats  # samples do not end steps

@@ -331,6 +331,35 @@ def test_integrate_nlse_schedule_matches_a_lab_frame_dop853_run(kind, oracle):
     assert np.max(np.abs(tr.states - ref.y.T)) <= 1e-8
 
 
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt"])
+def test_integrate_nlse_samples_under_a_smooth_drive_match_dop853(kind, N):
+    # The samples are interpolated within steps, not forced step ends, so
+    # they are as accurate as rtol asks: at most 8.4 rtol here (log, N = 8).
+    rng = np.random.default_rng(N)
+    psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi0 /= np.linalg.norm(psi0)
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]])
+    schedule = sr.Schedule((0, 1), sx, lambda t: 1.5 * math.cos(t / 2.0))
+    dense = np.zeros((N, N))
+    dense[:2, :2] = sx
+    marked = np.arange(N) == 2
+    kappa = _audit_kinds()[kind]
+
+    def lab(t, psi):
+        return -1j * ((kappa.kappa(np.abs(psi)) + marked) * psi
+                      + schedule.omega(t) * (dense @ psi))
+
+    grid = np.linspace(0.0, 6.0, 301)
+    ref = solve_ivp(lab, (0.0, 6.0), psi0, method="DOP853", t_eval=grid,
+                    rtol=1e-13, atol=1e-15)
+    # sqrt's kappa has an infinite slope at |psi_x| = 1/sqrt(2); this drive
+    # keeps every amplitude below it, so the right-hand side stays smooth
+    assert np.max(np.abs(ref.y)) < 1.0 / math.sqrt(2.0)
+    tr = sr.integrate_nlse(kappa, schedule, 3, psi0, 6.0, t_eval=grid)
+    assert np.max(np.abs(tr.states - ref.y.T)) <= 10 * 1e-10
+
+
 def test_integrate_nlse_that_fails_before_its_first_sample_returns_the_failed_trace():
     # kappa is undefined below |psi_x| = 0.5, which coordinate 1 crosses near
     # t = 0.12, so the step size underflows before the sample at t = 1
@@ -537,6 +566,20 @@ def test_audit_at_n_2_40_matches_the_rows_marked_outside_the_support(kind):
     d = (1.0 - cmath.exp(-1j * audit.times[-1])) / N
     want = (N - 2) * (2.0 * d.real - abs(d) ** 2) / (1.0 + abs(1.0 - d))
     assert abs((N - audit.S[-1]) - want) <= 1e-3
+
+
+def test_audit_step_count_does_not_depend_on_its_samples():
+    # samples are filled from the steps, so 200 of them cost no steps
+    # over 2 (87 + 18 steps measured; one step per sample took 217 + 31)
+    g, N = 1.0, 64
+    t1 = sr.default_t1(N, g)
+    duration = sr.run_search(sr.SearchInstance(N, marked=1), nl.gross_pitaevskii(g),
+                             t1=t1).total_time
+    stats = [sr.lower_bound_audit(nl.gross_pitaevskii(g), sr.search_schedule(N, g, t1), N,
+                                  duration, samples=samples).step_stats
+             for samples in (2, 200)]
+    assert stats[0] == stats[1]
+    assert stats[1].accepted <= 100 and stats[1].rejected <= 20
 
 
 @pytest.mark.parametrize("kind, N, dense, most", [
