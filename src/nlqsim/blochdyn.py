@@ -130,15 +130,16 @@ def pair_overlap_rate(kbar: ReducedNonlinearity, c, s, phi, theta):
         dc/dt = (s/2) sin(phi) sin(theta) (kbar(z_minus) - kbar(z_plus)),
         z_pm  = c cos(phi) -+ s sin(phi) cos(theta).
 
-    Vectorized over all arguments; d cos(alpha)/dt is 4c times this.
+    kbar is called once, on the stack (z_minus, z_plus).  Vectorized over
+    all arguments, where c cos(phi) has no more axes than s sin(phi)
+    cos(theta); d cos(alpha)/dt is 4c times this.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
     sp, cp = np.sin(phi), np.cos(phi)
     st, ct = np.sin(theta), np.cos(theta)
-    zp = c * cp - s * sp * ct
-    zm = c * cp + s * sp * ct
-    out = 0.5 * s * sp * st * (kbar(zm) - kbar(zp))
+    k = kbar(c * cp + np.multiply.outer((1.0, -1.0), s * sp * ct))
+    out = 0.5 * s * sp * st * (k[0] - k[1])
     return float(out) if out.ndim == 0 else out
 
 

@@ -226,7 +226,8 @@ def optimize_orientation(
     At dim = 2 the optimum is the Bloch-sphere search of
     :func:`discrimination.reoptimize_orientation`; ``restarts``, ``seed``,
     ``warm_start`` and ``max_sweeps`` act on the dim >= 3 search only, and
-    ``converged_sweeps`` is 0.
+    ``converged_sweeps`` is 0.  There ``grad_norm`` reflects the grid's
+    sqrt(eps) resolution (about 1e-8), not a convergence certificate.
 
     For dim >= 3: multi-start L-BFGS on the Givens-frame angles with the
     exact gradient (:func:`_rate_gradient`), batched over restarts; each
@@ -344,10 +345,15 @@ def _lbfgs(kappa, base, pairs, params, max_iter):
             done, bad = idx[ok], idx[~ok]
             x_new[done], states_new[done], rates_new[done] = (
                 trial[ok], trial_states[ok], trial_rates[ok])
+            # Give up once the halved step, or the quadratic f0 + slope t + A t^2
+            # through the failed trial (largest gain slope^2 / 4A), could lower
+            # the rate by no more than the stopping threshold: that is noise.
+            t, f0 = step[bad], rates[rows[bad]]
+            tiny = _REL_DECREASE * np.abs(f0)
+            curv = (trial_rates[~ok] - f0 - t * slope[bad]) / (t * t)
             step[bad] *= 0.5
-            # Give up once the step could lower the rate by no more than the
-            # stopping threshold: the comparison is then rounding noise.
-            hopeless = bad[-step[bad] * slope[bad] <= _REL_DECREASE * np.abs(rates[rows[bad]])]
+            hopeless = bad[(-step[bad] * slope[bad] <= tiny)
+                           | ((curv > 0.0) & (slope[bad] ** 2 <= 4.0 * curv * tiny))]
             failed[hopeless] = True
             searching[done] = searching[hopeless] = False
 
@@ -387,7 +393,8 @@ def _two_loop(g, S, Y, rho):
     q[~fresh] /= (rho[~fresh, -1] * np.sum(Y[~fresh, -1] ** 2, axis=1))[:, None]
     for j in range(rho.shape[1]):
         q += S[:, j] * (a[:, j] - rho[:, j] * np.sum(Y[:, j] * q, axis=1))[:, None]
-    q[fresh] = _steepest(g[fresh])
+    if fresh.any():
+        q[fresh] = _steepest(g[fresh])
     return q
 
 

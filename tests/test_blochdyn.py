@@ -122,6 +122,52 @@ def test_ip_rate_invariant_under_z_rotation():
         assert abs(base - bd.ip_rate(kbar, p)) <= 1e-12
 
 
+ODD = nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0)
+
+
+def _two_call_rate(kbar, c, s, phi, theta):
+    """The oriented-pair rate with kbar evaluated once per latitude."""
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    return 0.5 * s * sp * st * (kbar(c * cp + s * sp * ct) - kbar(c * cp - s * sp * ct))
+
+
+def _rate_shape_cases():
+    """(c, s, phi, theta): all scalars, a held orientation with a 21-node
+    panel of overlaps, and the (R, 1, 1) / (R, 9, 1) / (R, 1, 9) grid."""
+    rng = np.random.default_rng(11)
+    a = 1.1
+    u = rng.uniform(-9.0, 9.0, 21)
+    yield math.cos(a / 2), math.sin(a / 2), 1.3, 2.2
+    yield np.tanh(u), 1.0 / np.cosh(u), math.pi / 2, 3 * math.pi / 4
+    u = rng.uniform(-9.0, 9.0, (5, 1, 1))
+    yield (np.tanh(u), 1.0 / np.cosh(u), rng.uniform(0.0, math.pi, (5, 9, 1)),
+           rng.uniform(0.0, 2 * math.pi, (5, 1, 9)))
+
+
+@pytest.mark.parametrize("n", [nl.gross_pitaevskii(1.3), nl.logarithmic(0.7),
+                               nl.square_root_sign(2.0), ODD, nl.quartic_difference(1.0)],
+                         ids=["gp", "log", "sqrt", "odd", "quartic"])
+def test_pair_overlap_rate_is_the_two_call_form_bit_for_bit(n):
+    kbar = nl.reduce(n)
+    shapes = []
+
+    def counted(z):
+        shapes.append(np.shape(z))
+        return kbar(z)
+
+    for c, s, phi, theta in _rate_shape_cases():
+        got = bd.pair_overlap_rate(counted, c, s, phi, theta)
+        want = _two_call_rate(kbar, c, s, phi, theta)
+        if np.ndim(c) == 0:
+            assert type(got) is float and got == want
+        else:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # one kbar call per rate, on the stacked latitudes
+    assert shapes == [(2,), (2, 21), (2, 5, 9, 9)]
+
+
 def test_integrate_zero_duration_returns_initial():
     kbar = nl.reduce(nl.gross_pitaevskii(1.0))
     v = np.array([0.0, 1.0, 0.0])

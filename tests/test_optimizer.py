@@ -352,3 +352,23 @@ def test_iteration_cap_sets_capped():
     res = op.optimize_orientation(nl.quartic_difference(1.0), 0.5, 4, restarts=4, seed=1,
                                   max_sweeps=3)
     assert res.capped and res.converged_sweeps == 3
+
+
+def test_warm_started_restart_at_its_optimum_stops_within_three_evaluations(monkeypatch):
+    # the gp chain link d = 2 -> 3 of the optimizer recovery check: restart 0
+    # starts at the padded qubit optimum, whose gradient is rounding-sized.
+    # Restarts do not interact, so one restart shows restart 0's line search.
+    g, alpha = 1.0, math.pi / 4
+    gp = nl.gross_pitaevskii(g)
+    start = op.optimize_orientation(gp, alpha, 2)
+    events = []
+    batch_rates, rate_gradient = op._batch_rates, op._rate_gradient
+    monkeypatch.setattr(op, "_batch_rates", lambda kappa, states: (
+        events.append(len(states)) or batch_rates(kappa, states)))
+    monkeypatch.setattr(op, "_rate_gradient",
+                        lambda *args: events.append("grad") or rate_gradient(*args))
+    res = op.optimize_orientation(gp, alpha, 3, restarts=1, seed=3, warm_start=start)
+    first = events[events.index("grad") + 1:]
+    first = first[:first.index("grad")] if "grad" in first else first
+    assert 1 <= len(first) <= 3 and set(first) == {1}
+    assert res.best_rate == pytest.approx(start.best_rate, rel=1e-12, abs=0.0)

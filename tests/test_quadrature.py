@@ -2,10 +2,12 @@
 ``separation_trace`` and the batched re-optimized orientation grid."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import minimize
 from scipy.special import roots_legendre
 
 from nlqsim import discrimination as dc
@@ -114,3 +116,70 @@ def test_batched_reoptimized_grid_rows_equal_scalar_calls_bit_for_bit(kind):
         one = dc.reoptimize_orientation(kbar, float(c[i]), float(s[i]))
         assert all(type(x) is float for x in one)
         assert one == (phi[i], theta[i], rate[i])
+
+
+@dataclass(frozen=True, eq=False)
+class _CountingKbar(nl.ReducedNonlinearity):
+    """A reduction that records the shape of every evaluation."""
+
+    calls: list = field(default_factory=list)
+
+    def __call__(self, z):
+        self.calls.append(np.shape(z))
+        return super().__call__(z)
+
+
+@pytest.mark.parametrize("points", [1, 40])
+def test_orientation_search_makes_one_kbar_call_a_round_for_fourteen_rounds(points):
+    # the window narrows by 4 from half-width pi until it is below sqrt(eps)
+    kbar = _CountingKbar(nl.logarithmic(0.7))
+    c, s = dc._tanh_sech(np.random.default_rng(2).uniform(-18.0, 18.0, points))
+    if points == 1:
+        c, s = float(c[0]), float(s[0])
+    dc.reoptimize_orientation(kbar, c, s)
+    assert kbar.calls == [(2, points, 9, 9)] * 14
+
+
+REDUCTIONS = {
+    "log": nl.logarithmic(0.7),
+    "sqrt": nl.square_root_sign(2.0),
+    "odd": nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0),
+}
+# Overlaps as (c, s): three angles alpha, then u = atanh(c) on both sides of 0.
+OVERLAPS = ([(math.cos(a / 2), math.sin(a / 2)) for a in (0.3, 1.0, 2.8)]
+            + [tuple(float(x) for x in dc._tanh_sech(u)) for u in (-8.0, -2.0, 2.0, 8.0)])
+OVERLAP_IDS = ["a0.3", "a1.0", "a2.8", "u-8", "u-2", "u2", "u8"]
+_PHI, _THETA = np.meshgrid(np.linspace(0.0, math.pi, 129),
+                           np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False),
+                           indexing="ij")
+
+
+def _rate(kbar, c, s, phi, theta):
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    return 0.5 * s * sp * st * (kbar(c * cp + s * sp * ct) - kbar(c * cp - s * sp * ct))
+
+
+def _polished_best_rate(kbar, c, s):
+    """Best cell of a 129 x 256 grid, polished by Nelder-Mead."""
+    rates = _rate(kbar, c, s, _PHI, _THETA)
+    i = np.unravel_index(np.argmin(rates), rates.shape)
+    res = minimize(lambda x: float(_rate(kbar, c, s, x[0], x[1])),
+                   np.array([_PHI[i], _THETA[i]]), method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 4000})
+    return min(float(res.fun), float(rates[i]))
+
+
+@pytest.mark.parametrize("c,s", OVERLAPS, ids=OVERLAP_IDS)
+def test_orientation_search_reaches_the_quadratic_optimum(c, s):
+    g = 1.3
+    rate = dc.reoptimize_orientation(nl.reduce(nl.gross_pitaevskii(g)), c, s)[2]
+    assert rate == pytest.approx(-(g / 2) * s * s, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("c,s", OVERLAPS, ids=OVERLAP_IDS)
+@pytest.mark.parametrize("kind", sorted(REDUCTIONS))
+def test_orientation_search_matches_a_polished_dense_grid(kind, c, s):
+    kbar = nl.reduce(REDUCTIONS[kind])
+    rate = dc.reoptimize_orientation(kbar, c, s)[2]
+    assert rate == pytest.approx(_polished_best_rate(kbar, c, s), rel=1e-13, abs=0.0)
