@@ -25,14 +25,12 @@ from .blochdyn import (  # noqa: F401
     integrate,
     ip_rate,
     ip_rate_vectors,
-    nonlinear_flow_rate,
     optimal_pair,
     pair_to_bloch,
 )
 from .discrimination import (  # noqa: F401
     DiscriminationResult,
     OrientationPolicy,
-    gp_control_omega,
     gp_overlap_closed_form,
     gp_t_perp,
     log_overlap_rate,
@@ -45,7 +43,6 @@ from .bounds import (  # noqa: F401
     certify_growth,
     check_lipschitz_separation_bound,
     estimate_lipschitz,
-    exp_growth_rate,
 )
 from .search import (  # noqa: F401
     Decision,

@@ -108,13 +108,6 @@ def optimal_pair(alpha: float) -> PairOrientation:
     return PairOrientation(alpha, math.pi / 2, 3 * math.pi / 4)
 
 
-def nonlinear_flow_rate(kbar: ReducedNonlinearity, v) -> np.ndarray:
-    """Instantaneous velocity of a Bloch vector under the nonlinearity alone."""
-    v = _as_unit(v)
-    k = kbar(v[2])
-    return np.array([-k * v[1], k * v[0], 0.0])
-
-
 def ip_rate_vectors(kbar: ReducedNonlinearity, v1, v2) -> float:
     """Rate of change of v1 . v2 under the nonlinear flow, from raw vectors."""
     v1 = np.asarray(v1, dtype=float)

@@ -5,7 +5,8 @@ states apart:
 
 * if kbar grows at least linearly around some latitude z0,
   |kbar(z0) - kbar(z0 + d)| >= g_local |d| for |d| < Delta, the pair placed
-  at midpoint latitude z0 separates exponentially;
+  at midpoint latitude z0 separates exponentially, at least at the
+  exponent ``certified_exp_rate``, the only one reported;
 * if kbar is Lipschitz with constant g_lip, no protocol can beat
   alpha(t) <= exp(2 g_lip t) alpha0, and non-Lipschitz reductions (e.g. the
   square-root-sign form) violate any such proxy bound.
@@ -49,7 +50,6 @@ class GrowthCertificate:
     g_local: float
     delta_window: float
     direction: int
-    grid: int
 
     @property
     def validity_alpha(self) -> float:
@@ -79,7 +79,6 @@ class GrowthRefusal:
 @dataclass(frozen=True)
 class LipschitzEstimate:
     g_lip: float
-    grid_resolution: float
     finite: bool = True
 
     def __post_init__(self):
@@ -137,7 +136,7 @@ def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
     # higher-z state has the larger kbar iff kbar increases through z0.
     up = np.mean(np.sign(diffs * deltas))
     direction = 1 if up >= 0 else -1
-    return GrowthCertificate(z0, g_local, min(hi, Delta), direction, grid)
+    return GrowthCertificate(z0, g_local, min(hi, Delta), direction)
 
 
 def certified_exp_rate(cert: GrowthCertificate, alpha_max: Optional[float] = None) -> float:
@@ -158,17 +157,6 @@ def certified_exp_rate(cert: GrowthCertificate, alpha_max: Optional[float] = Non
         return 0.0
     sinc_floor = math.sin(a / 2.0) / (a / 2.0)
     return cert.g_local * (1.0 - cert.z0 ** 2) / 2.0 * sinc_floor
-
-
-def exp_growth_rate(cert: GrowthCertificate) -> float:
-    """Nominal exponential exponent c = g_local sqrt((1 - z0^2) / 2).
-
-    This is the headline constant for the latitude-z0 growth argument.  The
-    exactly certified exponent is smaller by a constant factor (see
-    :func:`certified_exp_rate`); the companion ODE check in the test suite
-    verifies the certified rate.
-    """
-    return cert.g_local * math.sqrt((1.0 - cert.z0 ** 2) / 2.0)
 
 
 def growth_trace(kbar: ReducedNonlinearity, cert: GrowthCertificate, alpha0: float,
@@ -209,8 +197,7 @@ def estimate_lipschitz(kbar: ReducedNonlinearity, grid: int = DEFAULT_GRID) -> L
     # Quotients made of pure rounding dust (vanishing reductions) grow under
     # refinement without meaning anything; an absolute floor absorbs them.
     finite = fine <= coarse * UNBOUNDED_GROWTH + 1e-12 or fine < 1e-9
-    return LipschitzEstimate(g_lip=fine, grid_resolution=2.0 / (grid * REFINE_FACTOR),
-                             finite=finite)
+    return LipschitzEstimate(g_lip=fine, finite=finite)
 
 
 def check_lipschitz_separation_bound(

@@ -13,6 +13,10 @@ Each subcommand accepts only the flags its handler reads:
     figures       --which --out
     validate      --quick --seed --out
 
+A value outside a flag's range (README, "Command line") exits 2 as argparse
+does.  ``bounds`` reports one growth exponent, the certified one
+(``c_certified``).
+
 Every CSV, on stdout or in an ``--out`` file, comes from one writer,
 ``csv_text``: float cells at 17 significant digits, so regeneration diffs are
 lossless, and every other cell as text.  The library returns numbers; only
@@ -99,13 +103,19 @@ def atom_count(text: str) -> int:
 pair_angle = ranged(finite, lambda a: 0.0 < a <= math.pi, "in (0, pi]")
 
 
-def check_target_overlap(args, bound: float, what: str) -> None:
-    """Exit 2 as argparse does unless 0 <= --target-overlap < bound; the
-    bound comes from another flag, so no argparse type can check it."""
-    if not 0.0 <= args.target_overlap < bound:
-        sys.stderr.write(f"nlqsim {args.command}: error: argument --target-overlap: must be "
-                         f"in [0, {what}) = [0, {bound!r}), got {args.target_overlap!r}\n")
+def check_flag(args, flag: str, ok: bool, what: str) -> None:
+    """Exit 2 as argparse does unless ``ok``, for a flag whose range comes
+    from another flag, which no argparse type can check."""
+    if not ok:
+        sys.stderr.write(f"nlqsim {args.command}: error: argument --{flag}: must be {what}, "
+                         f"got {getattr(args, flag.replace('-', '_'))!r}\n")
         raise SystemExit(2)
+
+
+def check_target_overlap(args, bound: float, what: str) -> None:
+    """--target-overlap in [0, bound), the overlap a run starts from."""
+    check_flag(args, "target-overlap", 0.0 <= args.target_overlap < bound,
+               f"in [0, {what}) = [0, {bound!r})")
 
 
 def cmd_discriminate(args) -> int:
@@ -135,12 +145,11 @@ def cmd_bounds(args) -> int:
     kbar = nl.reduce(n)
     cert = bn.certify_growth(kbar, args.z0, args.delta, grid=args.grid)
     if isinstance(cert, bn.GrowthRefusal):
-        g_local, c_rate = 0.0, 0.0
+        g_local, c_certified = 0.0, 0.0
         print(f"growth certificate refused: {cert.reason}")
     else:
-        g_local, c_rate = cert.g_local, bn.exp_growth_rate(cert)
-        print(f"g_local = {fmt(g_local)}, nominal exponent = {fmt(c_rate)}, "
-              f"certified exponent = {fmt(bn.certified_exp_rate(cert))}")
+        g_local, c_certified = cert.g_local, bn.certified_exp_rate(cert)
+        print(f"g_local = {fmt(g_local)}, certified exponent = {fmt(c_certified)}")
 
     est = bn.estimate_lipschitz(kbar, grid=args.grid)
     g_lip = args.g_lip if args.g_lip is not None else (est.g_lip if est.finite else None)
@@ -155,13 +164,16 @@ def cmd_bounds(args) -> int:
         print(f"g_lip = {fmt(g_lip)}, bound_ok = {bound_ok}, "
               f"max ratio = {fmt(max_ratio)}")
     if args.out:
-        row = (n.spec_string(), args.z0, g_local, c_rate, bound_ok, max_ratio)
-        write_text(args.out, csv_text("nonlinearity,z0,g_local,c,bound_ok,max_ratio", [row]))
+        row = (n.spec_string(), args.z0, g_local, c_certified, bound_ok, max_ratio)
+        write_text(args.out, csv_text("nonlinearity,z0,g_local,c_certified,bound_ok,max_ratio",
+                                      [row]))
         print(f"report written to {args.out}")
     return 0
 
 
 def cmd_search(args) -> int:
+    if args.marked is not None:
+        check_flag(args, "marked", 1 <= args.marked <= args.n, f"in [1, --n] = [1, {args.n}]")
     n = nl.parse(args.nonlinearity)
     instance = sr.SearchInstance(args.n, marked=args.marked)
     r = sr.run_search(instance, n, t1=args.t1, seed=args.seed, rtol=args.tol)
@@ -279,7 +291,7 @@ def cmd_validate(args) -> int:
 _SHARED = {
     "nonlinearity": dict(default="gp:1",
                          help="kind:g spec (gp:1.0, log:0.5, sqrt, quartic, custom:file.csv)"),
-    "n": dict(type=int, required=True, help="catalog size N"),
+    "n": dict(type=ranged(int, lambda n: n >= 2, ">= 2"), required=True, help="catalog size N"),
     "t1": dict(type=oracle_time, default="auto",
                help="oracle time: auto or a finite number > 0 (default auto)"),
     "seed": dict(type=int, default=0, help="rng seed (default 0)"),
@@ -315,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="growth certificates and separation bounds")
     _shared(p, "nonlinearity")
-    p.add_argument("--z0", type=finite, default=0.0)
-    p.add_argument("--delta", type=finite, default=0.5)
-    p.add_argument("--grid", type=int, default=bn.DEFAULT_GRID)
+    p.add_argument("--z0", type=ranged(finite, lambda z: 0.0 <= z < 1.0, "in [0, 1)"), default=0.0)
+    p.add_argument("--delta", type=ranged(finite, lambda d: d > 0, "> 0"), default=0.5)
+    p.add_argument("--grid", type=ranged(int, lambda g: g >= 2, ">= 2"), default=bn.DEFAULT_GRID)
     p.add_argument("--alpha0", type=pair_angle, default=1e-3,
                    help="initial separation angle of the bound check (default 1e-3)")
     p.add_argument("--duration", type=ranged(finite, lambda d: d >= 0, ">= 0"), default=5.0)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from .blochdyn import pair_overlap_rate
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
@@ -126,13 +125,6 @@ def gp_time_to_overlap(g: float, alpha0: float, target: float) -> float:
     if not 0.0 <= target < math.cos(alpha0 / 2):
         raise ValueError("target overlap must be in [0, cos(alpha0/2))")
     return (2.0 / g) * (math.log(1.0 / math.tan(alpha0 / 4.0)) - math.atanh(target))
-
-
-def gp_control_omega(g: float, alpha: float) -> float:
-    """x-axis drive rate keeping the pair optimally oriented (y = z)."""
-    if not 0.0 <= alpha <= math.pi + 1e-12:
-        raise ValueError("alpha must be in [0, pi]")
-    return 0.5 * g * math.cos(alpha / 2.0)
 
 
 def control_omega(kbar: ReducedNonlinearity, c: float, s: float) -> float:
@@ -289,6 +281,7 @@ def quad_panel(f, a: float, b: float, rtol: float) -> float:
         closed += int(np.count_nonzero(done))
         lo, hi = lo[~done], hi[~done]
         if closed + 2 * len(lo) > QUAD_LIMIT:
+            from scipy.integrate import IntegrationWarning  # slow to import; only warnings use it
             warnings.warn(f"quadrature on [{a:.17g}, {b:.17g}] did not reach rtol "
                           f"{rtol:.3g} within {QUAD_LIMIT} pieces", IntegrationWarning,
                           stacklevel=2)

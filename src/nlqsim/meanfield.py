@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .discrimination import epsilon_to_alpha0, gp_time_to_overlap
@@ -27,28 +25,21 @@ from .discrimination import epsilon_to_alpha0, gp_time_to_overlap
 
 @dataclass(frozen=True)
 class CondensateParams:
-    """Atom count, interaction strength, and effective nonlinearity.
-
-    When ``homogeneous`` is set, g is tied to U * n_atoms.
-    """
+    """Atom count and interaction strength of a homogeneous condensate."""
 
     n_atoms: int
     U: float
-    g: Optional[float] = None
-    homogeneous: bool = True
 
     def __post_init__(self):
         if self.n_atoms < 2:
             raise ValueError("n_atoms must be >= 2")
-        if self.U <= 0:
+        if not self.U > 0:
             raise ValueError("U must be > 0")
-        if self.homogeneous:
-            g = self.U * self.n_atoms
-            if self.g is not None and not math.isclose(self.g, g, rel_tol=1e-12):
-                raise ValueError("homogeneous condensate requires g = U * n_atoms")
-            object.__setattr__(self, "g", g)
-        elif self.g is None or self.g <= 0:
-            raise ValueError("g must be > 0 for inhomogeneous parameters")
+
+    @property
+    def g(self) -> float:
+        """Effective nonlinearity U * n_atoms."""
+        return self.U * self.n_atoms
 
 
 def meanfield_overlap(inner: complex, n_atoms: int) -> complex:

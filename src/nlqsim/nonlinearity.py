@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -154,6 +153,7 @@ def piecewise_from_table(x: Sequence[float], y: Sequence[float], g: float = 1.0,
         raise ValueError("custom table grid must be strictly increasing")
     if x[0] > 1e-9 or x[-1] < 1.0 - 1e-9:
         raise ValueError("custom table must cover [0, 1]")
+    from scipy.interpolate import PchipInterpolator  # slow to import; only tables use it
     interp = PchipInterpolator(x, y, extrapolate=False)
 
     def fn(v):
@@ -162,18 +162,39 @@ def piecewise_from_table(x: Sequence[float], y: Sequence[float], g: float = 1.0,
     return Nonlinearity(Kind.PIECEWISE_CUSTOM, g, custom_fn=fn, label=label)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def piecewise_from_csv(path, g: float = 1.0) -> Nonlinearity:
-    """Load a custom kappa from a two-column CSV of (x, kappa(x)) samples."""
+    """Load a custom kappa from a two-column CSV of (x, kappa(x)) samples.
+
+    Blank lines, ``#`` lines and one leading header row with no number in it
+    are skipped; any other row that is not two finite numbers is refused with
+    its line number.
+    """
     xs, ys = [], []
+    header_ok = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
+        reader = csv.reader(fh)
+        for row in reader:
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
+                x, y = map(float, row)
             except ValueError:
-                continue  # header line
+                x = y = math.nan
+            if math.isfinite(x) and math.isfinite(y):
+                xs.append(x)
+                ys.append(y)
+            elif not header_ok or any(map(_is_number, row)):
+                raise ValueError(f"custom table {path}, line {reader.line_num}: expected two "
+                                 f"finite numbers x,kappa(x), got {','.join(row)!r}")
+            header_ok = False
     return piecewise_from_table(xs, ys, g=g, label="custom")
 
 
@@ -208,6 +229,7 @@ def _as_callable(fn, name: str) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError(f"{name} sample grid must be strictly increasing")
     if x[0] > 1e-9 or x[-1] < INV_SQRT2 - 1e-9:
         raise ValueError(f"{name} samples must cover [0, 1/sqrt(2)]")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(x, y, extrapolate=False)
     return lambda v: interp(np.clip(v, x[0], x[-1]))
 

@@ -70,11 +70,6 @@ class OptimizationResult:
     angles: Optional[tuple] = None  # (phi, theta) for dim = 2
     params: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def non_separating(self) -> bool:
-        """No orientation found that shrinks the overlap."""
-        return self.best_rate >= -1e-12
-
 
 def canonical_pair(alpha: float, dim: int) -> np.ndarray:
     """Canonical pair in the first 2-plane, as a (dim, 2) complex array."""

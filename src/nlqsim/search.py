@@ -347,7 +347,9 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
     first two catalog states, at omega = 0 while the oracle is queried
     (t <= t1), then at the orientation-holding omega(t) = (g/2) tanh(u0 -
     g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the stable deficit.
-    ``t1`` must be finite and >= 0."""
+    ``N`` must be >= 2 and ``t1`` finite and >= 0."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N!r}")
     if not 0.0 <= t1 < math.inf:
         raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))

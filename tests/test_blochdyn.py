@@ -47,16 +47,14 @@ def test_pair_vectors_unit_and_dot():
 
 
 def test_nonlinear_flow_rate_fixed_points():
-    kbar = nl.reduce(nl.gross_pitaevskii(1.0))
-    assert np.allclose(bd.nonlinear_flow_rate(kbar, [1.0, 0.0, 0.0]), 0.0)
-    assert np.allclose(bd.nonlinear_flow_rate(kbar, [0.0, 0.0, 1.0]), 0.0)
+    flow = bd._flow(nl.reduce(nl.gross_pitaevskii(1.0)), None)
+    assert np.allclose(flow(0.0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])), 0.0)
 
 
 def test_nonlinear_flow_rate_midlatitude():
-    kbar = nl.reduce(nl.gross_pitaevskii(2.0))
-    v = np.array([SQRT_HALF, 0.0, SQRT_HALF])
-    rate = bd.nonlinear_flow_rate(kbar, v)
-    assert np.allclose(rate, [0.0, 1.0, 0.0], atol=1e-14)
+    flow = bd._flow(nl.reduce(nl.gross_pitaevskii(2.0)), None)
+    rate = flow(0.0, np.array([[SQRT_HALF, 0.0, SQRT_HALF]]))
+    assert np.allclose(rate, [[0.0, 1.0, 0.0]], atol=1e-14)
 
 
 def test_ip_rate_optimal_orientation_matches_quadratic_form():

@@ -77,8 +77,8 @@ def _bounds_csv():
     assert cert.g_local == 1.0  # so the cell below is "1", not "1.0"
     rep = bn.check_lipschitz_separation_bound(
         n, 1e-3, 3.0, g_lip=bn.estimate_lipschitz(kbar, grid=2000).g_lip)
-    return ("nonlinearity,z0,g_local,c,bound_ok,max_ratio",
-            [("gp:1", "0", "1", bn.exp_growth_rate(cert), "True", rep.max_ratio)])
+    return ("nonlinearity,z0,g_local,c_certified,bound_ok,max_ratio",
+            [("gp:1", "0", "1", bn.certified_exp_rate(cert), "True", rep.max_ratio)])
 
 
 def _search_csv():
@@ -335,6 +335,27 @@ def test_a_target_overlap_past_the_starting_overlap_exits_2(argv, bound, capsys)
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--n", "1"], "argument --n: must be >= 2, got 1"),
+    (["audit", "--n", "1"], "argument --n: must be >= 2, got 1"),
+    (["audit", "--n", "0"], "argument --n: must be >= 2, got 0"),
+    (["search", "--n", "16", "--marked", "0"],
+     "argument --marked: must be in [1, --n] = [1, 16], got 0"),
+    (["search", "--n", "16", "--marked", "17"],
+     "argument --marked: must be in [1, --n] = [1, 16], got 17"),
+    (["bounds", "--z0", "1.5"], "argument --z0: must be in [0, 1), got 1.5"),
+    (["bounds", "--z0", "-0.5"], "argument --z0: must be in [0, 1), got -0.5"),
+    (["bounds", "--delta", "-1"], "argument --delta: must be > 0, got -1"),
+    (["bounds", "--grid", "1"], "argument --grid: must be >= 2, got 1"),
+], ids=["search-n-1", "audit-n-1", "audit-n-0", "marked-0", "marked-above-n", "z0-above-1",
+        "z0-negative", "delta-negative", "grid-1"])
+def test_a_count_or_latitude_out_of_range_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_discriminate_cli_starts_an_orthogonal_pair_at_epsilon_one(capsys):
     assert run_cli(["discriminate", "--epsilon", "1"]) == 0
     out = capsys.readouterr().out
@@ -374,7 +395,7 @@ def test_bounds_cli(tmp_path, capsys):
                     "--duration", "3.0", "--out", str(out)]) == 0
     capsys.readouterr()
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "nonlinearity,z0,g_local,c,bound_ok,max_ratio"
+    assert lines[0] == "nonlinearity,z0,g_local,c_certified,bound_ok,max_ratio"
     fields = lines[1].split(",")
     assert fields[0] == "gp:1"
     assert float(fields[2]) == pytest.approx(1.0, abs=1e-9)
@@ -506,6 +527,17 @@ def test_console_entry_point():
     for name in ("discriminate", "bounds", "search", "audit", "optimize",
                  "gp-validity", "figures", "validate"):
         assert name in proc.stdout
+
+
+def test_import_loads_neither_scipy_interpolate_nor_integrate():
+    # scipy.interpolate was most of the import time; only PCHIP tables use it
+    import subprocess
+    import sys
+    code = "import sys, nlqsim; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert "scipy.interpolate" not in loaded and "scipy.integrate" not in loaded
 
 
 @pytest.mark.parametrize("cmd", [["discriminate", "--alpha0", "0.5"], ["search", "--n", "16"]])

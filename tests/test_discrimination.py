@@ -81,8 +81,10 @@ def test_t_perp_infinite_at_zero_angle():
 
 
 def test_control_omega_endpoints():
-    assert dc.gp_control_omega(2.0, 0.0) == pytest.approx(1.0)
-    assert dc.gp_control_omega(2.0, math.pi) == pytest.approx(0.0, abs=1e-16)
+    kbar = nl.reduce(nl.gross_pitaevskii(2.0))
+    omega = [dc.control_omega(kbar, math.cos(a / 2), math.sin(a / 2)) for a in (0.0, math.pi)]
+    assert omega[0] == pytest.approx(1.0)
+    assert omega[1] == pytest.approx(0.0, abs=1e-16)
 
 
 def test_control_omega_general_reduces_to_quadratic():

@@ -38,10 +38,9 @@ def test_overlap_rejects_bad_inner():
 def test_condensate_params_homogeneous_ties_g():
     p = mf.CondensateParams(1000, U=0.002)
     assert p.g == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        mf.CondensateParams(1000, U=0.002, g=3.0)
-    free = mf.CondensateParams(1000, U=0.002, g=3.0, homogeneous=False)
-    assert free.g == 3.0
+    for U in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="U must be > 0"):
+            mf.CondensateParams(1000, U=U)
 
 
 def test_validity_time_two_atoms():
@@ -50,8 +49,8 @@ def test_validity_time_two_atoms():
 
 
 def test_validity_time_scales_inversely_with_g():
-    a = mf.CondensateParams(100, U=0.01, g=1.0, homogeneous=False)
-    b = mf.CondensateParams(100, U=0.01, g=2.0, homogeneous=False)
+    a = mf.CondensateParams(100, U=0.01)  # g = 1
+    b = mf.CondensateParams(100, U=0.02)  # g = 2
     assert mf.gp_validity_time(b) == pytest.approx(mf.gp_validity_time(a) / 2,
                                                    rel=1e-14)
 

@@ -172,9 +172,20 @@ def test_piecewise_table_monotone_interpolation():
 def test_piecewise_from_csv(tmp_path):
     path = tmp_path / "kappa.csv"
     xs = np.linspace(0.0, 1.0, 30)
-    path.write_text("x,kappa\n" + "\n".join(f"{x},{x**2}" for x in xs))
+    path.write_text("# kappa = x^2\n\nx,kappa\n" + "\n\n".join(f"{x},{x**2}" for x in xs))
     n = nl.piecewise_from_csv(path, g=2.0)
     assert n.kappa(0.5) == pytest.approx(2.0 * 0.25, abs=1e-3)
+
+
+@pytest.mark.parametrize("bad_row", ["0.5", "0.5,abc"], ids=["one-column", "non-numeric-y"])
+def test_piecewise_from_csv_names_the_line_of_a_malformed_row(tmp_path, bad_row):
+    # a one-column row raised IndexError; "0.5,abc" appended x before y
+    # failed, so the error blamed mismatched samples
+    path = tmp_path / "kappa.csv"
+    path.write_text("x,kappa\n0,0\n" + bad_row + "\n1,1\n")
+    with pytest.raises(ValueError, match=f"line 3: expected two finite numbers x,kappa\\(x\\), "
+                                         f"got '{bad_row}'"):
+        nl.piecewise_from_csv(path)
 
 
 def test_parse_spec_strings():

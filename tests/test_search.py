@@ -395,6 +395,13 @@ def test_an_oracle_time_that_is_not_finite_is_refused(t1):
         sr.search_schedule(8, 1.0, t1)
 
 
+@pytest.mark.parametrize("N", [1, 0])
+def test_search_schedule_refuses_fewer_than_two_items(N):
+    # N = 0 ended in a ZeroDivisionError from the overlap deficit
+    with pytest.raises(ValueError, match="N must be >= 2"):
+        sr.search_schedule(N, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("samples", [-1, 0, 1])
 def test_lower_bound_audit_refuses_fewer_than_two_samples(samples):
     # samples = 0 recorded only t = 0 and skipped the derivative check
