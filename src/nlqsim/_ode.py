@@ -66,7 +66,6 @@ class StepStats:
 
     accepted: int = 0
     rejected: int = 0
-    max_error_estimate: float = 0.0
     max_norm_drift: float = 0.0
 
 
@@ -207,7 +206,6 @@ def solve(
             continue
 
         stats.accepted += 1
-        stats.max_error_estimate = max(stats.max_error_estimate, enorm)
         t_old, y_old = t, y
         t += h
         y, drift = _project(y_new)

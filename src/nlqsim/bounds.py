@@ -108,11 +108,11 @@ def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
     are clipped with a warning.
     """
     if not 0.0 <= z0 < 1.0:
-        raise ValueError("z0 must be in [0, 1)")
-    if Delta <= 0:
-        raise ValueError("Delta must be > 0")
+        raise ValueError(f"z0 must be in [0, 1), got {z0!r}")
+    if not Delta > 0:
+        raise ValueError(f"Delta must be > 0, got {Delta!r}")
     if grid < 2:
-        raise ValueError("grid must be >= 2")
+        raise ValueError(f"grid must be >= 2, got {grid!r}")
 
     hi = Delta
     lo = Delta
@@ -185,7 +185,7 @@ def estimate_lipschitz(kbar: ReducedNonlinearity, grid: int = DEFAULT_GRID) -> L
     refined supremum reported.
     """
     if grid < 2:
-        raise ValueError("grid must be >= 2")
+        raise ValueError(f"grid must be >= 2, got {grid!r}")
 
     def sup_quotient(n):
         z = np.linspace(-1.0, 1.0, n)
@@ -221,6 +221,8 @@ def check_lipschitz_separation_bound(
             raise ValueError(
                 "no finite Lipschitz constant; pass an explicit g_lip proxy")
         g_lip = est.g_lip
+    if not 0.0 <= g_lip < math.inf:
+        raise ValueError(f"g_lip must be finite and >= 0, got {g_lip!r}")
 
     result = separation_trace(n, alpha0, policy=OrientationPolicy.REOPTIMIZED,
                               duration=duration, rtol=rtol)

@@ -13,9 +13,11 @@ Each subcommand accepts only the flags its handler reads:
     figures       --which --out
     validate      --quick --seed --out
 
-A value outside a flag's range (README, "Command line") exits 2 as argparse
-does.  ``bounds`` reports one growth exponent, the certified one
-(``c_certified``).
+Flags parse to plain numbers and the library states each input's range.
+A value it refuses (``ValueError``) ends, before any output, in ``nlqsim
+<cmd>: error: <message>`` on stderr and exit 2; a file that cannot be read
+or written (``OSError``) exits 2 the same way.  ``bounds`` reports one
+growth exponent, the certified one (``c_certified``).
 
 Every CSV, on stdout or in an ``--out`` file, comes from one writer,
 ``csv_text``: float cells at 17 significant digits, so regeneration diffs are
@@ -52,77 +54,21 @@ def csv_text(header: str, rows) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SystemExit(f"cannot write output file {path!r}: {exc}")
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
-def tolerance(text: str) -> float:
-    """argparse type for a relative tolerance the quadrature can meet."""
-    try:
-        return dc.check_rtol(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def ranged(convert, ok, what: str):
-    """argparse type that converts the text and refuses values not ``what``."""
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-def finite(text: str) -> float:
-    """argparse type for a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def oracle_time(text: str):
-    """argparse type for ``--t1``: ``auto`` or a finite number > 0."""
-    return text if text == "auto" else ranged(finite, lambda t: t > 0, "> 0")(text)
-
-
-def atom_count(text: str) -> int:
-    """argparse type for ``--atoms``: a whole number >= 2, such as 1000 or 1e3."""
-    return int(ranged(finite, lambda a: a >= 2 and a.is_integer(), "a whole number >= 2")(text))
-
-
-# argparse type for an initial separation angle.
-pair_angle = ranged(finite, lambda a: 0.0 < a <= math.pi, "in (0, pi]")
-
-
-def check_flag(args, flag: str, ok: bool, what: str) -> None:
-    """Exit 2 as argparse does unless ``ok``, for a flag whose range comes
-    from another flag, which no argparse type can check."""
-    if not ok:
-        sys.stderr.write(f"nlqsim {args.command}: error: argument --{flag}: must be {what}, "
-                         f"got {getattr(args, flag.replace('-', '_'))!r}\n")
-        raise SystemExit(2)
-
-
-def check_target_overlap(args, bound: float, what: str) -> None:
-    """--target-overlap in [0, bound), the overlap a run starts from."""
-    check_flag(args, "target-overlap", 0.0 <= args.target_overlap < bound,
-               f"in [0, {what}) = [0, {bound!r})")
+def atom_count(text: str):
+    """argparse type for ``--atoms``: 1000 or 1e3 as the int 1000; a count
+    that is not a whole number stays a float, for the library to refuse."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
 
 
 def cmd_discriminate(args) -> int:
     n = nl.parse(args.nonlinearity)
     alpha0 = (args.alpha0 if args.alpha0 is not None
               else dc.epsilon_to_alpha0(args.epsilon))
-    check_target_overlap(args, math.cos(alpha0 / 2.0), "cos(alpha0/2)")
     policy = (dc.OrientationPolicy.REOPTIMIZED if args.policy == "reopt"
               else dc.OrientationPolicy.FIXED_OPTIMAL_GP)
     res = dc.time_to_overlap(n, alpha0, args.target_overlap, orientation_policy=policy,
@@ -144,22 +90,22 @@ def cmd_bounds(args) -> int:
     n = nl.parse(args.nonlinearity)
     kbar = nl.reduce(n)
     cert = bn.certify_growth(kbar, args.z0, args.delta, grid=args.grid)
+    est = bn.estimate_lipschitz(kbar, grid=args.grid)
+    g_lip = args.g_lip if args.g_lip is not None else (est.g_lip if est.finite else None)
+    rep = None if g_lip is None else bn.check_lipschitz_separation_bound(
+        n, args.alpha0, args.duration, g_lip=g_lip)
+
     if isinstance(cert, bn.GrowthRefusal):
         g_local, c_certified = 0.0, 0.0
         print(f"growth certificate refused: {cert.reason}")
     else:
         g_local, c_certified = cert.g_local, bn.certified_exp_rate(cert)
         print(f"g_local = {fmt(g_local)}, certified exponent = {fmt(c_certified)}")
-
-    est = bn.estimate_lipschitz(kbar, grid=args.grid)
-    g_lip = args.g_lip if args.g_lip is not None else (est.g_lip if est.finite else None)
-    if g_lip is None:
+    if rep is None:
         print("no finite Lipschitz constant detected; pass --g-lip for the "
               "separation bound check")
         bound_ok, max_ratio = False, math.nan
     else:
-        rep = bn.check_lipschitz_separation_bound(
-            n, args.alpha0, args.duration, g_lip=g_lip)
         bound_ok, max_ratio = rep.bound_ok, rep.max_ratio
         print(f"g_lip = {fmt(g_lip)}, bound_ok = {bound_ok}, "
               f"max ratio = {fmt(max_ratio)}")
@@ -172,8 +118,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.marked is not None:
-        check_flag(args, "marked", 1 <= args.marked <= args.n, f"in [1, --n] = [1, {args.n}]")
     n = nl.parse(args.nonlinearity)
     instance = sr.SearchInstance(args.n, marked=args.marked)
     r = sr.run_search(instance, n, t1=args.t1, seed=args.seed, rtol=args.tol)
@@ -190,7 +134,7 @@ def cmd_search(args) -> int:
 def cmd_audit(args) -> int:
     n = nl.parse(args.nonlinearity)
     g = n.g if n.g > 0 else 1.0
-    t1 = sr.default_t1(args.n, g) if args.t1 == "auto" else args.t1
+    t1 = sr.default_t1(args.n, g) if args.t1 == "auto" else float(args.t1)
     H = sr.search_schedule(args.n, n.g, t1)
     duration = args.duration
     if duration is None:
@@ -209,7 +153,8 @@ def cmd_audit(args) -> int:
 
 def cmd_optimize(args) -> int:
     n = nl.parse(args.nonlinearity)
-    rows = op.optimality_gap_scan(n, [args.alpha], range(2, args.dim + 1),
+    # The chain 2..dim ends in dim itself, so a refused dim is named as given.
+    rows = op.optimality_gap_scan(n, [args.alpha], [*range(2, args.dim), args.dim],
                                   restarts=args.restarts, seed=args.seed)
     row = rows[-1]
     result = row["result"]
@@ -229,9 +174,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_gp_validity(args) -> int:
-    # gp_validity_time starts each row at cos(alpha0/2) = 1 - 1/atoms
-    check_target_overlap(args, min(math.cos(dc.epsilon_to_alpha0(1.0 / a) / 2.0)
-                                   for a in args.atoms), "1 - 1/(smallest --atoms)")
     rows = []
     for atoms in args.atoms:
         p = mf.CondensateParams(atoms, U=args.interaction)
@@ -291,13 +233,12 @@ def cmd_validate(args) -> int:
 _SHARED = {
     "nonlinearity": dict(default="gp:1",
                          help="kind:g spec (gp:1.0, log:0.5, sqrt, quartic, custom:file.csv)"),
-    "n": dict(type=ranged(int, lambda n: n >= 2, ">= 2"), required=True, help="catalog size N"),
-    "t1": dict(type=oracle_time, default="auto",
-               help="oracle time: auto or a finite number > 0 (default auto)"),
+    "n": dict(type=int, required=True, help="catalog size N"),
+    "t1": dict(default="auto", help="oracle time: auto or a number (default auto)"),
     "seed": dict(type=int, default=0, help="rng seed (default 0)"),
-    "tol": dict(type=tolerance, default=1e-10,
+    "tol": dict(type=float, default=1e-10,
                 help="relative tolerance of the time quadrature (default 1e-10)"),
-    "target-overlap": dict(type=finite, default=0.0),
+    "target-overlap": dict(type=float, default=0.0),
     "out": dict(default=None, help="output CSV path"),
 }
 
@@ -318,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate", help="drive a qubit pair to a target overlap")
     _shared(p, "nonlinearity")
     start = p.add_mutually_exclusive_group(required=True)
-    start.add_argument("--alpha0", type=pair_angle, help="initial separation angle")
-    start.add_argument("--epsilon", type=ranged(finite, lambda e: 0.0 < e <= 1.0, "in (0, 1]"),
+    start.add_argument("--alpha0", type=float, help="initial separation angle")
+    start.add_argument("--epsilon", type=float,
                        help="initial overlap deficit (overlap = 1 - epsilon)")
     _shared(p, "target-overlap")
     p.add_argument("--policy", choices=["fixed", "reopt"], default="fixed")
@@ -327,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="growth certificates and separation bounds")
     _shared(p, "nonlinearity")
-    p.add_argument("--z0", type=ranged(finite, lambda z: 0.0 <= z < 1.0, "in [0, 1)"), default=0.0)
-    p.add_argument("--delta", type=ranged(finite, lambda d: d > 0, "> 0"), default=0.5)
-    p.add_argument("--grid", type=ranged(int, lambda g: g >= 2, ">= 2"), default=bn.DEFAULT_GRID)
-    p.add_argument("--alpha0", type=pair_angle, default=1e-3,
+    p.add_argument("--z0", type=float, default=0.0)
+    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--grid", type=int, default=bn.DEFAULT_GRID)
+    p.add_argument("--alpha0", type=float, default=1e-3,
                    help="initial separation angle of the bound check (default 1e-3)")
-    p.add_argument("--duration", type=ranged(finite, lambda d: d >= 0, ">= 0"), default=5.0)
-    p.add_argument("--g-lip", type=finite, default=None,
+    p.add_argument("--duration", type=float, default=5.0)
+    p.add_argument("--g-lip", type=float, default=None,
                    help="Lipschitz proxy when no finite constant exists")
     _shared(p, "out")
 
@@ -346,25 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      "the search schedule against the overlap-sum "
                                      "floor (any N; the N <= 256 cap is for dense H)")
     _shared(p, "nonlinearity", "n", "t1")
-    p.add_argument("--duration", type=ranged(finite, lambda d: d > 0, "> 0"), default=None,
-                   help="audit horizon, finite and > 0 (default: total time of the search run)")
-    p.add_argument("--samples", type=ranged(int, lambda s: s >= 2, ">= 2"), default=200)
+    p.add_argument("--duration", type=float, default=None,
+                   help="audit horizon (default: total time of the search run)")
+    p.add_argument("--samples", type=int, default=200)
     _shared(p, "seed", "out")
 
     p = sub.add_parser("optimize", help="orientation search over embeddings")
     _shared(p, "nonlinearity")
-    p.add_argument("--alpha", type=ranged(float, lambda a: 0.0 < a < math.pi, "in (0, pi)"),
-                   default=0.5, help="pair separation angle, in (0, pi)")
-    p.add_argument("--dim", type=ranged(int, lambda d: 2 <= d <= 8, "in 2..8"), default=2,
-                   help="embedding dimension, 2..8")
-    p.add_argument("--restarts", type=ranged(int, lambda r: r >= 1, ">= 1"), default=64,
-                   help="L-BFGS restarts of each d >= 3 link (at least 1)")
+    p.add_argument("--alpha", type=float, default=0.5, help="pair separation angle")
+    p.add_argument("--dim", type=int, default=2, help="embedding dimension")
+    p.add_argument("--restarts", type=int, default=64,
+                   help="L-BFGS restarts of each d >= 3 link")
     _shared(p, "seed", "out")
 
     p = sub.add_parser("gp-validity", help="mean-field validity horizon table")
     p.add_argument("--atoms", type=atom_count, nargs="+",
-                   required=True, help="condensate atom counts, whole numbers >= 2")
-    p.add_argument("--interaction", type=ranged(finite, lambda u: u > 0, "> 0"), default=1e-3,
+                   required=True, help="condensate atom counts")
+    p.add_argument("--interaction", type=float, default=1e-3,
                    help="interaction strength U (g = U * atoms)")
     _shared(p, "target-overlap", "out")
 
@@ -392,8 +331,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        parser.exit(2, f"nlqsim {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ def epsilon_to_alpha0(epsilon: float) -> float:
     to an angle in [0, pi]; the clip keeps epsilon = 1 at pi, not an ulp past.
     """
     if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon!r}")
     return min(math.pi, 4.0 * math.asin(math.sqrt(epsilon / 2.0)))
 
 
@@ -100,9 +100,9 @@ def gp_overlap_closed_form(g: float, alpha0: float, t):
     tanh(u0 - gt/2) with u0 = ln cot(alpha0/4): the overlap keeps its digits
     where cos(alpha0/2) rounds to 1."""
     if g <= 0:
-        raise ValueError("g must be > 0")
+        raise ValueError(f"g must be > 0, got {g!r}")
     if not 0.0 < alpha0 <= math.pi + 1e-12:
-        raise ValueError("alpha0 must be in (0, pi]")
+        raise ValueError(f"alpha0 must be in (0, pi], got {alpha0!r}")
     val = np.tanh(math.log(1.0 / math.tan(alpha0 / 4.0)) - g * np.asarray(t, dtype=float) / 2.0)
     return float(val) if np.ndim(t) == 0 else val
 
@@ -110,7 +110,7 @@ def gp_overlap_closed_form(g: float, alpha0: float, t):
 def gp_t_perp(g: float, alpha0: float) -> float:
     """Time to orthogonality, (2/g) ln(cot(alpha0/4)); inf at alpha0 = 0."""
     if alpha0 < 0 or alpha0 > math.pi + 1e-12:
-        raise ValueError("alpha0 must be in [0, pi]")
+        raise ValueError(f"alpha0 must be in [0, pi], got {alpha0!r}")
     if alpha0 == 0.0 and g > 0:
         return math.inf
     return gp_time_to_overlap(g, alpha0, 0.0)
@@ -121,9 +121,10 @@ def gp_time_to_overlap(g: float, alpha0: float, target: float) -> float:
     (2/g) (ln cot(alpha0/4) - atanh(target)); ln cot(alpha0/4) is
     atanh(cos(alpha0/2)) without its cancellation at small alpha0."""
     if not g > 0:
-        raise ValueError("g must be > 0")
+        raise ValueError(f"g must be > 0, got {g!r}")
     if not 0.0 <= target < math.cos(alpha0 / 2):
-        raise ValueError("target overlap must be in [0, cos(alpha0/2))")
+        raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = "
+                         f"[0, {math.cos(alpha0 / 2)!r}), got {target!r}")
     return (2.0 / g) * (math.log(1.0 / math.tan(alpha0 / 4.0)) - math.atanh(target))
 
 
@@ -332,14 +333,15 @@ def separation_trace(
     sin(alpha/2) anywhere on the way yields ``no_progress`` and t = inf.
     """
     if not 0.0 < alpha0 <= math.pi + 1e-12:
-        raise ValueError("alpha0 must be in (0, pi]")
+        raise ValueError(f"alpha0 must be in (0, pi], got {alpha0!r}")
     c0 = math.cos(alpha0 / 2.0)
     if (target_overlap is None) == (duration is None):
         raise ValueError("give exactly one of target_overlap and duration")
     if target_overlap is not None and not 0.0 <= target_overlap < c0:
-        raise ValueError("target overlap must be in [0, cos(alpha0/2))")
-    if duration is not None and not duration >= 0.0:
-        raise ValueError("duration must be >= 0")
+        raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = [0, {c0!r}), "
+                         f"got {target_overlap!r}")
+    if duration is not None and not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     check_rtol(rtol)
     kbar = reduce(n)
     floor = NO_PROGRESS_RATE * max(n.g, 1.0)

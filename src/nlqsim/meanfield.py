@@ -31,10 +31,10 @@ class CondensateParams:
     U: float
 
     def __post_init__(self):
-        if self.n_atoms < 2:
-            raise ValueError("n_atoms must be >= 2")
-        if not self.U > 0:
-            raise ValueError("U must be > 0")
+        if not (self.n_atoms >= 2 and float(self.n_atoms).is_integer()):
+            raise ValueError(f"n_atoms must be a whole number >= 2, got {self.n_atoms!r}")
+        if not 0.0 < self.U < math.inf:
+            raise ValueError(f"U must be finite and > 0, got {self.U!r}")
 
     @property
     def g(self) -> float:
@@ -45,7 +45,7 @@ class CondensateParams:
 def meanfield_overlap(inner: complex, n_atoms: int) -> complex:
     """<MF(psi)|MF(phi)> = inner^n_atoms."""
     if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
+        raise ValueError(f"n_atoms must be >= 1, got {n_atoms!r}")
     if abs(inner) > 1.0 + 1e-12:
         raise ValueError("|inner| must be <= 1")
     return complex(inner) ** n_atoms

@@ -202,17 +202,16 @@ def parse(spec: str) -> Nonlinearity:
     """Parse a ``kind:g`` string such as ``gp:1.0``, ``log:0.5``, ``sqrt``,
     ``quartic``, or ``custom:<csv-path>[:g]``."""
     parts = spec.strip().split(":")
-    kind = parts[0].lower()
-    if kind == "custom":
+    try:
+        kind = Kind(parts[0].lower())
+    except ValueError:
+        raise ValueError(f"unknown nonlinearity kind in {spec!r}") from None
+    if kind is Kind.PIECEWISE_CUSTOM:
         if len(parts) < 2:
             raise ValueError("custom nonlinearity needs a CSV path: custom:<path>[:g]")
         g = float(parts[2]) if len(parts) > 2 else 1.0
         return piecewise_from_csv(parts[1], g=g)
-    g = float(parts[1]) if len(parts) > 1 else 1.0
-    try:
-        return Nonlinearity(Kind(kind), g)
-    except ValueError as exc:
-        raise ValueError(f"unknown nonlinearity spec {spec!r}") from exc
+    return Nonlinearity(kind, float(parts[1]) if len(parts) > 1 else 1.0)
 
 
 def _as_callable(fn, name: str) -> Callable[[np.ndarray], np.ndarray]:

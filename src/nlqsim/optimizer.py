@@ -66,7 +66,6 @@ class OptimizationResult:
     converged_sweeps: int = 0
     capped: bool = False  # max_sweeps stopped the search (always False at dim 2)
     grad_norm: float = 0.0  # largest |d rate / d param| at the returned frame
-    degenerate: bool = False
     angles: Optional[tuple] = None  # (phi, theta) for dim = 2
     params: np.ndarray = field(default=None, repr=False)
 
@@ -74,9 +73,9 @@ class OptimizationResult:
 def canonical_pair(alpha: float, dim: int) -> np.ndarray:
     """Canonical pair in the first 2-plane, as a (dim, 2) complex array."""
     if dim < 2:
-        raise ValueError("dim must be >= 2")
+        raise ValueError(f"dim must be >= 2, got {dim!r}")
     if not 0.0 <= alpha <= math.pi:
-        raise ValueError("alpha must be in [0, pi]")
+        raise ValueError(f"alpha must be in [0, pi], got {alpha!r}")
     beta = alpha / 4.0
     pair = np.zeros((dim, 2), dtype=complex)
     pair[0, 0] = math.cos(beta)
@@ -86,24 +85,18 @@ def canonical_pair(alpha: float, dim: int) -> np.ndarray:
     return pair
 
 
-def rate_functional_flagged(kappa: Nonlinearity, e: PairEmbedding):
-    """Overlap-magnitude rate and a degeneracy flag.
+def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
+    """d|<psi|phi>|/dt induced by the nonlinearity alone.
 
     For orthogonal pairs the magnitude is not differentiable; the one-sided
-    derivative magnitude is returned with the flag set.
+    derivative magnitude |d<psi|phi>/dt| is returned.
     """
     psi, phi = np.asarray(e.psi, complex), np.asarray(e.phi, complex)
     inner = np.vdot(psi, phi)
     t = overlap_derivative(kappa, psi, phi)
     if abs(inner) < 1e-12:
-        return float(abs(t)), True
-    return float(np.real(np.conj(inner / abs(inner)) * t)), False
-
-
-def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
-    """d|<psi|phi>|/dt induced by the nonlinearity alone."""
-    rate, _ = rate_functional_flagged(kappa, e)
-    return rate
+        return float(abs(t))
+    return float(np.real(np.conj(inner / abs(inner)) * t))
 
 
 def qubit_bloch_vector(psi: np.ndarray) -> np.ndarray:
@@ -241,11 +234,11 @@ def optimize_orientation(
     index.
     """
     if dim < 2:
-        raise ValueError("dim must be >= 2")
+        raise ValueError(f"dim must be >= 2, got {dim!r}")
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
     if not 0.0 < alpha < math.pi:
-        raise ValueError("alpha must be in (0, pi) for orientation search")
+        raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
 
     pairs = _pair_indices(dim)
     base = canonical_pair(alpha, dim)
@@ -264,12 +257,10 @@ def optimize_orientation(
     states = _build_states(params, base, pairs)
     grad = _rate_gradient(kappa, params, states, pairs)
     embedding = PairEmbedding(dim=dim, psi=states[0, :, 0], phi=states[0, :, 1])
-    rate, degenerate = rate_functional_flagged(kappa, embedding)
     return OptimizationResult(
-        best_rate=rate, argmax=embedding, restarts=restarts, seed=seed,
-        alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
-        grad_norm=float(np.max(np.abs(grad))), degenerate=degenerate,
-        angles=angles, params=params[0].copy(),
+        best_rate=rate_functional(kappa, embedding), argmax=embedding, restarts=restarts,
+        seed=seed, alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
+        grad_norm=float(np.max(np.abs(grad))), angles=angles, params=params[0].copy(),
     )
 
 
@@ -407,8 +398,8 @@ def optimality_gap_scan(
     warm-started from the previous dimension's frame.
     """
     dims = sorted(set(dims))
-    if any(d < 2 or d > 8 for d in dims):
-        raise ValueError("dims must lie in {2, ..., 8}")
+    if not dims or any(d < 2 or d > 8 for d in dims):
+        raise ValueError(f"dims must be a nonempty subset of {{2, ..., 8}}, got {dims!r}")
     rows = []
     for alpha in alpha_grid:
         base_result = optimize_orientation(kappa, alpha, 2, restarts=restarts, seed=seed)

@@ -52,9 +52,9 @@ class SearchInstance:
 
     def __post_init__(self):
         if self.N < 2:
-            raise ValueError("N must be >= 2")
+            raise ValueError(f"N must be >= 2, got {self.N!r}")
         if self.marked is not None and not 1 <= self.marked <= self.N:
-            raise ValueError(f"marked item must be in [1, {self.N}]")
+            raise ValueError(f"marked item must be in [1, N] = [1, {self.N}], got {self.marked!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def uniform_state(N: int) -> np.ndarray:
 def oracle_overlap(N: int, t1: float, marked: bool) -> complex:
     """<s|U|s> for U = exp(-i t1 |m><m|): 1 - (1 - exp(-i t1))/N if marked."""
     if N < 2:
-        raise ValueError("N must be >= 2")
+        raise ValueError(f"N must be >= 2, got {N!r}")
     if t1 < 0:
-        raise ValueError("t1 must be >= 0")
+        raise ValueError(f"t1 must be >= 0, got {t1!r}")
     if not marked:
         return 1.0 + 0.0j
     return 1.0 - (1.0 - cmath.exp(-1j * t1)) / N
@@ -156,8 +156,10 @@ def helstrom_success(overlap: float) -> float:
 
 def default_t1(N: int, g: float) -> float:
     """Oracle time t1 = max(1, (1/g) ln(g N)), clamped to [1, sqrt(N)]."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N!r}")
     if g <= 0:
-        raise ValueError("g must be > 0 to pick t1 automatically")
+        raise ValueError(f"g must be > 0 to pick t1 automatically, got {g!r}")
     raw = math.log(g * N) / g if g * N > 1.0 else 1.0
     return min(max(1.0, raw), math.sqrt(N))
 
@@ -334,7 +336,7 @@ def integrate_nlse(
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     if oracle is not None and not 1 <= oracle <= dim:
-        raise ValueError("oracle index out of range")
+        raise ValueError(f"oracle must be in [1, {dim}], got {oracle!r}")
 
     H = _schedule(H, dim)
     diag = 0.0 if oracle is None else (np.arange(dim) == oracle - 1) * 1.0
@@ -347,11 +349,11 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
     first two catalog states, at omega = 0 while the oracle is queried
     (t <= t1), then at the orientation-holding omega(t) = (g/2) tanh(u0 -
     g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the stable deficit.
-    ``N`` must be >= 2 and ``t1`` finite and >= 0."""
+    ``N`` must be >= 2 and ``t1`` finite and > 0, as in ``run_search``."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N!r}")
-    if not 0.0 <= t1 < math.inf:
-        raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
+    if not 0.0 < t1 < math.inf:
+        raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx_half = np.array([[0.0, 0.5], [0.5, 0.0]])
     if not (alpha0 > 0 and g > 0):
@@ -437,7 +439,7 @@ def lower_bound_audit(
     ``duration`` must be finite and > 0.
     """
     if N < 2:
-        raise ValueError("N must be >= 2")
+        raise ValueError(f"N must be >= 2, got {N!r}")
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     if not samples >= 2:

@@ -206,3 +206,23 @@ def test_growth_trace_gp_equator_matches_closed_form():
     want = (2.0 / g) * np.log(np.tan(alphas / 4.0) / math.tan(1e-9 / 4.0))
     assert alphas[-1] == 2.5
     assert np.max(np.abs(ts - want) / np.maximum(want, 1e-300)) <= 1e-12
+
+
+def test_certify_growth_refuses_a_window_that_is_not_positive():
+    # Delta = nan passed "Delta <= 0" and certified g_local = nan
+    for delta in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"Delta must be > 0, got {delta!r}"):
+            bn.certify_growth(nl.reduce(nl.gross_pitaevskii(1.0)), 0.5, delta)
+
+
+@pytest.mark.parametrize("g_lip", [math.nan, math.inf, -1.0])
+def test_separation_bound_refuses_a_lipschitz_constant_that_is_not_finite_and_nonnegative(g_lip):
+    # these answered bound_ok = False
+    with pytest.raises(ValueError, match=f"g_lip must be finite and >= 0, got {g_lip!r}"):
+        bn.check_lipschitz_separation_bound(nl.gross_pitaevskii(1.0), 1e-3, 1.0, g_lip=g_lip)
+
+
+def test_separation_bound_refuses_an_infinite_duration():
+    # duration = inf answered bound_ok = True
+    with pytest.raises(ValueError, match="duration must be finite and >= 0, got inf"):
+        bn.check_lipschitz_separation_bound(nl.gross_pitaevskii(1.0), 1e-3, math.inf)

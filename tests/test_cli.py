@@ -22,6 +22,19 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def refused(argv, capsys):
+    """stderr of a run that must exit 2, with nothing on stdout and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+RTOL_FLOOR = "rtol must be a finite number >= 1.11e-14 (the floor of the quadrature)"
+
+
 # The flags each subcommand's handler reads, and no others.
 SUBCOMMAND_FLAGS = {
     "discriminate": {"nonlinearity", "alpha0", "epsilon", "target-overlap", "policy",
@@ -174,12 +187,15 @@ def test_flag_not_read_by_subcommand_is_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "x"])
-def test_tol_must_be_finite_positive(tol, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["discriminate", "--alpha0", "0.5", "--tol", tol])
-    assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+@pytest.mark.parametrize("tol, message", [
+    ("0", f"{RTOL_FLOOR}, got 0.0"),
+    ("-1e-8", "argument --tol: expected one argument"),  # argparse takes -1e-8 for a flag
+    ("nan", f"{RTOL_FLOOR}, got nan"),
+    ("inf", f"{RTOL_FLOOR}, got inf"),
+    ("x", "argument --tol: invalid float value: 'x'"),
+], ids=["0", "-1e-8", "nan", "inf", "x"])
+def test_tol_must_be_finite_positive(tol, message, capsys):
+    assert message in refused(["discriminate", "--alpha0", "0.5", "--tol", tol], capsys)
 
 
 def test_figures_content(tmp_path, capsys):
@@ -210,6 +226,13 @@ def test_figures_content(tmp_path, capsys):
     assert fig4[0] == "overlap,rate_log_g1,rate_gp_g2"
     rows = np.array([[float(x) for x in r.split(",")] for r in fig4[1:]])
     assert np.all(rows[:, 1] <= rows[:, 2])
+
+
+def test_an_unwritable_out_file_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["search", "--n", "8", "--out", "/nonexistent/report.csv"])
+    assert exc.value.code == 2
+    assert "No such file or directory: '/nonexistent/report.csv'" in capsys.readouterr().err
 
 
 def test_figures_unwritable_path_errors():
@@ -261,11 +284,8 @@ def test_gp_validity_cli_at_large_atom_counts(capsys):
 
 def test_gp_validity_refuses_an_atom_count_that_is_not_whole(capsys):
     # 2.5 atoms used to be truncated to 2 and computed
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["gp-validity", "--atoms", "1e3", "2.5"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --atoms: must be a whole number >= 2, got 2.5" in err
+    err = refused(["gp-validity", "--atoms", "1e3", "2.5"], capsys)
+    assert "nlqsim gp-validity: error: n_atoms must be a whole number >= 2, got 2.5" in err
 
 
 def test_gp_validity_reads_an_atom_count_in_float_notation_as_that_integer(capsys):
@@ -277,83 +297,76 @@ def test_gp_validity_reads_an_atom_count_in_float_notation_as_that_integer(capsy
 
 
 def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["audit", "--n", "8", "--duration", "-1"])
-    assert exc.value.code == 2
-    assert "argument --duration: must be > 0, got -1" in capsys.readouterr().err
+    err = refused(["audit", "--n", "8", "--duration", "-1"], capsys)
+    assert "nlqsim audit: error: duration must be finite and > 0, got -1.0" in err
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["audit", "--n", "8", "--duration", "inf"], "--duration"),
-    (["audit", "--n", "8", "--duration", "nan"], "--duration"),
-    (["search", "--n", "8", "--t1", "inf"], "--t1"),
-    (["audit", "--n", "8", "--t1", "nan"], "--t1"),
-    (["search", "--n", "8", "--t1", "abc"], "--t1"),
-    (["audit", "--n", "8", "--t1", "0"], "--t1"),
-    (["discriminate", "--alpha0", "nan"], "--alpha0"),
-    (["bounds", "--alpha0", "inf"], "--alpha0"),
-    (["discriminate", "--epsilon", "inf"], "--epsilon"),
-    (["discriminate", "--alpha0", "0.5", "--target-overlap", "nan"], "--target-overlap"),
-    (["bounds", "--z0", "inf"], "--z0"),
-    (["bounds", "--delta", "nan"], "--delta"),
-    (["bounds", "--g-lip", "inf"], "--g-lip"),
-    (["bounds", "--duration", "inf"], "--duration"),
-    (["gp-validity", "--atoms", "inf"], "--atoms"),
-    (["gp-validity", "--atoms", "1e3", "--interaction", "nan"], "--interaction"),
-    (["discriminate", "--alpha0", "0"], "--alpha0"),
-    (["discriminate", "--alpha0", "4"], "--alpha0"),
-    (["discriminate", "--epsilon", "0"], "--epsilon"),
-    (["discriminate", "--epsilon", "1.5"], "--epsilon"),
-    (["bounds", "--alpha0", "0"], "--alpha0"),
-    (["bounds", "--duration", "-1"], "--duration"),
-    (["gp-validity", "--atoms", "1"], "--atoms"),
-    (["gp-validity", "--atoms", "1e3", "--interaction", "0"], "--interaction"),
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--n", "8", "--duration", "inf"], "duration must be finite and > 0, got inf"),
+    (["audit", "--n", "8", "--duration", "nan"], "duration must be finite and > 0, got nan"),
+    (["search", "--n", "8", "--t1", "inf"], "t1 must be finite and > 0, got 'inf'"),
+    (["audit", "--n", "8", "--t1", "nan"], "t1 must be finite and > 0, got nan"),
+    (["search", "--n", "8", "--t1", "abc"], "could not convert string to float: 'abc'"),
+    (["audit", "--n", "8", "--t1", "0"], "t1 must be finite and > 0, got 0.0"),
+    (["discriminate", "--alpha0", "nan"], "alpha0 must be in (0, pi], got nan"),
+    (["bounds", "--alpha0", "inf"], "alpha0 must be in (0, pi], got inf"),
+    (["discriminate", "--epsilon", "inf"], "epsilon must be in [0, 1], got inf"),
+    (["discriminate", "--alpha0", "0.5", "--target-overlap", "nan"],
+     f"target overlap must be in [0, cos(alpha0/2)) = [0, {math.cos(0.25)!r}), got nan"),
+    (["bounds", "--z0", "inf"], "z0 must be in [0, 1), got inf"),
+    (["bounds", "--delta", "nan"], "Delta must be > 0, got nan"),
+    (["bounds", "--g-lip", "inf"], "g_lip must be finite and >= 0, got inf"),
+    (["bounds", "--duration", "inf"], "duration must be finite and >= 0, got inf"),
+    (["gp-validity", "--atoms", "inf"], "n_atoms must be a whole number >= 2, got inf"),
+    (["gp-validity", "--atoms", "1e3", "--interaction", "nan"],
+     "U must be finite and > 0, got nan"),
+    (["discriminate", "--alpha0", "0"], "alpha0 must be in (0, pi], got 0.0"),
+    (["discriminate", "--alpha0", "4"], "alpha0 must be in (0, pi], got 4.0"),
+    # epsilon = 0 is the angle 0
+    (["discriminate", "--epsilon", "0"], "alpha0 must be in (0, pi], got 0.0"),
+    (["discriminate", "--epsilon", "1.5"], "epsilon must be in [0, 1], got 1.5"),
+    (["bounds", "--alpha0", "0"], "alpha0 must be in (0, pi], got 0.0"),
+    (["bounds", "--duration", "-1"], "duration must be finite and >= 0, got -1.0"),
+    (["gp-validity", "--atoms", "1"], "n_atoms must be a whole number >= 2, got 1"),
+    (["gp-validity", "--atoms", "1e3", "--interaction", "0"], "U must be finite and > 0, got 0.0"),
 ], ids=["duration-inf", "duration-nan", "t1-inf", "t1-nan", "t1-abc", "t1-zero",
         "alpha0-nan", "bounds-alpha0-inf", "epsilon-inf", "target-overlap-nan", "z0-inf",
         "delta-nan", "g-lip-inf", "bounds-duration-inf", "atoms-inf", "interaction-nan",
         "alpha0-zero", "alpha0-above-pi", "epsilon-zero", "epsilon-above-one",
         "bounds-alpha0-zero",
         "bounds-duration-negative", "atoms-one", "interaction-zero"])
-def test_a_horizon_or_oracle_time_that_is_not_finite_and_positive_exits_2(argv, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be" in capsys.readouterr().err
+def test_a_horizon_or_oracle_time_that_is_not_finite_and_positive_exits_2(argv, message,
+                                                                           capsys):
+    assert f"nlqsim {argv[0]}: error: {message}" in refused(argv, capsys)
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["discriminate", "--alpha0", "0.5", "--target-overlap", "0.99"],
-     f"cos(alpha0/2)) = [0, {math.cos(0.25)!r})"),
-    (["gp-validity", "--atoms", "1e3", "100", "--target-overlap", "1.5"],
-     "1 - 1/(smallest --atoms)) = [0, 0.99)"),
+    (["discriminate", "--alpha0", "0.5", "--target-overlap", "0.99"], repr(math.cos(0.25))),
+    # the smaller count starts at the lower overlap, 1 - 1/100, but the
+    # rows go in the order given and 1e3 is refused first
+    (["gp-validity", "--atoms", "1e3", "100", "--target-overlap", "1.5"], "0.999"),
 ], ids=["discriminate", "gp-validity"])
 def test_a_target_overlap_past_the_starting_overlap_exits_2(argv, bound, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
-    assert exc.value.code == 2
-    assert f"argument --target-overlap: must be in [0, {bound}, got {argv[-1]}" in (
-        capsys.readouterr().err)
+    assert (f"target overlap must be in [0, cos(alpha0/2)) = [0, {bound}), got {argv[-1]}"
+            in refused(argv, capsys))
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["search", "--n", "1"], "argument --n: must be >= 2, got 1"),
-    (["audit", "--n", "1"], "argument --n: must be >= 2, got 1"),
-    (["audit", "--n", "0"], "argument --n: must be >= 2, got 0"),
-    (["search", "--n", "16", "--marked", "0"],
-     "argument --marked: must be in [1, --n] = [1, 16], got 0"),
+    (["search", "--n", "1"], "N must be >= 2, got 1"),
+    (["audit", "--n", "1"], "N must be >= 2, got 1"),
+    (["audit", "--n", "0"], "N must be >= 2, got 0"),
+    (["audit", "--n", "-3"], "N must be >= 2, got -3"),  # was sqrt's "math domain error"
+    (["search", "--n", "16", "--marked", "0"], "marked item must be in [1, N] = [1, 16], got 0"),
     (["search", "--n", "16", "--marked", "17"],
-     "argument --marked: must be in [1, --n] = [1, 16], got 17"),
-    (["bounds", "--z0", "1.5"], "argument --z0: must be in [0, 1), got 1.5"),
-    (["bounds", "--z0", "-0.5"], "argument --z0: must be in [0, 1), got -0.5"),
-    (["bounds", "--delta", "-1"], "argument --delta: must be > 0, got -1"),
-    (["bounds", "--grid", "1"], "argument --grid: must be >= 2, got 1"),
-], ids=["search-n-1", "audit-n-1", "audit-n-0", "marked-0", "marked-above-n", "z0-above-1",
-        "z0-negative", "delta-negative", "grid-1"])
+     "marked item must be in [1, N] = [1, 16], got 17"),
+    (["bounds", "--z0", "1.5"], "z0 must be in [0, 1), got 1.5"),
+    (["bounds", "--z0", "-0.5"], "z0 must be in [0, 1), got -0.5"),
+    (["bounds", "--delta", "-1"], "Delta must be > 0, got -1.0"),
+    (["bounds", "--grid", "1"], "grid must be >= 2, got 1"),
+], ids=["search-n-1", "audit-n-1", "audit-n-0", "audit-n-negative", "marked-0",
+        "marked-above-n", "z0-above-1", "z0-negative", "delta-negative", "grid-1"])
 def test_a_count_or_latitude_out_of_range_exits_2(argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert f"nlqsim {argv[0]}: error: {message}" in refused(argv, capsys)
 
 
 def test_discriminate_cli_starts_an_orthogonal_pair_at_epsilon_one(capsys):
@@ -364,10 +377,8 @@ def test_discriminate_cli_starts_an_orthogonal_pair_at_epsilon_one(capsys):
 
 @pytest.mark.parametrize("samples", ["-1", "0", "1"])
 def test_audit_refuses_fewer_than_two_samples(samples, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["audit", "--n", "8", "--samples", samples])
-    assert exc.value.code == 2
-    assert f"argument --samples: must be >= 2, got {samples}" in capsys.readouterr().err
+    err = refused(["audit", "--n", "8", "--samples", samples], capsys)
+    assert f"nlqsim audit: error: samples must be >= 2, got {samples}" in err
 
 
 def test_audit_cli(tmp_path, capsys):
@@ -424,15 +435,16 @@ def test_optimize_cli_reports_sweep_cap(capsys):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--dim", "1", "argument --dim: must be in 2..8, got 1"),
-    ("--restarts", "0", "argument --restarts: must be >= 1, got 0"),
-    ("--alpha", "0", "argument --alpha: must be in (0, pi), got 0"),
+    ("--dim", "1", "dims must be a nonempty subset of {2, ..., 8}, got [1]"),
+    ("--restarts", "0", "restarts must be >= 1, got 0"),
+    ("--alpha", "0", "alpha must be in (0, pi) for orientation search, got 0.0"),
+], ids=[  # the names these cases had when the CLI held its own copy of the ranges
+    "--dim-1-argument --dim: must be in 2..8, got 1",
+    "--restarts-0-argument --restarts: must be >= 1, got 0",
+    "--alpha-0-argument --alpha: must be in (0, pi), got 0",
 ])
 def test_optimize_refuses_out_of_range_input(flag, value, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["optimize", flag, value])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert f"nlqsim optimize: error: {message}" in refused(["optimize", flag, value], capsys)
 
 
 def test_validate_reports_injected_parity_bug(monkeypatch, capsys):
@@ -542,7 +554,19 @@ def test_import_loads_neither_scipy_interpolate_nor_integrate():
 
 @pytest.mark.parametrize("cmd", [["discriminate", "--alpha0", "0.5"], ["search", "--n", "16"]])
 def test_tol_below_the_quadrature_floor_exits_2(cmd, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(cmd + ["--tol", "1e-15"])
-    assert exc.value.code == 2
-    assert "1.11e-14" in capsys.readouterr().err
+    assert f"{RTOL_FLOOR}, got 1e-15" in refused(cmd + ["--tol", "1e-15"], capsys)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("weinberg:1", "unknown nonlinearity kind in 'weinberg:1'"),
+    ("custom:/nonexistent.csv", "[Errno 2] No such file or directory: '/nonexistent.csv'"),
+    ("custom:{tmp}/kappa.csv", "custom table {tmp}/kappa.csv, line 3: expected two finite "
+                               "numbers x,kappa(x), got '0.5'"),
+    ("gp:-1", "nonlinearity strength must be finite and >= 0, got -1.0"),
+], ids=["unknown-kind", "missing-table", "malformed-table", "negative-strength"])
+def test_a_nonlinearity_the_library_refuses_exits_2(spec, message, tmp_path, capsys):
+    # these ended in a traceback and exit 1
+    (tmp_path / "kappa.csv").write_text("x,kappa\n0,0\n0.5\n1,1\n")
+    argv = ["discriminate", "--nonlinearity", spec.format(tmp=tmp_path), "--alpha0", "0.5"]
+    err = refused(argv, capsys)
+    assert err == f"nlqsim discriminate: error: {message.format(tmp=tmp_path)}\n"

@@ -454,3 +454,9 @@ def test_separation_trace_needs_exactly_one_stopping_rule():
         dc.separation_trace(n, 0.5)
     with pytest.raises(ValueError, match="exactly one"):
         dc.separation_trace(n, 0.5, target_overlap=0.0, duration=1.0)
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0])
+def test_separation_trace_refuses_a_duration_that_is_not_finite_and_nonnegative(duration):
+    with pytest.raises(ValueError, match=f"duration must be finite and >= 0, got {duration!r}"):
+        dc.separation_trace(nl.gross_pitaevskii(1.0), 0.5, duration=duration)

@@ -38,9 +38,17 @@ def test_overlap_rejects_bad_inner():
 def test_condensate_params_homogeneous_ties_g():
     p = mf.CondensateParams(1000, U=0.002)
     assert p.g == pytest.approx(2.0)
-    for U in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="U must be > 0"):
+    for U in (0.0, -1.0, math.nan, math.inf):
+        # U = inf gave g = inf and a validity time of 0.0
+        with pytest.raises(ValueError, match=f"U must be finite and > 0, got {U!r}"):
             mf.CondensateParams(1000, U=U)
+
+
+@pytest.mark.parametrize("n_atoms", [2.5, 1, math.inf, math.nan])
+def test_condensate_params_refuse_an_atom_count_that_is_not_a_whole_number_above_one(n_atoms):
+    # 2.5 atoms gave g = 2.5 U
+    with pytest.raises(ValueError, match=f"n_atoms must be a whole number >= 2, got {n_atoms!r}"):
+        mf.CondensateParams(n_atoms, U=1e-3)
 
 
 def test_validity_time_two_atoms():

@@ -193,8 +193,15 @@ def test_parse_spec_strings():
     assert nl.parse("log:0.5").g == 0.5
     assert nl.parse("sqrt").kind is nl.Kind.SQUARE_ROOT_SIGN
     assert nl.parse("quartic").g == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown nonlinearity kind in 'weinberg:1'"):
         nl.parse("weinberg:1")
+
+
+@pytest.mark.parametrize("spec", ["gp:-1", "gp:nan", "log:-0.5"])
+def test_parse_lets_the_strength_refusal_through(spec):
+    # these were reported as an unknown spec, blaming the kind
+    with pytest.raises(ValueError, match="strength must be finite and >= 0, got"):
+        nl.parse(spec)
 
 
 def test_parse_roundtrip():

@@ -53,11 +53,12 @@ def test_rate_functional_agrees_with_bloch_rate():
 
 
 def test_rate_functional_orthogonal_pair_flagged():
+    # |<psi|phi>| is not differentiable at 0: the rate is |d<psi|phi>/dt|
     psi = np.array([1.0, 0.0], dtype=complex)
     phi = np.array([0.0, 1.0], dtype=complex)
-    rate, degenerate = op.rate_functional_flagged(nl.gross_pitaevskii(1.0),
-                                                  op.PairEmbedding(2, psi, phi))
-    assert degenerate
+    n = nl.gross_pitaevskii(1.0)
+    rate = op.rate_functional(n, op.PairEmbedding(2, psi, phi))
+    assert rate == abs(nl.overlap_derivative(n, psi, phi))
     assert rate >= 0.0  # one-sided derivative magnitude
 
 
@@ -165,6 +166,13 @@ def test_gap_scan_zero_nonlinearity_gives_zero_table():
     for r in rows:
         assert r["best_rate"] == 0.0
         assert r["gap_vs_dim2"] == 0.0
+
+
+@pytest.mark.parametrize("dims", [[], [1, 2], [2, 9]])
+def test_gap_scan_refuses_dimensions_outside_two_to_eight(dims):
+    # dims = [] returned no rows
+    with pytest.raises(ValueError, match=r"dims must be a nonempty subset of \{2, \.\.\., 8\}"):
+        op.optimality_gap_scan(nl.gross_pitaevskii(1.0), [0.5], dims)
 
 
 def test_gap_scan_log_optimum_theta_near_three_quarter_pi():

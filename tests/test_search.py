@@ -395,6 +395,14 @@ def test_an_oracle_time_that_is_not_finite_is_refused(t1):
         sr.search_schedule(8, 1.0, t1)
 
 
+def test_search_schedule_refuses_the_oracle_time_run_search_refuses():
+    # t1 = 0 built a schedule for a search that run_search refuses
+    with pytest.raises(ValueError, match="t1 must be finite and > 0, got 0.0"):
+        sr.run_search(sr.SearchInstance(8, marked=1), nl.gross_pitaevskii(1.0), t1=0.0)
+    with pytest.raises(ValueError, match="t1 must be finite and > 0, got 0.0"):
+        sr.search_schedule(8, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("N", [1, 0])
 def test_search_schedule_refuses_fewer_than_two_items(N):
     # N = 0 ended in a ZeroDivisionError from the overlap deficit
