@@ -117,6 +117,17 @@ def _project(y):
     return y / norm, float(np.max(np.abs(norm - 1.0)))
 
 
+def sample_times(t_eval, t0: float, t1: float) -> np.ndarray:
+    """``t_eval`` as a float array; ``ValueError`` unless it is finite,
+    strictly increasing and inside [t0, t1]."""
+    times = np.asarray(t_eval, dtype=float)
+    if not (times.ndim == 1 and np.all(np.diff(times) > 0.0)
+            and np.all((t0 <= times) & (times <= t1))):
+        raise ValueError(f"t_eval must be finite, strictly increasing and "
+                         f"inside [{t0!r}, {t1!r}], got {t_eval!r}")
+    return times
+
+
 def solve(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -148,14 +159,8 @@ def solve(
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(tol) and tol > 0.0):
             raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
-    eval_times = None
+    eval_times = None if t_eval is None else sample_times(t_eval, t0, t1)
     eval_idx = 0
-    if t_eval is not None:
-        eval_times = np.asarray(t_eval, dtype=float)
-        if not (eval_times.ndim == 1 and np.all(np.diff(eval_times) > 0.0)
-                and np.all((t0 <= eval_times) & (eval_times <= t1))):
-            raise ValueError(f"t_eval must be finite, strictly increasing and "
-                             f"inside [{t0!r}, {t1!r}], got {t_eval!r}")
     y = np.array(y0, copy=True)
     t = float(t0)
     stats = StepStats()

@@ -16,7 +16,8 @@ Each subcommand accepts only the flags its handler reads:
 Flags parse to plain numbers and the library states each input's range.
 A value it refuses (``ValueError``) ends, before any output, in ``nlqsim
 <cmd>: error: <message>`` on stderr and exit 2; a file that cannot be read
-or written (``OSError``) exits 2 the same way.  ``bounds`` reports one
+or written (``OSError``) exits 2 the same way, since each ``--out`` file is
+written before anything is printed.  ``bounds`` reports one
 growth exponent, the certified one (``c_certified``).
 
 Every CSV, on stdout or in an ``--out`` file, comes from one writer,
@@ -31,6 +32,7 @@ import argparse
 import math
 import os
 import sys
+from typing import Optional
 
 from . import bounds as bn
 from . import discrimination as dc
@@ -58,6 +60,18 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def report(lines, out, csv: str, what: Optional[str]) -> None:
+    """Write ``csv`` to the ``--out`` path ``out``, if one is given, before
+    anything is printed, so a path that cannot be written exits 2 with
+    stdout empty; then print ``lines`` and, after a write with ``what`` set,
+    "<what> written to <out>"."""
+    if out:
+        write_text(out, csv)
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    if out and what:
+        print(f"{what} written to {out}")
+
+
 def atom_count(text: str):
     """argparse type for ``--atoms``: 1000 or 1e3 as the int 1000; a count
     that is not a whole number stays a float, for the library to refuse."""
@@ -73,16 +87,12 @@ def cmd_discriminate(args) -> int:
               else dc.OrientationPolicy.FIXED_OPTIMAL_GP)
     res = dc.time_to_overlap(n, alpha0, args.target_overlap, orientation_policy=policy,
                              rtol=args.tol)
-    print(f"nonlinearity = {n.spec_string()}")
-    print(f"alpha0 = {fmt(alpha0)}")
-    print(f"status = {res.status}")
-    print(f"t_to_target = {fmt(res.t_perp)}")
+    lines = [f"nonlinearity = {n.spec_string()}", f"alpha0 = {fmt(alpha0)}",
+             f"status = {res.status}", f"t_to_target = {fmt(res.t_perp)}"]
     if res.status == "no_progress":
-        print(f"diagnostic = {res.diagnostic}")
-    if args.out:
-        rows = ((t, n.g * t, c) for t, c in zip(res.times, res.overlaps))
-        write_text(args.out, csv_text("t,gt,overlap", rows))
-        print(f"trace written to {args.out}")
+        lines.append(f"diagnostic = {res.diagnostic}")
+    rows = ((t, n.g * t, c) for t, c in zip(res.times, res.overlaps))
+    report(lines, args.out, csv_text("t,gt,overlap", rows), "trace")
     return 0
 
 
@@ -97,23 +107,21 @@ def cmd_bounds(args) -> int:
 
     if isinstance(cert, bn.GrowthRefusal):
         g_local, c_certified = 0.0, 0.0
-        print(f"growth certificate refused: {cert.reason}")
+        lines = [f"growth certificate refused: {cert.reason}"]
     else:
         g_local, c_certified = cert.g_local, bn.certified_exp_rate(cert)
-        print(f"g_local = {fmt(g_local)}, certified exponent = {fmt(c_certified)}")
+        lines = [f"g_local = {fmt(g_local)}, certified exponent = {fmt(c_certified)}"]
     if rep is None:
-        print("no finite Lipschitz constant detected; pass --g-lip for the "
-              "separation bound check")
+        lines.append("no finite Lipschitz constant detected; pass --g-lip for the "
+                     "separation bound check")
         bound_ok, max_ratio = False, math.nan
     else:
         bound_ok, max_ratio = rep.bound_ok, rep.max_ratio
-        print(f"g_lip = {fmt(g_lip)}, bound_ok = {bound_ok}, "
-              f"max ratio = {fmt(max_ratio)}")
-    if args.out:
-        row = (n.spec_string(), args.z0, g_local, c_certified, bound_ok, max_ratio)
-        write_text(args.out, csv_text("nonlinearity,z0,g_local,c_certified,bound_ok,max_ratio",
-                                      [row]))
-        print(f"report written to {args.out}")
+        lines.append(f"g_lip = {fmt(g_lip)}, bound_ok = {bound_ok}, "
+                     f"max ratio = {fmt(max_ratio)}")
+    row = (n.spec_string(), args.z0, g_local, c_certified, bound_ok, max_ratio)
+    report(lines, args.out,
+           csv_text("nonlinearity,z0,g_local,c_certified,bound_ok,max_ratio", [row]), "report")
     return 0
 
 
@@ -124,10 +132,7 @@ def cmd_search(args) -> int:
     text = csv_text("N,g,t1,t2,total,budget,decision,success_prob",
                     [(r.N, r.g, r.t1, r.t2, r.total_time, r.complexity_budget,
                       r.decision.value, r.success_probability)])
-    sys.stdout.write(text)
-    if args.out:
-        write_text(args.out, text)
-        print(f"report written to {args.out}")
+    report(text.splitlines(), args.out, text, "report")
     return 0
 
 
@@ -142,12 +147,10 @@ def cmd_audit(args) -> int:
                             nl.gross_pitaevskii(g), t1=t1, seed=args.seed)
         duration = rep.total_time
     audit = sr.lower_bound_audit(n, H, args.n, duration, samples=args.samples)
-    print(f"N = {audit.N}, |kappa| bound g = {fmt(audit.g)}")
-    print(f"bound_ok = {audit.bound_ok}, min margin = {fmt(audit.min_margin)}")
-    if args.out:
-        write_text(args.out, csv_text("t,S,bound,margin",
-                                      zip(audit.times, audit.S, audit.bound, audit.margin)))
-        print(f"audit written to {args.out}")
+    report([f"N = {audit.N}, |kappa| bound g = {fmt(audit.g)}",
+            f"bound_ok = {audit.bound_ok}, min margin = {fmt(audit.min_margin)}"], args.out,
+           csv_text("t,S,bound,margin", zip(audit.times, audit.S, audit.bound, audit.margin)),
+           "audit")
     return 0
 
 
@@ -158,18 +161,17 @@ def cmd_optimize(args) -> int:
                                   restarts=args.restarts, seed=args.seed)
     row = rows[-1]
     result = row["result"]
-    print(f"alpha = {fmt(args.alpha)}, dim = {args.dim}")
-    print(f"best_rate = {fmt(result.best_rate)}")
-    print(f"gap_vs_dim2 = {fmt(row['gap_vs_dim2'])}")
-    print(f"sweeps = {result.converged_sweeps}, capped = {result.capped}")
-    print(f"grad_norm = {result.grad_norm:.3e}")
+    lines = [f"alpha = {fmt(args.alpha)}, dim = {args.dim}",
+             f"best_rate = {fmt(result.best_rate)}",
+             f"gap_vs_dim2 = {fmt(row['gap_vs_dim2'])}",
+             f"sweeps = {result.converged_sweeps}, capped = {result.capped}",
+             f"grad_norm = {result.grad_norm:.3e}"]
     if result.angles is not None:
-        print(f"orientation (phi, theta) = ({fmt(result.angles[0])}, {fmt(result.angles[1])})")
-    if args.out:
-        write_text(args.out, csv_text("alpha,dim,best_rate,gap_vs_dim2",
-                                      [(args.alpha, args.dim, result.best_rate,
-                                        row["gap_vs_dim2"])]))
-        print(f"result written to {args.out}")
+        lines.append(f"orientation (phi, theta) = ({fmt(result.angles[0])}, "
+                     f"{fmt(result.angles[1])})")
+    report(lines, args.out, csv_text("alpha,dim,best_rate,gap_vs_dim2",
+                                     [(args.alpha, args.dim, result.best_rate,
+                                       row["gap_vs_dim2"])]), "result")
     return 0
 
 
@@ -180,10 +182,7 @@ def cmd_gp_validity(args) -> int:
         rows.append((p.n_atoms, p.g, mf.gp_validity_time(p, args.target_overlap),
                      mf.validity_scaling_constant(p, args.target_overlap)))
     text = csv_text("N_atoms,g,t_star,t_star_times_N_over_logN", rows)
-    sys.stdout.write(text)
-    if args.out:
-        write_text(args.out, text)
-        print(f"table written to {args.out}")
+    report(text.splitlines(), args.out, text, "table")
     return 0
 
 
@@ -217,16 +216,12 @@ def cmd_validate(args) -> int:
         lines.append(f"{r.name:<{width}}  {status}  {r.detail}")
     n_fail = sum(not r.ok for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        write_text(args.out, csv_text("check,ok,detail",
-                                      ((r.name, r.ok, f'"{r.detail}"') for r in results)))
     if n_fail:
-        failing = ", ".join(r.name for r in results if not r.ok)
-        sys.stdout.write(f"failing: {failing}\n")
-        return 1
-    return 0
+        lines.append(f"failing: {', '.join(r.name for r in results if not r.ok)}")
+    report(lines, args.out,
+           csv_text("check,ok,detail", ((r.name, r.ok, f'"{r.detail}"') for r in results)),
+           None)
+    return 1 if n_fail else 0
 
 
 # Flags shared by several subcommands; each subcommand picks its own below.

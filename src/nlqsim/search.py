@@ -15,7 +15,10 @@ states to verify the information-theoretic floor
 Both step i psi' = (H(t) + |m><m| + K) psi through one right-hand side, in
 one co-rotating frame (``_solve_in_frame``) that turns each amplitude at the
 rate the undriven flow turns it, kappa(|psi_x(0)|) + [x = m]; every H is a
-``Schedule``, a fixed generator on a few coordinates times omega(t).
+``Schedule``, a fixed generator on a few coordinates times omega(t), switched
+on at its ``t_on``.  Before t_on the flow keeps every |psi_x|, so that
+stretch (the search's oracle stage) is written down in closed form and the
+steps start at the switch.
 """
 
 from __future__ import annotations
@@ -228,15 +231,21 @@ def run_search(
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """H(t) = omega(t) * generator on the catalog coordinates ``support``
-    (0-indexed), zero elsewhere.  The constant generator is checked once, here:
+    (0-indexed), zero elsewhere, from the switch time ``t_on`` on; H is zero
+    before it.  The constant generator is checked once, here:
     len(support) x len(support), finite, Hermitian to 1e-12.  ``omega`` is a
-    float or a callable returning a real scalar, as in ``DriveSchedule``."""
+    float or a callable returning a real scalar, as in ``DriveSchedule``, and
+    ``t_on`` is finite and >= 0.  The solvers write the drive-off stretch
+    [0, t_on] down in closed form, so no step straddles the switch."""
 
     support: tuple
     generator: np.ndarray
     omega: Union[float, Callable[[float], float]] = 1.0
+    t_on: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.t_on < math.inf:
+            raise ValueError(f"t_on must be finite and >= 0, got {self.t_on!r}")
         support = tuple(operator.index(k) for k in self.support)
         if callable(self.generator):
             raise TypeError("generator must be a constant matrix; time goes into omega")
@@ -248,8 +257,11 @@ class Schedule:
         gen.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "generator", gen)
+        object.__setattr__(self, "t_on", float(self.t_on))
 
     def rate(self, t: float) -> float:
+        if t < self.t_on:
+            return 0.0
         return float(self.omega(t)) if callable(self.omega) else float(self.omega)
 
 
@@ -292,15 +304,36 @@ def _solve_in_frame(kappa: Nonlinearity, diag, H: Optional[Schedule], cols, Y0,
     diag_x, as the undriven flow does, and return lab-frame states.  On the
     coordinates H's generator couples (a nonzero off-diagonal entry in their
     row) Omega is their mean in each row, so the frame commutes with H.
+
+    Before H's switch time t_on the flow keeps every |Y_x|, so there the
+    state is Y0 e^{-i (kappa(|Y0|) + diag - Omega) t} in the frame: the
+    samples up to t_on come from it, and the one ``_ode.solve`` call starts
+    there, at min(t_on, duration).  Without ``t_eval`` the trace records
+    t = 0 and then the solver's steps from t_on.
     """
-    omega = kappa.kappa(np.abs(Y0)) + diag
+    rate = kappa.kappa(np.abs(Y0)) + diag
+    omega = rate.copy()
     if H is not None:
         off = H.generator - np.diag(np.diag(H.generator))
         coupled = np.arange(Y0.shape[-1])[cols][np.any(off != 0, axis=1)]
         if len(coupled):
             omega[..., coupled] = omega[..., coupled].mean(axis=-1, keepdims=True)
     f = _nlse_rhs(kappa, diag - omega, H, cols)
-    tr = _ode.solve(f, 0.0, duration, Y0, rtol=rtol, atol=atol, t_eval=t_eval)
+
+    t_on = 0.0 if H is None else min(H.t_on, duration)
+    if t_eval is None:
+        head, tail = np.zeros(int(t_on > 0.0)), None
+    else:  # t_on leads the solver's samples, so it records no time but these
+        t_eval = _ode.sample_times(t_eval, 0.0, duration)
+        head, tail = t_eval[t_eval <= t_on], np.append(t_on, t_eval[t_eval > t_on])
+
+    def off_state(t):  # the drive-off flow in the frame
+        return Y0 * np.exp(-1j * np.multiply.outer(t, rate - omega))
+
+    tr = _ode.solve(f, t_on, duration, off_state(t_on), rtol=rtol, atol=atol, t_eval=tail)
+    skip = 0 if tail is None else 1  # the solver's record of t_on itself
+    tr.times = np.concatenate((head, tr.times[skip:]))
+    tr.states = np.concatenate((off_state(head), tr.states[skip:]))
     tr.states = tr.states * np.exp(-1j * np.multiply.outer(tr.times, omega))
     return tr
 
@@ -323,7 +356,9 @@ def integrate_nlse(
     state after each accepted step (drift recorded in ``stats``).  The steps
     are taken in the frame of ``_solve_in_frame``, so with H = None the
     exact psi0 e^{-i (kappa(|psi0|) + [x = m]) t} takes a few steps, and
-    without ``t_eval`` the trace records those few, in the lab frame.
+    without ``t_eval`` the trace records those few, in the lab frame.  Up
+    to a ``Schedule``'s ``t_on`` that closed form is taken as it is: the
+    steps start at t_on, and a run that ends before it takes none.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
@@ -346,10 +381,12 @@ def integrate_nlse(
 
 def search_schedule(N: int, g: float, t1: float) -> Schedule:
     """The search pipeline's instance-independent drive: sigma_x/2 on the
-    first two catalog states, at omega = 0 while the oracle is queried
-    (t <= t1), then at the orientation-holding omega(t) = (g/2) tanh(u0 -
-    g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the stable deficit.
-    ``N`` must be >= 2 and ``t1`` finite and > 0, as in ``run_search``."""
+    first two catalog states, off while the oracle is queried (t < t1, the
+    schedule's ``t_on``), then at the orientation-holding omega(t) = (g/2)
+    tanh(u0 - g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the
+    stable deficit.  omega is right-continuous at t1, where it jumps from 0
+    to (g/2) tanh(u0).  ``N`` must be >= 2 and ``t1`` finite and > 0, as in
+    ``run_search``."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N!r}")
     if not 0.0 < t1 < math.inf:
@@ -357,10 +394,10 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx_half = np.array([[0.0, 0.5], [0.5, 0.0]])
     if not (alpha0 > 0 and g > 0):
-        return Schedule((0, 1), sx_half, 0.0)
+        return Schedule((0, 1), sx_half, 0.0, t_on=t1)
     u0 = math.log(1.0 / math.tan(alpha0 / 4.0))
-    return Schedule((0, 1), sx_half,
-                    lambda t: 0.0 if t <= t1 else 0.5 * g * np.tanh(u0 - g * (t - t1) / 2.0))
+    return Schedule((0, 1), sx_half, lambda t: 0.5 * g * np.tanh(u0 - g * (t - t1) / 2.0),
+                    t_on=t1)
 
 
 @dataclass
@@ -428,6 +465,9 @@ def lower_bound_audit(
     refused.  None and the search schedule run at any N on at most four
     classes.
 
+    The oracle stage of the search schedule, before its ``t_on`` = t1, is
+    the closed form of ``_solve_in_frame``, so the steps start at t1 and
+    none straddles the drive's jump there.
     The rows are integrated in the frame of ``_solve_in_frame``, one per
     row: class c of row r turns at kappa(|z_c(0)|) plus row r's oracle on c,
     or at the row's mean of these over the classes H couples.  So no steps

@@ -128,7 +128,7 @@ def test_schedule_fields_and_the_audit_call_the_benchmark_makes():
     # bench/execute.py hands search_schedule(...) straight to lower_bound_audit
     se = nlqsim.search
     assert tuple(f.name for f in dataclasses.fields(se.Schedule)) == (
-        "support", "generator", "omega")
+        "support", "generator", "omega", "t_on")
     N, g = 16, 1.0
     t1 = se.default_t1(N, g)
     H = se.search_schedule(N, g, t1)
@@ -150,10 +150,12 @@ def test_both_nlse_entry_points_reach_the_solver_through_the_ode_module(monkeypa
     monkeypatch.setattr(nlqsim._ode, "solve", recording)
     se, gp = nlqsim.search, nlqsim.nonlinearity.gross_pitaevskii(1.0)
     N = 16
-    H = se.search_schedule(N, 1.0, se.default_t1(N, 1.0))
-    tr = se.integrate_nlse(gp, H, 3, se.uniform_state(N), 1.0)
+    t1 = se.default_t1(N, 1.0)
+    H = se.search_schedule(N, 1.0, t1)
+    # past the switch at t1, since a run that ends before it takes no step
+    tr = se.integrate_nlse(gp, H, 3, se.uniform_state(N), t1 + 1.0)
     assert shapes == [(N,)] and tr.states.shape[1:] == (N,)
-    audit = se.lower_bound_audit(gp, H, N, 1.0)
+    audit = se.lower_bound_audit(gp, H, N, t1 + 1.0)
     # |s> unmarked plus three marked rows, each on four amplitude classes:
     # the two support coordinates, one marked coordinate j and the rest
     assert shapes == [(N,), (4, 4)] and audit.step_stats.accepted > 0

@@ -235,6 +235,21 @@ def test_an_unwritable_out_file_exits_2(capsys):
     assert "No such file or directory: '/nonexistent/report.csv'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["discriminate", "--alpha0", "0.5"],
+    ["bounds", "--duration", "1.0"],
+    ["search", "--n", "8"],
+    ["audit", "--n", "8", "--duration", "1.0", "--samples", "4"],
+    ["optimize", "--alpha", "0.5"],
+    ["gp-validity", "--atoms", "1e3"],
+    ["validate", "--quick"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_out_file_is_refused_before_anything_is_printed(argv, capsys):
+    # the file is written before any output, so its refusal leaves stdout empty
+    err = refused(argv + ["--out", "/nonexistent/report.csv"], capsys)
+    assert f"nlqsim {argv[0]}: error:" in err and "/nonexistent/report.csv" in err
+
+
 def test_figures_unwritable_path_errors():
     with pytest.raises(SystemExit, match="/nonexistent"):
         run_cli(["figures", "--out", "/nonexistent/dir"])
