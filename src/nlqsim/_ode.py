@@ -165,25 +165,23 @@ def solve(
     t = float(t0)
     stats = StepStats()
 
-    ts = [t]
-    ys = [y.copy()]
+    ts, ys = ([t], [y.copy()]) if eval_times is None else ([], [])
     if eval_times is not None:
-        ts, ys = [], []
         while eval_idx < len(eval_times) and eval_times[eval_idx] <= t + 1e-300:
             ts.append(eval_times[eval_idx])
             ys.append(y.copy())
             eval_idx += 1
 
-    if t1 <= t0:
-        return SimTrace(np.array(ts if ts else [t]), np.array(ys if ys else [y]), stats)
-
-    def failure(reason):
+    def record(reason=""):
+        """The samples so far: (n,) times, (n,) + y0.shape states; n >= 0."""
         return SimTrace(np.array(ts), np.array(ys).reshape((len(ts),) + y.shape), stats,
-                        failed=True, failure_reason=reason)
+                        failed=bool(reason), failure_reason=reason)
 
+    if t1 <= t0:
+        return record()
     fk = f(t, y)
     if not np.isfinite(fk).all():  # else the starting step is NaN and never shrinks
-        return failure(f"right-hand side is not finite at t0={t:.6g}")
+        return record(f"right-hand side is not finite at t0={t:.6g}")
     h = _initial_step(f, t, y, fk, t1, rtol, atol)
     K = np.empty((7,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
     Kf = K.reshape(7, -1)
@@ -192,7 +190,7 @@ def solve(
     while t < t1:
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            return failure(f"step size underflow at t={t:.6g}")
+            return record(f"step size underflow at t={t:.6g}")
 
         K[0] = fk
         for i in range(1, 7):
@@ -235,4 +233,4 @@ def solve(
         h *= min(max_growth, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
         max_growth = MAX_STEP_FACTOR
 
-    return SimTrace(np.array(ts), np.array(ys), stats)
+    return record()

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrimination import OrientationPolicy, separation_trace
+from .discrimination import OrientationPolicy, check_start, separation_trace
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 DEFAULT_GRID = 10_000
@@ -214,6 +214,7 @@ def check_lipschitz_separation_bound(
     estimate (square-root-type reductions) requires an explicit proxy, and
     the report then typically flags the expected violation.
     """
+    check_start(alpha0, duration)
     kbar = reduce(n)
     if g_lip is None:
         est = estimate_lipschitz(kbar)

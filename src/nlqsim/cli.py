@@ -98,6 +98,7 @@ def cmd_discriminate(args) -> int:
 
 def cmd_bounds(args) -> int:
     n = nl.parse(args.nonlinearity)
+    dc.check_start(args.alpha0, args.duration)  # refused also when no bound check runs
     kbar = nl.reduce(n)
     cert = bn.certify_growth(kbar, args.z0, args.delta, grid=args.grid)
     est = bn.estimate_lipschitz(kbar, grid=args.grid)

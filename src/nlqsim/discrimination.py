@@ -101,8 +101,7 @@ def gp_overlap_closed_form(g: float, alpha0: float, t):
     where cos(alpha0/2) rounds to 1."""
     if g <= 0:
         raise ValueError(f"g must be > 0, got {g!r}")
-    if not 0.0 < alpha0 <= math.pi + 1e-12:
-        raise ValueError(f"alpha0 must be in (0, pi], got {alpha0!r}")
+    check_start(alpha0)
     val = np.tanh(math.log(1.0 / math.tan(alpha0 / 4.0)) - g * np.asarray(t, dtype=float) / 2.0)
     return float(val) if np.ndim(t) == 0 else val
 
@@ -207,6 +206,14 @@ def check_rtol(rtol: float) -> float:
         raise ValueError(f"rtol must be a finite number >= {QUAD_RTOL_FLOOR:.3g} "
                          f"(the floor of the quadrature), got {rtol!r}")
     return rtol
+
+
+def check_start(alpha0: float, duration: Optional[float] = None) -> None:
+    """``ValueError`` unless alpha0 is in (0, pi] and a duration is finite and >= 0."""
+    if not 0.0 < alpha0 <= math.pi + 1e-12:
+        raise ValueError(f"alpha0 must be in (0, pi], got {alpha0!r}")
+    if duration is not None and not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al. 1983,
@@ -332,16 +339,13 @@ def separation_trace(
     within the run.  A rate weaker than ``NO_PROGRESS_RATE`` max(g, 1)
     sin(alpha/2) anywhere on the way yields ``no_progress`` and t = inf.
     """
-    if not 0.0 < alpha0 <= math.pi + 1e-12:
-        raise ValueError(f"alpha0 must be in (0, pi], got {alpha0!r}")
+    check_start(alpha0, duration)
     c0 = math.cos(alpha0 / 2.0)
     if (target_overlap is None) == (duration is None):
         raise ValueError("give exactly one of target_overlap and duration")
     if target_overlap is not None and not 0.0 <= target_overlap < c0:
         raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = [0, {c0!r}), "
                          f"got {target_overlap!r}")
-    if duration is not None and not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     check_rtol(rtol)
     kbar = reduce(n)
     floor = NO_PROGRESS_RATE * max(n.g, 1.0)

@@ -121,24 +121,27 @@ def _build_states(params: np.ndarray, base: np.ndarray, pairs) -> np.ndarray:
     base   : (dim, 2) canonical pair, or (R, dim, 2) states per restart
     returns (R, dim, 2) states
     """
-    R = params.shape[0]
     # A fresh C-order array: the row sums of _batch_rates depend on the layout,
     # and this keeps them equal whether the chain starts at the canonical pair
     # or at cached states.
-    states = np.empty((R,) + base.shape[-2:], dtype=complex)
+    states = np.empty(params.shape[:1] + base.shape[-2:], dtype=complex)
     states[...] = base
-    cos = np.cos(params[:, :, 0])
-    sin = np.sin(params[:, :, 0])
-    phase = np.exp(1j * params[:, :, 1])
+    _, _, cos, es, ces = _link_factors(params)
     for k, (i, j) in enumerate(pairs):
-        c = cos[:, k, None]
-        s = sin[:, k, None]
-        e = phase[:, k, None]
+        c = cos[k]
         ri = states[:, i, :].copy()
         rj = states[:, j, :]
-        states[:, i, :] = c * ri - e * s * rj
-        states[:, j, :] = np.conj(e) * s * ri + c * rj
+        states[:, i, :] = c * ri - es[k] * rj
+        states[:, j, :] = ces[k] * ri + c * rj
     return states
+
+
+def _link_factors(params):
+    """sin(theta) and e = exp(i beta), (R, K), then cos(theta), e sin(theta)
+    and conj(e) sin(theta) as (K, R, 1): one index picks a link's factor."""
+    sin, phase = np.sin(params[:, :, 0]), np.exp(1j * params[:, :, 1])
+    factors = (np.cos(params[:, :, 0]), phase * sin, np.conj(phase) * sin)
+    return (sin, phase) + tuple(f.T[:, :, None] for f in factors)
 
 
 def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
@@ -161,40 +164,35 @@ def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
     The overlap is real and fixed by the frame, so the rate is
     -sum_x w_x Im(psi_x^* phi_x) with w = kappa(|psi|) - kappa(|phi|), and
     delta rate = Re sum conj(lam) delta states for the state gradient lam.
-    A reverse pass undoes each rotation, takes its two angle derivatives and
-    carries lam back through the rotation's adjoint.
+    One reverse pass, on the states and lam side by side, undoes each
+    rotation on both with one row-pair update (the inverse of a rotation is
+    its adjoint) and keeps the two rows after and before it; the angle
+    derivatives come from the kept rows at the end.
     """
-    psi, phi = states[:, :, 0], states[:, :, 1]
     amp = np.abs(states)
     kap = kappa.kappa(amp)
     w = (kap[:, :, 0] - kap[:, :, 1])[:, :, None]
-    im = np.imag(np.conj(psi) * phi)[:, :, None]
+    im = np.imag(np.conj(states[:, :, 0]) * states[:, :, 1])[:, :, None]
     # kappa'(|x|)/|x| * x, the gradient of kappa(|x|); 0 where x = 0
     radial = np.divide(kappa.kappa_prime(amp), amp, out=np.zeros_like(amp),
                        where=amp > 0.0) * states
     lam = (im * radial - 1j * w * states[:, :, ::-1]) * _SIGNS
-    cos = np.cos(params[:, :, 0])
-    sin = np.sin(params[:, :, 0])
-    phase = np.exp(1j * params[:, :, 1])
-    es, ces = phase * sin, np.conj(phase) * sin
-    # Rows i and j of the states after rotation k (ni, nj) and before it
-    # (ri, rj), and of lam after it, kept for the angle derivatives.
-    K = len(pairs)
-    ni, nj, ri, rj, li, lj = (np.empty((K,) + states.shape[:1] + (2,), dtype=complex)
-                              for _ in range(6))
-    states = states.copy()
-    for k in range(K - 1, -1, -1):
-        i, j = pairs[k]
-        c, a, b = cos[:, k, None], es[:, k, None], ces[:, k, None]
-        ni[k], nj[k], li[k], lj[k] = states[:, i], states[:, j], lam[:, i], lam[:, j]
-        states[:, i] = ri[k] = c * ni[k] + a * nj[k]
-        states[:, j] = rj[k] = c * nj[k] - b * ni[k]
-        lam[:, i] = c * li[k] + a * lj[k]
-        lam[:, j] = c * lj[k] - b * li[k]
+    both = np.concatenate([states, lam], axis=2)
+    sin, phase, cos, es, ces = _link_factors(params)
+    # Rows (i, j) of link k after its rotation, kept[0, :, k], and before
+    # it, kept[1, :, k]; columns 0-1 are the states, 2-3 lam.
+    kept = np.empty((2, 2, len(pairs)) + both.shape[:1] + (4,), dtype=complex)
+    for k, (i, j) in reversed(list(enumerate(pairs))):
+        c = cos[k]
+        (ni, nj), (ri, rj) = kept[:, :, k]
+        ni[...], nj[...] = both[:, i], both[:, j]
+        both[:, i] = ri[...] = c * ni + es[k] * nj
+        both[:, j] = rj[...] = c * nj - ces[k] * ni
     # d/dtheta of the rotated rows (i, j) is (-e n_j, conj(e) n_i), and
     # d/dbeta is (-i e s r_j, -i conj(e) s r_i).
+    (ni, nj), (ri, rj) = kept[..., :2]
+    li, lj = np.conj(kept[0, ..., 2:])
     e = phase.T[:, :, None]
-    li, lj = np.conj(li), np.conj(lj)
     d_theta = np.real(np.conj(e) * lj * ni - e * li * nj).sum(axis=2)
     d_beta = np.imag(e * li * rj + np.conj(e) * lj * ri).sum(axis=2) * sin.T
     return np.stack([d_theta.T, d_beta.T], axis=2)
@@ -233,8 +231,6 @@ def optimize_orientation(
     the largest gradient component there; ties pick the lowest restart
     index.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
     if not 0.0 < alpha < math.pi:
@@ -287,10 +283,11 @@ def _starting_points(pairs, restarts, seed, warm_start):
 def _lbfgs(kappa, base, pairs, params, max_iter):
     """L-BFGS with Armijo backtracking on every restart row at once.
 
-    Returns (params, rates, iterations, capped).  Each row keeps its own
-    memory of the last _MEMORY steps (unused slots hold zeros) and its own
-    step length; every evaluation is one _build_states/_batch_rates call on
-    the rows that need it, and the gradient comes from the accepted states.
+    Returns (params, rates, iterations, capped).  Each row keeps its own step
+    length and memory of the last _MEMORY steps, newest last, where rho = 0
+    marks an empty slot whatever S and Y hold; every evaluation is one
+    _build_states/_batch_rates call on the rows that need it, and the
+    gradient comes from the accepted states.
     """
     R, shape = params.shape[0], params.shape[1:]
 
@@ -310,19 +307,18 @@ def _lbfgs(kappa, base, pairs, params, max_iter):
         rows = np.flatnonzero(active)
         g = grad[rows]
         d = -_two_loop(g, S[rows], Y[rows], rho[rows])
-        uphill = np.sum(g * d, axis=1) >= 0.0
+        slope = (g * d).sum(axis=1)
+        uphill = slope >= 0.0
         if uphill.any():  # stale curvature pairs: forget them
             rho[rows[uphill]] = 0.0
             d[uphill] = -_steepest(g[uphill])
-        slope = np.sum(g * d, axis=1)
+            slope = (g * d).sum(axis=1)
 
         # Halve each row's step from 1 until the Armijo condition holds.
-        step = np.ones(len(rows))
+        step, rates_new = np.ones(len(rows)), np.empty(len(rows))
         x_new = np.empty_like(g)
         states_new = np.empty((len(rows),) + base.shape, dtype=complex)
-        rates_new = np.empty(len(rows))
-        searching = np.ones(len(rows), dtype=bool)
-        failed = np.zeros(len(rows), dtype=bool)
+        searching, failed = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
         while searching.any():
             idx = np.flatnonzero(searching)
             trial = x[rows[idx]] + step[idx, None] * d[idx]
@@ -350,9 +346,9 @@ def _lbfgs(kappa, base, pairs, params, max_iter):
         grad_new = _rate_gradient(kappa, x_new[ok].reshape((-1,) + shape), states_new[ok],
                                   pairs).reshape(moved.size, -1)
         s, y = x_new[ok] - x[moved], grad_new - grad[moved]
-        sy = np.sum(s * y, axis=1)
+        sy = (s * y).sum(axis=1)
         u = moved[sy > 0.0]  # keep only pairs with positive curvature
-        S[u], Y[u], rho[u] = np.roll(S[u], -1, 1), np.roll(Y[u], -1, 1), np.roll(rho[u], -1, 1)
+        S[u, :-1], Y[u, :-1], rho[u, :-1] = S[u, 1:], Y[u, 1:], rho[u, 1:]
         S[u, -1], Y[u, -1], rho[u, -1] = s[sy > 0.0], y[sy > 0.0], 1.0 / sy[sy > 0.0]
         gain = rates[moved] - rates_new[ok]
         x[moved], rates[moved], grad[moved] = x_new[ok], rates_new[ok], grad_new
@@ -367,18 +363,18 @@ def _steepest(g):
 
 
 def _two_loop(g, S, Y, rho):
-    """L-BFGS two-loop recursion H g for each row, newest pair last; a slot
-    with rho = 0 is empty, and a row whose newest slot is empty gets
-    :func:`_steepest`."""
-    q = g.copy()
-    a = np.zeros(rho.shape)
-    for j in range(rho.shape[1] - 1, -1, -1):
-        a[:, j] = rho[:, j] * np.sum(S[:, j] * q, axis=1)
+    """L-BFGS two-loop recursion H g for each row, newest pair last.  A slot
+    with rho = 0 is empty and adds exactly zero, so only the slots that some
+    row fills are visited; a row whose newest slot is empty gets _steepest."""
+    q, a = g.copy(), np.zeros(rho.shape)
+    filled = np.flatnonzero(rho.any(axis=0))
+    for j in filled[::-1]:
+        a[:, j] = rho[:, j] * (S[:, j] * q).sum(axis=1)
         q -= a[:, j, None] * Y[:, j]
     fresh = rho[:, -1] == 0.0
-    q[~fresh] /= (rho[~fresh, -1] * np.sum(Y[~fresh, -1] ** 2, axis=1))[:, None]
-    for j in range(rho.shape[1]):
-        q += S[:, j] * (a[:, j] - rho[:, j] * np.sum(Y[:, j] * q, axis=1))[:, None]
+    q[~fresh] /= (rho[~fresh, -1] * (Y[~fresh, -1] ** 2).sum(axis=1))[:, None]
+    for j in filled:
+        q += S[:, j] * (a[:, j] - rho[:, j] * (Y[:, j] * q).sum(axis=1))[:, None]
     if fresh.any():
         q[fresh] = _steepest(g[fresh])
     return q

@@ -259,3 +259,11 @@ def test_drive_schedule_axis_normalized():
     assert np.allclose(d.axis, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         bd.DriveSchedule(np.array([0.0, 0.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("duration", [0.5, 0.0])
+def test_empty_t_eval_gives_an_empty_pair_trace(duration):
+    pair = np.array(bd.pair_to_bloch(bd.optimal_pair(0.5)))
+    tr = bd.integrate(nl.reduce(nl.parse("gp:1")), None, pair, duration, t_eval=np.array([]))
+    assert tr.times.shape == (0,) and tr.states.shape == (0, 2, 3)
+    assert tr.overlaps.shape == (0,)

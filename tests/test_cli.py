@@ -428,6 +428,26 @@ def test_bounds_cli(tmp_path, capsys):
     assert fields[4] == "True"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--duration", "-1", "--alpha0", "0"], "alpha0 must be in (0, pi], got 0.0"),
+    (["--alpha0", "4"], "alpha0 must be in (0, pi], got 4.0"),
+    (["--duration", "-1"], "duration must be finite and >= 0, got -1.0"),
+    (["--duration", "nan"], "duration must be finite and >= 0, got nan"),
+], ids=["both", "alpha0-above-pi", "duration-negative", "duration-nan"])
+def test_bounds_without_a_lipschitz_constant_still_refuses_its_run_inputs(argv, message,
+                                                                          capsys):
+    # sqrt has no finite Lipschitz constant, so without --g-lip no bound check
+    # runs; --alpha0 and --duration are refused all the same
+    err = refused(["bounds", "--nonlinearity", "sqrt:1", "--grid", "200", *argv], capsys)
+    assert f"nlqsim bounds: error: {message}" in err
+
+
+def test_bounds_without_a_lipschitz_constant_notes_it_and_exits_0(capsys):
+    assert run_cli(["bounds", "--nonlinearity", "sqrt:1", "--grid", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "no finite Lipschitz constant detected; pass --g-lip" in out
+
+
 def test_optimize_cli(capsys):
     assert run_cli(["optimize", "--nonlinearity", "gp:1.0", "--alpha", "0.5",
                     "--dim", "2", "--restarts", "8", "--seed", "42"]) == 0

@@ -73,6 +73,15 @@ def test_malformed_t_eval_is_refused_before_the_first_rhs_call(t_eval):
         _ode.solve(f, 0.0, 1.0, np.array([1.0 + 0j]), t_eval=np.array(t_eval))
 
 
+@pytest.mark.parametrize("t1", [1.0, 0.0, -1.0], ids=["forward", "zero_length", "backward"])
+@pytest.mark.parametrize("y0", [np.array([1.0 + 0j]), np.eye(3)[:2]], ids=["vector", "stack"])
+def test_empty_t_eval_records_no_sample_over_any_interval(t1, y0):
+    res = _ode.solve(lambda t, y: 1j * y, 0.0, t1, y0, t_eval=np.array([]))
+    assert res.times.shape == (0,)
+    assert res.states.shape == (0,) + y0.shape
+    assert not res.failed
+
+
 def test_real_states_under_a_real_flow_stay_real():
     # a rotation in the plane: (cos t, sin t)
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])

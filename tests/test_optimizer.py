@@ -268,7 +268,7 @@ def test_qubit_parameters_round_trip():
 
 
 @pytest.mark.parametrize("kind", sorted(QUBIT_KINDS))
-@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("dim", [3, 4, 6])  # 6: 15 links, criterion 10's longest chain
 def test_rate_gradient_matches_central_differences(kind, dim):
     kappa = QUBIT_KINDS[kind]
     pairs = op._pair_indices(dim)
@@ -284,6 +284,35 @@ def test_rate_gradient_matches_central_differences(kind, dim):
         fd[:, k, c] = (op._batch_rates(kappa, op._build_states(up, base, pairs))
                        - op._batch_rates(kappa, op._build_states(down, base, pairs))) / (2 * h)
     assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+
+def test_two_loop_ignores_what_empty_slots_hold():
+    # rho = 0 marks an empty slot, and the uphill reset zeroes rho only; the
+    # direction must not depend on the S and Y left there
+    rng = np.random.default_rng(11)
+    rows, n = 5, 12
+    g = rng.normal(size=(rows, n))
+    rho = rng.uniform(0.5, 2.0, size=(rows, op._MEMORY))
+    rho[:, :4] = 0.0  # slots no row has filled yet
+    rho[1] = 0.0  # a row after the uphill reset: steepest descent
+    rho[2, 6] = rho[3, -1] = 0.0  # a hole, and an empty newest slot
+    S, Y = rng.normal(size=(2, rows, op._MEMORY, n))
+    empty = np.broadcast_to(rho[:, :, None] == 0.0, S.shape)
+    d = op._two_loop(g, S, Y, rho)
+    assert np.array_equal(d.view(np.int64),
+                          op._two_loop(g, np.where(empty, 0.0, S), np.where(empty, 0.0, Y),
+                                       rho).view(np.int64))
+    assert np.array_equal(d[[1, 3]], op._steepest(g[[1, 3]]))
+    for r in (0, 2, 4):  # the textbook recursion over each row's own filled slots
+        q, filled = g[r].copy(), np.flatnonzero(rho[r])
+        a = {}
+        for j in filled[::-1]:
+            a[j] = rho[r, j] * (S[r, j] @ q)
+            q = q - a[j] * Y[r, j]
+        q = q / (rho[r, -1] * (Y[r, -1] @ Y[r, -1]))
+        for j in filled:
+            q = q + (a[j] - rho[r, j] * (Y[r, j] @ q)) * S[r, j]
+        assert np.allclose(d[r], q, rtol=1e-12, atol=0.0)
 
 
 def test_qubit_quartic_rate_is_exactly_zero():

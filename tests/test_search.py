@@ -793,3 +793,10 @@ def test_run_search_reaches_n_two_to_the_forty(N):
             eps = _stable_deficit(N, rep.t1)
             assert rep.t2 == pytest.approx(_gp_t2(g, eps), rel=1e-9, abs=0)
             assert rep.total_time / rep.complexity_budget <= 20.0
+
+
+@pytest.mark.parametrize("duration", [0.5, 0.0])
+def test_integrate_nlse_with_empty_t_eval_records_no_sample(duration):
+    tr = sr.integrate_nlse(nl.gross_pitaevskii(1.0), None, None, sr.uniform_state(4), duration,
+                           t_eval=np.array([]))
+    assert tr.times.shape == (0,) and tr.states.shape == (0, 4)
