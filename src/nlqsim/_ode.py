@@ -150,12 +150,13 @@ def solve(
     accurate as ``rtol`` asks, no more.  Without it, every accepted step is
     recorded.
 
-    ``t0`` and ``t1`` must be finite, ``rtol`` and ``atol`` finite and > 0,
-    and ``t_eval`` finite, strictly increasing and inside [t0, t1]; anything
+    ``t0`` and ``t1`` must be finite with t0 <= t1 (t1 = t0 records the
+    start and takes no step), ``rtol`` and ``atol`` finite and > 0, and
+    ``t_eval`` finite, strictly increasing and inside [t0, t1]; anything
     else raises ``ValueError`` before ``f`` is first called.
     """
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
+    if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= t1):
+        raise ValueError(f"t0 and t1 must be finite with t0 <= t1, got t0={t0!r} and t1={t1!r}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(tol) and tol > 0.0):
             raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
@@ -177,7 +178,7 @@ def solve(
         return SimTrace(np.array(ts), np.array(ys).reshape((len(ts),) + y.shape), stats,
                         failed=bool(reason), failure_reason=reason)
 
-    if t1 <= t0:
+    if t1 == t0:
         return record()
     fk = f(t, y)
     if not np.isfinite(fk).all():  # else the starting step is NaN and never shrinks

@@ -18,7 +18,8 @@ rate the undriven flow turns it, kappa(|psi_x(0)|) + [x = m]; every H is a
 ``Schedule``, a fixed generator on a few coordinates times omega(t), switched
 on at its ``t_on``.  Before t_on the flow keeps every |psi_x|, so that
 stretch (the search's oracle stage) is written down in closed form and the
-steps start at the switch.
+steps start at the switch.  H = None is a drive that never switches on: the
+whole run is the closed form and takes no step.
 """
 
 from __future__ import annotations
@@ -308,8 +309,10 @@ def _solve_in_frame(kappa: Nonlinearity, diag, H: Optional[Schedule], cols, Y0,
     Before H's switch time t_on the flow keeps every |Y_x|, so there the
     state is Y0 e^{-i (kappa(|Y0|) + diag - Omega) t} in the frame: the
     samples up to t_on come from it, and the one ``_ode.solve`` call starts
-    there, at min(t_on, duration).  Without ``t_eval`` the trace records
-    t = 0 and then the solver's steps from t_on.
+    there, at min(t_on, duration).  H = None never switches on: t_on is
+    duration, and the solver takes no step.  Without ``t_eval`` the trace
+    records t = 0 and then the solver's steps from t_on.  A rate that is not
+    finite gives the solver's failed trace, which keeps only the start.
     """
     rate = kappa.kappa(np.abs(Y0)) + diag
     omega = rate.copy()
@@ -320,12 +323,16 @@ def _solve_in_frame(kappa: Nonlinearity, diag, H: Optional[Schedule], cols, Y0,
             omega[..., coupled] = omega[..., coupled].mean(axis=-1, keepdims=True)
     f = _nlse_rhs(kappa, diag - omega, H, cols)
 
-    t_on = 0.0 if H is None else min(H.t_on, duration)
+    t_on = duration if H is None else min(H.t_on, duration)
     if t_eval is None:
         head, tail = np.zeros(int(t_on > 0.0)), None
     else:  # t_on leads the solver's samples, so it records no time but these
         t_eval = _ode.sample_times(t_eval, 0.0, duration)
         head, tail = t_eval[t_eval <= t_on], np.append(t_on, t_eval[t_eval > t_on])
+    if not np.isfinite(rate).all():  # before the closed form turns it into NaN samples
+        start = np.zeros(1) if t_eval is None else t_eval[t_eval <= 0.0]
+        return _ode.SimTrace(start, np.repeat(Y0[None], len(start), axis=0), _ode.StepStats(),
+                             failed=True, failure_reason="right-hand side is not finite at t0=0")
 
     def off_state(t):  # the drive-off flow in the frame
         return Y0 * np.exp(-1j * np.multiply.outer(t, rate - omega))
@@ -354,11 +361,11 @@ def integrate_nlse(
     K is the diagonal amplitude nonlinearity (K psi)_x = kappa(|psi_x|)
     psi_x, so the flow is norm-preserving; ``_ode.solve`` re-normalizes the
     state after each accepted step (drift recorded in ``stats``).  The steps
-    are taken in the frame of ``_solve_in_frame``, so with H = None the
-    exact psi0 e^{-i (kappa(|psi0|) + [x = m]) t} takes a few steps, and
-    without ``t_eval`` the trace records those few, in the lab frame.  Up
-    to a ``Schedule``'s ``t_on`` that closed form is taken as it is: the
-    steps start at t_on, and a run that ends before it takes none.
+    are taken in the frame of ``_solve_in_frame``.  Up to a ``Schedule``'s
+    ``t_on`` the exact psi0 e^{-i (kappa(|psi0|) + [x = m]) t} is taken as it
+    is, so the steps start at t_on.  A run with H = None, or one that ends
+    before t_on, takes none and without ``t_eval`` records t = 0 and the end.
+    A kappa(|psi0|) that is not finite gives a failed trace.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
@@ -467,7 +474,8 @@ def lower_bound_audit(
 
     The oracle stage of the search schedule, before its ``t_on`` = t1, is
     the closed form of ``_solve_in_frame``, so the steps start at t1 and
-    none straddles the drive's jump there.
+    none straddles the drive's jump there.  With H = None the whole run is
+    that closed form and takes no step.
     The rows are integrated in the frame of ``_solve_in_frame``, one per
     row: class c of row r turns at kappa(|z_c(0)|) plus row r's oracle on c,
     or at the row's mean of these over the classes H couples.  So no steps

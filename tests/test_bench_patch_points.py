@@ -90,16 +90,23 @@ def test_trace_fields_the_benchmark_reads():
         "times", "states", "stats", "overlaps", "failed", "failure_reason")
     gp = nlqsim.nonlinearity.gross_pitaevskii(1.0)
     pair = np.stack(nlqsim.blochdyn.pair_to_bloch(nlqsim.blochdyn.optimal_pair(0.5)))
+    psi0 = nlqsim.search.uniform_state(3)
+    driven = nlqsim.search.Schedule((0, 1), np.array([[0.0, 0.5], [0.5, 0.0]]), 1.0)
     traces = [
         nlqsim._ode.solve(lambda t, y: 1j * y, 0.0, 1.0, np.array([1.0 + 0j])),
         nlqsim.blochdyn.integrate(nlqsim.nonlinearity.reduce(gp), None, pair, 0.5),
-        nlqsim.search.integrate_nlse(gp, None, 1, nlqsim.search.uniform_state(3), 0.5),
+        nlqsim.search.integrate_nlse(gp, driven, 1, psi0, 0.5),
     ]
     for tr in traces:
         assert type(tr) is SimTrace
         assert tr.stats.accepted > 0 and tr.stats.rejected >= 0
         assert len(tr.times) == len(tr.states) and not tr.failed
     assert traces[1].overlaps.shape == traces[1].times.shape
+    # the benchmark's nlse tasks run without H: the same record, taking no step
+    free = nlqsim.search.integrate_nlse(gp, None, 1, psi0, 0.5)
+    assert type(free) is SimTrace and not free.failed
+    assert free.stats.accepted == free.stats.rejected == 0
+    assert len(free.times) == len(free.states) == 2 and free.times[-1] == 0.5
     # the quadrature's results are not ODE traces, and carry no drive
     assert not hasattr(nlqsim.discrimination, "_ode")
     fields = {f.name for f in dataclasses.fields(nlqsim.discrimination.DiscriminationResult)}

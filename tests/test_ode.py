@@ -62,6 +62,25 @@ def test_an_interval_that_is_not_finite_is_refused_before_the_first_rhs_call(t0,
         _ode.solve(f, t0, t1, np.array([1.0 + 0j]))
 
 
+@pytest.mark.parametrize("t0, t1", [(1.0, 0.5), (0.0, -1e-300)], ids=["half", "tiny"])
+def test_a_backward_interval_is_refused_before_the_first_rhs_call(t0, t1):
+    # it returned the start, not failed, as if the interval were empty
+    def f(t, y):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match=f"t0 <= t1, got t0={t0!r} and t1={t1!r}"):
+        _ode.solve(f, t0, t1, np.array([1.0 + 0j]))
+
+
+def test_a_zero_length_interval_records_the_start_and_takes_no_step():
+    def f(t, y):
+        raise AssertionError("rhs called")
+
+    res = _ode.solve(f, 0.5, 0.5, np.array([0.6 + 0j, 0.8j]))
+    assert res.times.tolist() == [0.5] and res.states.tolist() == [[0.6 + 0j, 0.8j]]
+    assert res.stats.accepted == res.stats.rejected == 0 and not res.failed
+
+
 @pytest.mark.parametrize("t_eval", [
     [0.0, 0.7, 0.3, 1.0], [-0.5, 0.5], [0.0, 0.5, 2.0], [0.2, float("nan"), 1.0],
 ], ids=["unordered", "before_t0", "beyond_t1", "nan"])
@@ -76,6 +95,10 @@ def test_malformed_t_eval_is_refused_before_the_first_rhs_call(t_eval):
 @pytest.mark.parametrize("t1", [1.0, 0.0, -1.0], ids=["forward", "zero_length", "backward"])
 @pytest.mark.parametrize("y0", [np.array([1.0 + 0j]), np.eye(3)[:2]], ids=["vector", "stack"])
 def test_empty_t_eval_records_no_sample_over_any_interval(t1, y0):
+    if t1 < 0.0:  # a backward interval is refused, naming both ends
+        with pytest.raises(ValueError, match=r"t0 <= t1, got t0=0.0 and t1=-1.0"):
+            _ode.solve(lambda t, y: 1j * y, 0.0, t1, y0, t_eval=np.array([]))
+        return
     res = _ode.solve(lambda t, y: 1j * y, 0.0, t1, y0, t_eval=np.array([]))
     assert res.times.shape == (0,)
     assert res.states.shape == (0,) + y0.shape

@@ -286,9 +286,10 @@ def test_integrate_nlse_refuses_a_horizon_that_is_not_finite(duration):
 @pytest.mark.parametrize("N", [8, 64, 256])
 @pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "quartic", "odd"])
 def test_integrate_nlse_without_h_is_its_closed_form_in_a_few_steps(kind, N, oracle):
-    # Each amplitude turns at kappa(|psi0_x|) + [x = m]; the co-rotating frame
-    # writes that phase down, so the solver has nothing left to follow.  In
-    # the lab frame these runs took up to about 300 steps.
+    # Each amplitude turns at kappa(|psi0_x|) + [x = m], and H = None never
+    # switches on, so the run is that closed form and takes no step.  In the
+    # lab frame these runs took up to about 300 steps, in the co-rotating
+    # frame up to 10.
     rng = np.random.default_rng(N)
     psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi0 /= np.linalg.norm(psi0)
@@ -297,10 +298,42 @@ def test_integrate_nlse_without_h_is_its_closed_form_in_a_few_steps(kind, N, ora
     tr = sr.integrate_nlse(kappa, None, oracle, psi0, 2.0, t_eval=grid)
     rate = kappa.kappa(np.abs(psi0)) + (np.arange(N) == (oracle or 0) - 1)
     want = psi0 * np.exp(-1j * np.outer(grid, rate))
-    assert np.max(np.abs(tr.states - want)) <= 1e-12
+    assert np.array_equal(tr.times, grid)
+    assert np.max(np.abs(tr.states - want)) <= 1e-15
     free = sr.integrate_nlse(kappa, None, oracle, psi0, 2.0)
-    assert free.stats.accepted + free.stats.rejected <= 15
-    assert np.max(np.abs(free.states[-1] - want[-1])) <= 1e-12
+    assert free.times.tolist() == [0.0, 2.0]
+    assert np.max(np.abs(free.states - want[[0, -1]])) <= 1e-15
+    for run in (tr, free):
+        assert run.stats.accepted == run.stats.rejected == 0 and not run.failed
+
+
+@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 3), np.array([0.5, 1.0])],
+                         ids=["no-samples", "samples", "samples-after-0"])
+@pytest.mark.parametrize("H", [None, sr.Schedule((0, 1), _SX / 2, 1.0, t_on=2.0),
+                               sr.Schedule((0, 1), _SX / 2, 1.0, t_on=1.0)],
+                         ids=["none", "switch-past-end", "switch-at-end"])
+def test_integrate_nlse_refuses_a_rate_that_is_not_finite_at_the_start(H, t_eval):
+    # A switch at or past the end gave NaN states with failed = False; H = None
+    # failed, but kept a NaN sample at t = 0.  kappa is NaN above 0.4, so at
+    # every |psi_x| = 1/2 of |s> at N = 4.
+    bad = nl.Nonlinearity(nl.Kind.PIECEWISE_CUSTOM, 1.0,
+                          custom_fn=lambda x: np.where(x > 0.4, np.nan, x))
+    tr = sr.integrate_nlse(bad, H, 1, sr.uniform_state(4), 1.0, t_eval=t_eval)
+    assert tr.failed and "not finite" in tr.failure_reason
+    assert np.isfinite(tr.states).all() and tr.stats.accepted == tr.stats.rejected == 0
+    # the solver's refusal keeps the start and nothing after it
+    assert np.array_equal(tr.times, [0.0] if t_eval is None or t_eval[0] == 0.0 else [])
+    assert np.array_equal(tr.states, np.repeat(sr.uniform_state(4)[None], len(tr.times), 0))
+    with pytest.raises(RuntimeError, match="audit integration failed: .*not finite"):
+        sr.lower_bound_audit(bad, H, 4, 1.0)
+
+
+@pytest.mark.parametrize("N", [64, 2 ** 40])
+def test_audit_without_h_is_its_closed_form_and_takes_no_step(N):
+    audit = sr.lower_bound_audit(nl.gross_pitaevskii(1.0), None, N, 3.0)
+    assert audit.step_stats.accepted == audit.step_stats.rejected == 0
+    want = N * np.abs(1.0 - (1.0 - np.exp(-1j * audit.times)) / N)
+    assert np.max(np.abs(audit.S - want) / want) <= 1e-14
 
 
 @pytest.mark.parametrize("oracle", [3, 4], ids=["on-support", "off-support"])
