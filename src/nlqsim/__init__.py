@@ -20,8 +20,8 @@ from .nonlinearity import (  # noqa: F401
 )
 from ._ode import SimTrace  # noqa: F401
 from .blochdyn import (  # noqa: F401
-    DriveSchedule,
     PairOrientation,
+    axis_drive,
     integrate,
     ip_rate,
     ip_rate_vectors,

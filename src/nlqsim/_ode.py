@@ -7,13 +7,15 @@ a rejection may shrink but not grow (Hairer's facmax = 1).  Sample times
 are filled from each accepted step by the pair's 4th-order continuous
 extension (Shampine 1986), so they never end a step.  The state is a real
 or complex array whose rows along the last axis have unit norm: one vector
-(a state vector), or a stack of them (Bloch vectors, the audit's states).
+(a state vector), or a stack of them (qubit spinors, the audit's states).
 After every accepted step, and at every sample, each row is divided by its
 norm; the largest drift from unit norm before a step end's projection is
-recorded.  The seven stage slopes of a step live in one preallocated
-buffer, so each stage, the error estimate and a step's samples are each
-one small matrix product over its flattened rows, and an ``f`` that reuses
-its output array is copied, not aliased.  Error norms use elementwise
+recorded.  A step costs six calls of ``f``: its last stage, at the
+unprojected end, is the next step's first (FSAL).  The seven stage slopes
+of a step live in one preallocated buffer, so each stage, the error
+estimate and a step's samples are each one small matrix product over its
+flattened rows, and an ``f`` that reuses its output array is copied, not
+aliased.  Error norms use elementwise
 magnitudes.  ``SimTrace`` is the package's one trajectory record.  Scalar
 autonomous problems (the overlap laws of ``discrimination`` and
 ``bounds``) are quadratures and do not come here.
@@ -21,12 +23,13 @@ autonomous problems (the overlap laws of ``discrimination`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau (FSAL: last stage of an accepted step is
+# Dormand-Prince 5(4) tableau (FSAL: the last stage of an accepted step is
 # the first stage of the next).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([
@@ -91,7 +94,7 @@ class SimTrace:
 
 def _error_norm(err, y0, y1, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    return math.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=None) / err.size)  # np.mean
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
@@ -112,9 +115,9 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
 
 def _project(y):
     """``y`` with each row along the last axis divided by its norm, and the
-    largest | |row| - 1 | before the division."""
-    norm = np.linalg.norm(y) if y.ndim == 1 else np.linalg.norm(y, axis=-1, keepdims=True)
-    return y / norm, float(np.max(np.abs(norm - 1.0)))
+    largest | |row| - 1 | before the division (np.linalg.norm's sum)."""
+    norm = np.sqrt(np.add.reduce((y.conj() * y).real, axis=-1, keepdims=True))
+    return y / norm, float(np.abs(norm - 1.0).max())
 
 
 def sample_times(t_eval, t0: float, t1: float) -> np.ndarray:
@@ -140,15 +143,17 @@ def solve(
     """Integrate the norm-preserving flow ``y' = f(t, y)`` from ``t0`` to
     ``t1``, starting from unit-norm rows ``y0``.
 
-    After every accepted step the rows are projected back to unit norm and
-    ``f`` is re-evaluated there; ``stats.max_norm_drift`` is the largest
-    drift before a projection.  ``t_eval`` holds strictly increasing sample
-    times in [t0, t1], recorded as given.  They do not end steps: a sample
-    inside a step is interpolated from its stage slopes and projected to
-    unit norm, and one at a step end records that step's state.  So the
-    steps and ``stats`` do not depend on ``t_eval``, and a sample is as
-    accurate as ``rtol`` asks, no more.  Without it, every accepted step is
-    recorded.
+    After every accepted step the rows are projected back to unit norm;
+    ``stats.max_norm_drift`` is the largest drift before a projection, and
+    so bounds the error of the next step's first slope, the last one taken
+    at the unprojected end (FSAL).  ``f`` is called at t0, once more by the
+    starting-step heuristic and six times per attempted step.  ``t_eval``
+    holds strictly increasing sample times in [t0, t1], recorded as given.
+    They do not end steps: a sample inside a step is interpolated from its
+    stage slopes and projected to unit norm, and one at a step end records
+    that step's state.  So the steps and ``stats`` do not depend on
+    ``t_eval``, and a sample is as accurate as ``rtol`` asks, no more.
+    Without it, every accepted step is recorded.
 
     ``t0`` and ``t1`` must be finite with t0 <= t1 (t1 = t0 records the
     start and takes no step), ``rtol`` and ``atol`` finite and > 0, and
@@ -186,6 +191,8 @@ def solve(
     h = _initial_step(f, t, y, fk, t1, rtol, atol)
     K = np.empty((7,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
     Kf = K.reshape(7, -1)
+    K[0] = fk
+    AE = np.vstack((_A, _E)).astype(K.dtype)  # cast once, not by every product with Kf
 
     max_growth = MAX_STEP_FACTOR
     while t < t1:
@@ -193,13 +200,13 @@ def solve(
         if h < 1e-14 * max(1.0, abs(t)):
             return record(f"step size underflow at t={t:.6g}")
 
-        K[0] = fk
+        hAE = h * AE
         for i in range(1, 7):
-            yi = y + ((h * _A[i, :i]) @ Kf[:i]).reshape(y.shape)
+            yi = y + (hAE[i, :i] @ Kf[:i]).reshape(y.shape)
             K[i] = f(t + _C[i] * h, yi)
         # _A[6] equals _B5[:6], so the last stage was evaluated at (t+h, y_new).
         y_new = yi
-        err = ((h * _E) @ Kf).reshape(y.shape)
+        err = (hAE[7] @ Kf).reshape(y.shape)
         enorm = _error_norm(err, y, y_new, rtol, atol)
 
         if not enorm <= 1.0:
@@ -214,7 +221,6 @@ def solve(
         t += h
         y, drift = _project(y_new)
         stats.max_norm_drift = max(stats.max_norm_drift, drift)
-        fk = f(t, y)
 
         if eval_times is None:
             ts.append(t)
@@ -233,5 +239,6 @@ def solve(
 
         h *= min(max_growth, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
         max_growth = MAX_STEP_FACTOR
+        K[0] = K[6]  # FSAL, at y_new: the projection moved it by drift at most
 
     return record()

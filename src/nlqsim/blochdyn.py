@@ -5,8 +5,8 @@ of latitude at rate kbar(z):
 
     d/dt (x, y, z) = kbar(z) (-y, x, 0).
 
-An optional linear drive omega(t) about a fixed axis adds the usual rigid
-rotation, omega(t) * (axis x v).  Pairs of states with fixed Bloch-sphere
+A linear drive omega(t) about a fixed unit axis a adds the usual rigid
+rotation, omega(t) (a x v).  Pairs of states with fixed Bloch-sphere
 separation alpha are parameterized by the midpoint polar angle phi and the
 rotation theta about the midpoint (midpoint gauged into the xz plane):
 
@@ -14,32 +14,23 @@ rotation theta about the midpoint (midpoint gauged into the xz plane):
     y_pm = +- sin(a/2) sin(theta)
     z_pm = cos(a/2) cos(phi) -+ sin(a/2) sin(phi) cos(theta)
 
-``integrate`` steps one or two Bloch vectors with ``_ode.solve`` and returns
-its ``SimTrace``, with cos(alpha) of a pair in ``overlaps``.
+``integrate`` steps the amplitudes (a, b), z = |a|^2 - |b|^2, of the flow
+i psi' = (kappa(|psi|) + omega(t) a.sigma/2) psi through the package's one
+stepping path, ``search._solve_in_frame``, so it uses kappa, whose kbar(z)
+is kappa(|a|) - kappa(|b|), and never calls kbar.  Its drive is a
+``search.Schedule`` on the modes (0, 1), such as ``axis_drive`` builds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import _ode
 from .nonlinearity import ReducedNonlinearity
-
-UNIT_TOL = 1e-9
-
-
-def _as_unit(v, tol=UNIT_TOL) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("Bloch vector must be a real 3-vector")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"Bloch vector must be unit length, |v| = {n}")
-    return v / n
 
 
 @dataclass(frozen=True)
@@ -69,28 +60,41 @@ class PairOrientation:
         return zp, zm
 
 
-@dataclass(frozen=True)
-class DriveSchedule:
-    """Rotation about a fixed unit axis at (possibly time-dependent) rate omega."""
-
-    axis: np.ndarray
-    omega: Union[float, Callable[[float], float]]
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,):
-            raise ValueError("drive axis must be a 3-vector")
-        n = np.linalg.norm(axis)
-        if n < 1e-12:
-            raise ValueError("drive axis must be nonzero")
-        object.__setattr__(self, "axis", axis / n)
-
-    def rate(self, t: float) -> float:
-        return self.omega(t) if callable(self.omega) else float(self.omega)
+def axis_drive(axis, omega):
+    """The rotation omega(t) (a x v) about a = axis / |axis| as the two-mode
+    ``search.Schedule`` H = omega(t) a.sigma/2; ``axis`` must be a finite
+    nonzero real 3-vector, ``omega`` a float or a real callable of t."""
+    from .search import Schedule  # search imports discrimination, which imports this module
+    a = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(a) if a.shape == (3,) else math.nan
+    if not 1e-12 <= n < math.inf:
+        raise ValueError(f"drive axis must be a finite nonzero real 3-vector, got {axis!r}")
+    x, y, z = a / n
+    return Schedule((0, 1), 0.5 * np.array([[z, x - 1j * y], [x + 1j * y, -z]]), omega)
 
 
-def x_drive(omega) -> DriveSchedule:
-    return DriveSchedule(np.array([1.0, 0.0, 0.0]), omega)
+def x_drive(omega):
+    """The rotation omega(t) about x, ``Schedule((0, 1), sigma_x/2, omega)``."""
+    return axis_drive((1.0, 0.0, 0.0), omega)
+
+
+def qubit_bloch_vector(psi) -> np.ndarray:
+    """Bloch vectors of 2-component states (a, b) along the last axis:
+    (2 Re a* b, 2 Im a* b, |a|^2 - |b|^2)."""
+    psi = np.asarray(psi)
+    a, b = psi[..., 0], psi[..., 1]
+    ab = a.conj() * b
+    return np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=-1)
+
+
+def _spinor(v) -> np.ndarray:
+    """Spinors (a, b) of the unit Bloch vector rows ``v``, gauged so that the
+    larger of |a|, |b| is the real sqrt((1 + |z|)/2): no division near a pole."""
+    x, y, z = v.T
+    big = np.sqrt((1.0 + np.abs(z)) / 2.0)
+    small = (x + 1j * y) / (2.0 * big)
+    return np.where((z >= 0.0)[:, None], np.stack([big, small], axis=1),
+                    np.stack([small.conj(), big], axis=1))
 
 
 def pair_to_bloch(p: PairOrientation):
@@ -145,50 +149,43 @@ def ip_rate(kbar: ReducedNonlinearity, p: PairOrientation) -> float:
     return 4.0 * c * pair_overlap_rate(kbar, c, math.sin(p.alpha / 2), p.phi, p.theta)
 
 
-def _flow(kbar, drive):
-    if drive is not None:
-        cross = np.cross(drive.axis, np.eye(3))  # v @ cross == axis x v, row by row
-
-    def f(t, v):
-        k = kbar(v[:, 2])
-        dv = np.empty_like(v)
-        dv[:, 0] = -k * v[:, 1]
-        dv[:, 1] = k * v[:, 0]
-        dv[:, 2] = 0.0
-        if drive is not None:
-            dv += drive.rate(t) * (v @ cross)
-        return dv
-
-    return f
-
-
 def integrate(
     kbar: ReducedNonlinearity,
-    drive: Optional[DriveSchedule],
+    drive,
     initial,
     duration: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
 ) -> _ode.SimTrace:
-    """Integrate one or two Bloch vectors under nonlinearity plus drive.
+    """Integrate one or two Bloch vectors under ``kbar``'s nonlinearity plus
+    ``drive`` (None or a ``Schedule`` on the modes (0, 1)).
 
-    The flow is d/dt v = kbar(z) (-y, x, 0) + omega(t) (axis x v), stepped
-    by ``_ode.solve`` on the (k, 3) stack, which projects the vectors back
-    to the unit sphere after each accepted step and records the worst
-    drift in ``stats``.  A pair's cos(alpha) goes in ``overlaps``.
-    Step-size underflow returns a trace with ``failed`` set and the partial
-    history.
+    The vectors' spinors are stepped under kappa = ``kbar.source`` by
+    ``search._solve_in_frame`` and mapped back by ``qubit_bloch_vector``, so
+    ``rtol``, ``atol`` and ``stats.max_norm_drift`` are about amplitudes.
+    Undriven, each vector turns about z by kbar(z) t in closed form, with no
+    step, and without ``t_eval`` t = 0 and ``duration`` are recorded.  A
+    pair's cos(alpha) goes in ``overlaps``.  ``duration`` must be finite and
+    >= 0 and each vector unit length to 1e-9 (NaN is refused).  Step
+    underflow returns a trace with ``failed`` set and the partial history.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    vs = np.atleast_2d(np.asarray(initial, dtype=float))
-    if vs.shape[1] != 3 or vs.shape[0] not in (1, 2):
-        raise ValueError("initial must be one or two Bloch 3-vectors")
-    vs = np.stack([_as_unit(v) for v in vs])
+    from . import search  # search imports discrimination, which imports this module
 
-    tr = _ode.solve(_flow(kbar, drive), 0.0, float(duration), vs,
-                    rtol=rtol, atol=atol, t_eval=t_eval)
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
+    vs = np.atleast_2d(np.asarray(initial, dtype=float))
+    if vs.shape[1:] != (3,) or len(vs) not in (1, 2):
+        raise ValueError("initial must be one or two Bloch 3-vectors")
+    norm = np.linalg.norm(vs, axis=1, keepdims=True)
+    if not np.all(np.abs(norm - 1.0) <= 1e-9):  # false on NaN too
+        raise ValueError(f"Bloch vectors must be unit length to 1e-9, got {vs.tolist()}")
+    if drive is not None and not (isinstance(drive, search.Schedule) and drive.support == (0, 1)):
+        raise ValueError(f"drive must be None or a Schedule on the modes (0, 1), got {drive!r}")
+
+    tr = search._solve_in_frame(kbar.source, 0.0, drive, slice(0, 2), _spinor(vs / norm),
+                                float(duration), rtol, atol, t_eval)
+    tr.states = qubit_bloch_vector(tr.states)
     if vs.shape[0] == 2:
         tr.overlaps = np.einsum("ij,ij->i", tr.states[:, 0], tr.states[:, 1])
     return tr

@@ -99,17 +99,6 @@ def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
     return float(np.real(np.conj(inner / abs(inner)) * t))
 
 
-def qubit_bloch_vector(psi: np.ndarray) -> np.ndarray:
-    """Bloch vector of a 2-component state (a, b):
-    (2 Re a* b, 2 Im a* b, |a|^2 - |b|^2)."""
-    a, b = psi[0], psi[1]
-    return np.array([
-        2.0 * (a.conjugate() * b).real,
-        2.0 * (a.conjugate() * b).imag,
-        abs(a) ** 2 - abs(b) ** 2,
-    ])
-
-
 def _pair_indices(dim: int):
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 

@@ -235,9 +235,10 @@ class Schedule:
     (0-indexed), zero elsewhere, from the switch time ``t_on`` on; H is zero
     before it.  The constant generator is checked once, here:
     len(support) x len(support), finite, Hermitian to 1e-12.  ``omega`` is a
-    float or a callable returning a real scalar, as in ``DriveSchedule``, and
-    ``t_on`` is finite and >= 0.  The solvers write the drive-off stretch
-    [0, t_on] down in closed form, so no step straddles the switch."""
+    float or a callable returning a real scalar, and ``t_on`` is finite and
+    >= 0; a qubit drive is the two-mode case (``blochdyn.axis_drive``).  The
+    solvers write the drive-off stretch [0, t_on] down in closed form, so no
+    step straddles the switch."""
 
     support: tuple
     generator: np.ndarray
@@ -372,8 +373,8 @@ def integrate_nlse(
         raise ValueError("psi0 must be a vector")
     dim = len(psi0)
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("psi0 must be unit norm")
+    if not abs(nrm - 1.0) <= 1e-9:  # false on NaN too
+        raise ValueError(f"psi0 must be unit norm to 1e-9, got {psi0!r}")
     psi0 = psi0 / nrm
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")

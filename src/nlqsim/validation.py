@@ -126,7 +126,7 @@ def check_drive_neutrality(ctx: Context) -> CheckResult:
     kbar = nl.reduce(nl.quartic_difference(1.0))  # kbar == 0
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    drive = bd.DriveSchedule(axis, lambda t: 1.3 + math.sin(2 * t))
+    drive = bd.axis_drive(axis, lambda t: 1.3 + math.sin(2 * t))
     v = rng.normal(size=(2, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     tr = bd.integrate(kbar, drive, v, 6.0)

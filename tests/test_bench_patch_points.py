@@ -92,9 +92,10 @@ def test_trace_fields_the_benchmark_reads():
     pair = np.stack(nlqsim.blochdyn.pair_to_bloch(nlqsim.blochdyn.optimal_pair(0.5)))
     psi0 = nlqsim.search.uniform_state(3)
     driven = nlqsim.search.Schedule((0, 1), np.array([[0.0, 0.5], [0.5, 0.0]]), 1.0)
+    kbar = nlqsim.nonlinearity.reduce(gp)
     traces = [
         nlqsim._ode.solve(lambda t, y: 1j * y, 0.0, 1.0, np.array([1.0 + 0j])),
-        nlqsim.blochdyn.integrate(nlqsim.nonlinearity.reduce(gp), None, pair, 0.5),
+        nlqsim.blochdyn.integrate(kbar, nlqsim.blochdyn.x_drive(0.5), pair, 0.5),
         nlqsim.search.integrate_nlse(gp, driven, 1, psi0, 0.5),
     ]
     for tr in traces:
@@ -102,11 +103,13 @@ def test_trace_fields_the_benchmark_reads():
         assert tr.stats.accepted > 0 and tr.stats.rejected >= 0
         assert len(tr.times) == len(tr.states) and not tr.failed
     assert traces[1].overlaps.shape == traces[1].times.shape
-    # the benchmark's nlse tasks run without H: the same record, taking no step
-    free = nlqsim.search.integrate_nlse(gp, None, 1, psi0, 0.5)
-    assert type(free) is SimTrace and not free.failed
-    assert free.stats.accepted == free.stats.rejected == 0
-    assert len(free.times) == len(free.states) == 2 and free.times[-1] == 0.5
+    # the benchmark's nlse tasks run without H, and an undriven Bloch run is
+    # its closed form too: the same record, taking no step
+    for free in (nlqsim.search.integrate_nlse(gp, None, 1, psi0, 0.5),
+                 nlqsim.blochdyn.integrate(kbar, None, pair, 0.5)):
+        assert type(free) is SimTrace and not free.failed
+        assert free.stats.accepted == free.stats.rejected == 0
+        assert len(free.times) == len(free.states) == 2 and free.times[-1] == 0.5
     # the quadrature's results are not ODE traces, and carry no drive
     assert not hasattr(nlqsim.discrimination, "_ode")
     fields = {f.name for f in dataclasses.fields(nlqsim.discrimination.DiscriminationResult)}

@@ -47,14 +47,19 @@ def test_pair_vectors_unit_and_dot():
 
 
 def test_nonlinear_flow_rate_fixed_points():
-    flow = bd._flow(nl.reduce(nl.gross_pitaevskii(1.0)), None)
-    assert np.allclose(flow(0.0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])), 0.0)
+    v = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    tr = bd.integrate(nl.reduce(nl.gross_pitaevskii(1.0)), None, v, 3.0)
+    assert np.allclose(tr.states - v, 0.0)
 
 
 def test_nonlinear_flow_rate_midlatitude():
-    flow = bd._flow(nl.reduce(nl.gross_pitaevskii(2.0)), None)
-    rate = flow(0.0, np.array([[SQRT_HALF, 0.0, SQRT_HALF]]))
-    assert np.allclose(rate, [[0.0, 1.0, 0.0]], atol=1e-14)
+    # kbar(z) (-y, x, 0) = (0, 1, 0) at the start, by a one-sided difference
+    v = np.array([[SQRT_HALF, 0.0, SQRT_HALF]])
+    h = 5e-7
+    tr = bd.integrate(nl.reduce(nl.gross_pitaevskii(2.0)), None, v, 2 * h,
+                      t_eval=np.array([0.0, h, 2 * h]))
+    rate = (-3 * tr.states[0] + 4 * tr.states[1] - tr.states[2]) / (2 * h)
+    assert np.allclose(rate, [[0.0, 1.0, 0.0]], atol=1e-8)
 
 
 def test_ip_rate_optimal_orientation_matches_quadratic_form():
@@ -217,11 +222,29 @@ def test_integrate_drive_neutrality_with_zero_reduction():
     kbar = nl.reduce(nl.quartic_difference(1.0))
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    drive = bd.DriveSchedule(axis, lambda t: 0.9 + math.cos(3 * t))
+    drive = bd.axis_drive(axis, lambda t: 0.9 + math.cos(3 * t))
     v = rng.normal(size=(2, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     tr = bd.integrate(kbar, drive, v, 6.0)
     assert np.max(np.abs(tr.overlaps - tr.overlaps[0])) <= 1e-8
+
+
+def test_a_pure_drive_about_any_axis_is_the_rigid_rotation_about_it():
+    # quartic has kbar == 0, so each vector turns about a by the integral of
+    # omega, as Rodrigues' formula gives it: H = +omega a.sigma/2 is +omega (a x v)
+    rng = np.random.default_rng(12)
+    kbar = nl.reduce(nl.quartic_difference(1.0))
+    axis = rng.normal(size=3)
+    a = axis / np.linalg.norm(axis)
+    v = rng.normal(size=(2, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    times = np.linspace(0.0, 6.0, 13)
+    tr = bd.integrate(kbar, bd.axis_drive(axis, lambda t: 0.9 + math.cos(3 * t)), v, 6.0,
+                      t_eval=times)
+    turn = (0.9 * times + np.sin(3 * times) / 3)[:, None, None]
+    want = (v * np.cos(turn) + np.cross(a, v) * np.sin(turn)
+            + np.outer(v @ a, a) * (1.0 - np.cos(turn)))
+    assert np.max(np.abs(tr.states - want)) <= 1e-8
 
 
 def test_integrate_step_underflow_carries_partial_trace():
@@ -254,11 +277,13 @@ def test_integrate_refuses_a_duration_that_is_not_finite(duration):
         bd.integrate(kbar, None, np.array([1.0, 0.0, 0.0]), duration)
 
 
-def test_drive_schedule_axis_normalized():
-    d = bd.DriveSchedule(np.array([2.0, 0.0, 0.0]), 1.0)
-    assert np.allclose(d.axis, [1.0, 0.0, 0.0])
+def test_drive_axis_normalized():
+    d = bd.axis_drive(np.array([2.0, 0.0, 0.0]), 1.0)
+    assert d.support == (0, 1)
+    assert np.allclose(d.generator, [[0.0, 0.5], [0.5, 0.0]])
+    assert np.array_equal(d.generator, bd.x_drive(1.0).generator)
     with pytest.raises(ValueError):
-        bd.DriveSchedule(np.array([0.0, 0.0, 0.0]), 1.0)
+        bd.axis_drive(np.array([0.0, 0.0, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("duration", [0.5, 0.0])
@@ -267,3 +292,68 @@ def test_empty_t_eval_gives_an_empty_pair_trace(duration):
     tr = bd.integrate(nl.reduce(nl.parse("gp:1")), None, pair, duration, t_eval=np.array([]))
     assert tr.times.shape == (0,) and tr.states.shape == (0, 2, 3)
     assert tr.overlaps.shape == (0,)
+
+
+def test_a_start_vector_holding_nan_is_refused_naming_it():
+    kbar = nl.reduce(nl.gross_pitaevskii(1.0))
+    with pytest.raises(ValueError, match="unit length.*nan"):
+        bd.integrate(kbar, None, [math.nan, 0.0, 1.0], 1.0)
+
+
+KINDS = {"gp": nl.gross_pitaevskii(1.0), "log": nl.logarithmic(1.0), "odd": ODD,
+         "sqrt": nl.square_root_sign(1.0)}
+
+
+def _bloch_reference(kbar, omega, v0, times):
+    """dv/dt = kbar(z) (-y, x, 0) + omega(t) (x^ x v), the Bloch flow that
+    ``integrate`` no longer steps, by scipy's DOP853 at rtol 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    def f(t, y):
+        x, yy, z = y.reshape(-1, 3).T
+        k, w = kbar(z), omega(t)
+        return np.stack([-k * yy, k * x - w * z, w * yy], axis=1).ravel()
+
+    sol = solve_ivp(f, (times[0], times[-1]), v0.ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=times)
+    return sol.y.T.reshape((len(times),) + v0.shape)
+
+
+# Six pairs from default_rng(5) under x_drive(2 cos(t/2)) over [0, 6], the
+# largest Bloch error at rtol 1e-10.  sqrt crosses its kink at z = 0, which
+# the embedded error estimate does not see; its limit is the error the
+# Bloch-stepping path had (2.0e-7), the others' is 2e-9.
+@pytest.mark.parametrize("kind, limit", [("gp", 2e-9), ("log", 2e-9), ("odd", 2e-9),
+                                         ("sqrt", 2.0e-7)])
+def test_driven_pairs_match_the_bloch_flow_stepped_by_dop853(kind, limit):
+    kbar = nl.reduce(KINDS[kind])
+    omega = lambda t: 2.0 * math.cos(t / 2)
+    times = np.linspace(0.0, 6.0, 61)
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(6):
+        v = rng.normal(size=(2, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        tr = bd.integrate(kbar, bd.x_drive(omega), v, 6.0, t_eval=times)
+        assert not tr.failed and tr.stats.accepted > 0
+        ref = _bloch_reference(kbar, omega, v, times)
+        worst = max(worst, float(np.max(np.abs(tr.states - ref))))
+    assert worst <= limit
+
+
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd"])
+def test_an_undriven_run_is_the_turn_about_z_and_takes_no_step(kind):
+    kbar = nl.reduce(KINDS[kind])
+    rng = np.random.default_rng(9)
+    times = np.linspace(0.0, 4.0, 9)
+    for _ in range(10):
+        v = rng.normal(size=(2, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        for t_eval in (times, None):
+            tr = bd.integrate(kbar, None, v, 4.0, t_eval=t_eval)
+            assert tr.stats.accepted == tr.stats.rejected == 0 and not tr.failed
+            turn = np.multiply.outer(tr.times, kbar(v[:, 2]))
+            c, s = np.cos(turn), np.sin(turn)
+            want = np.stack([v[:, 0] * c - v[:, 1] * s, v[:, 0] * s + v[:, 1] * c,
+                             np.broadcast_to(v[:, 2], c.shape)], axis=-1)
+            assert np.max(np.abs(tr.states - want)) <= 1e-14

@@ -16,10 +16,10 @@ def test_fsal_stage_reused_six_rhs_calls_per_attempted_step():
     res = _ode.solve(f, 0.0, 10.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12)
     assert abs(res.states[-1, 0] - np.exp(10j)) <= 1e-9
     attempted = res.stats.accepted + res.stats.rejected
-    # f(t0, y0) and one probe in the starting-step heuristic, the six new
-    # stages of each Dormand-Prince step, and one evaluation at the
-    # projected state after each accepted step.
-    assert len(calls) == 2 + 6 * attempted + res.stats.accepted
+    # f(t0, y0) and one probe in the starting-step heuristic, then the six
+    # new stages of each Dormand-Prince step: an accepted step's last stage
+    # is the next step's first (FSAL), with no call at the projected state.
+    assert len(calls) == 2 + 6 * attempted
 
 
 def test_solve_takes_exactly_the_documented_parameters():

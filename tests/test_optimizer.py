@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from nlqsim import nonlinearity as nl
 from nlqsim import optimizer as op
 from nlqsim import search as sr
-from nlqsim.blochdyn import ip_rate_vectors, pair_overlap_rate
+from nlqsim.blochdyn import ip_rate_vectors, pair_overlap_rate, qubit_bloch_vector
 
 
 def test_rate_functional_zero_for_vanishing_reduction_on_qubits():
@@ -46,8 +46,8 @@ def test_rate_functional_agrees_with_bloch_rate():
         c = e.overlap()
         if c < 1e-3:
             continue
-        b1 = op.qubit_bloch_vector(v[0])
-        b2 = op.qubit_bloch_vector(v[1])
+        b1 = qubit_bloch_vector(v[0])
+        b2 = qubit_bloch_vector(v[1])
         bloch_rate = ip_rate_vectors(kbar, b1, b2) / (4.0 * c)
         assert abs(op.rate_functional(n, e) - bloch_rate) <= 1e-10
 

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from nlqsim import blochdyn as bd
 from nlqsim import nonlinearity as nl
 from nlqsim import search as sr
-from nlqsim.optimizer import qubit_bloch_vector
+from nlqsim.blochdyn import qubit_bloch_vector
 
 
 def test_oracle_overlap_unmarked_is_one():
@@ -280,6 +280,13 @@ def test_integrate_nlse_refuses_a_horizon_that_is_not_finite(duration):
 
     with pytest.raises(ValueError, match="t1"):
         sr.integrate_nlse(Raising(), None, 1, sr.uniform_state(4), duration)
+
+
+def test_integrate_nlse_refuses_a_start_state_holding_nan_naming_it():
+    # a NaN norm passes a test written as |nrm - 1| > tol; pytest turns the
+    # divide warning it used to raise into an error
+    with pytest.raises(ValueError, match="psi0 must be unit norm.*nan"):
+        sr.integrate_nlse(nl.gross_pitaevskii(1.0), None, None, [math.nan, 1.0], 1.0)
 
 
 @pytest.mark.parametrize("oracle", [None, 3], ids=["no-oracle", "oracle"])
