@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from typing import Optional
 
@@ -244,8 +245,19 @@ def _shared(p, *names):
         p.add_argument(f"--{name}", **_SHARED[name])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads -1e-8, like -0.5, as a number, so a
+    negative value in exponent form reaches the library's refusal instead of
+    being taken for a flag.  ``add_subparsers`` builds each subcommand's
+    parser with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlqsim",
         description="State discrimination and unstructured search under "
                     "amplitude nonlinearities of the Gross-Pitaevskii family",

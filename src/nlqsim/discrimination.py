@@ -21,10 +21,13 @@ exact start u0; the quadratic law has the constant integrand 2/g:
 
     t(u) = int_u^u0 sech^2(v) / -R(v) dv.
 
-Each unit panel in u is one ``quad_panel``: an adaptive G10/K21
-Gauss-Kronrod rule whose integrand takes every node of every open piece
-as one array, so a re-optimized rule runs its orientation grid for all 21
-nodes at once.  It bisects at most to ``QUAD_LIMIT`` pieces and warns
+The unit panels in u are integrated together by ``quad_panels``: an
+adaptive G10/K21 Gauss-Kronrod rule per panel, whose integrand takes every
+node of every open piece of every open panel as one array, so a
+re-optimized run evaluates its orientation grid once per level for all of
+them.  A run to a target overlap integrates all its panels at once; a run
+of given duration takes as many as the last mean dt/du says reach its end.
+Each panel bisects at most to ``QUAD_LIMIT`` pieces and warns
 (``IntegrationWarning``) where that misses the tolerance.
 
 A ``DiscriminationResult`` holds the sampled times, overlaps and angles of
@@ -250,52 +253,60 @@ def _gk21(f, lo, hi):
     """QUADPACK's qk21 on every piece [lo_i, hi_i] from one call of f on all
     their nodes: (integrals, error estimates, integrals of |f|)."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # One 1 x 21 row per piece: a stack of row products rounds each piece's
+    # sums as for that piece alone, whichever pieces share the call.
     fx = np.asarray(f((centre[:, None] + half[:, None] * GK21_NODES).ravel()),
-                    dtype=float).reshape(len(lo), -1)
-    resk, resg = fx @ GK21_WEIGHTS, fx[:, 1::2] @ G10_WEIGHTS
-    resabs = np.abs(fx) @ GK21_WEIGHTS * np.abs(half)
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ GK21_WEIGHTS * np.abs(half)
+                    dtype=float).reshape(len(lo), 1, -1)
+    resk, resg = (fx @ GK21_WEIGHTS)[:, 0], (fx[..., 1::2] @ G10_WEIGHTS)[:, 0]
+    resabs = (np.abs(fx) @ GK21_WEIGHTS)[:, 0] * np.abs(half)
+    resasc = (np.abs(fx - 0.5 * resk[:, None, None]) @ GK21_WEIGHTS)[:, 0] * np.abs(half)
     err = np.abs((resk - resg) * half)
     ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
     err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
     return resk * half, np.maximum(QUAD_RTOL_FLOOR * resabs, err), resabs
 
 
-def quad_panel(f, a: float, b: float, rtol: float) -> float:
-    """Integral of f over [a, b] to relative tolerance ``rtol``.
+def quad_panels(f, edges, rtol: float) -> np.ndarray:
+    """Integral of f over each panel [edges[i], edges[i + 1]] to relative
+    tolerance ``rtol``, as an array with one entry per panel.
 
     An adaptive Gauss-Kronrod G10/K21 rule with QUADPACK's error estimate.
     ``f`` takes a 1-d array of points and returns its values there; it is
-    called once per level, on the 21 nodes of every piece still open.  A
-    piece closes once its error estimate is at most ``rtol`` times its
-    integral of |f| (the integral itself for a one-signed f), and every piece
-    still open is bisected, until the summed estimate is at most ``rtol``
-    times the integral.  Bisecting past ``QUAD_LIMIT`` pieces raises
-    ``IntegrationWarning`` and returns the estimate so far.
+    called once per level, on the 21 nodes of every piece still open in
+    every panel still open.  Each panel is its own adaptive rule: a piece
+    closes once its error estimate is at most ``rtol`` times its integral of
+    |f| (the integral itself for a one-signed f), and every piece still open
+    is bisected, until the panel's summed estimate is at most ``rtol`` times
+    its integral.  A panel bisected past ``QUAD_LIMIT`` pieces raises one
+    ``IntegrationWarning`` naming it and keeps its estimate so far.
     """
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    closed_res = closed_err = 0.0
-    closed = 0
-    while True:
+    edges = np.asarray(edges, dtype=float)
+    n = len(edges) - 1
+    lo, hi, owner = edges[:-1], edges[1:], np.arange(n)
+    out = np.zeros(n)  # integral of each panel's closed pieces, then its result
+    closed_err = np.zeros(n)
+    closed = np.zeros(n, dtype=np.intp)
+    while len(lo):
         res, err, resabs = _gk21(f, lo, hi)
-        total = closed_res + float(np.sum(res))
-        if closed_err + float(np.sum(err)) <= rtol * abs(total):
-            return total
         done = err <= rtol * resabs  # a NaN estimate is never done
-        if np.all(done):
-            return total
-        closed_res += float(np.sum(res[done]))
-        closed_err += float(np.sum(err[done]))
-        closed += int(np.count_nonzero(done))
-        lo, hi = lo[~done], hi[~done]
-        if closed + 2 * len(lo) > QUAD_LIMIT:
+        total = out + np.bincount(owner, res, n)
+        met = closed_err + np.bincount(owner, err, n) <= rtol * np.abs(total)
+        pending = np.bincount(owner[~done], minlength=n)
+        closed += np.bincount(owner[done], minlength=n)
+        capped = ~met & (pending > 0) & (closed + 2 * pending > QUAD_LIMIT)
+        stop = met | (pending == 0) | capped  # a panel closed before has pending 0
+        out = np.where(stop, total, out + np.bincount(owner[done], res[done], n))
+        closed_err += np.bincount(owner[done], err[done], n)
+        for i in np.flatnonzero(capped):
             from scipy.integrate import IntegrationWarning  # slow to import; only warnings use it
-            warnings.warn(f"quadrature on [{a:.17g}, {b:.17g}] did not reach rtol "
-                          f"{rtol:.3g} within {QUAD_LIMIT} pieces", IntegrationWarning,
-                          stacklevel=2)
-            return total
+            warnings.warn(f"quadrature on [{edges[i]:.17g}, {edges[i + 1]:.17g}] did not "
+                          f"reach rtol {rtol:.3g} within {QUAD_LIMIT} pieces",
+                          IntegrationWarning, stacklevel=2)
+        keep = ~done & ~stop[owner]
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+    return out
 
 
 def _tanh_sech(u):
@@ -367,11 +378,29 @@ def separation_trace(
     t_stop = math.inf if duration is None else duration
     us, ts = [-math.log(math.tan(alpha0 / 4.0))], [0.0]
     try:
-        dt_du(us[0])
+        slope, single = float(dt_du(us[0])), False
         while us[-1] > u_end and ts[-1] < t_stop:
-            u = max(us[-1] - 1.0, u_end)
-            ts.append(ts[-1] + quad_panel(dt_du, u, us[-1], rtol))
-            us.append(u)
+            # A target takes every panel in one rule; a duration, as many as
+            # the last mean dt/du says reach t_stop.
+            ahead = (t_stop - ts[-1]) / slope if slope > 0.0 else math.inf
+            batch = 1 if single else (max(1, math.ceil(ahead)) if ahead < math.inf else ahead)
+            edges = [us[-1]]
+            while edges[-1] > u_end and len(edges) <= batch:
+                edges.append(max(edges[-1] - 1.0, u_end))
+            try:
+                dts = quad_panels(dt_du, edges[::-1], rtol)[::-1]
+            except _Stall:
+                if len(edges) == 2:
+                    raise
+                single = True  # a run stops at its first stalled panel
+                continue
+            u_from, t_from = us[-1], ts[-1]
+            for u, dt in zip(edges[1:], dts):
+                ts.append(ts[-1] + float(dt))
+                us.append(u)
+                if ts[-1] >= t_stop:
+                    break
+            slope = (ts[-1] - t_from) / (u_from - us[-1])
         panels, t_end = len(us) - 1, min(ts[-1], t_stop)
         if ts[-1] < t_stop < math.inf:
             # The overlap rounds to -1 beyond u = -U_MAX and stays there.
@@ -411,7 +440,7 @@ def _u_at(dt_du, T, us, ts, rtol):
             break
         step = u - (T - t) / dt_du(u)
         step = step if lo < step < hi else 0.5 * (lo + hi)
-        t += quad_panel(dt_du, step, u, rtol)
+        t += float(quad_panels(dt_du, (step, u), rtol)[0])
         u = step
         lo, hi = (u, hi) if t > T else (lo, u)
     return u

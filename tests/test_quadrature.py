@@ -56,7 +56,7 @@ def test_one_rule_and_its_error_estimate_are_quadpacks_qk21(f, a, b):
 ], ids=["exp", "lorentzian", "sqrt-endpoint"])
 def test_adaptive_rule_agrees_with_quadpack(f, a, b):
     want = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    assert dc.quad_panel(f, a, b, 1e-12) == pytest.approx(want, rel=1e-12)
+    assert dc.quad_panels(f, (a, b), 1e-12)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_each_level_is_one_call_on_every_open_piece():
@@ -66,7 +66,7 @@ def test_each_level_is_one_call_on_every_open_piece():
         sizes.append(x.size)
         return np.sqrt(x)
 
-    dc.quad_panel(f, 0.0, 1.0, 1e-10)
+    dc.quad_panels(f, (0.0, 1.0), 1e-10)
     assert sizes[0] == 21 and len(sizes) > 1
     assert all(n % 21 == 0 and n // 21 <= dc.QUAD_LIMIT for n in sizes)
 
@@ -79,30 +79,127 @@ def test_noisy_integrand_warns_at_the_piece_cap_and_returns_the_estimate():
         return 1.0 + 1e-9 * np.sin(1e6 * x)
 
     with pytest.warns(IntegrationWarning) as record:
-        got = dc.quad_panel(noisy, 0.0, 1.0, 1e-12)
+        got = dc.quad_panels(noisy, (0.0, 1.0), 1e-12)[0]
     assert [w.category for w in record] == [IntegrationWarning]
     assert max(pieces) <= dc.QUAD_LIMIT
     assert got == pytest.approx(1.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 3.0])
-def test_a_gp_panel_costs_one_integrand_call(g, monkeypatch):
-    calls = []
-    quad_panel = dc.quad_panel
+def test_a_gp_target_run_is_the_start_check_and_one_integrand_call(g, monkeypatch):
+    # the gp integrand is constant, so every panel closes on its first rule
+    sizes = []
+    rate = dc.pair_overlap_rate
 
-    def counting(f, a, b, rtol):
-        n = len(calls)
-        out = quad_panel(lambda u: calls.append(np.size(u)) or f(u), a, b, rtol)
-        assert len(calls) - n == 1
-        return out
+    def counting(kbar, c, s, phi, theta):
+        sizes.append(np.size(c))
+        return rate(kbar, c, s, phi, theta)
 
-    monkeypatch.setattr(dc, "quad_panel", counting)
+    monkeypatch.setattr(dc, "pair_overlap_rate", counting)
     alpha0, target = 1e-6, 0.2
     res = dc.time_to_overlap(nl.gross_pitaevskii(g), alpha0, target)
     u0 = math.log(1.0 / math.tan(alpha0 / 4.0))
     assert res.panels == math.ceil(u0 - math.atanh(target))
-    assert calls == [21] * res.panels
+    assert sizes == [1, 21 * res.panels]
     assert res.t_perp == pytest.approx(dc.gp_time_to_overlap(g, alpha0, target), rel=1e-14)
+
+
+@pytest.mark.parametrize("policy", [dc.OrientationPolicy.FIXED_OPTIMAL_GP, (math.pi / 2, 2.0)],
+                         ids=["fixed", "held"])
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd"])
+def test_each_panel_of_a_batch_is_the_panel_integrated_alone(kind, policy, monkeypatch):
+    batches = []
+    quad_panels = dc.quad_panels
+
+    def recording(f, edges, rtol):
+        batches.append((f, np.array(edges), rtol, quad_panels(f, edges, rtol)))
+        return batches[-1][-1]
+
+    monkeypatch.setattr(dc, "quad_panels", recording)
+    n = nl.gross_pitaevskii(1.3) if kind == "gp" else REDUCTIONS[kind]
+    res = dc.time_to_overlap(n, 1e-6, 0.0, orientation_policy=policy)
+    assert res.reached and len(batches) == 1
+    f, edges, rtol, got = batches[0]
+    assert len(got) == res.panels
+    for i in range(res.panels):
+        alone = dc.quad_panels(f, edges[i:i + 2], rtol)
+        assert alone.shape == (1,)
+        assert got[i] == pytest.approx(alone[0], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("noisy", [(1,), (0, 2)], ids=["one", "two"])
+def test_each_panel_that_reaches_the_cap_warns_once_and_the_others_keep_their_values(noisy):
+    edges = np.array([0.0, 1.0, 2.0, 3.0])
+
+    def f(x):
+        hit = np.isin(np.floor(x), noisy)
+        return np.where(hit, 1.0 + 1e-9 * np.sin(1e6 * x), 1.0 + x * x)
+
+    with pytest.warns(IntegrationWarning) as record:
+        got = dc.quad_panels(f, edges, 1e-12)
+    assert [str(w.message).split(" did")[0] for w in record] == [
+        f"quadrature on [{edges[i]:g}, {edges[i + 1]:g}]" for i in noisy]
+    assert all(w.filename == __file__ for w in record)
+    for i in range(3):
+        if i in noisy:
+            assert got[i] == pytest.approx(1.0, rel=1e-8)
+        else:
+            assert got[i] == dc.quad_panels(f, edges[i:i + 2], 1e-12)[0]
+            assert got[i] == pytest.approx((edges[i + 1] ** 3 - edges[i] ** 3) / 3.0 + 1.0,
+                                           rel=1e-14)
+
+
+# (kind, duration, t_eval, panels, times, overlaps), alpha0 = 0.1, from the
+# loop that integrated one panel per rule
+DURATION_RUNS = {
+    "gp-panel-ends": ("gp:1", 7.5, None, 4, [0.0, 2.0, 4.0, 6.0, 7.5],
+                      [0.9987502603949662, 0.9908023240904681, 0.9339777382477625,
+                       0.5971276072230584, -0.061252134295698805]),
+    "gp-t_eval": ("gp:1", 7.5, np.linspace(0.0, 8.0, 9), 4,
+                  [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+                  [0.9987502603949662, 0.9966064991514276, 0.9908023240904681,
+                   0.975194143065449, 0.9339777382477625, 0.830166267011444,
+                   0.5971276072230584, 0.18646381931737907]),
+    # dt/du grows along the run, so the first batch reaches past t = 5
+    "sqrt-panel-ends": ("sqrt:1", 5.0, None, 5,
+                        [0.0, 0.4874426305333522, 1.2856540615877012, 2.541756687242332,
+                         4.177037380768705, 5.0],
+                        [0.9987502603949662, 0.9908023240904681, 0.9339777382477625,
+                         0.5971276072230584, -0.3016455729184155, -0.687260040291152]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DURATION_RUNS))
+def test_a_duration_run_keeps_the_panels_of_the_panel_by_panel_loop(run):
+    kind, duration, t_eval, panels, times, overlaps = DURATION_RUNS[run]
+    res = dc.separation_trace(nl.parse(kind), 0.1, duration=duration, t_eval=t_eval)
+    assert res.reached and res.t_perp == duration and res.panels == panels
+    assert len(res.times) == len(times)
+    np.testing.assert_allclose(res.times, times, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(res.overlaps, overlaps, rtol=1e-14, atol=0.0)
+
+
+def _odd(fn):
+    return nl.from_odd_function(lambda z: np.sign(z) * fn(np.abs(np.asarray(z, dtype=float))))
+
+
+def test_a_duration_run_is_not_stalled_by_a_panel_past_its_end():
+    # kbar = 0 below z = 0.1, so the run stalls near c = -0.99, after t = 12;
+    # the first rule's batch reaches into that panel
+    n = _odd(lambda a: np.maximum(a - 0.1, 0.0))
+    alpha0 = 4.0 * math.atan(math.exp(-1.5))
+    res = dc.separation_trace(n, alpha0, duration=12.0)
+    assert res.reached and res.t_perp == 12.0 and res.panels == 4
+    assert res.overlaps[-1] == pytest.approx(-0.9846307331642606, rel=1e-14)
+    assert dc.separation_trace(n, alpha0, duration=30.0).status == "no_progress"
+
+
+def test_a_stalled_run_names_the_first_stall_on_its_way():
+    # kbar = 0 for 0.3 < |z| < 0.4: stalls near c = 0.905 and again near c = -0.839
+    n = _odd(lambda a: np.where((a > 0.3) & (a < 0.4), 0.0, a))
+    res = dc.separation_trace(n, 4.0 * math.atan(math.exp(-3.0)), duration=9.5)
+    assert res.status == "no_progress" and res.t_perp == math.inf
+    assert "at overlap 0.90514825364486651 " in res.diagnostic
 
 
 @pytest.mark.parametrize("kind", ["gp:1.3", "log:0.7", "sqrt:2"])

@@ -165,18 +165,23 @@ def test_integrate_nlse_oracle_phase_matches_closed_form():
         assert abs(u_sim - sr.oracle_overlap(N, t1, True)) <= 1e-9
 
 
-def test_integrate_nlse_dim2_matches_bloch_dynamics():
+@pytest.mark.parametrize("kind", ["gp:1.3", "log:0.7", "sqrt:2"])
+def test_undriven_qubit_runs_match_each_amplitude_turning_by_its_own_kappa(kind):
+    # closed form: psi_x(t) = psi_x e^{-i kappa(|psi_x|) t}, mapped to
+    # (2 Re psi_0* psi_1, 2 Im psi_0* psi_1, |psi_0|^2 - |psi_1|^2)
     rng = np.random.default_rng(11)
-    n = nl.logarithmic(0.7)
-    kbar = nl.reduce(n)
+    n = nl.parse(kind)
     psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi0 /= np.linalg.norm(psi0)
-    v0 = qubit_bloch_vector(psi0)
-    duration = 2.0
-    tr_amp = sr.integrate_nlse(n, None, None, psi0, duration)
-    tr_bloch = bd.integrate(kbar, None, v0, duration)
-    v_end = qubit_bloch_vector(tr_amp.states[-1])
-    assert np.max(np.abs(v_end - tr_bloch.states[-1, 0])) <= 1e-7
+    t = np.linspace(0.0, 2.0, 9)
+    psi = psi0 * np.exp(-1j * np.outer(t, n.kappa(np.abs(psi0))))
+    cross = np.conj(psi[:, 0]) * psi[:, 1]
+    want = np.stack([2.0 * cross.real, 2.0 * cross.imag,
+                     np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2], axis=1)
+    tr_amp = sr.integrate_nlse(n, None, None, psi0, 2.0, t_eval=t)
+    tr_bloch = bd.integrate(nl.reduce(n), None, want[0], 2.0, t_eval=t)
+    assert np.max(np.abs(qubit_bloch_vector(tr_amp.states) - want)) <= 1e-12
+    assert np.max(np.abs(tr_bloch.states[:, 0] - want)) <= 1e-12
 
 
 def test_integrate_nlse_closed_loop_reproduces_overlap_decay():
