@@ -25,10 +25,11 @@ The unit panels in u are integrated together by ``quad_panels``: an
 adaptive G10/K21 Gauss-Kronrod rule per panel, whose integrand takes every
 node of every open piece of every open panel as one array, so a
 re-optimized run evaluates its orientation grid once per level for all of
-them.  A run to a target overlap integrates all its panels at once; a run
-of given duration takes as many as the last mean dt/du says reach its end.
-Each panel bisects at most to ``QUAD_LIMIT`` pieces and warns
-(``IntegrationWarning``) where that misses the tolerance.
+them, in calls of at most ``QUAD_LIMIT`` pieces.  A run to a target overlap
+integrates all its panels at once; a run of given duration, one panel at a
+time up to the one that holds its end.  Each panel bisects at most to
+``QUAD_LIMIT`` pieces and warns (``IntegrationWarning``) where that misses
+the tolerance.
 
 A ``DiscriminationResult`` holds the sampled times, overlaps and angles of
 that quadrature and its count of unit panels in u; it steps no ODE and
@@ -271,14 +272,17 @@ def quad_panels(f, edges, rtol: float) -> np.ndarray:
     tolerance ``rtol``, as an array with one entry per panel.
 
     An adaptive Gauss-Kronrod G10/K21 rule with QUADPACK's error estimate.
-    ``f`` takes a 1-d array of points and returns its values there; it is
-    called once per level, on the 21 nodes of every piece still open in
-    every panel still open.  Each panel is its own adaptive rule: a piece
-    closes once its error estimate is at most ``rtol`` times its integral of
-    |f| (the integral itself for a one-signed f), and every piece still open
-    is bisected, until the panel's summed estimate is at most ``rtol`` times
-    its integral.  A panel bisected past ``QUAD_LIMIT`` pieces raises one
-    ``IntegrationWarning`` naming it and keeps its estimate so far.
+    ``f`` takes a 1-d array of points and returns its values there; each
+    level calls it on the 21 nodes of every piece still open in every panel
+    still open, ``QUAD_LIMIT`` pieces a call at most, so a call is never
+    larger than one panel's own rule could make it.  Each panel is its own
+    adaptive rule: a piece closes once its error estimate is at most
+    ``rtol`` times its integral of |f| (the integral itself for a one-signed
+    f), and every piece still open is bisected, until the panel's summed
+    estimate is at most ``rtol`` times its integral.  A panel bisected past
+    ``QUAD_LIMIT`` pieces keeps its estimate so far and, once every panel
+    is done, raises one ``IntegrationWarning`` naming it; an exception from
+    f leaves no warning behind.
     """
     edges = np.asarray(edges, dtype=float)
     n = len(edges) - 1
@@ -286,8 +290,11 @@ def quad_panels(f, edges, rtol: float) -> np.ndarray:
     out = np.zeros(n)  # integral of each panel's closed pieces, then its result
     closed_err = np.zeros(n)
     closed = np.zeros(n, dtype=np.intp)
+    missed = np.zeros(n, dtype=bool)
     while len(lo):
-        res, err, resabs = _gk21(f, lo, hi)
+        calls = [_gk21(f, lo[i:i + QUAD_LIMIT], hi[i:i + QUAD_LIMIT])
+                 for i in range(0, len(lo), QUAD_LIMIT)]
+        res, err, resabs = (np.concatenate(parts) for parts in zip(*calls))
         done = err <= rtol * resabs  # a NaN estimate is never done
         total = out + np.bincount(owner, res, n)
         met = closed_err + np.bincount(owner, err, n) <= rtol * np.abs(total)
@@ -297,15 +304,16 @@ def quad_panels(f, edges, rtol: float) -> np.ndarray:
         stop = met | (pending == 0) | capped  # a panel closed before has pending 0
         out = np.where(stop, total, out + np.bincount(owner[done], res[done], n))
         closed_err += np.bincount(owner[done], err[done], n)
-        for i in np.flatnonzero(capped):
-            from scipy.integrate import IntegrationWarning  # slow to import; only warnings use it
-            warnings.warn(f"quadrature on [{edges[i]:.17g}, {edges[i + 1]:.17g}] did not "
-                          f"reach rtol {rtol:.3g} within {QUAD_LIMIT} pieces",
-                          IntegrationWarning, stacklevel=2)
+        missed |= capped
         keep = ~done & ~stop[owner]
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
         lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+    for i in np.flatnonzero(missed):
+        from scipy.integrate import IntegrationWarning  # slow to import; only warnings use it
+        warnings.warn(f"quadrature on [{edges[i]:.17g}, {edges[i + 1]:.17g}] did not "
+                      f"reach rtol {rtol:.3g} within {QUAD_LIMIT} pieces",
+                      IntegrationWarning, stacklevel=2)
     return out
 
 
@@ -378,13 +386,12 @@ def separation_trace(
     t_stop = math.inf if duration is None else duration
     us, ts = [-math.log(math.tan(alpha0 / 4.0))], [0.0]
     try:
-        slope, single = float(dt_du(us[0])), False
+        dt_du(us[0])
+        # A target's panels are all known and share one rule; a duration
+        # takes one panel at a time, up to the one that holds t_stop.
+        single = duration is not None
         while us[-1] > u_end and ts[-1] < t_stop:
-            # A target takes every panel in one rule; a duration, as many as
-            # the last mean dt/du says reach t_stop.
-            ahead = (t_stop - ts[-1]) / slope if slope > 0.0 else math.inf
-            batch = 1 if single else (max(1, math.ceil(ahead)) if ahead < math.inf else ahead)
-            edges = [us[-1]]
+            edges, batch = [us[-1]], 1 if single else math.inf
             while edges[-1] > u_end and len(edges) <= batch:
                 edges.append(max(edges[-1] - 1.0, u_end))
             try:
@@ -394,13 +401,9 @@ def separation_trace(
                     raise
                 single = True  # a run stops at its first stalled panel
                 continue
-            u_from, t_from = us[-1], ts[-1]
             for u, dt in zip(edges[1:], dts):
                 ts.append(ts[-1] + float(dt))
                 us.append(u)
-                if ts[-1] >= t_stop:
-                    break
-            slope = (ts[-1] - t_from) / (u_from - us[-1])
         panels, t_end = len(us) - 1, min(ts[-1], t_stop)
         if ts[-1] < t_stop < math.inf:
             # The overlap rounds to -1 beyond u = -U_MAX and stays there.

@@ -2,6 +2,7 @@
 ``separation_trace`` and the batched re-optimized orientation grid."""
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +150,42 @@ def test_each_panel_that_reaches_the_cap_warns_once_and_the_others_keep_their_va
                                            rel=1e-14)
 
 
+def test_a_call_takes_at_most_quad_limit_pieces_and_each_panel_keeps_its_value():
+    # 450 panels of one piece each: the first level is three calls, not one
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.exp(np.sin(x))
+
+    edges = np.linspace(0.0, 45.0, 451)
+    got = dc.quad_panels(f, edges, 1e-10)
+    assert sizes[:3] == [21 * dc.QUAD_LIMIT, 21 * dc.QUAD_LIMIT, 21 * 50]
+    assert max(sizes) <= 21 * dc.QUAD_LIMIT
+    for i in (0, 199, 200, 449):
+        assert got[i] == dc.quad_panels(f, edges[i:i + 2], 1e-10)[0]
+
+
+def test_an_exception_from_the_integrand_leaves_no_warning_for_a_capped_panel():
+    # panel [0, 1] reaches the cap after 8 levels; panel [1, 2] (sqrt at its
+    # left end) is still open then, and the next call on it raises
+    class Stop(Exception):
+        pass
+
+    def f(x):
+        if np.all(x > 1.0):
+            raise Stop
+        return np.where(x < 1.0, 1.0 + 1e-9 * np.sin(1e6 * x), np.sqrt(np.abs(x - 1.0)))
+
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(Stop):
+            dc.quad_panels(f, (0.0, 1.0, 2.0), 1e-12)
+        assert record == []
+        dc.quad_panels(f, (0.0, 1.0), 1e-12)
+    assert [w.category for w in record] == [IntegrationWarning]
+
+
 # (kind, duration, t_eval, panels, times, overlaps), alpha0 = 0.1, from the
 # loop that integrated one panel per rule
 DURATION_RUNS = {
@@ -160,7 +197,7 @@ DURATION_RUNS = {
                   [0.9987502603949662, 0.9966064991514276, 0.9908023240904681,
                    0.975194143065449, 0.9339777382477625, 0.830166267011444,
                    0.5971276072230584, 0.18646381931737907]),
-    # dt/du grows along the run, so the first batch reaches past t = 5
+    # dt/du grows along the run, so the unit panels differ in duration
     "sqrt-panel-ends": ("sqrt:1", 5.0, None, 5,
                         [0.0, 0.4874426305333522, 1.2856540615877012, 2.541756687242332,
                          4.177037380768705, 5.0],
@@ -184,8 +221,8 @@ def _odd(fn):
 
 
 def test_a_duration_run_is_not_stalled_by_a_panel_past_its_end():
-    # kbar = 0 below z = 0.1, so the run stalls near c = -0.99, after t = 12;
-    # the first rule's batch reaches into that panel
+    # kbar = 0 below z = 0.1, so the run stalls near c = -0.99, after t = 12,
+    # in the panel after the one that holds t = 12
     n = _odd(lambda a: np.maximum(a - 0.1, 0.0))
     alpha0 = 4.0 * math.atan(math.exp(-1.5))
     res = dc.separation_trace(n, alpha0, duration=12.0)
