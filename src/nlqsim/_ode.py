@@ -1,31 +1,34 @@
 """Adaptive embedded Runge-Kutta integration of norm-preserving flows.
 
-Implements the Dormand-Prince 5(4) pair over a fixed interval [t0, t1].
-The step-size control is integral: the next step is h * 0.9 * err^(-1/5),
-clipped to [0.2 h, 5 h], with no memory of earlier errors; the step after
-a rejection may shrink but not grow (Hairer's facmax = 1).  Sample times
-are filled from each accepted step by the pair's 4th-order continuous
-extension (Shampine 1986), so they never end a step.  The state is a real
-or complex array whose rows along the last axis have unit norm: one vector
-(a state vector), or a stack of them (qubit spinors, the audit's states).
-After every accepted step, and at every sample, each row is divided by its
-norm; the largest drift from unit norm before a step end's projection is
-recorded.  A step costs six calls of ``f``: its last stage, at the
-unprojected end, is the next step's first (FSAL).  The seven stage slopes
-of a step live in one preallocated buffer, so each stage, the error
-estimate and a step's samples are each one small matrix product over its
-flattened rows, and an ``f`` that reuses its output array is copied, not
-aliased.  Error norms use elementwise
-magnitudes.  ``SimTrace`` is the package's one trajectory record.  Scalar
-autonomous problems (the overlap laws of ``discrimination`` and
-``bounds``) are quadratures and do not come here.
+``solve`` implements the Dormand-Prince 5(4) pair over a fixed interval
+[t0, t1].  The step-size control is integral: the next step is h * 0.9 *
+err^(-1/5), clipped to [0.2 h, 5 h], with no memory of earlier errors; the
+step after a rejection may shrink but not grow (Hairer's facmax = 1).
+Sample times are filled from each accepted step by the pair's 4th-order
+continuous extension (Shampine 1986), so they never end a step.  The state
+is a real or complex array whose rows along the last axis have unit norm:
+one vector (a state vector), or a stack of them (qubit spinors, the
+audit's states).  After every accepted step, and at every sample, each row
+is divided by its norm; the largest drift from unit norm before a step
+end's projection is recorded.  A step costs six calls of ``f``: its last
+stage, at the unprojected end, is the next step's first (FSAL).  The seven
+stage slopes of a step live in one preallocated buffer, so each stage, the
+error estimate and a step's samples are each one small matrix product over
+its flattened rows, and an ``f`` that reuses its output array is copied,
+not aliased.  Error norms use elementwise magnitudes.  ``SimTrace`` is the
+package's one trajectory record.  ``solve_in_frame``, its one caller, steps
+the amplitude flow of ``search`` and ``blochdyn`` in a co-rotating frame,
+every drive a ``Schedule``.  Scalar autonomous problems (the overlap laws
+of ``discrimination`` and ``bounds``) are quadratures and do not come here.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -242,3 +245,124 @@ def solve(
         K[0] = K[6]  # FSAL, at y_new: the projection moved it by drift at most
 
     return record()
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """H(t) = omega(t) * generator on the catalog coordinates ``support``
+    (0-indexed), zero elsewhere, from the switch time ``t_on`` on; H is zero
+    before it.  The constant generator is checked once, here:
+    len(support) x len(support), finite, Hermitian to 1e-12.  ``omega`` is a
+    finite real number or a callable returning a real scalar, and ``t_on``
+    is finite and >= 0; a qubit drive is the two-mode case
+    (``blochdyn.axis_drive``).  ``solve_in_frame`` writes the drive-off
+    stretch [0, t_on] down in closed form, so no step straddles the switch."""
+
+    support: tuple
+    generator: np.ndarray
+    omega: Union[float, Callable[[float], float]] = 1.0
+    t_on: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.t_on < math.inf:
+            raise ValueError(f"t_on must be finite and >= 0, got {self.t_on!r}")
+        if not (callable(self.omega) or isinstance(self.omega, numbers.Real)
+                and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be a finite real number or a callable, got {self.omega!r}")
+        support = tuple(operator.index(k) for k in self.support)
+        if callable(self.generator):
+            raise TypeError("generator must be a constant matrix; time goes into omega")
+        gen = np.array(self.generator, dtype=complex)
+        if gen.shape != (len(support),) * 2:
+            raise ValueError(f"generator must be {len(support)}x{len(support)}, got {gen.shape}")
+        if not np.all(np.abs(gen - gen.conj().T) <= 1e-12):  # false on nan and inf too
+            raise ValueError("generator must be finite and Hermitian to 1e-12")
+        gen.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "generator", gen)
+        object.__setattr__(self, "t_on", float(self.t_on))
+
+    def rate(self, t: float) -> float:
+        if t < self.t_on:
+            return 0.0
+        return float(self.omega(t)) if callable(self.omega) else float(self.omega)
+
+
+def as_schedule(H, N: int) -> Optional[Schedule]:
+    """None, a ``Schedule`` on [0, N), or an N x N matrix M as ``Schedule(range(N), M)``."""
+    if H is None:
+        return None
+    if not isinstance(H, Schedule):
+        H = Schedule(range(N), H)
+    if len(set(H.support)) != len(H.support) or not all(0 <= k < N for k in H.support):
+        raise ValueError(f"H support must be distinct coordinates in [0, {N}), got {H.support}")
+    return H
+
+
+def _rhs(kappa, diag, H: Optional[Schedule]):
+    """f(t, Y) = -i [(kappa(|Y|) + diag) Y + omega(t) Y[..., S] @ G^T], the
+    one right-hand side of the flow, on a state vector or a stack of rows,
+    where H's generator G acts on the coordinates S = ``H.support``.
+    kappa is taken at |Y|.  On the audit's class amplitudes z = sqrt(w) y
+    that is right only because every class with w > 1 is outside the
+    support: H never couples it, so its |z| is one constant in every row.
+    """
+    GT = None if H is None else H.generator.T
+    k = () if H is None else H.support  # S as a slice when it can be: no fancy indexing
+    cols = slice(k[0], k[-1] + 1) if k and k == tuple(range(k[0], k[-1] + 1)) else list(k)
+
+    def f(t, Y):
+        rhs = (kappa.kappa(np.abs(Y)) + diag) * Y
+        w = 0.0 if GT is None else H.rate(t)
+        if w != 0.0:
+            rhs[..., cols] += w * (Y[..., cols] @ GT)
+        return -1j * rhs
+
+    return f
+
+
+def solve_in_frame(kappa, diag, H: Optional[Schedule], Y0, duration: float, rtol: float,
+                   atol: float, t_eval: Optional[np.ndarray]) -> SimTrace:
+    """Solve i Y' = (kappa(|Y|) + diag + H(t)) Y from Y0 on [0, duration] in
+    a frame that turns coordinate x of each row at Omega_x = kappa(|Y0_x|) +
+    diag_x, as the undriven flow does, and return lab-frame states.  On the
+    coordinates H's generator couples (a nonzero off-diagonal entry in their
+    row) Omega is their mean in each row, so the frame commutes with H.
+
+    Before H's switch time t_on the flow keeps every |Y_x|, so there the
+    state is Y0 e^{-i (kappa(|Y0|) + diag - Omega) t} in the frame: the
+    samples up to t_on come from it, and the one ``solve`` call starts
+    there, at min(t_on, duration).  H = None never switches on: t_on is
+    duration, and the solver takes no step.  Without ``t_eval`` the trace
+    records t = 0 and then the solver's steps from t_on.  A rate that is not
+    finite gives the solver's failed trace, which keeps only the start.
+    """
+    rate = kappa.kappa(np.abs(Y0)) + diag
+    omega = rate.copy()
+    if H is not None:
+        off = H.generator - np.diag(np.diag(H.generator))
+        coupled = np.array(H.support, dtype=int)[np.any(off != 0, axis=1)]
+        if len(coupled):
+            omega[..., coupled] = omega[..., coupled].mean(axis=-1, keepdims=True)
+    f = _rhs(kappa, diag - omega, H)
+
+    t_on = duration if H is None else min(H.t_on, duration)
+    if t_eval is None:
+        head, tail = np.zeros(int(t_on > 0.0)), None
+    else:  # t_on leads the solver's samples, so it records no time but these
+        t_eval = sample_times(t_eval, 0.0, duration)
+        head, tail = t_eval[t_eval <= t_on], np.append(t_on, t_eval[t_eval > t_on])
+    if not np.isfinite(rate).all():  # before the closed form turns it into NaN samples
+        start = np.zeros(1) if t_eval is None else t_eval[t_eval <= 0.0]
+        return SimTrace(start, np.repeat(Y0[None], len(start), axis=0), StepStats(),
+                        failed=True, failure_reason="right-hand side is not finite at t0=0")
+
+    def off_state(t):  # the drive-off flow in the frame
+        return Y0 * np.exp(-1j * np.multiply.outer(t, rate - omega))
+
+    tr = solve(f, t_on, duration, off_state(t_on), rtol=rtol, atol=atol, t_eval=tail)
+    skip = 0 if tail is None else 1  # the solver's record of t_on itself
+    tr.times = np.concatenate((head, tr.times[skip:]))
+    tr.states = np.concatenate((off_state(head), tr.states[skip:]))
+    tr.states = tr.states * np.exp(-1j * np.multiply.outer(tr.times, omega))
+    return tr

@@ -16,9 +16,9 @@ rotation theta about the midpoint (midpoint gauged into the xz plane):
 
 ``integrate`` steps the amplitudes (a, b), z = |a|^2 - |b|^2, of the flow
 i psi' = (kappa(|psi|) + omega(t) a.sigma/2) psi through the package's one
-stepping path, ``search._solve_in_frame``, so it uses kappa, whose kbar(z)
-is kappa(|a|) - kappa(|b|), and never calls kbar.  Its drive is a
-``search.Schedule`` on the modes (0, 1), such as ``axis_drive`` builds.
+stepping path, ``_ode.solve_in_frame``, so it uses kappa, whose kbar(z) is
+kappa(|a|) - kappa(|b|), and never calls kbar.  Its drive is an
+``_ode.Schedule`` on the modes (0, 1), such as ``axis_drive`` builds.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _ode
+from ._ode import Schedule, solve_in_frame
 from .nonlinearity import ReducedNonlinearity
 
 
@@ -62,9 +63,8 @@ class PairOrientation:
 
 def axis_drive(axis, omega):
     """The rotation omega(t) (a x v) about a = axis / |axis| as the two-mode
-    ``search.Schedule`` H = omega(t) a.sigma/2; ``axis`` must be a finite
-    nonzero real 3-vector, ``omega`` a float or a real callable of t."""
-    from .search import Schedule  # search imports discrimination, which imports this module
+    ``Schedule`` H = omega(t) a.sigma/2; ``axis`` must be a finite nonzero
+    real 3-vector, ``omega`` a finite float or a real callable of t."""
     a = np.asarray(axis, dtype=float)
     n = np.linalg.norm(a) if a.shape == (3,) else math.nan
     if not 1e-12 <= n < math.inf:
@@ -162,7 +162,7 @@ def integrate(
     ``drive`` (None or a ``Schedule`` on the modes (0, 1)).
 
     The vectors' spinors are stepped under kappa = ``kbar.source`` by
-    ``search._solve_in_frame`` and mapped back by ``qubit_bloch_vector``, so
+    ``_ode.solve_in_frame`` and mapped back by ``qubit_bloch_vector``, so
     ``rtol``, ``atol`` and ``stats.max_norm_drift`` are about amplitudes.
     Undriven, each vector turns about z by kbar(z) t in closed form, with no
     step, and without ``t_eval`` t = 0 and ``duration`` are recorded.  A
@@ -170,8 +170,6 @@ def integrate(
     >= 0 and each vector unit length to 1e-9 (NaN is refused).  Step
     underflow returns a trace with ``failed`` set and the partial history.
     """
-    from . import search  # search imports discrimination, which imports this module
-
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     vs = np.atleast_2d(np.asarray(initial, dtype=float))
@@ -180,11 +178,11 @@ def integrate(
     norm = np.linalg.norm(vs, axis=1, keepdims=True)
     if not np.all(np.abs(norm - 1.0) <= 1e-9):  # false on NaN too
         raise ValueError(f"Bloch vectors must be unit length to 1e-9, got {vs.tolist()}")
-    if drive is not None and not (isinstance(drive, search.Schedule) and drive.support == (0, 1)):
+    if drive is not None and not (isinstance(drive, Schedule) and drive.support == (0, 1)):
         raise ValueError(f"drive must be None or a Schedule on the modes (0, 1), got {drive!r}")
 
-    tr = search._solve_in_frame(kbar.source, 0.0, drive, slice(0, 2), _spinor(vs / norm),
-                                float(duration), rtol, atol, t_eval)
+    tr = solve_in_frame(kbar.source, 0.0, drive, _spinor(vs / norm), float(duration), rtol,
+                        atol, t_eval)
     tr.states = qubit_bloch_vector(tr.states)
     if vs.shape[0] == 2:
         tr.overlaps = np.einsum("ij,ij->i", tr.states[:, 0], tr.states[:, 1])

@@ -205,10 +205,9 @@ def check_lipschitz_separation_bound(
     alpha0: float,
     duration: float,
     g_lip: Optional[float] = None,
-    rtol: float = 1e-10,
 ) -> SeparationBoundReport:
     """Check alpha(t) <= exp(2 g_lip t) alpha0 (1 + 1e-6) on a re-optimized
-    separation trace.
+    separation trace, taken to ``separation_trace``'s default ``rtol``.
 
     ``g_lip`` defaults to the sampled Lipschitz estimate; a non-finite
     estimate (square-root-type reductions) requires an explicit proxy, and
@@ -226,7 +225,7 @@ def check_lipschitz_separation_bound(
         raise ValueError(f"g_lip must be finite and >= 0, got {g_lip!r}")
 
     result = separation_trace(n, alpha0, policy=OrientationPolicy.REOPTIMIZED,
-                              duration=duration, rtol=rtol)
+                              duration=duration)
     times, alphas = result.times, result.alphas
     if result.status == "no_progress":
         times = np.array([0.0, duration])

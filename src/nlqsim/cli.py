@@ -198,8 +198,6 @@ FIGURES = {
 
 def cmd_figures(args) -> int:
     which = list(FIGURES) if args.which == "all" else [args.which]
-    if not os.path.isdir(args.out):
-        raise SystemExit(f"output directory {args.out!r} does not exist")
     for w in which:
         path = os.path.join(args.out, f"{w}.csv")
         header, columns = FIGURES[w]

@@ -12,14 +12,14 @@ states to verify the information-theoretic floor
 
     sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N)).
 
-Both step i psi' = (H(t) + |m><m| + K) psi through one right-hand side, in
-one co-rotating frame (``_solve_in_frame``) that turns each amplitude at the
-rate the undriven flow turns it, kappa(|psi_x(0)|) + [x = m]; every H is a
-``Schedule``, a fixed generator on a few coordinates times omega(t), switched
-on at its ``t_on``.  Before t_on the flow keeps every |psi_x|, so that
-stretch (the search's oracle stage) is written down in closed form and the
-steps start at the switch.  H = None is a drive that never switches on: the
-whole run is the closed form and takes no step.
+Both step i psi' = (H(t) + |m><m| + K) psi through ``_ode.solve_in_frame``,
+one right-hand side in one co-rotating frame that turns each amplitude at
+the rate the undriven flow turns it, kappa(|psi_x(0)|) + [x = m]; every H is
+a ``Schedule``, a fixed generator on a few coordinates times omega(t),
+switched on at its ``t_on``.  Before t_on the flow keeps every |psi_x|, so
+that stretch (the search's oracle stage) is written down in closed form and
+the steps start at the switch.  H = None is a drive that never switches on:
+the whole run is the closed form and takes no step.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import _ode
+from ._ode import Schedule, as_schedule, solve_in_frame
 from .discrimination import OrientationPolicy, epsilon_to_alpha0, time_to_overlap
 from .nonlinearity import Nonlinearity, overlap_derivative
 
@@ -229,123 +229,6 @@ def run_search(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Schedule:
-    """H(t) = omega(t) * generator on the catalog coordinates ``support``
-    (0-indexed), zero elsewhere, from the switch time ``t_on`` on; H is zero
-    before it.  The constant generator is checked once, here:
-    len(support) x len(support), finite, Hermitian to 1e-12.  ``omega`` is a
-    float or a callable returning a real scalar, and ``t_on`` is finite and
-    >= 0; a qubit drive is the two-mode case (``blochdyn.axis_drive``).  The
-    solvers write the drive-off stretch [0, t_on] down in closed form, so no
-    step straddles the switch."""
-
-    support: tuple
-    generator: np.ndarray
-    omega: Union[float, Callable[[float], float]] = 1.0
-    t_on: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.t_on < math.inf:
-            raise ValueError(f"t_on must be finite and >= 0, got {self.t_on!r}")
-        support = tuple(operator.index(k) for k in self.support)
-        if callable(self.generator):
-            raise TypeError("generator must be a constant matrix; time goes into omega")
-        gen = np.array(self.generator, dtype=complex)
-        if gen.shape != (len(support),) * 2:
-            raise ValueError(f"generator must be {len(support)}x{len(support)}, got {gen.shape}")
-        if not np.all(np.abs(gen - gen.conj().T) <= 1e-12):  # false on nan and inf too
-            raise ValueError("generator must be finite and Hermitian to 1e-12")
-        gen.flags.writeable = False
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "t_on", float(self.t_on))
-
-    def rate(self, t: float) -> float:
-        if t < self.t_on:
-            return 0.0
-        return float(self.omega(t)) if callable(self.omega) else float(self.omega)
-
-
-def _schedule(H, N: int) -> Optional[Schedule]:
-    """None, a ``Schedule`` on [0, N), or an N x N matrix M as ``Schedule(range(N), M)``."""
-    if H is None:
-        return None
-    if not isinstance(H, Schedule):
-        H = Schedule(range(N), H)
-    if len(set(H.support)) != len(H.support) or not all(0 <= k < N for k in H.support):
-        raise ValueError(f"H support must be distinct coordinates in [0, {N}), got {H.support}")
-    return H
-
-
-def _nlse_rhs(kappa: Nonlinearity, diag, H: Optional[Schedule], cols):
-    """f(t, Y) = -i [(kappa(|Y|) + diag) Y + omega(t) Y[..., cols] @ G^T], the
-    one right-hand side of the flow, on a state vector or a stack of rows;
-    ``cols`` indexes the coordinates of Y that H's generator G acts on.
-    kappa is taken at |Y|.  On the audit's class amplitudes z = sqrt(w) y
-    that is right only because every class with w > 1 is outside the
-    support: H never couples it, so its |z| is one constant in every row.
-    """
-    GT = None if H is None else H.generator.T
-
-    def f(t, Y):
-        rhs = (kappa.kappa(np.abs(Y)) + diag) * Y
-        w = 0.0 if GT is None else H.rate(t)
-        if w != 0.0:
-            rhs[..., cols] += w * (Y[..., cols] @ GT)
-        return -1j * rhs
-
-    return f
-
-
-def _solve_in_frame(kappa: Nonlinearity, diag, H: Optional[Schedule], cols, Y0,
-                    duration: float, rtol: float, atol: float,
-                    t_eval: Optional[np.ndarray]) -> _ode.SimTrace:
-    """Solve i Y' = (kappa(|Y|) + diag + H(t)) Y from Y0 on [0, duration] in
-    a frame that turns coordinate x of each row at Omega_x = kappa(|Y0_x|) +
-    diag_x, as the undriven flow does, and return lab-frame states.  On the
-    coordinates H's generator couples (a nonzero off-diagonal entry in their
-    row) Omega is their mean in each row, so the frame commutes with H.
-
-    Before H's switch time t_on the flow keeps every |Y_x|, so there the
-    state is Y0 e^{-i (kappa(|Y0|) + diag - Omega) t} in the frame: the
-    samples up to t_on come from it, and the one ``_ode.solve`` call starts
-    there, at min(t_on, duration).  H = None never switches on: t_on is
-    duration, and the solver takes no step.  Without ``t_eval`` the trace
-    records t = 0 and then the solver's steps from t_on.  A rate that is not
-    finite gives the solver's failed trace, which keeps only the start.
-    """
-    rate = kappa.kappa(np.abs(Y0)) + diag
-    omega = rate.copy()
-    if H is not None:
-        off = H.generator - np.diag(np.diag(H.generator))
-        coupled = np.arange(Y0.shape[-1])[cols][np.any(off != 0, axis=1)]
-        if len(coupled):
-            omega[..., coupled] = omega[..., coupled].mean(axis=-1, keepdims=True)
-    f = _nlse_rhs(kappa, diag - omega, H, cols)
-
-    t_on = duration if H is None else min(H.t_on, duration)
-    if t_eval is None:
-        head, tail = np.zeros(int(t_on > 0.0)), None
-    else:  # t_on leads the solver's samples, so it records no time but these
-        t_eval = _ode.sample_times(t_eval, 0.0, duration)
-        head, tail = t_eval[t_eval <= t_on], np.append(t_on, t_eval[t_eval > t_on])
-    if not np.isfinite(rate).all():  # before the closed form turns it into NaN samples
-        start = np.zeros(1) if t_eval is None else t_eval[t_eval <= 0.0]
-        return _ode.SimTrace(start, np.repeat(Y0[None], len(start), axis=0), _ode.StepStats(),
-                             failed=True, failure_reason="right-hand side is not finite at t0=0")
-
-    def off_state(t):  # the drive-off flow in the frame
-        return Y0 * np.exp(-1j * np.multiply.outer(t, rate - omega))
-
-    tr = _ode.solve(f, t_on, duration, off_state(t_on), rtol=rtol, atol=atol, t_eval=tail)
-    skip = 0 if tail is None else 1  # the solver's record of t_on itself
-    tr.times = np.concatenate((head, tr.times[skip:]))
-    tr.states = np.concatenate((off_state(head), tr.states[skip:]))
-    tr.states = tr.states * np.exp(-1j * np.multiply.outer(tr.times, omega))
-    return tr
-
-
 def integrate_nlse(
     kappa: Nonlinearity,
     H,
@@ -362,7 +245,7 @@ def integrate_nlse(
     K is the diagonal amplitude nonlinearity (K psi)_x = kappa(|psi_x|)
     psi_x, so the flow is norm-preserving; ``_ode.solve`` re-normalizes the
     state after each accepted step (drift recorded in ``stats``).  The steps
-    are taken in the frame of ``_solve_in_frame``.  Up to a ``Schedule``'s
+    are taken in the frame of ``_ode.solve_in_frame``.  Up to a ``Schedule``'s
     ``t_on`` the exact psi0 e^{-i (kappa(|psi0|) + [x = m]) t} is taken as it
     is, so the steps start at t_on.  A run with H = None, or one that ends
     before t_on, takes none and without ``t_eval`` records t = 0 and the end.
@@ -381,10 +264,8 @@ def integrate_nlse(
     if oracle is not None and not 1 <= oracle <= dim:
         raise ValueError(f"oracle must be in [1, {dim}], got {oracle!r}")
 
-    H = _schedule(H, dim)
     diag = 0.0 if oracle is None else (np.arange(dim) == oracle - 1) * 1.0
-    return _solve_in_frame(kappa, diag, H, None if H is None else list(H.support), psi0,
-                           duration, rtol, atol, t_eval)
+    return solve_in_frame(kappa, diag, as_schedule(H, dim), psi0, duration, rtol, atol, t_eval)
 
 
 def search_schedule(N: int, g: float, t1: float) -> Schedule:
@@ -458,7 +339,7 @@ def lower_bound_audit(
 
         S(t) = sum_m |<psi|psi_m>| >= N - t sqrt(N) (1 + 2 g sqrt(N))
 
-    at the ``samples`` + 1 recorded times (``samples`` >= 2), with the
+    at the ``samples`` + 1 recorded times (``samples`` whole and >= 2), with the
     bound's g = max |kappa| sampled on [0, 1].  The samples are
     interpolated within the steps, so they cost no steps.  ``H`` is None, a
     ``Schedule`` (such as ``search_schedule``) or a dense N x N matrix.
@@ -474,10 +355,10 @@ def lower_bound_audit(
     classes.
 
     The oracle stage of the search schedule, before its ``t_on`` = t1, is
-    the closed form of ``_solve_in_frame``, so the steps start at t1 and
+    the closed form of ``_ode.solve_in_frame``, so the steps start at t1 and
     none straddles the drive's jump there.  With H = None the whole run is
     that closed form and takes no step.
-    The rows are integrated in the frame of ``_solve_in_frame``, one per
+    The rows are integrated in the frame of ``_ode.solve_in_frame``, one per
     row: class c of row r turns at kappa(|z_c(0)|) plus row r's oracle on c,
     or at the row's mean of these over the classes H couples.  So no steps
     go to the turn of the big class (at g for gp), of the 1/sqrt(N) classes
@@ -491,12 +372,14 @@ def lower_bound_audit(
         raise ValueError(f"N must be >= 2, got {N!r}")
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-    if not samples >= 2:
-        raise ValueError(f"samples must be >= 2, got {samples!r}")
-    H = _schedule(H, N)
+    if not (samples >= 2 and float(samples).is_integer()):
+        raise ValueError(f"samples must be a whole number >= 2, got {samples!r}")
+    H = as_schedule(H, N)
     p = 0 if H is None else len(H.support)
     if p > AUDIT_N_CAP:
         raise ValueError(f"audit refuses an H on {p} coordinates above the cap {AUDIT_N_CAP}")
+    if H is not None:  # on the class coordinates, where the support's p classes lead
+        H = Schedule(range(p), H.generator, H.omega, H.t_on)
     g_bound = float(np.max(np.abs(kappa.kappa(np.linspace(0.0, 1.0, 2001)))))
 
     w = np.array([1.0] * p + [min(N - p, 1), N - p - 1.0])
@@ -505,12 +388,10 @@ def lower_bound_audit(
     mult = np.array([1.0] * p + [N - p])[:R]
     z0 = np.sqrt(w) / math.sqrt(N)
     Y0 = np.tile(z0 / np.linalg.norm(z0), (R + 1, 1)).astype(complex)
-    # The oracle's 1 on row r's marked class r - 1.  A slice, not a list, for
-    # the support keeps the right-hand side free of fancy indexing.
-    oracles = np.zeros(Y0.shape)
+    oracles = np.zeros(Y0.shape)  # the oracle's 1 on row r's marked class r - 1
     oracles[1:, :R] = np.eye(R)
-    tr = _solve_in_frame(kappa, oracles, H, slice(0, p), Y0, duration, rtol,
-                         atol / math.sqrt(N), np.linspace(0.0, duration, samples + 1))
+    tr = solve_in_frame(kappa, oracles, H, Y0, duration, rtol, atol / math.sqrt(N),
+                        np.linspace(0.0, duration, int(samples) + 1))
     if tr.failed:
         raise RuntimeError(f"audit integration failed: {tr.failure_reason}")
     times, ys = tr.times, tr.states

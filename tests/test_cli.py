@@ -250,9 +250,15 @@ def test_an_unwritable_out_file_is_refused_before_anything_is_printed(argv, caps
     assert f"nlqsim {argv[0]}: error:" in err and "/nonexistent/report.csv" in err
 
 
-def test_figures_unwritable_path_errors():
-    with pytest.raises(SystemExit, match="/nonexistent"):
-        run_cli(["figures", "--out", "/nonexistent/dir"])
+def test_figures_unwritable_path_errors(tmp_path, capsys):
+    err = refused(["figures", "--out", "/nonexistent/dir"], capsys)
+    assert "nlqsim figures: error:" in err and "/nonexistent/dir" in err
+    # an existing file is not a directory; it is not reported as missing
+    existing = tmp_path / "file"
+    existing.write_text("")
+    err = refused(["figures", "--which", "fig3a", "--out", str(existing)], capsys)
+    assert "nlqsim figures: error:" in err and str(existing) in err
+    assert "does not exist" not in err
 
 
 def test_search_cli_report(tmp_path, capsys):
@@ -393,7 +399,7 @@ def test_discriminate_cli_starts_an_orthogonal_pair_at_epsilon_one(capsys):
 @pytest.mark.parametrize("samples", ["-1", "0", "1"])
 def test_audit_refuses_fewer_than_two_samples(samples, capsys):
     err = refused(["audit", "--n", "8", "--samples", samples], capsys)
-    assert f"nlqsim audit: error: samples must be >= 2, got {samples}" in err
+    assert f"nlqsim audit: error: samples must be a whole number >= 2, got {samples}" in err
 
 
 def test_audit_cli(tmp_path, capsys):

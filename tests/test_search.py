@@ -253,8 +253,10 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
     (lambda: sr.Schedule((0, 1), 1j * _SX), ValueError, "Hermitian"),
     (lambda: sr.Schedule((0, 3), _SX), ValueError, "support"),
     (lambda: sr.Schedule((1, 1), _SX), ValueError, "support"),
+    (lambda: sr.Schedule((0, 1), _SX, math.inf), ValueError, "omega .* got inf"),
+    (lambda: sr.Schedule((0, 1), _SX, math.nan), ValueError, "omega .* got nan"),
 ], ids=["non-hermitian", "shape", "nan", "callable", "schedule-shape",
-        "schedule-non-hermitian", "outside", "repeated"])
+        "schedule-non-hermitian", "outside", "repeated", "omega-inf", "omega-nan"])
 def test_a_malformed_hamiltonian_is_refused_by_both_entry_points(run, make, error, match):
     # at N = 3; ``make`` builds the H inside the check, since a malformed
     # Schedule is refused as it is built
@@ -460,6 +462,14 @@ def test_lower_bound_audit_refuses_fewer_than_two_samples(samples):
     # samples = 0 recorded only t = 0 and skipped the derivative check
     H = sr.search_schedule(8, 1.0, sr.default_t1(8, 1.0))
     with pytest.raises(ValueError, match="samples"):
+        sr.lower_bound_audit(nl.gross_pitaevskii(1.0), H, 8, 1.0, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2.5, math.inf, math.nan])
+def test_lower_bound_audit_refuses_samples_that_are_not_a_whole_number(samples):
+    # 2.5 passed the >= 2 check and then failed inside np.linspace with a TypeError
+    H = sr.search_schedule(8, 1.0, sr.default_t1(8, 1.0))
+    with pytest.raises(ValueError, match=f"samples must be a whole number >= 2, got {samples}"):
         sr.lower_bound_audit(nl.gross_pitaevskii(1.0), H, 8, 1.0, samples=samples)
 
 
