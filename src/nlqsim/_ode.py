@@ -1,19 +1,23 @@
 """Adaptive embedded Runge-Kutta integration of norm-preserving flows.
 
-``solve`` implements the Dormand-Prince 5(4) pair over a fixed interval
-[t0, t1].  The step-size control is integral: the next step is h * 0.9 *
-err^(-1/5), clipped to [0.2 h, 5 h], with no memory of earlier errors; the
-step after a rejection may shrink but not grow (Hairer's facmax = 1).
-Sample times are filled from each accepted step by the pair's 4th-order
-continuous extension (Shampine 1986), so they never end a step.  The state
-is a real or complex array whose rows along the last axis have unit norm:
-one vector (a state vector), or a stack of them (qubit spinors, the
-audit's states).  After every accepted step, and at every sample, each row
-is divided by its norm; the largest drift from unit norm before a step
-end's projection is recorded.  A step costs six calls of ``f``: its last
-stage, at the unprojected end, is the next step's first (FSAL).  The seven
+``solve`` implements Dormand and Prince's 8th-order method DOP853 over a
+fixed interval [t0, t1], with Hairer's error norm that blends its 5th- and
+3rd-order estimates.  The step-size control is Gustafsson's PI control: the
+next step is h * 0.8 * err^-(1/8 - 0.2 beta) * err_prev^beta, beta = 0.06,
+err_prev the last accepted error (floored at 1e-4), clipped to [0.2 h,
+5 h]; a rejected step shrinks by 0.8 * err^-(1/8 - 0.2 beta), and the step
+after it may shrink but not grow (Hairer's facmax = 1).  Sample times are
+filled from each accepted step by the method's 7th-order continuous
+extension, so they never end a step; its three extra stages are computed
+only on a step that holds a sample before its end.  The state is a real or
+complex array whose rows along the last axis have unit norm: one vector (a
+state vector), or a stack of them (qubit spinors, the audit's states).
+After every accepted step, and at every sample, each row is divided by its
+norm; the largest drift from unit norm before a step end's projection is
+recorded.  A step costs twelve calls of ``f``: eleven stages and one at the
+unprojected end, which is the next step's first stage (FSAL).  The sixteen
 stage slopes of a step live in one preallocated buffer, so each stage, the
-error estimate and a step's samples are each one small matrix product over
+error estimates and a step's samples are each one small matrix product over
 its flattened rows, and an ``f`` that reuses its output array is copied,
 not aliased.  Error norms use elementwise magnitudes.  ``SimTrace`` is the
 package's one trajectory record.  ``solve_in_frame``, its one caller, steps
@@ -32,38 +36,90 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage of an accepted step is
-# the first stage of the next).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10; the coefficients of Hairer's dop853.f).  Rows 1-11 of _A are the
+# stages, row 12 is the 8th-order solution (its stage, at the step end, is the
+# next step's first: FSAL), rows 13-15 the continuous extension's extra stages;
+# each row lists A[i, :i].
+_A_ROWS = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724,
+     -9.15095847217987),
 )
-_E = _B5 - _B4
-# Dense output (Shampine; scipy's RK45.P): y(t + s h) = y(t) + h K.T @ _P @ (s, .., s^4)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+_A = np.array([list(row) + [0.0] * (16 - len(row)) for row in ((),) + _A_ROWS])
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_B = _A[12]
+# The 5th- and 3rd-order error estimates, on stages 0-11.
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294, 0, 0, 0, 0])
+_E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+                -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+                0.20136540080403034, 0.02265179219836082, 0, 0, 0, 0])
+# The 7th-order continuous extension's last four coefficient rows.
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ])
+# y(t + s h) = y(t) + h (_dense_basis(s) @ _DENSE) @ K, Hairer's nested form
+# s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + ...)))) written out, with
+# F0 = dy = y(t + h) - y(t) = h _B K and F3..F6 = h _D K.
+_DENSE = np.vstack((_B, -_B, 2 * _B, _D))
+_DENSE[1, 0] += 1.0  # F1 = h f(t) - dy
+_DENSE[2, [0, 12]] -= 1.0  # F2 = 2 dy - h (f(t) + f(t + h))
+
+
+def _dense_basis(s):
+    """The (len(s), 7) basis s, s(1-s), s^2(1-s), ..., s^4(1-s)^3 of ``_DENSE``'s rows."""
+    j = np.arange(7)
+    s = np.asarray(s, dtype=float)[:, None]
+    return s ** ((j + 2) // 2) * (1.0 - s) ** ((j + 1) // 2)
+
 
 MIN_STEP_FACTOR = 0.2
 MAX_STEP_FACTOR = 5.0
-SAFETY = 0.9
-ORDER_EXP = 1 / 5
+SAFETY = 0.8
+ORDER_EXP = 1 / 8  # 1 / (q + 1) for the error estimate's order q = 7
+BETA = 0.06  # Gustafsson's PI stabilisation: the weight of the last accepted error
 
 
 @dataclass
@@ -96,8 +152,12 @@ class SimTrace:
 
 
 def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return math.sqrt(np.add.reduce(np.abs(err / scale) ** 2, axis=None) / err.size)  # np.mean
+    """Hairer's DOP853 error norm from the rows (h e5, h e3) of ``err``:
+    |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), each |.| the root sum of
+    squares scaled elementwise by atol + rtol max(|y0|, |y1|)."""
+    scale = (atol + rtol * np.maximum(np.abs(y0), np.abs(y1))).reshape(-1)
+    e5, e3 = map(float, np.add.reduce(np.abs(err / scale) ** 2, axis=1))
+    return 0.0 if e5 == 0.0 else e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
@@ -150,13 +210,14 @@ def solve(
     ``stats.max_norm_drift`` is the largest drift before a projection, and
     so bounds the error of the next step's first slope, the last one taken
     at the unprojected end (FSAL).  ``f`` is called at t0, once more by the
-    starting-step heuristic and six times per attempted step.  ``t_eval``
+    starting-step heuristic, twelve times per attempted step, and three more
+    times on an accepted step that holds a sample before its end.  ``t_eval``
     holds strictly increasing sample times in [t0, t1], recorded as given.
-    They do not end steps: a sample inside a step is interpolated from its
-    stage slopes and projected to unit norm, and one at a step end records
-    that step's state.  So the steps and ``stats`` do not depend on
-    ``t_eval``, and a sample is as accurate as ``rtol`` asks, no more.
-    Without it, every accepted step is recorded.
+    They do not end steps: a sample inside a step is interpolated by the
+    7th-order continuous extension and projected to unit norm, and one at a
+    step end records that step's state.  So the steps and ``stats`` do not
+    depend on ``t_eval``, and a sample is as accurate as ``rtol`` asks, no
+    more.  Without it, every accepted step is recorded.
 
     ``t0`` and ``t1`` must be finite with t0 <= t1 (t1 = t0 records the
     start and takes no step), ``rtol`` and ``atol`` finite and > 0, and
@@ -192,31 +253,31 @@ def solve(
     if not np.isfinite(fk).all():  # else the starting step is NaN and never shrinks
         return record(f"right-hand side is not finite at t0={t:.6g}")
     h = _initial_step(f, t, y, fk, t1, rtol, atol)
-    K = np.empty((7,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
-    Kf = K.reshape(7, -1)
+    K = np.empty((16,) + fk.shape, dtype=np.result_type(fk, y))  # stage slopes
+    Kf = K.reshape(16, -1)
     K[0] = fk
-    AE = np.vstack((_A, _E)).astype(K.dtype)  # cast once, not by every product with Kf
+    AE = np.vstack((_A, _E5, _E3)).astype(K.dtype)  # cast once, not by every product with Kf
 
     max_growth = MAX_STEP_FACTOR
+    err_prev = 1e-4  # the last accepted error norm, floored as Hairer's facold
     while t < t1:
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             return record(f"step size underflow at t={t:.6g}")
 
         hAE = h * AE
-        for i in range(1, 7):
+        for i in range(1, 13):
             yi = y + (hAE[i, :i] @ Kf[:i]).reshape(y.shape)
             K[i] = f(t + _C[i] * h, yi)
-        # _A[6] equals _B5[:6], so the last stage was evaluated at (t+h, y_new).
+        # Row 12 of _A is _B, so the last stage was evaluated at (t+h, y_new).
         y_new = yi
-        err = (hAE[7] @ Kf).reshape(y.shape)
-        enorm = _error_norm(err, y, y_new, rtol, atol)
+        enorm = _error_norm(hAE[16:] @ Kf, y, y_new, rtol, atol)
+        factor = SAFETY * (enorm + 1e-300) ** -(ORDER_EXP - 0.2 * BETA)
 
         if not enorm <= 1.0:
             stats.rejected += 1
             max_growth = 1.0  # the step after a rejection may shrink but not grow
-            shrink = SAFETY * enorm ** -ORDER_EXP  # NaN on a NaN error: shrink the most
-            h *= shrink if shrink > MIN_STEP_FACTOR else MIN_STEP_FACTOR
+            h *= factor if factor > MIN_STEP_FACTOR else MIN_STEP_FACTOR  # NaN error: the most
             continue
 
         stats.accepted += 1
@@ -229,20 +290,25 @@ def solve(
             ts.append(t)
             ys.append(y.copy())
         else:
-            # The samples in (t_old, t], from the step's continuous extension.
+            # The samples in (t_old, t]: inside the step from its continuous
+            # extension, whose three extra stages only such a step pays for.
             k = np.searchsorted(eval_times, t + 1e-12 * max(1.0, abs(t)), side="right")
-            if k > eval_idx:
-                samples = eval_times[eval_idx:k]
-                weights = (h * ((samples - t_old) / h)[:, None] ** np.arange(1, 5)) @ _P.T
-                dense, _ = _project(y_old + (weights @ Kf).reshape(samples.shape + y.shape))
-                dense[samples >= t] = y
-                ts.extend(samples)
+            samples = eval_times[eval_idx:k]
+            inner = samples[samples < t]
+            if len(inner):
+                for i in range(13, 16):
+                    K[i] = f(t_old + _C[i] * h, y_old + (hAE[i, :i] @ Kf[:i]).reshape(y.shape))
+                weights = (h * _dense_basis((inner - t_old) / h)) @ _DENSE
+                dense, _ = _project(y_old + (weights @ Kf).reshape(inner.shape + y.shape))
                 ys.extend(dense)
-                eval_idx = k
+            ys.extend([y] * (len(samples) - len(inner)))  # at the step end
+            ts.extend(samples)
+            eval_idx = k
 
-        h *= min(max_growth, max(MIN_STEP_FACTOR, SAFETY * (enorm + 1e-300) ** -ORDER_EXP))
+        h *= min(max_growth, max(MIN_STEP_FACTOR, factor * err_prev ** BETA))
         max_growth = MAX_STEP_FACTOR
-        K[0] = K[6]  # FSAL, at y_new: the projection moved it by drift at most
+        err_prev = max(enorm, 1e-4)
+        K[0] = K[12]  # FSAL, at y_new: the projection moved it by drift at most
 
     return record()
 

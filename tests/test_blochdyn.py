@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlqsim import blochdyn as bd
+from nlqsim import discrimination as dc
 from nlqsim import nonlinearity as nl
 
 SQRT_HALF = math.sqrt(0.5)
@@ -339,6 +340,18 @@ def test_driven_pairs_match_the_bloch_flow_stepped_by_dop853(kind, limit):
         ref = _bloch_reference(kbar, omega, v, times)
         worst = max(worst, float(np.max(np.abs(tr.states - ref))))
     assert worst <= limit
+
+
+def test_the_closed_loop_protocol_is_stepped_in_few_steps():
+    # The benchmark's closed-loop shape at its smallest alpha0, the longest
+    # run: gp:1 from the optimal pair under x_drive((g/2) c(t)) to 0.95 t_perp.
+    # Bound: measured + 20 % (24 + 0 steps; 130 + 0 at 5th order).
+    g, a0 = 1.0, 0.05
+    drive = bd.x_drive(lambda t: 0.5 * g * dc.gp_overlap_closed_form(g, a0, t))
+    v = np.stack(bd.pair_to_bloch(bd.optimal_pair(a0)))
+    tr = bd.integrate(nl.reduce(nl.gross_pitaevskii(g)), drive, v, 0.95 * dc.gp_t_perp(g, a0))
+    assert not tr.failed
+    assert tr.stats.accepted + tr.stats.rejected <= 28
 
 
 @pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd"])

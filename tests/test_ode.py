@@ -6,7 +6,7 @@ import pytest
 from nlqsim import _ode
 
 
-def test_fsal_stage_reused_six_rhs_calls_per_attempted_step():
+def test_fsal_stage_reused_twelve_rhs_calls_per_attempted_step():
     calls = []
 
     def f(t, y):
@@ -16,10 +16,49 @@ def test_fsal_stage_reused_six_rhs_calls_per_attempted_step():
     res = _ode.solve(f, 0.0, 10.0, np.array([1.0 + 0j]), rtol=1e-10, atol=1e-12)
     assert abs(res.states[-1, 0] - np.exp(10j)) <= 1e-9
     attempted = res.stats.accepted + res.stats.rejected
-    # f(t0, y0) and one probe in the starting-step heuristic, then the six
-    # new stages of each Dormand-Prince step: an accepted step's last stage
-    # is the next step's first (FSAL), with no call at the projected state.
-    assert len(calls) == 2 + 6 * attempted
+    # f(t0, y0) and one probe in the starting-step heuristic, then the twelve
+    # new stages of each DOP853 step: an accepted step's last stage is the
+    # next step's first (FSAL), with no call at the projected state.
+    assert len(calls) == 2 + 12 * attempted
+
+
+def test_a_step_holding_samples_costs_three_more_calls_and_one_without_none():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return -1j * np.array([0.5, 2.0 + np.sin(t)]) * y
+
+    y0 = np.array([0.6 + 0j, 0.8j])
+    free = _ode.solve(f, 0.0, 3.0, y0)
+    free_calls, steps = len(calls), free.times
+    assert len(steps) >= 7
+    # two samples inside step 2, one inside step 5, and the step ends t0, t3, t1
+    t_eval = np.sort(np.concatenate((
+        steps[[0, 3, -1]], steps[1] + [0.3, 0.6] * np.diff(steps[1:3]),
+        [steps[4] + 0.5 * (steps[5] - steps[4])])))
+    calls.clear()
+    sampled = _ode.solve(f, 0.0, 3.0, y0, t_eval=t_eval)
+    assert sampled.stats == free.stats
+    # the continuous extension's three extra stages, on the two steps holding
+    # a sample inside them and on no other
+    assert len(calls) == free_calls + 3 * 2
+    assert np.array_equal(sampled.states[[0, 3, -1]], free.states[[0, 3, -1]])
+
+
+def test_dop853_tableau_is_consistent():
+    # a mistyped literal breaks one of these identities
+    for i in range(1, 16):  # each stage at the time its row's weights sum to
+        assert abs(_ode._A[i, :i].sum() - _ode._C[i]) <= 1e-15
+    assert np.array_equal(_ode._B, _ode._A[12])
+    for k in range(8):  # the 8th-order quadrature conditions
+        assert abs(_ode._B @ _ode._C ** k - 1.0 / (k + 1)) <= 1e-15
+    for e in (_ode._E5, _ode._E3):  # error estimates vanish on constant slopes
+        assert abs(e.sum()) <= 1e-15
+    # the continuous extension is y_old at s = 0 and y_new = y_old + h B K at s = 1
+    weights = _ode._dense_basis([0.0, 1.0]) @ _ode._DENSE
+    assert not weights[0].any()
+    assert np.array_equal(weights[1], _ode._B)
 
 
 def test_solve_takes_exactly_the_documented_parameters():

@@ -382,7 +382,7 @@ def test_integrate_nlse_schedule_matches_a_lab_frame_dop853_run(kind, oracle):
 @pytest.mark.parametrize("kind", ["gp", "log", "sqrt"])
 def test_integrate_nlse_samples_under_a_smooth_drive_match_dop853(kind, N):
     # The samples are interpolated within steps, not forced step ends, so
-    # they are as accurate as rtol asks: at most 8.4 rtol here (log, N = 8).
+    # they are as accurate as rtol asks: at most 0.19 rtol here (log, N = 8).
     rng = np.random.default_rng(N)
     psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi0 /= np.linalg.norm(psi0)
@@ -640,7 +640,8 @@ def test_audit_at_n_2_40_matches_the_rows_marked_outside_the_support(kind):
 
 def test_audit_step_count_does_not_depend_on_its_samples():
     # samples are filled from the steps, so 200 of them cost no steps
-    # over 2 (45 + 0 steps measured; one step per sample took 217 + 31)
+    # over 2 (15 + 0 steps measured; one step per sample took 217 + 31 at
+    # 5th order)
     g, N = 1.0, 64
     t1 = sr.default_t1(N, g)
     duration = sr.run_search(sr.SearchInstance(N, marked=1), nl.gross_pitaevskii(g),
@@ -649,12 +650,12 @@ def test_audit_step_count_does_not_depend_on_its_samples():
                                   duration, samples=samples).step_stats
              for samples in (2, 200)]
     assert stats[0] == stats[1]
-    assert stats[1].accepted <= 54 and stats[1].rejected == 0
+    assert stats[1].accepted <= 18 and stats[1].rejected == 0
 
 
 @pytest.mark.parametrize("kind, N, dense, most", [
-    ("gp", 128, False, 66), ("log", 32, False, 72), ("gp", 2 ** 40, False, 351),
-    ("log", 2 ** 40, False, 612), ("log", 64, True, 58),
+    ("gp", 128, False, 20), ("log", 32, False, 28), ("gp", 2 ** 40, False, 96),
+    ("log", 2 ** 40, False, 231), ("log", 64, True, 28),
 ], ids=["gp-128", "log-32", "gp-2^40", "log-2^40", "log-64-dense"])
 def test_audit_does_not_spend_steps_on_phases_common_to_all_rows(kind, N, dense, most):
     # In a fixed frame the big class turns at g (gp) and the 1/sqrt(N)
