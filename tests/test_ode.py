@@ -59,6 +59,63 @@ def test_dop853_tableau_is_consistent():
     weights = _ode._dense_basis([0.0, 1.0]) @ _ode._DENSE
     assert not weights[0].any()
     assert np.array_equal(weights[1], _ode._B)
+    # and integrates slopes t^k exactly for k = 0...6 in between: its 7th order,
+    # which the endpoints do not see, as _D's basis terms vanish there
+    s = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+    weights = _ode._dense_basis(s) @ _ode._DENSE
+    for k in range(7):
+        assert np.max(np.abs(weights @ _ode._C ** k - s ** (k + 1) / (k + 1))) <= 1e-14
+
+
+def _two_rates(t, y):
+    return -1j * np.array([0.5, 2.0 + np.sin(t)]) * y
+
+
+def test_unwritten_extension_stages_do_not_reach_the_error_estimate(monkeypatch):
+    # The stage buffer's rows 13-15 are written only on a step holding a
+    # sample; before that they are whatever the allocation held.  Fill them
+    # with NaN: a run without samples must take exactly the steps it takes.
+    y0 = np.array([0.6 + 0j, 0.8j])
+    free = _ode.solve(_two_rates, 0.0, 3.0, y0)
+
+    class NanEmpty:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, dtype=float):
+            return np.full(shape, np.nan, dtype=dtype)
+
+    monkeypatch.setattr(_ode, "np", NanEmpty())
+    res = _ode.solve(_two_rates, 0.0, 3.0, y0)
+    assert not res.failed
+    assert res.stats == free.stats
+    assert np.array_equal(res.states, free.states)
+
+
+def test_a_non_finite_extension_stage_does_not_reach_later_steps():
+    # NaN from the continuous extension's extra stages on step 1 stays in
+    # the stage buffer; the steps after it, which hold no sample, must not
+    # see it in their accept/reject decisions.
+    y0 = np.array([0.6 + 0j, 0.8j])
+    free = _ode.solve(_two_rates, 0.0, 3.0, y0)
+    steps = free.times
+    assert len(steps) >= 5
+    h = steps[2] - steps[1]
+    extension_times = steps[1] + _ode._C[13:] * h
+
+    def f(t, y):
+        if np.any(np.abs(t - extension_times) <= 1e-12 * h):
+            return np.full(y.shape, np.nan + 0j)
+        return _two_rates(t, y)
+
+    t_eval = np.concatenate(([steps[1] + 0.5 * h], steps[2:]))
+    with np.errstate(invalid="ignore"):  # the sample inside step 1 is NaN
+        res = _ode.solve(f, 0.0, 3.0, y0, t_eval=t_eval)
+    assert np.isnan(res.states[0]).all()  # the extension's stages were the NaN ones
+    assert not res.failed
+    assert res.stats == free.stats
+    assert np.array_equal(res.states[1:], free.states[2:])
 
 
 def test_solve_takes_exactly_the_documented_parameters():
