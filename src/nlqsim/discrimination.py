@@ -31,6 +31,13 @@ time up to the one that holds its end.  Each panel bisects at most to
 ``QUAD_LIMIT`` pieces and warns (``IntegrationWarning``) where that misses
 the tolerance.
 
+Every sample comes from that quadrature, with no further integrand call.
+A sample at a panel end is that end.  A sample inside a panel (the end of
+a run of given duration, a ``t_eval`` time) is read from the degree-20
+polynomial through the 21 Kronrod node values of the piece that holds it:
+K21 integrates that polynomial exactly, so its integral meets the piece
+sums, and Newton steps on it find the u of the sample's time.
+
 A ``DiscriminationResult`` holds the sampled times, overlaps and angles of
 that quadrature and its count of unit panels in u; it steps no ODE and
 carries no drive.
@@ -252,7 +259,8 @@ QUAD_LIMIT = 200
 
 def _gk21(f, lo, hi):
     """QUADPACK's qk21 on every piece [lo_i, hi_i] from one call of f on all
-    their nodes: (integrals, error estimates, integrals of |f|)."""
+    their nodes: (integrals, error estimates, integrals of |f|, the values
+    of f at each piece's 21 nodes)."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # One 1 x 21 row per piece: a stack of row products rounds each piece's
     # sums as for that piece alone, whichever pieces share the call.
@@ -264,12 +272,14 @@ def _gk21(f, lo, hi):
     err = np.abs((resk - resg) * half)
     ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
     err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    return resk * half, np.maximum(QUAD_RTOL_FLOOR * resabs, err), resabs
+    return resk * half, np.maximum(QUAD_RTOL_FLOOR * resabs, err), resabs, fx[:, 0]
 
 
-def quad_panels(f, edges, rtol: float) -> np.ndarray:
+def quad_panels(f, edges, rtol: float, nodes: bool = False):
     """Integral of f over each panel [edges[i], edges[i + 1]] to relative
-    tolerance ``rtol``, as an array with one entry per panel.
+    tolerance ``rtol``, as an array with one entry per panel; with ``nodes``,
+    also the pieces the panels end with, as (lo, hi, values of f at their
+    21 nodes), which tile the panels.
 
     An adaptive Gauss-Kronrod G10/K21 rule with QUADPACK's error estimate.
     ``f`` takes a 1-d array of points and returns its values there; each
@@ -291,10 +301,14 @@ def quad_panels(f, edges, rtol: float) -> np.ndarray:
     closed_err = np.zeros(n)
     closed = np.zeros(n, dtype=np.intp)
     missed = np.zeros(n, dtype=bool)
+    pieces = []
     while len(lo):
-        calls = [_gk21(f, lo[i:i + QUAD_LIMIT], hi[i:i + QUAD_LIMIT])
-                 for i in range(0, len(lo), QUAD_LIMIT)]
-        res, err, resabs = (np.concatenate(parts) for parts in zip(*calls))
+        if len(lo) <= QUAD_LIMIT:
+            res, err, resabs, fx = _gk21(f, lo, hi)
+        else:
+            calls = [_gk21(f, lo[i:i + QUAD_LIMIT], hi[i:i + QUAD_LIMIT])
+                     for i in range(0, len(lo), QUAD_LIMIT)]
+            res, err, resabs, fx = (np.concatenate(parts) for parts in zip(*calls))
         done = err <= rtol * resabs  # a NaN estimate is never done
         total = out + np.bincount(owner, res, n)
         met = closed_err + np.bincount(owner, err, n) <= rtol * np.abs(total)
@@ -306,6 +320,10 @@ def quad_panels(f, edges, rtol: float) -> np.ndarray:
         closed_err += np.bincount(owner[done], err[done], n)
         missed |= capped
         keep = ~done & ~stop[owner]
+        if nodes:
+            pieces.append((lo[~keep], hi[~keep], fx[~keep]))
+        if not keep.any():
+            break
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
         lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
@@ -314,6 +332,8 @@ def quad_panels(f, edges, rtol: float) -> np.ndarray:
         warnings.warn(f"quadrature on [{edges[i]:.17g}, {edges[i + 1]:.17g}] did not "
                       f"reach rtol {rtol:.3g} within {QUAD_LIMIT} pieces",
                       IntegrationWarning, stacklevel=2)
+    if nodes:
+        return out, tuple(np.concatenate(parts) for parts in zip(*pieces))
     return out
 
 
@@ -355,7 +375,11 @@ def separation_trace(
 
     The time t(u) is integrated in unit panels of u to relative tolerance
     ``rtol``.  ``times`` holds the panel ends, or the ``t_eval`` samples
-    within the run.  A rate weaker than ``NO_PROGRESS_RATE`` max(g, 1)
+    within the run; ``t_eval`` must be a 1-d array of finite, strictly
+    increasing times >= 0, and those past the run's end are dropped.  A
+    sample inside a panel is read from the polynomial through the node
+    values of the quadrature piece that holds it, so samples cost no
+    integrand call.  A rate weaker than ``NO_PROGRESS_RATE`` max(g, 1)
     sin(alpha/2) anywhere on the way yields ``no_progress`` and t = inf.
     """
     check_start(alpha0, duration)
@@ -366,6 +390,12 @@ def separation_trace(
         raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = [0, {c0!r}), "
                          f"got {target_overlap!r}")
     check_rtol(rtol)
+    if t_eval is not None:
+        times = np.asarray(t_eval, dtype=float)
+        if not (times.ndim == 1 and np.all((times >= 0.0) & (times < math.inf))
+                and np.all(np.diff(times) > 0.0)):
+            raise ValueError("t_eval must be a 1-d array of finite, strictly increasing "
+                             f"times >= 0, got {t_eval!r}")
     kbar = reduce(n)
     floor = NO_PROGRESS_RATE * max(n.g, 1.0)
     held = None if policy is OrientationPolicy.REOPTIMIZED else _held_orientation(policy)
@@ -384,7 +414,9 @@ def separation_trace(
 
     u_end = -U_MAX if target_overlap is None else math.atanh(target_overlap)
     t_stop = math.inf if duration is None else duration
-    us, ts = [-math.log(math.tan(alpha0 / 4.0))], [0.0]
+    # Only a duration run or t_eval can ask for a time inside a panel.
+    dense = duration is not None or t_eval is not None
+    us, ts, pieces = [-math.log(math.tan(alpha0 / 4.0))], [0.0], []
     try:
         dt_du(us[0])
         # A target's panels are all known and share one rule; a duration
@@ -395,58 +427,104 @@ def separation_trace(
             while edges[-1] > u_end and len(edges) <= batch:
                 edges.append(max(edges[-1] - 1.0, u_end))
             try:
-                dts = quad_panels(dt_du, edges[::-1], rtol)[::-1]
+                dts = quad_panels(dt_du, edges[::-1], rtol, nodes=dense)
             except _Stall:
                 if len(edges) == 2:
                     raise
                 single = True  # a run stops at its first stalled panel
                 continue
-            for u, dt in zip(edges[1:], dts):
+            if dense:
+                dts, closed = dts
+                pieces.append(closed)
+            for u, dt in zip(edges[1:], dts[::-1]):
                 ts.append(ts[-1] + float(dt))
                 us.append(u)
-        panels, t_end = len(us) - 1, min(ts[-1], t_stop)
-        if ts[-1] < t_stop < math.inf:
-            # The overlap rounds to -1 beyond u = -U_MAX and stays there.
-            us.append(-math.inf)
-            ts.append(t_stop)
-            t_end = t_stop
-        if t_eval is None:
-            samples = [t for t in ts if t < t_end] + [t_end]
-        else:
-            samples = [t for t in np.asarray(t_eval, dtype=float) if 0.0 <= t <= t_end]
-        us = [_u_at(dt_du, t, us, ts, rtol) for t in samples]
     except _Stall as stall:
         return DiscriminationResult(
             math.inf, np.array([0.0]), np.array([c0]), 0, np.array([alpha0]),
             target_overlap or 0.0, status="no_progress",
             diagnostic="separation rate {1:.3e} at overlap "
             "{0:.17g} is not reliably negative".format(*stall.args))
-    us = np.array(us, dtype=float)
-    return DiscriminationResult(float(t_end), np.array(samples, dtype=float), np.tanh(us),
-                                panels, 4.0 * np.arctan(np.exp(-us)),
+    panels, t_end = len(us) - 1, min(ts[-1], t_stop)
+    if ts[-1] < t_stop < math.inf:
+        # The overlap rounds to -1 beyond u = -U_MAX and stays there.
+        us.append(-math.inf)
+        ts.append(t_stop)
+        t_end = t_stop
+    us, ts = np.array(us), np.array(ts)
+    if t_eval is None and ts[-1] == t_end:
+        samples, u = ts, us  # the panel ends, which the run holds
+    else:
+        samples = np.append(ts[ts < t_end], t_end) if t_eval is None else times[times <= t_end]
+        k = np.searchsorted(ts, samples)  # the first panel end at or after each time
+        u = us[k]
+        inside = (ts[k] != samples) & (u > -math.inf)
+        if inside.any():
+            u[inside] = _dense_u(samples[inside], k[inside] - 1, us, ts,
+                                 *(np.concatenate(parts) for parts in zip(*pieces)))
+    return DiscriminationResult(float(t_end), samples, np.tanh(u), panels,
+                                4.0 * np.arctan(np.exp(-u)),
                                 target_overlap if target_overlap is not None else 0.0)
 
 
-def _u_at(dt_du, T, us, ts, rtol):
-    """u at time T on the panels (us, ts): Newton steps on the decreasing
-    t(u) = ts[k] + int_u^us[k] dt_du, kept inside the shrinking bracket
-    (bisection where a step leaves it), until t is within rtol T of T."""
-    k = int(np.searchsorted(ts, T, side="right")) - 1
-    if ts[k] == T:
-        return us[k]
-    if us[k + 1] == -math.inf:
-        return -math.inf
-    lo, hi = us[k + 1], us[k]
-    u, t = hi, ts[k]
-    for _ in range(100):
-        if abs(t - T) <= rtol * T:
+def _legendre(x, degree):
+    """P_0(x) ... P_degree(x) along a last axis, by Bonnet's recurrence."""
+    p = [np.ones_like(x), x]
+    for n in range(1, degree):
+        p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+    return np.stack(p, axis=-1)
+
+
+# Maps from the values at the 21 Kronrod nodes to the Legendre coefficients
+# of the degree-20 polynomial through them, and of its integral from x to 1
+# (int_x^1 P_n = (P_n-1 - P_n+1) / (2n + 1), and 1 - x for n = 0).  K21
+# integrates that polynomial exactly, so its integral over a piece is the
+# piece's K21 sum.
+_TO_LEGENDRE = np.linalg.inv(_legendre(GK21_NODES, 20))
+_TAIL = (np.eye(22, 21, 1) - np.eye(22, 21, -1)) / (2 * np.arange(21) + 1)
+_TAIL[0, 0] = 1.0
+_TO_TAIL = _TAIL @ _TO_LEGENDRE
+
+
+def _dense_u(times, k, us, ts, lo, hi, fx):
+    """u at each time in (ts[k], ts[k + 1]) on the panels (us, ts), tiled by
+    the pieces [lo, hi] with dt/du at their Kronrod nodes ``fx``.
+
+    In a piece, with u = centre + half x, the time is that at its top plus
+    half times the integral from x to 1 of the polynomial through its node
+    values.  Each time is solved for by Newton steps on that polynomial,
+    kept inside the shrinking bracket (bisection where a step leaves it);
+    no integrand call is made.
+    """
+    order = np.argsort(-hi)  # the pieces in the order time passes them
+    lo, hi, fx = lo[order], hi[order], fx[order]
+    half = 0.5 * (hi - lo)
+    tail = (fx @ _TO_TAIL.T) * half[:, None]
+    span = tail @ (-1.0) ** np.arange(22)  # at x = -1: each piece's duration
+    # The time at each piece's top, counted from its panel's start, so that
+    # rounding does not build up over the panels.
+    panel = np.searchsorted(-us, -hi, side="right") - 1
+    first = np.searchsorted(panel, np.arange(len(us)))
+    before = np.cumsum(span) - span
+    top = ts[panel] + before - before[first[panel]]
+    j = np.clip(np.searchsorted(top, times, side="right") - 1, first[k], first[k + 1] - 1)
+    dt = times - top[j]
+    tail, slope = tail[j], (fx[j] @ _TO_LEGENDRE.T) * half[j, None]  # slope = -dt/dx
+    x = np.clip(1.0 - 2.0 * dt / span[j], -1.0, 1.0)
+    a, b = np.full(len(x), -1.0), np.ones(len(x))
+    for _ in range(60):  # bisection alone would end within 53
+        p = _legendre(x, 21)
+        terms = p * tail
+        t = np.sum(terms, axis=1)
+        # done once t - dt is at the rounding of its terms
+        rounding = 8.0 * np.finfo(float).eps * (times + np.sum(np.abs(terms), axis=1))
+        if np.all(np.abs(t - dt) <= rounding):
             break
-        step = u - (T - t) / dt_du(u)
-        step = step if lo < step < hi else 0.5 * (lo + hi)
-        t += float(quad_panels(dt_du, (step, u), rtol)[0])
-        u = step
-        lo, hi = (u, hi) if t > T else (lo, u)
-    return u
+        late = t > dt  # t falls as x grows
+        a, b = np.where(late, x, a), np.where(late, b, x)
+        step = x + (t - dt) / np.sum(p[:, :21] * slope, axis=1)
+        x = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+    return 0.5 * (lo[j] + hi[j]) + half[j] * x
 
 
 def time_to_overlap(

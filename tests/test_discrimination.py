@@ -460,3 +460,23 @@ def test_separation_trace_needs_exactly_one_stopping_rule():
 def test_separation_trace_refuses_a_duration_that_is_not_finite_and_nonnegative(duration):
     with pytest.raises(ValueError, match=f"duration must be finite and >= 0, got {duration!r}"):
         dc.separation_trace(nl.gross_pitaevskii(1.0), 0.5, duration=duration)
+
+
+@pytest.mark.parametrize("t_eval", [[math.nan, 1.0], [-1.0, 0.5], [2.0, 1.0], [[0.5]],
+                                    [0.5, 0.5], [0.0, math.inf], 0.5],
+                         ids=["nan", "negative", "decreasing", "2-d", "repeated", "inf",
+                              "scalar"])
+def test_separation_trace_refuses_a_malformed_t_eval(t_eval):
+    # these used to drop a sample, return unsorted times or end in a TypeError
+    with pytest.raises(ValueError, match=r"t_eval must be a 1-d array of finite, strictly "
+                                         r"increasing times >= 0, got"):
+        dc.separation_trace(nl.gross_pitaevskii(1.0), 0.5, duration=3.0, t_eval=t_eval)
+
+
+def test_t_eval_samples_past_a_target_runs_end_are_dropped():
+    res = dc.separation_trace(nl.gross_pitaevskii(1.0), 0.5, target_overlap=0.0,
+                              t_eval=[0.0, 1.0, 2.0, 100.0])
+    assert res.t_perp == pytest.approx(dc.gp_t_perp(1.0, 0.5), rel=1e-14)
+    assert list(res.times) == [0.0, 1.0, 2.0]
+    np.testing.assert_allclose(res.overlaps, dc.gp_overlap_closed_form(1.0, 0.5, res.times),
+                               rtol=1e-14, atol=0.0)

@@ -16,7 +16,7 @@ from nlqsim import nonlinearity as nl
 
 
 def _one_rule(f, a, b):
-    res, err, _ = dc._gk21(f, np.array([a]), np.array([b]))
+    res, err = dc._gk21(f, np.array([a]), np.array([b]))[:2]
     return float(res[0]), float(err[0])
 
 
@@ -34,6 +34,18 @@ def test_gauss_nodes_are_the_legendre_roots_and_both_rules_sum_to_two():
     assert np.max(np.abs(dc.G10_WEIGHTS[np.argsort(dc.GK21_NODES[1::2])] - weights)) <= 1e-15
     assert dc.GK21_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
     assert dc.G10_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+def test_the_node_polynomial_passes_through_its_values_and_integrates_to_the_k21_sum():
+    # dense samples rest on both: a piece's polynomial is its node values,
+    # and its integral from x = -1 to 1 is the piece's K21 sum
+    fx = np.random.default_rng(3).uniform(0.5, 2.0, (5, 21))
+    coef = fx @ dc._TO_LEGENDRE.T
+    np.testing.assert_allclose(coef @ dc._legendre(dc.GK21_NODES, 20).T, fx, rtol=1e-13)
+    tail = fx @ dc._TO_TAIL.T
+    np.testing.assert_allclose(tail @ dc._legendre(np.array([-1.0, 1.0]), 21).T,
+                               np.stack([fx @ dc.GK21_WEIGHTS, np.zeros(5)], axis=1),
+                               rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("f, a, b", [
@@ -112,8 +124,8 @@ def test_each_panel_of_a_batch_is_the_panel_integrated_alone(kind, policy, monke
     batches = []
     quad_panels = dc.quad_panels
 
-    def recording(f, edges, rtol):
-        batches.append((f, np.array(edges), rtol, quad_panels(f, edges, rtol)))
+    def recording(f, edges, rtol, nodes=False):
+        batches.append((f, np.array(edges), rtol, quad_panels(f, edges, rtol, nodes)))
         return batches[-1][-1]
 
     monkeypatch.setattr(dc, "quad_panels", recording)
@@ -237,6 +249,120 @@ def test_a_stalled_run_names_the_first_stall_on_its_way():
     res = dc.separation_trace(n, 4.0 * math.atan(math.exp(-3.0)), duration=9.5)
     assert res.status == "no_progress" and res.t_perp == math.inf
     assert "at overlap 0.90514825364486651 " in res.diagnostic
+
+
+POLICIES = {"fixed": dc.OrientationPolicy.FIXED_OPTIMAL_GP, "held": (math.pi / 2, 2.0),
+            "reopt": dc.OrientationPolicy.REOPTIMIZED}
+
+
+def _kind(kind):
+    return nl.gross_pitaevskii(1.3) if kind == "gp" else REDUCTIONS[kind]
+
+
+def _past_orthogonality(n, alpha0, policy):
+    """A duration 1.3 times the time to orthogonality: several panels, some
+    of them past c = 0."""
+    return 1.3 * dc.time_to_overlap(n, alpha0, 0.0, policy).t_perp
+
+
+@pytest.mark.parametrize("samples", [31, 301])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd"])
+def test_duration_run_samples_cost_no_integrand_call(kind, policy, samples, monkeypatch):
+    n, policy = _kind(kind), POLICIES[policy]
+    duration = _past_orthogonality(n, 0.1, policy)
+    calls = []
+    rate, reoptimize = dc.pair_overlap_rate, dc.reoptimize_orientation
+
+    def counting_rate(kbar, c, s, phi, theta):
+        calls.append(("rate", np.size(c)))
+        return rate(kbar, c, s, phi, theta)
+
+    def counting_reoptimize(kbar, c, s):
+        calls.append(("reopt", np.size(c)))
+        return reoptimize(kbar, c, s)
+
+    monkeypatch.setattr(dc, "pair_overlap_rate", counting_rate)
+    monkeypatch.setattr(dc, "reoptimize_orientation", counting_reoptimize)
+    bare = dc.separation_trace(n, 0.1, policy, duration=duration)
+    without, calls[:] = list(calls), []
+    res = dc.separation_trace(n, 0.1, policy, duration=duration,
+                              t_eval=np.linspace(0.0, duration, samples))
+    assert res.reached and bare.reached and res.panels == bare.panels >= 2
+    assert len(res.times) == samples
+    assert calls == without
+
+
+# Closed forms of the reductions of ``_kind``, for references that do not
+# call nlqsim's kbar.
+CLOSED_KBAR = {
+    "gp": lambda z: 1.3 * z,
+    "log": lambda z: 1.4 * np.arctanh(z),
+    "sqrt": lambda z: 2.0 * np.sign(z) * np.sqrt(np.abs(z)),
+    "odd": lambda z: np.sinh(3.0 * z) / 3.0,
+}
+
+
+def _gauss_legendre():
+    """Nodes and weights of mpmath's 48-point Gauss-Legendre rule on [-1, 1]."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+        return np.array(rule.calc_nodes(5, mpmath.mp.prec), dtype=float).T
+
+
+def _reference_times(kind, policy, alpha0, alphas):
+    """Time at which the pair first reaches each of the increasing ``alphas``
+    from alpha0: the u-integrand sech^2 / -R with the closed-form kbar,
+    integrated by a 48-point Gauss-Legendre rule between consecutive angles."""
+    x, w = _gauss_legendre()
+    kbar = CLOSED_KBAR[kind]
+    u = -np.log(np.tan(np.concatenate(([alpha0], alphas)) / 4.0))
+    mid, half = 0.5 * (u[:-1] + u[1:]), 0.5 * (u[:-1] - u[1:])
+    v = mid[:, None] + half[:, None] * x
+    c, s = np.tanh(v), 1.0 / np.cosh(v)
+    if policy is dc.OrientationPolicy.REOPTIMIZED:
+        rate = dc.reoptimize_orientation(kbar, c, s)[2]
+    else:
+        rate = _rate(kbar, c, s, *(dc._held_orientation(policy)))
+    return np.cumsum(((s * s / -rate) @ w) * half)
+
+
+# The re-optimized odd reduction is left out: its optimal orientation leaves
+# phi = pi/2 at |u| = 0.669, where the grid's rate is not smooth to rtol and
+# no reference quadrature of it converges (see CHANGES.md).
+@pytest.mark.parametrize("alpha0", [0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("kind, policy", [
+    (k, p) for k in ("gp", "log", "sqrt", "odd") for p in sorted(POLICIES)
+    if (k, p) != ("odd", "reopt")])
+def test_duration_run_samples_are_within_rtol_of_an_independent_quadrature(kind, policy,
+                                                                           alpha0):
+    n, policy = _kind(kind), POLICIES[policy]
+    rtol = 1e-10
+    duration = _past_orthogonality(n, alpha0, policy)
+    res = dc.separation_trace(n, alpha0, policy, duration=duration, rtol=rtol,
+                              t_eval=np.linspace(0.0, duration, 31))
+    assert res.reached and len(res.times) == 31
+    # the time at which the pair reaches each sampled angle is the sample's time
+    want = _reference_times(kind, policy, alpha0, res.alphas[1:])
+    np.testing.assert_allclose(want, res.times[1:], rtol=rtol, atol=0.0)
+    if kind == "gp" and policy is not POLICIES["held"]:
+        np.testing.assert_allclose(res.overlaps, dc.gp_overlap_closed_form(1.3, alpha0, res.times),
+                                   rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd"])
+def test_a_target_run_samples_its_panel_ends_exactly(kind, policy):
+    alpha0, target = 1e-3, 0.2
+    res = dc.time_to_overlap(_kind(kind), alpha0, target, POLICIES[policy])
+    ends = [-math.log(math.tan(alpha0 / 4.0))]
+    while ends[-1] > math.atanh(target):
+        ends.append(max(ends[-1] - 1.0, math.atanh(target)))
+    ends = np.array(ends)
+    assert res.reached and res.panels == len(ends) - 1 == len(res.times) - 1
+    assert np.array_equal(res.overlaps, np.tanh(ends))
+    assert np.array_equal(res.alphas, 4.0 * np.arctan(np.exp(-ends)))
 
 
 @pytest.mark.parametrize("kind", ["gp:1.3", "log:0.7", "sqrt:2"])
