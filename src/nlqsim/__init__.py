@@ -58,8 +58,8 @@ from .search import (  # noqa: F401
 from .optimizer import (  # noqa: F401
     OptimizationResult,
     PairEmbedding,
-    optimality_gap_scan,
     optimize_orientation,
+    orientation_chain,
     rate_functional,
 )
 from .meanfield import (  # noqa: F401

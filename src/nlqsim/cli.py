@@ -157,23 +157,20 @@ def cmd_audit(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    n = nl.parse(args.nonlinearity)
-    # The chain 2..dim ends in dim itself, so a refused dim is named as given.
-    rows = op.optimality_gap_scan(n, [args.alpha], [*range(2, args.dim), args.dim],
-                                  restarts=args.restarts, seed=args.seed)
-    row = rows[-1]
-    result = row["result"]
+    chain = op.orientation_chain(nl.parse(args.nonlinearity), args.alpha, args.dim,
+                                 restarts=args.restarts, seed=args.seed)
+    result, gap = chain[-1], chain[-1].best_rate - chain[0].best_rate
     lines = [f"alpha = {fmt(args.alpha)}, dim = {args.dim}",
              f"best_rate = {fmt(result.best_rate)}",
-             f"gap_vs_dim2 = {fmt(row['gap_vs_dim2'])}",
+             f"gap_vs_dim2 = {fmt(gap)}",
              f"sweeps = {result.converged_sweeps}, capped = {result.capped}",
              f"grad_norm = {result.grad_norm:.3e}"]
     if result.angles is not None:
         lines.append(f"orientation (phi, theta) = ({fmt(result.angles[0])}, "
                      f"{fmt(result.angles[1])})")
     report(lines, args.out, csv_text("alpha,dim,best_rate,gap_vs_dim2",
-                                     [(args.alpha, args.dim, result.best_rate,
-                                       row["gap_vs_dim2"])]), "result")
+                                     [(args.alpha, args.dim, result.best_rate, gap)]),
+           "result")
     return 0
 
 

@@ -110,8 +110,8 @@ def gp_overlap_closed_form(g: float, alpha0: float, t):
     """Overlap cos(alpha/2) at time t under the optimal quadratic protocol,
     tanh(u0 - gt/2) with u0 = ln cot(alpha0/4): the overlap keeps its digits
     where cos(alpha0/2) rounds to 1."""
-    if g <= 0:
-        raise ValueError(f"g must be > 0, got {g!r}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"g must be finite and > 0, got {g!r}")
     check_start(alpha0)
     val = np.tanh(math.log(1.0 / math.tan(alpha0 / 4.0)) - g * np.asarray(t, dtype=float) / 2.0)
     return float(val) if np.ndim(t) == 0 else val
@@ -119,9 +119,7 @@ def gp_overlap_closed_form(g: float, alpha0: float, t):
 
 def gp_t_perp(g: float, alpha0: float) -> float:
     """Time to orthogonality, (2/g) ln(cot(alpha0/4)); inf at alpha0 = 0."""
-    if alpha0 < 0 or alpha0 > math.pi + 1e-12:
-        raise ValueError(f"alpha0 must be in [0, pi], got {alpha0!r}")
-    if alpha0 == 0.0 and g > 0:
+    if alpha0 == 0.0 and 0.0 < g < math.inf:
         return math.inf
     return gp_time_to_overlap(g, alpha0, 0.0)
 
@@ -130,8 +128,9 @@ def gp_time_to_overlap(g: float, alpha0: float, target: float) -> float:
     """Closed-form time for the quadratic protocol to reach a target overlap,
     (2/g) (ln cot(alpha0/4) - atanh(target)); ln cot(alpha0/4) is
     atanh(cos(alpha0/2)) without its cancellation at small alpha0."""
-    if not g > 0:
-        raise ValueError(f"g must be > 0, got {g!r}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"g must be finite and > 0, got {g!r}")
+    check_start(alpha0)
     if not 0.0 <= target < math.cos(alpha0 / 2):
         raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = "
                          f"[0, {math.cos(alpha0 / 2)!r}), got {target!r}")
@@ -539,19 +538,17 @@ def time_to_overlap(
                             target_overlap=target_overlap, rtol=rtol)
 
 
-def fig_overlap_vs_gt(g: float = 1.0, alpha0: float = 0.1, gt_max: float = 7.5,
-                      samples: int = 512):
-    """Columns (g*t, overlap) for the closed-form quadratic decay curve."""
-    gts = np.linspace(0.0, gt_max, samples)
-    overlap = gp_overlap_closed_form(g, alpha0, gts / g)
-    return gts, overlap
+def fig_overlap_vs_gt():
+    """Columns (g*t, overlap) of the closed-form quadratic decay from
+    alpha0 = 0.1, 512 points on g*t in [0, 7.5]."""
+    gts = np.linspace(0.0, 7.5, 512)
+    return gts, gp_overlap_closed_form(1.0, 0.1, gts)
 
 
-def fig_tperp_vs_alpha0(g: float = 1.0, samples: int = 512):
-    """Columns (alpha0, g * t_perp) over alpha0 in (0, pi]."""
-    alphas = np.linspace(math.pi / samples, math.pi, samples)
-    gtp = np.array([g * gp_t_perp(g, a) for a in alphas])
-    return alphas, gtp
+def fig_tperp_vs_alpha0():
+    """Columns (alpha0, g * t_perp), 512 points on alpha0 in (0, pi]."""
+    alphas = np.linspace(math.pi / 512, math.pi, 512)
+    return alphas, np.array([gp_t_perp(1.0, a) for a in alphas])
 
 
 def fig_rate_comparison(samples: int = 1000):

@@ -111,9 +111,6 @@ class Nonlinearity:
             out = (np.asarray(self.kappa(hi)) - np.asarray(self.kappa(lo))) / (hi - lo)
         return out if out.ndim else float(out)
 
-    def __call__(self, x):
-        return self.kappa(x)
-
     def spec_string(self) -> str:
         """Textual form accepted by :func:`parse`."""
         if self.kind is Kind.PIECEWISE_CUSTOM:
@@ -214,45 +211,27 @@ def parse(spec: str) -> Nonlinearity:
     return Nonlinearity(kind, float(parts[1]) if len(parts) > 1 else 1.0)
 
 
-def _as_callable(fn, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept a callable or a two-row/two-column sample array on [0, 1/sqrt(2)]."""
-    if callable(fn):
-        return fn
-    arr = np.asarray(fn, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be callable or an (x, y) sample array")
-    if arr.shape[0] == 2 and arr.shape[1] != 2:
-        arr = arr.T
-    x, y = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(x) <= 0):
-        raise ValueError(f"{name} sample grid must be strictly increasing")
-    if x[0] > 1e-9 or x[-1] < INV_SQRT2 - 1e-9:
-        raise ValueError(f"{name} samples must cover [0, 1/sqrt(2)]")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(x, y, extrapolate=False)
-    return lambda v: interp(np.clip(v, x[0], x[-1]))
-
-
-def build_from_mu_nu(mu, nu, label: str = "mu-nu") -> Nonlinearity:
+def build_from_mu_nu(mu: Callable, nu: Callable, label: str = "mu-nu") -> Nonlinearity:
     """Assemble the piecewise kappa realizing a chosen odd reduction.
 
     With ``kappa(x) = mu(x)`` on [0, 1/sqrt(2)] and
     ``kappa(x) = nu(sqrt(1 - x^2))`` on (1/sqrt(2), 1], the reduction is
     ``kbar(z) = nu(sqrt((1-z)/2)) - mu(sqrt((1-z)/2))`` for z in (0, 1].
 
-    ``mu`` and ``nu`` may be callables on [0, 1/sqrt(2)] or (x, y) sample
-    arrays covering that interval.
+    ``mu`` and ``nu`` are vectorized callables on [0, 1/sqrt(2)]; a tabulated
+    kappa comes in through :func:`piecewise_from_table` instead.
     """
-    mu_fn = _as_callable(mu, "mu")
-    nu_fn = _as_callable(nu, "nu")
+    for name, branch in (("mu", mu), ("nu", nu)):
+        if not callable(branch):
+            raise ValueError(f"{name} must be callable, got {type(branch).__name__}")
 
     def fn(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lower = x <= INV_SQRT2
         out = np.empty_like(x)
-        out[lower] = np.asarray(mu_fn(x[lower]), dtype=float)
+        out[lower] = np.asarray(mu(x[lower]), dtype=float)
         hi = ~lower
-        out[hi] = np.asarray(nu_fn(np.sqrt(np.maximum(1.0 - x[hi] ** 2, 0.0))), dtype=float)
+        out[hi] = np.asarray(nu(np.sqrt(np.maximum(1.0 - x[hi] ** 2, 0.0))), dtype=float)
         return out
 
     return Nonlinearity(Kind.PIECEWISE_CUSTOM, 1.0, custom_fn=fn, label=label)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -220,8 +220,9 @@ def optimize_orientation(
     the largest gradient component there; ties pick the lowest restart
     index.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    if not (restarts >= 1 and float(restarts).is_integer()):
+        raise ValueError(f"restarts must be a whole number >= 1, got {restarts!r}")
+    restarts = int(restarts)
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
 
@@ -369,40 +370,19 @@ def _two_loop(g, S, Y, rho):
     return q
 
 
-def optimality_gap_scan(
-    kappa: Nonlinearity,
-    alpha_grid: Sequence[float],
-    dims: Sequence[int],
-    restarts: int = 16,
-    seed: int = 0,
-) -> list:
-    """Best rates and gaps versus the qubit optimum across (alpha, dim).
+def orientation_chain(kappa: Nonlinearity, alpha: float, dim: int, restarts: int = 64,
+                      seed: int = 0) -> list:
+    """The :func:`optimize_orientation` results of d = 2, ..., ``dim``, in order.
 
-    Returns rows of dicts with keys alpha, dim, best_rate, gap_vs_dim2,
-    angles and result (the ``OptimizationResult``); higher dimensions are
-    warm-started from the previous dimension's frame.
+    ``dim`` is a whole number in 2..8.  Link d is seeded with ``seed + d`` and,
+    for d >= 3, warm-started from link d - 1, so the best rate never rises
+    along the chain; the last rate minus the first is the gain of embedding
+    the pair in ``dim`` modes over the qubit optimum.
     """
-    dims = sorted(set(dims))
-    if not dims or any(d < 2 or d > 8 for d in dims):
-        raise ValueError(f"dims must be a nonempty subset of {{2, ..., 8}}, got {dims!r}")
-    rows = []
-    for alpha in alpha_grid:
-        base_result = optimize_orientation(kappa, alpha, 2, restarts=restarts, seed=seed)
-        per_dim = {2: base_result}
-        for d in dims:
-            if d == 2:
-                result = base_result
-            else:
-                prev = per_dim.get(d - 1) or base_result
-                result = optimize_orientation(kappa, alpha, d, restarts=restarts,
-                                              seed=seed + d, warm_start=prev)
-                per_dim[d] = result
-            rows.append({
-                "alpha": alpha,
-                "dim": d,
-                "best_rate": result.best_rate,
-                "gap_vs_dim2": result.best_rate - base_result.best_rate,
-                "angles": result.angles,
-                "result": result,
-            })
-    return rows
+    if dim not in range(2, 9):
+        raise ValueError(f"dim must be in 2..8, got {dim!r}")
+    chain = [optimize_orientation(kappa, alpha, 2, restarts=restarts, seed=seed + 2)]
+    for d in range(3, int(dim) + 1):
+        chain.append(optimize_orientation(kappa, alpha, d, restarts=restarts, seed=seed + d,
+                                          warm_start=chain[-1]))
+    return chain

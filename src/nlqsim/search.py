@@ -91,8 +91,8 @@ def oracle_overlap(N: int, t1: float, marked: bool) -> complex:
     """<s|U|s> for U = exp(-i t1 |m><m|): 1 - (1 - exp(-i t1))/N if marked."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N!r}")
-    if t1 < 0:
-        raise ValueError(f"t1 must be >= 0, got {t1!r}")
+    if not 0.0 <= t1 < math.inf:
+        raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
     if not marked:
         return 1.0 + 0.0j
     return 1.0 - (1.0 - cmath.exp(-1j * t1)) / N
@@ -162,8 +162,8 @@ def default_t1(N: int, g: float) -> float:
     """Oracle time t1 = max(1, (1/g) ln(g N)), clamped to [1, sqrt(N)]."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N!r}")
-    if g <= 0:
-        raise ValueError(f"g must be > 0 to pick t1 automatically, got {g!r}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"g must be finite and > 0 to pick t1 automatically, got {g!r}")
     raw = math.log(g * N) / g if g * N > 1.0 else 1.0
     return min(max(1.0, raw), math.sqrt(N))
 
@@ -275,11 +275,13 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
     tanh(u0 - g (t - t1)/2), u0 = ln cot(alpha0/4) taken once from the
     stable deficit.  omega is right-continuous at t1, where it jumps from 0
     to (g/2) tanh(u0).  ``N`` must be >= 2 and ``t1`` finite and > 0, as in
-    ``run_search``."""
+    ``run_search``; ``g`` finite and >= 0, where g = 0 gives the zero drive."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N!r}")
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be finite and >= 0, got {g!r}")
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx_half = np.array([[0.0, 0.5], [0.5, 0.0]])
     if not (alpha0 > 0 and g > 0):

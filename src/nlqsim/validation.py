@@ -375,15 +375,6 @@ def check_audit_margin(ctx: Context) -> CheckResult:
                        f"g = 0 floor gap = {gap:.3e}")
 
 
-def _warm_chain(n, alpha, start):
-    """best_rate of the d = 3..6 links, each warm-started from the last."""
-    rates, prev = {}, start
-    for d in (3, 4, 5, 6):
-        prev = op.optimize_orientation(n, alpha, d, restarts=24, seed=d, warm_start=prev)
-        rates[d] = prev.best_rate
-    return rates
-
-
 def check_optimizer_recovery(ctx: Context) -> CheckResult:
     g = 1.0
     alpha = math.pi / 4
@@ -401,10 +392,11 @@ def check_optimizer_recovery(ctx: Context) -> CheckResult:
     if not ctx.quick:
         # quartic turns negative at d = 3 and plateaus from d = 4; the
         # quadratic rate never beats its qubit optimum
-        rates = _warm_chain(quartic, 0.5, q)
+        chain = op.orientation_chain(quartic, 0.5, 6, restarts=24)
+        rates = {r.argmax.dim: r.best_rate for r in chain}
         q_gain = max((rates[4] - rates[d]) / abs(rates[4]) for d in (5, 6))
-        gp_gain = max((res.best_rate - r) / abs(res.best_rate)
-                      for r in _warm_chain(gp, alpha, res).values())
+        gp_gain = max((res.best_rate - r.best_rate) / abs(res.best_rate)
+                      for r in op.orientation_chain(gp, alpha, 6, restarts=24)[1:])
         ok = ok and rates[3] < 0.0 and q_gain < 1e-6 and gp_gain < 1e-6
         detail += f", quartic d = 5-6 gain = {q_gain:.1e}, gp d = 3-6 gain = {gp_gain:.1e}"
     return CheckResult("optimizer_gp_recovery", ok, detail)

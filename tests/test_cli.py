@@ -109,9 +109,9 @@ def _audit_csv():
 
 
 def _optimize_csv():
-    row = op.optimality_gap_scan(nl.parse("quartic"), [0.5], range(2, 4),
-                                 restarts=8, seed=42)[-1]
-    return "alpha,dim,best_rate,gap_vs_dim2", [(0.5, "3", row["best_rate"], row["gap_vs_dim2"])]
+    chain = op.orientation_chain(nl.parse("quartic"), 0.5, 3, restarts=8, seed=42)
+    gap = chain[-1].best_rate - chain[0].best_rate
+    return "alpha,dim,best_rate,gap_vs_dim2", [(0.5, "3", chain[-1].best_rate, gap)]
 
 
 def _gp_validity_csv():
@@ -476,13 +476,15 @@ def test_optimize_cli_reports_sweep_cap(capsys):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--dim", "1", "dims must be a nonempty subset of {2, ..., 8}, got [1]"),
-    ("--restarts", "0", "restarts must be >= 1, got 0"),
+    ("--dim", "1", "dim must be in 2..8, got 1"),
+    ("--restarts", "0", "restarts must be a whole number >= 1, got 0"),
     ("--alpha", "0", "alpha must be in (0, pi) for orientation search, got 0.0"),
-], ids=[  # the names these cases had when the CLI held its own copy of the ranges
+    ("--dim", "9", "dim must be in 2..8, got 9"),
+], ids=[  # the first three: the names they had when the CLI held its own range checks
     "--dim-1-argument --dim: must be in 2..8, got 1",
     "--restarts-0-argument --restarts: must be >= 1, got 0",
     "--alpha-0-argument --alpha: must be in (0, pi), got 0",
+    "--dim-9",
 ])
 def test_optimize_refuses_out_of_range_input(flag, value, message, capsys):
     assert f"nlqsim optimize: error: {message}" in refused(["optimize", flag, value], capsys)

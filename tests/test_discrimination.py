@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,8 +47,47 @@ def test_closed_form_keeps_its_digits_at_tiny_angles(alpha0, t):
 
 @pytest.mark.parametrize("g", [0.0, -1.0, float("nan")])
 def test_gp_time_to_overlap_refuses_a_strength_that_is_not_positive(g):
-    with pytest.raises(ValueError, match="g must be > 0"):
+    with pytest.raises(ValueError, match="g must be finite and > 0"):
         dc.gp_time_to_overlap(g, 0.5, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("g, alpha0, message", [
+    (NAN, 0.1, "g must be finite and > 0, got nan"),  # returned nan
+    (INF, 0.1, "g must be finite and > 0, got inf"),
+    (0.0, 0.1, "g must be finite and > 0, got 0.0"),
+    (1.0, NAN, "alpha0 must be in (0, pi], got nan"),
+    (1.0, 0.0, "alpha0 must be in (0, pi], got 0.0"),
+])
+def test_gp_overlap_closed_form_refuses_non_finite_input(g, alpha0, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dc.gp_overlap_closed_form(g, alpha0, 1.0)
+
+
+@pytest.mark.parametrize("g, alpha0, message", [
+    (1.0, 0.0, "alpha0 must be in (0, pi], got 0.0"),  # ZeroDivisionError
+    (1.0, NAN, "alpha0 must be in (0, pi], got nan"),
+    (1.0, -0.1, "alpha0 must be in (0, pi], got -0.1"),
+    (INF, 0.5, "g must be finite and > 0, got inf"),
+])
+def test_gp_time_to_overlap_refuses_non_finite_input(g, alpha0, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dc.gp_time_to_overlap(g, alpha0, 0.0)
+
+
+@pytest.mark.parametrize("g, alpha0, message", [
+    (1.0, NAN, "alpha0 must be in (0, pi], got nan"),  # blamed the target overlap
+    (1.0, -0.1, "alpha0 must be in (0, pi], got -0.1"),
+    (1.0, 4.0, "alpha0 must be in (0, pi], got 4.0"),
+    (NAN, 0.5, "g must be finite and > 0, got nan"),
+    (INF, 0.0, "g must be finite and > 0, got inf"),
+    (0.0, 0.0, "g must be finite and > 0, got 0.0"),
+])
+def test_gp_t_perp_refuses_non_finite_input(g, alpha0, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dc.gp_t_perp(g, alpha0)
 
 
 def test_closed_form_vs_ode_trace():

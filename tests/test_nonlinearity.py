@@ -137,19 +137,14 @@ def test_build_from_mu_nu_roundtrip_closed_form():
     assert np.max(np.abs(kbar(zs) - closed)) <= 1e-12
 
 
-def test_build_from_mu_nu_accepts_samples():
-    xs = np.linspace(0.0, nl.INV_SQRT2, 200)
-    mu = np.stack([xs, xs], axis=1)        # mu(x) = x
-    nu = np.stack([xs, 2.0 * xs], axis=1)  # nu(x) = 2x
-    n = nl.build_from_mu_nu(mu, nu)
-    assert nl.reduce(n)(0.5) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_build_from_mu_nu_rejects_short_domain():
-    xs = np.linspace(0.0, 0.4, 50)  # does not reach 1/sqrt(2)
-    samples = np.stack([xs, xs], axis=1)
-    with pytest.raises(ValueError, match="cover"):
-        nl.build_from_mu_nu(samples, samples)
+@pytest.mark.parametrize("name", ["mu", "nu"])
+def test_build_from_mu_nu_refuses_a_branch_that_is_not_callable(name):
+    # an (x, y) sample array was interpolated; tables come in through
+    # piecewise_from_table
+    xs = np.linspace(0.0, nl.INV_SQRT2, 50)
+    branches = {"mu": np.abs, "nu": np.abs, name: np.stack([xs, xs], axis=1)}
+    with pytest.raises(ValueError, match=f"^{name} must be callable, got ndarray$"):
+        nl.build_from_mu_nu(branches["mu"], branches["nu"])
 
 
 def test_from_odd_function_reproduces_target():

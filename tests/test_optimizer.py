@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,34 +161,65 @@ def test_optimizer_deterministic_given_seed():
     assert np.array_equal(a.params, b.params)
 
 
-def test_gap_scan_zero_nonlinearity_gives_zero_table():
-    rows = op.optimality_gap_scan(nl.gross_pitaevskii(0.0), [0.4, 1.2], [2, 3],
-                                  restarts=4, seed=0)
-    for r in rows:
-        assert r["best_rate"] == 0.0
-        assert r["gap_vs_dim2"] == 0.0
+def test_chain_zero_nonlinearity_gives_zero_rates_and_gaps():
+    for alpha in (0.4, 1.2):
+        chain = op.orientation_chain(nl.gross_pitaevskii(0.0), alpha, 3, restarts=4, seed=0)
+        for r in chain:
+            assert r.best_rate == 0.0
+            assert r.best_rate - chain[0].best_rate == 0.0
 
 
-@pytest.mark.parametrize("dims", [[], [1, 2], [2, 9]])
-def test_gap_scan_refuses_dimensions_outside_two_to_eight(dims):
-    # dims = [] returned no rows
-    with pytest.raises(ValueError, match=r"dims must be a nonempty subset of \{2, \.\.\., 8\}"):
-        op.optimality_gap_scan(nl.gross_pitaevskii(1.0), [0.5], dims)
+@pytest.mark.parametrize("dim", [1, 9, 0, 2.5, float("nan")])
+def test_chain_refuses_a_dimension_outside_two_to_eight(dim):
+    with pytest.raises(ValueError, match=re.escape(f"dim must be in 2..8, got {dim!r}")):
+        op.orientation_chain(nl.gross_pitaevskii(1.0), 0.5, dim)
 
 
-def test_gap_scan_log_optimum_theta_near_three_quarter_pi():
+def test_chain_log_optimum_theta_near_three_quarter_pi():
     # the theta optimum drifts away from 3*pi/4 as the pair opens up
     # (measured: 0.0002 rad at alpha=0.1, 0.0729 at alpha=1.8); the
     # approximate-optimum statement targets the near-parallel regime
-    rows = op.optimality_gap_scan(nl.logarithmic(1.0),
-                                  [0.1, 0.3, 0.8, 1.5], [2],
-                                  restarts=12, seed=1)
-    for r in rows:
-        phi_a, theta_a = r["angles"]
+    for alpha in (0.1, 0.3, 0.8, 1.5):
+        (r,) = op.orientation_chain(nl.logarithmic(1.0), alpha, 2, restarts=12, seed=1)
+        phi_a, theta_a = r.angles
         assert abs(phi_a - math.pi / 2) <= 1e-3
         theta_err = min(abs(theta_a - 3 * math.pi / 4),
                         abs(theta_a - 7 * math.pi / 4))
         assert theta_err <= 0.05
+
+
+def test_chain_is_the_hand_chained_links_bit_for_bit():
+    n, alpha = nl.quartic_difference(1.0), 0.5
+    chain = op.orientation_chain(n, alpha, 5, restarts=6, seed=7)
+    prev = op.optimize_orientation(n, alpha, 2, restarts=6, seed=9)
+    links = [prev]
+    for d in (3, 4, 5):
+        prev = op.optimize_orientation(n, alpha, d, restarts=6, seed=7 + d, warm_start=prev)
+        links.append(prev)
+    assert [r.argmax.dim for r in chain] == [2, 3, 4, 5]
+    for got, want in zip(chain, links, strict=True):
+        assert (got.best_rate, got.seed, got.restarts, got.converged_sweeps, got.angles) == (
+            want.best_rate, want.seed, want.restarts, want.converged_sweeps, want.angles)
+        assert np.array_equal(got.params, want.params)
+        assert np.array_equal(got.argmax.psi, want.argmax.psi)
+        assert np.array_equal(got.argmax.phi, want.argmax.phi)
+    assert all(b.best_rate <= a.best_rate for a, b in zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("restarts", [0, 2.5, float("nan"), float("inf"), -1])
+def test_optimize_orientation_refuses_restarts_that_are_not_whole_and_positive(restarts):
+    # 2.5 and nan ended in numpy's TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"restarts must be a whole number >= 1, got {restarts!r}")):
+        op.optimize_orientation(nl.gross_pitaevskii(1.0), 0.5, 3, restarts=restarts)
+
+
+def test_optimize_orientation_takes_a_whole_float_restart_count():
+    n = nl.logarithmic(1.0)
+    a = op.optimize_orientation(n, 0.6, 3, restarts=4.0, seed=3)
+    b = op.optimize_orientation(n, 0.6, 3, restarts=4, seed=3)
+    assert a.restarts == 4 and a.best_rate == b.best_rate
+    assert np.array_equal(a.params, b.params)
 
 
 def _grid_rates(kappa, states):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,36 @@ def test_default_t1_clamping():
     assert sr.default_t1(2 ** 16, 0.1) == pytest.approx(10 * math.log(0.1 * 2 ** 16))
     assert sr.default_t1(64, 0.1) == math.sqrt(64)  # clamped above
     assert sr.default_t1(64, 100.0) == 1.0          # clamped below
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("t1, marked", [(NAN, True), (INF, True), (-1.0, True), (NAN, False)])
+def test_oracle_overlap_refuses_a_non_finite_time(t1, marked):
+    # nan and inf returned nan
+    with pytest.raises(ValueError, match=re.escape(f"t1 must be finite and >= 0, got {t1!r}")):
+        sr.oracle_overlap(16, t1, marked)
+
+
+@pytest.mark.parametrize("g", [NAN, INF, 0.0, -1.0])
+def test_default_t1_refuses_a_strength_that_is_not_finite_and_positive(g):
+    # nan and inf returned 1.0
+    with pytest.raises(ValueError, match=re.escape(
+            f"g must be finite and > 0 to pick t1 automatically, got {g!r}")):
+        sr.default_t1(64, g)
+
+
+@pytest.mark.parametrize("g", [NAN, INF, -1.0])
+def test_search_schedule_refuses_a_strength_that_is_not_finite_and_nonnegative(g):
+    # nan built a zero drive
+    with pytest.raises(ValueError, match=re.escape(f"g must be finite and >= 0, got {g!r}")):
+        sr.search_schedule(16, g, 2.0)
+
+
+def test_search_schedule_keeps_the_zero_drive_at_zero_strength():
+    H = sr.search_schedule(16, 0.0, 2.0)
+    assert H.t_on == 2.0 and H.omega == 0.0
 
 
 def test_complexity_budget_grover_fallback():
