@@ -155,6 +155,8 @@ def control_omega(kbar: ReducedNonlinearity, c: float, s: float) -> float:
 def log_overlap_rate(g: float, alpha) -> float:
     """Overlap rate for the logarithmic nonlinearity at the quadratic-optimal
     orientation: (g/sqrt(2)) ln((sqrt(2)-sin(a/2))/(sqrt(2)+sin(a/2))) sin(a/2)."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
     s = np.sin(np.asarray(alpha, dtype=float) / 2.0)
     out = (g / SQRT2) * np.log((SQRT2 - s) / (SQRT2 + s)) * s
     return float(out) if out.ndim == 0 else out
@@ -162,6 +164,8 @@ def log_overlap_rate(g: float, alpha) -> float:
 
 def gp_overlap_rate(g: float, alpha) -> float:
     """dc/dt = -(g/2) sin^2(alpha/2) for the quadratic nonlinearity."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
     s = np.sin(np.asarray(alpha, dtype=float) / 2.0)
     out = -(g / 2.0) * s * s
     return float(out) if out.ndim == 0 else out

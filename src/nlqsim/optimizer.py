@@ -6,19 +6,22 @@ Searches for the placement of two d-dimensional states psi, phi with
     d|<psi|phi>|/dt = Re[ (<psi|phi>/|<psi|phi>|)^* *
                           i sum_x (kappa(|psi_x|) - kappa(|phi_x|)) psi_x^* phi_x ]
 
-as negative as possible.  The pair is fixed to a canonical configuration in
-a 2-plane and the search runs over a unitary frame parameterized by a list
-of complex Givens rotations applied to both states, which preserves the
-overlap constraint exactly.
+as negative as possible.  The rate depends only on the 2-plane the pair
+spans and on the pair's place in it, so the search runs over orthonormal
+2-frames (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303
+(1998)): the frame [q1 q2] is the Gram-Schmidt orthonormalization of two
+free vectors a, b in C^dim, 4 dim real coordinates, and the states are
+[q1 q2] times the 2 x 2 block of :func:`canonical_pair`, which holds the
+overlap exactly.
 
-At dim = 2 the chain is one rotation whose angles (theta, beta) are the
-Bloch orientation (phi, theta) = (2 theta, beta) of the pair, so the optimum
-comes from the same narrowing-grid search over the Bloch sphere that the
-re-optimized discrimination policy uses
+At dim = 2 the frame is the unitary of the pair's Bloch orientation
+(phi, theta), and the optimum comes from the same narrowing-grid search over
+the Bloch sphere that the re-optimized discrimination policy uses
 (:func:`discrimination.reoptimize_orientation`).  For dim >= 3 the search
 is multi-start L-BFGS (Liu & Nocedal, Math. Program. 45, 503 (1989)) on the
-rotation angles with the exact gradient from a reverse pass over the chain,
-batched across restarts and deterministic given a seed.
+frame coordinates from Haar-random starts, with the exact gradient (the
+state costate carried back through Gram-Schmidt), batched across restarts
+and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ _MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search
 _MEMORY = 10  # L-BFGS curvature pairs kept per restart
 _ARMIJO = 1e-4
 _GRAD_TOL = 1e-12
-_FIRST_STEP = 0.4  # largest angle change of a steepest-descent step
+_FIRST_STEP = 0.4  # largest coordinate change of a steepest-descent step
 _REL_DECREASE = 1e-15
-# Turn of each rotation into a new coordinate at warm-start restart 1: the
-# padded lower-dimensional optimum can be a local minimum (quartic), with
-# the better basin a finite step away.
+# Turn of the frame vectors a and b toward the new coordinates at warm-start
+# restart 1: the padded lower-dimensional optimum can be a local minimum
+# (quartic), with the better basin a finite step away.
 _NEW_COORDINATE_TURN = 0.4
 
 
@@ -67,7 +70,7 @@ class OptimizationResult:
     capped: bool = False  # max_sweeps stopped the search (always False at dim 2)
     grad_norm: float = 0.0  # largest |d rate / d param| at the returned frame
     angles: Optional[tuple] = None  # (phi, theta) for dim = 2
-    params: np.ndarray = field(default=None, repr=False)
+    params: np.ndarray = field(default=None, repr=False)  # the returned frame, (dim, 4)
 
 
 def canonical_pair(alpha: float, dim: int) -> np.ndarray:
@@ -99,38 +102,32 @@ def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
     return float(np.real(np.conj(inner / abs(inner)) * t))
 
 
-def _pair_indices(dim: int):
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+def _dot(x, y):
+    """<x|y> over the coordinates of (R, dim) batches, as (R, 1)."""
+    return np.sum(np.conj(x) * y, axis=1, keepdims=True)
 
 
-def _build_states(params: np.ndarray, base: np.ndarray, pairs) -> np.ndarray:
-    """Apply the Givens chain to the canonical pair, batched over restarts.
-
-    params : (R, K, 2) rotation angles (theta, beta) per coordinate pair
-    base   : (dim, 2) canonical pair, or (R, dim, 2) states per restart
-    returns (R, dim, 2) states
-    """
-    # A fresh C-order array: the row sums of _batch_rates depend on the layout,
-    # and this keeps them equal whether the chain starts at the canonical pair
-    # or at cached states.
-    states = np.empty(params.shape[:1] + base.shape[-2:], dtype=complex)
-    states[...] = base
-    _, _, cos, es, ces = _link_factors(params)
-    for k, (i, j) in enumerate(pairs):
-        c = cos[k]
-        ri = states[:, i, :].copy()
-        rj = states[:, j, :]
-        states[:, i, :] = c * ri - es[k] * rj
-        states[:, j, :] = ces[k] * ri + c * rj
-    return states
+def _frame(params):
+    """Gram-Schmidt columns of the frames ``params`` (R, dim, 4), whose rows
+    are (Re a_x, Im a_x, Re b_x, Im b_x): q1 = a/r1 and q2 = v/r2 with
+    v = b - q1 c, c = <q1|b>.  Returns (q1, q2, r1, r2, c, b), each (R, dim)
+    or (R, 1)."""
+    ab = params.view(complex)
+    a, b = ab[:, :, 0], ab[:, :, 1]
+    r1 = np.linalg.norm(a, axis=1, keepdims=True)
+    q1 = a / r1
+    c = _dot(q1, b)
+    v = b - q1 * c
+    r2 = np.linalg.norm(v, axis=1, keepdims=True)
+    return q1, v / r2, r1, r2, c, b
 
 
-def _link_factors(params):
-    """sin(theta) and e = exp(i beta), (R, K), then cos(theta), e sin(theta)
-    and conj(e) sin(theta) as (K, R, 1): one index picks a link's factor."""
-    sin, phase = np.sin(params[:, :, 0]), np.exp(1j * params[:, :, 1])
-    factors = (np.cos(params[:, :, 0]), phase * sin, np.conj(phase) * sin)
-    return (sin, phase) + tuple(f.T[:, :, None] for f in factors)
+def _build_states(params: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """States [q1 q2] @ block of the frames ``params`` (R, dim, 4), batched
+    over restarts; ``block`` is the (2, 2) canonical pair.  Returns
+    (R, dim, 2) states."""
+    q1, q2 = _frame(params)[:2]
+    return q1[:, :, None] * block[0] + q2[:, :, None] * block[1]
 
 
 def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
@@ -147,16 +144,14 @@ _SIGNS = np.array([-1.0, 1.0])  # the psi and phi columns of the state gradient
 
 
 def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
-                   pairs) -> np.ndarray:
-    """d rate / d params, (R, K, 2), for the chain that built ``states``.
+                   block: np.ndarray) -> np.ndarray:
+    """d rate / d params, (R, dim, 4), for the frames that built ``states``.
 
     The overlap is real and fixed by the frame, so the rate is
     -sum_x w_x Im(psi_x^* phi_x) with w = kappa(|psi|) - kappa(|phi|), and
     delta rate = Re sum conj(lam) delta states for the state gradient lam.
-    One reverse pass, on the states and lam side by side, undoes each
-    rotation on both with one row-pair update (the inverse of a rotation is
-    its adjoint) and keeps the two rows after and before it; the angle
-    derivatives come from the kept rows at the end.
+    The frame gradient is lam @ block^T, carried back through the two
+    normalizations and the projection of Gram-Schmidt.
     """
     amp = np.abs(states)
     kap = kappa.kappa(amp)
@@ -166,25 +161,16 @@ def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
     radial = np.divide(kappa.kappa_prime(amp), amp, out=np.zeros_like(amp),
                        where=amp > 0.0) * states
     lam = (im * radial - 1j * w * states[:, :, ::-1]) * _SIGNS
-    both = np.concatenate([states, lam], axis=2)
-    sin, phase, cos, es, ces = _link_factors(params)
-    # Rows (i, j) of link k after its rotation, kept[0, :, k], and before
-    # it, kept[1, :, k]; columns 0-1 are the states, 2-3 lam.
-    kept = np.empty((2, 2, len(pairs)) + both.shape[:1] + (4,), dtype=complex)
-    for k, (i, j) in reversed(list(enumerate(pairs))):
-        c = cos[k]
-        (ni, nj), (ri, rj) = kept[:, :, k]
-        ni[...], nj[...] = both[:, i], both[:, j]
-        both[:, i] = ri[...] = c * ni + es[k] * nj
-        both[:, j] = rj[...] = c * nj - ces[k] * ni
-    # d/dtheta of the rotated rows (i, j) is (-e n_j, conj(e) n_i), and
-    # d/dbeta is (-i e s r_j, -i conj(e) s r_i).
-    (ni, nj), (ri, rj) = kept[..., :2]
-    li, lj = np.conj(kept[0, ..., 2:])
-    e = phase.T[:, :, None]
-    d_theta = np.real(np.conj(e) * lj * ni - e * li * nj).sum(axis=2)
-    d_beta = np.imag(e * li * rj + np.conj(e) * lj * ri).sum(axis=2) * sin.T
-    return np.stack([d_theta.T, d_beta.T], axis=2)
+    p = lam @ block.T
+    q1, q2, r1, r2, c, b = _frame(params)
+    # back from q2 to v, from v to b and q1, and from q1 to a
+    g_v = (p[:, :, 1] - q2 * _dot(q2, p[:, :, 1]).real) / r2
+    along = _dot(q1, g_v)
+    g_q1 = p[:, :, 0] - np.conj(c) * g_v - np.conj(along) * b
+    grad = np.empty(p.shape, dtype=complex)
+    grad[:, :, 0] = (g_q1 - q1 * _dot(q1, g_q1).real) / r1
+    grad[:, :, 1] = g_v - q1 * along
+    return grad.view(float)
 
 
 def optimize_orientation(
@@ -204,7 +190,7 @@ def optimize_orientation(
     ``converged_sweeps`` is 0.  There ``grad_norm`` reflects the grid's
     sqrt(eps) resolution (about 1e-8), not a convergence certificate.
 
-    For dim >= 3: multi-start L-BFGS on the Givens-frame angles with the
+    For dim >= 3: multi-start L-BFGS on the frame coordinates with the
     exact gradient (:func:`_rate_gradient`), batched over restarts; each
     restart keeps its own memory and line search, so its result does not
     depend on the others.  A restart stops when its gradient is at most
@@ -212,65 +198,69 @@ def optimize_orientation(
     most 1e-15 of the rate.  ``max_sweeps`` caps the iterations,
     ``converged_sweeps`` is the largest iteration count of any restart, and
     ``capped`` is set when the cap stopped a restart.  Restarts start at
-    uniform random angles.  When ``warm_start`` is given (a result from a
-    lower dimension), restart 0 starts at its frame padded with zeros, so a
-    chain of dimensions never rises, and restart 1 at the same frame with
-    every rotation into a new coordinate turned by 0.4.  The reported
-    minimum is the exact rate at the returned embedding, and ``grad_norm``
-    the largest gradient component there; ties pick the lowest restart
+    normal draws of a and b, a Haar-random frame.  When ``warm_start`` is
+    given (a result from a dimension up to ``dim``; a higher one is
+    refused), restart 0 starts at its frame padded with zeros, so a chain of
+    dimensions never rises, and restart 1 at the same frame with a and b
+    turned by 0.4 toward the new coordinates.  Ties pick the lowest restart
     index.
+
+    ``params`` is the returned frame at every dim: a (dim, 4) array of rows
+    (Re a_x, Im a_x, Re b_x, Im b_x) whose columns a, b are orthonormal, and
+    :func:`_build_states` rebuilds the returned pair from it.  At dim = 2 it
+    is a = (cos(phi/2), e^{-i theta} sin(phi/2)), b = (-e^{i theta}
+    sin(phi/2), cos(phi/2)) for the Bloch orientation ``angles``.  The
+    reported minimum is the exact rate at the returned embedding, and
+    ``grad_norm`` the largest gradient component in the frame coordinates.
     """
     if not (restarts >= 1 and float(restarts).is_integer()):
         raise ValueError(f"restarts must be a whole number >= 1, got {restarts!r}")
     restarts = int(restarts)
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
+    block = canonical_pair(alpha, dim)[:2]
+    if warm_start is not None and warm_start.argmax.dim > dim:
+        raise ValueError(f"warm_start must come from a dimension <= dim = {dim}, "
+                         f"got dim = {warm_start.argmax.dim}")
 
-    pairs = _pair_indices(dim)
-    base = canonical_pair(alpha, dim)
     if dim == 2:
         # Looked up on the module so that wrappers installed there apply.
         phi, theta, _ = discrimination.reoptimize_orientation(
             reduce(kappa), math.cos(alpha / 2.0), math.sin(alpha / 2.0))
-        params = np.array([[[phi / 2.0, theta]]])
-        best, sweeps_done, capped, angles = 0, 0, False, (phi, theta)
+        c, s, e = math.cos(phi / 2.0), math.sin(phi / 2.0), np.exp(1j * theta)
+        frame = np.array([[[c, -e * s], [np.conj(e) * s, c]]])
+        sweeps_done, capped, angles = 0, False, (phi, theta)
     else:
-        params = _starting_points(pairs, restarts, seed, warm_start)
-        params, rates, sweeps_done, capped = _lbfgs(kappa, base, pairs, params, max_sweeps)
+        params = _starting_points(dim, restarts, seed, warm_start)
+        params, rates, sweeps_done, capped = _lbfgs(kappa, block, params, max_sweeps)
         best, angles = int(np.argmin(rates)), None
+        frame = np.stack(_frame(params[best:best + 1])[:2], axis=2)
 
-    params = params[best:best + 1]
-    states = _build_states(params, base, pairs)
-    grad = _rate_gradient(kappa, params, states, pairs)
+    params = frame.view(float)
+    states = _build_states(params, block)
+    grad = _rate_gradient(kappa, params, states, block)
     embedding = PairEmbedding(dim=dim, psi=states[0, :, 0], phi=states[0, :, 1])
     return OptimizationResult(
         best_rate=rate_functional(kappa, embedding), argmax=embedding, restarts=restarts,
         seed=seed, alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
-        grad_norm=float(np.max(np.abs(grad))), angles=angles, params=params[0].copy(),
+        grad_norm=float(np.max(np.abs(grad))), angles=angles, params=params[0],
     )
 
 
-def _starting_points(pairs, restarts, seed, warm_start):
-    """(R, K, 2) starting angles: uniform draws, with restarts 0 and 1 taken
-    from the padded warm-start frame when there is one."""
-    rng = np.random.default_rng(seed)
-    params = rng.uniform(-math.pi, math.pi, size=(restarts, len(pairs), 2))
-    if warm_start is not None and warm_start.params is not None:
-        prev_dim = warm_start.argmax.dim
-        padded = np.zeros((len(pairs), 2))
-        lookup = {pq: k for k, pq in enumerate(pairs)}
-        for k_prev, pq in enumerate(_pair_indices(prev_dim)):
-            if pq in lookup:
-                padded[lookup[pq]] = warm_start.params[k_prev]
-        params[0] = padded
-        if restarts > 1:
-            params[1] = padded
-            new = [k for k, (_, j) in enumerate(pairs) if j >= prev_dim]
-            params[1, new, 0] = _NEW_COORDINATE_TURN
+def _starting_points(dim, restarts, seed, warm_start):
+    """(R, dim, 4) starting frames: normal draws, with restarts 0 and 1 taken
+    from the zero-padded warm-start frame when there is one."""
+    params = np.random.default_rng(seed).normal(size=(restarts, dim, 4))
+    if warm_start is not None:
+        prev = warm_start.argmax.dim
+        params[:2] = 0.0
+        params[:2, :prev] = warm_start.params
+        if restarts > 1 and dim > prev:  # a and b turned toward the new coordinates
+            params[1, prev:, ::2] = math.tan(_NEW_COORDINATE_TURN) / math.sqrt(dim - prev)
     return params
 
 
-def _lbfgs(kappa, base, pairs, params, max_iter):
+def _lbfgs(kappa, block, params, max_iter):
     """L-BFGS with Armijo backtracking on every restart row at once.
 
     Returns (params, rates, iterations, capped).  Each row keeps its own step
@@ -282,12 +272,12 @@ def _lbfgs(kappa, base, pairs, params, max_iter):
     R, shape = params.shape[0], params.shape[1:]
 
     def evaluate(x):
-        states = _build_states(x.reshape((-1,) + shape), base, pairs)
+        states = _build_states(x.reshape((-1,) + shape), block)
         return states, _batch_rates(kappa, states)
 
     x = params.reshape(R, -1).copy()
     states, rates = evaluate(x)
-    grad = _rate_gradient(kappa, params, states, pairs).reshape(R, -1)
+    grad = _rate_gradient(kappa, params, states, block).reshape(R, -1)
     S, Y = np.zeros((2, R, _MEMORY, x.shape[1]))
     rho = np.zeros((R, _MEMORY))
     active = np.max(np.abs(grad), axis=1) > _GRAD_TOL
@@ -307,7 +297,7 @@ def _lbfgs(kappa, base, pairs, params, max_iter):
         # Halve each row's step from 1 until the Armijo condition holds.
         step, rates_new = np.ones(len(rows)), np.empty(len(rows))
         x_new = np.empty_like(g)
-        states_new = np.empty((len(rows),) + base.shape, dtype=complex)
+        states_new = np.empty((len(rows),) + shape[:1] + (2,), dtype=complex)
         searching, failed = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
         while searching.any():
             idx = np.flatnonzero(searching)
@@ -334,7 +324,7 @@ def _lbfgs(kappa, base, pairs, params, max_iter):
         if not moved.size:
             continue
         grad_new = _rate_gradient(kappa, x_new[ok].reshape((-1,) + shape), states_new[ok],
-                                  pairs).reshape(moved.size, -1)
+                                  block).reshape(moved.size, -1)
         s, y = x_new[ok] - x[moved], grad_new - grad[moved]
         sy = (s * y).sum(axis=1)
         u = moved[sy > 0.0]  # keep only pairs with positive curvature

@@ -172,6 +172,8 @@ def complexity_budget(N: int, g: float) -> float:
     """min{(1/g) ln(gN), sqrt(N)}, falling back to the quadratic-search
     budget sqrt(N) when the nonlinearity is too weak to help
     (g < ln(N)/sqrt(N) or gN <= 1)."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
     root_n = math.sqrt(N)
     if g <= 0 or g * N <= 1.0 or g < math.log(N) / root_n:
         return root_n

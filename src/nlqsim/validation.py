@@ -466,10 +466,7 @@ def check_general_upper_bound(ctx: Context) -> CheckResult:
 def check_optimizer_invariants(ctx: Context) -> CheckResult:
     rng = np.random.default_rng(ctx.seed + 11)
     alpha = 0.8
-    pairs = op._pair_indices(4)
-    base = op.canonical_pair(alpha, 4)
-    params = rng.uniform(-math.pi, math.pi, size=(ctx.n(64, 16), len(pairs), 2))
-    states = op._build_states(params, base, pairs)
+    states = op._build_states(rng.normal(size=(ctx.n(64, 16), 4, 4)), op.canonical_pair(alpha, 2))
     overlaps = np.abs(np.sum(np.conj(states[:, :, 0]) * states[:, :, 1], axis=1))
     constraint = float(np.max(np.abs(overlaps - math.cos(alpha / 2))))
 

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from nlqsim import blochdyn as bd
 from nlqsim import discrimination as dc
 from nlqsim import nonlinearity as nl
+from nlqsim import search as sr
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -520,3 +521,14 @@ def test_t_eval_samples_past_a_target_runs_end_are_dropped():
     assert list(res.times) == [0.0, 1.0, 2.0]
     np.testing.assert_allclose(res.overlaps, dc.gp_overlap_closed_form(1.0, 0.5, res.times),
                                rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("g", [float("nan"), float("inf")])
+@pytest.mark.parametrize("rate", [
+    lambda g: sr.complexity_budget(64, g), lambda g: dc.gp_overlap_rate(g, 0.5),
+    lambda g: dc.log_overlap_rate(g, 0.5),
+], ids=["complexity_budget", "gp_overlap_rate", "log_overlap_rate"])
+def test_strength_that_is_not_finite_is_refused(rate, g):
+    # each returned nan
+    with pytest.raises(ValueError, match=re.escape(f"g must be finite, got {g!r}")):
+        rate(g)

@@ -107,13 +107,10 @@ def test_optimizer_recovers_quadratic_optimum_and_angles():
 
 def test_optimizer_constraint_preserved_along_trajectory():
     # every visited frame preserves the overlap exactly by construction;
-    # check a sample of random parameter vectors plus the optimum
+    # check a sample of random frames plus the optimum
     rng = np.random.default_rng(24)
     alpha = 0.8
-    pairs = op._pair_indices(4)
-    base = op.canonical_pair(alpha, 4)
-    params = rng.uniform(-math.pi, math.pi, size=(64, len(pairs), 2))
-    states = op._build_states(params, base, pairs)
+    states = op._build_states(rng.normal(size=(64, 4, 4)), op.canonical_pair(alpha, 2))
     overlaps = np.abs(np.sum(np.conj(states[:, :, 0]) * states[:, :, 1], axis=1))
     assert np.max(np.abs(overlaps - math.cos(alpha / 2))) <= 1e-10
     res = op.optimize_orientation(nl.gross_pitaevskii(1.0), alpha, 4,
@@ -229,24 +226,39 @@ def _grid_rates(kappa, states):
     return np.real(np.conj(inner / np.abs(inner)) * nl.overlap_derivative(kappa, psi, phi))
 
 
+def _qubit_rotation(theta, beta):
+    """The unitary [[c, -e s], [e* s, c]], c = cos theta, s = sin theta,
+    e = exp(i beta); (..., 2, 2) for array angles."""
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * np.asarray(beta))
+    return np.stack([np.stack([c, -e * s], axis=-1), np.stack([np.conj(e) * s, c], axis=-1)],
+                    axis=-2)
+
+
+def _qubit_pairs(alpha, theta, beta):
+    """Qubit pairs (columns) of Bloch orientation (2 theta, beta): the
+    rotation applied to the pair (cos(alpha/4), +-sin(alpha/4))."""
+    half = alpha / 4.0
+    return _qubit_rotation(theta, beta) @ np.array([[math.cos(half), math.cos(half)],
+                                                    [math.sin(half), -math.sin(half)]])
+
+
 def _qubit_brute_force(kappa, alpha):
-    """Best rate over the chain's (theta, beta): a dense grid polished by
-    Nelder-Mead from its best point."""
-    base = op.canonical_pair(alpha, 2)
+    """Best rate over the rotation angles (theta, beta): a dense grid
+    polished by Nelder-Mead from its best point."""
     T, B = np.meshgrid(np.linspace(0.0, math.pi / 2, 121),
                        np.linspace(0.0, 2 * math.pi, 240, endpoint=False), indexing="ij")
-    grid = np.stack([T.ravel(), B.ravel()], axis=1)[:, None, :]
-    rates = _grid_rates(kappa, op._build_states(grid, base, [(0, 1)]))
+    grid = np.stack([T.ravel(), B.ravel()], axis=1)
+    rates = _grid_rates(kappa, _qubit_pairs(alpha, grid[:, 0], grid[:, 1]))
     k = int(np.argmin(rates))
     scale = abs(rates[k])
     if scale <= 1e-12:  # no orientation separates: nothing to polish
         return rates[k]
 
     def f(x):
-        states = op._build_states(np.asarray(x)[None, None, :], base, [(0, 1)])[0]
+        states = _qubit_pairs(alpha, x[0], x[1])
         return op.rate_functional(kappa, op.PairEmbedding(2, states[:, 0], states[:, 1])) / scale
 
-    res = minimize(f, grid[k, 0], method="Nelder-Mead",
+    res = minimize(f, grid[k], method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
     return min(res.fun, rates[k] / scale) * scale
 
@@ -287,9 +299,12 @@ def test_qubit_parameters_round_trip():
     for alpha in (0.3, 1.7):
         res = op.optimize_orientation(kappa, alpha, 2)
         assert res.converged_sweeps == 0 and not res.capped
-        theta, beta = res.params[0]
-        assert res.angles == (2.0 * theta, beta)
-        states = op._build_states(res.params[None], op.canonical_pair(alpha, 2), [(0, 1)])[0]
+        # the frame is the rotation of the Bloch orientation (phi, theta)
+        phi, theta = res.angles
+        want = _qubit_rotation(phi / 2.0, theta)
+        assert res.params.shape == (2, 4)
+        assert np.allclose(res.params.view(complex), want, rtol=0.0, atol=1e-15)
+        states = op._build_states(res.params[None], op.canonical_pair(alpha, 2))[0]
         assert np.array_equal(states[:, 0], res.argmax.psi)
         assert np.array_equal(states[:, 1], res.argmax.phi)
         # the angles are the pair's Bloch orientation: the Bloch-sphere rate
@@ -300,21 +315,23 @@ def test_qubit_parameters_round_trip():
 
 
 @pytest.mark.parametrize("kind", sorted(QUBIT_KINDS))
-@pytest.mark.parametrize("dim", [3, 4, 6])  # 6: 15 links, criterion 10's longest chain
+@pytest.mark.parametrize("dim", [3, 4, 6])  # 6: criterion 10's largest dimension
 def test_rate_gradient_matches_central_differences(kind, dim):
     kappa = QUBIT_KINDS[kind]
-    pairs = op._pair_indices(dim)
-    base = op.canonical_pair(0.7, dim)
-    params = np.random.default_rng(dim).uniform(-math.pi, math.pi, size=(3, len(pairs), 2))
-    grad = op._rate_gradient(kappa, params, op._build_states(params, base, pairs), pairs)
+    block = op.canonical_pair(0.7, 2)
+    params = np.random.default_rng(dim).normal(size=(3, dim, 4))
+    # a leans on the first coordinate, so |psi_0| passes 1/sqrt(2), where the
+    # square-root kappa turns on
+    params[:, 0, :2] += 2.0
+    grad = op._rate_gradient(kappa, params, op._build_states(params, block), block)
     h = 1e-6
     fd = np.empty_like(grad)
     for k, c in np.ndindex(params.shape[1:]):
         up, down = params.copy(), params.copy()
         up[:, k, c] += h
         down[:, k, c] -= h
-        fd[:, k, c] = (op._batch_rates(kappa, op._build_states(up, base, pairs))
-                       - op._batch_rates(kappa, op._build_states(down, base, pairs))) / (2 * h)
+        fd[:, k, c] = (op._batch_rates(kappa, op._build_states(up, block))
+                       - op._batch_rates(kappa, op._build_states(down, block))) / (2 * h)
     assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
 
@@ -383,6 +400,18 @@ def test_quadratic_chain_holds_the_qubit_optimum():
         assert res.grad_norm <= 1e-8
 
 
+@pytest.mark.parametrize("kappa, alpha, measured", [
+    (nl.quartic_difference(1.0), 0.5, {3: 23, 4: 50, 5: 103, 6: 116}),
+    (nl.gross_pitaevskii(1.0), math.pi / 4, {3: 31, 4: 44, 5: 36, 6: 38}),
+], ids=["quartic", "gp"])
+def test_chain_links_stop_within_their_measured_iterations(kappa, alpha, measured):
+    # criterion 10's chains, whose quartic d = 6 link once ran to the 400
+    # cap; bounds: measured + 20 %
+    for d, res in _chain(kappa, alpha).items():
+        assert not res.capped, d
+        assert res.converged_sweeps <= 1.2 * measured[d], d
+
+
 # Best rates of cold-start runs of the coordinate-descent optimizer this one
 # replaced (120 sweeps, x86-64, numpy 2.4): (kind, dim, best_rate.hex()).
 DESCENT_RATES = [
@@ -439,3 +468,12 @@ def test_warm_started_restart_at_its_optimum_stops_within_three_evaluations(monk
     first = first[:first.index("grad")] if "grad" in first else first
     assert 1 <= len(first) <= 3 and set(first) == {1}
     assert res.best_rate == pytest.approx(start.best_rate, rel=1e-12, abs=0.0)
+
+
+def test_warm_start_from_a_higher_dimension_is_refused():
+    # a d = 4 frame cannot be padded down to d = 3; it was silently truncated
+    n = nl.logarithmic(1.0)
+    high = op.optimize_orientation(n, 0.6, 4, restarts=2, seed=1)
+    with pytest.raises(ValueError, match=re.escape(
+            "warm_start must come from a dimension <= dim = 3, got dim = 4")):
+        op.optimize_orientation(n, 0.6, 3, restarts=2, seed=1, warm_start=high)
