@@ -120,6 +120,9 @@ def ip_rate_vectors(kbar: ReducedNonlinearity, v1, v2) -> float:
     return float(cross_z * (kbar(v1[2]) - kbar(v2[2])))
 
 
+_PLUS_MINUS = np.array([1.0, -1.0])  # z_minus first, then z_plus
+
+
 def pair_overlap_rate(kbar: ReducedNonlinearity, c, s, phi, theta):
     """dc/dt of the overlap c = cos(alpha/2) of the pair at orientation
     (phi, theta) under the nonlinear flow, with s = sin(alpha/2):
@@ -131,12 +134,11 @@ def pair_overlap_rate(kbar: ReducedNonlinearity, c, s, phi, theta):
     all arguments, where c cos(phi) has no more axes than s sin(phi)
     cos(theta); d cos(alpha)/dt is 4c times this.
     """
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
     sp, cp = np.sin(phi), np.cos(phi)
     st, ct = np.sin(theta), np.cos(theta)
-    k = kbar(c * cp + np.multiply.outer((1.0, -1.0), s * sp * ct))
-    out = 0.5 * s * sp * st * (k[0] - k[1])
+    ssp = s * sp  # 0.5 ssp is (0.5 s) sp to the bit: halving is exact
+    k = kbar(c * cp + np.multiply.outer(_PLUS_MINUS, ssp * ct))
+    out = 0.5 * ssp * st * (k[0] - k[1])
     return float(out) if out.ndim == 0 else out
 
 

@@ -75,9 +75,12 @@ def report(lines, out, csv: str, what: Optional[str]) -> None:
 
 def atom_count(text: str):
     """argparse type for ``--atoms``: 1000 or 1e3 as the int 1000; a count
-    that is not a whole number stays a float, for the library to refuse."""
+    that is not a whole number stays a float, for the library to refuse.
+    So does one above 2^53, where floats no longer hold every integer, and
+    the table prints it at 17 significant digits: 1e300 as
+    1.0000000000000001e+300, not as its 301-digit integer."""
     value = float(text)
-    return int(value) if value.is_integer() else value
+    return int(value) if value.is_integer() and abs(value) <= 2.0 ** 53 else value
 
 
 def cmd_discriminate(args) -> int:

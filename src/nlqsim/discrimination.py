@@ -171,13 +171,57 @@ def gp_overlap_rate(g: float, alpha) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-# Offsets of the re-optimized policy's 9 x 9 orientation grid, in units of
-# the window's half-width.
+# The re-optimized policy's 9 x 9 orientation grid: offsets in units of the
+# window's half-width, and the half-widths in theta of its rounds, quartered
+# from pi while above sqrt(eps), about 1.5e-8 (14 rounds); within that the
+# rates differ by rounding alone (Numerical Recipes, sec. 10.1).  The window
+# in phi is half as wide.  Each round's offsets in radians, precomputed.
 _GRID = np.linspace(-1.0, 1.0, 9)
+_HALF = math.pi / 4.0 ** np.arange(20)
+_HALF = _HALF[_HALF > math.sqrt(np.finfo(float).eps)]
+_PHI_OFFSETS = np.multiply.outer(0.5 * _HALF, _GRID)
+_THETA_OFFSETS = np.multiply.outer(_HALF, _GRID)
 
-# Half-width at which the grid stops narrowing, sqrt(eps): within it the
-# rates differ by rounding alone (Numerical Recipes, sec. 10.1).
-_GRID_FLOOR = math.sqrt(np.finfo(float).eps)
+# From this round (the 8th) on each window is fitted: its half-width in
+# theta, pi/4^7 ~ 2e-4, is the first on which a rate with derivatives of
+# order one is cubic to rounding (quartic terms ~ 1e-15 of the rate).
+_FIT_FROM = 7
+# Largest error, relative to the rate, that a trusted vertex may carry.
+_POLISH_RTOL = 1e-14
+
+# Least-squares fits to a window's 81 rates over the grid offsets x (phi)
+# and y (theta) in units of the spacing, -4..4.  One product with _FIT gives
+# the quadratic's coefficients of x, y, x^2, xy, y^2, then the residuals of
+# the quadratic fit and of the cubic fit at the 81 points.
+_X, _Y = (a.ravel() for a in np.meshgrid(np.arange(-4.0, 5.0), np.arange(-4.0, 5.0),
+                                         indexing="ij"))
+_QUADRATIC = np.column_stack([np.ones(81), _X, _Y, _X * _X, _X * _Y, _Y * _Y])
+_CUBIC = np.column_stack([_QUADRATIC, _X ** 3, _X * _X * _Y, _X * _Y * _Y, _Y ** 3])
+_FIT = np.column_stack([np.linalg.pinv(_QUADRATIC)[1:].T] + [
+    np.eye(81) - basis @ np.linalg.pinv(basis) for basis in (_QUADRATIC, _CUBIC)])
+
+
+def _vertex(rates, best):
+    """Minimum of the quadratic gx x + gy y + hxx x^2 + hxy xy + hyy y^2
+    fitted to each row of 81 ``rates`` (lowest ``best``), as offsets (x, y)
+    in grid spacings, and whether it is trusted: the fit's Hessian is
+    positive definite, the minimum lies in the window, the cubic fit's
+    residual (the rates' rounding noise) is at most 2 _POLISH_RTOL of the
+    rate, and the quadratic fit's residual r, taken for the error of its
+    gradient, moves the vertex's rate by at most r^2 (hxx + hyy) / det,
+    det = 4 hxx hyy - hxy^2, which must be within _POLISH_RTOL of the rate.
+    """
+    # one row product per point, so a point's fit does not depend on the batch
+    fit = ((rates - best[:, None])[:, None, :] @ _FIT)[:, 0]
+    gx, gy, hxx, hxy, hyy = fit[:, :5].T
+    misfit, noise = np.abs(fit[:, 5:]).reshape(-1, 2, 81).max(axis=2).T
+    det = 4.0 * hxx * hyy - hxy * hxy
+    x, y = hxy * gy - 2.0 * hyy * gx, hxy * gx - 2.0 * hxx * gy  # times det
+    tol = _POLISH_RTOL * np.abs(best)
+    trust = ((np.minimum(hxx, det) > 0.0) & (np.maximum(np.abs(x), np.abs(y)) <= 4.0 * det)
+             & (noise <= 2.0 * tol) & (misfit * misfit * (hxx + hyy) <= det * tol))
+    det = np.where(trust, det, 1.0)
+    return x / det, y / det, trust
 
 
 def reoptimize_orientation(kbar: ReducedNonlinearity, c, s):
@@ -185,32 +229,73 @@ def reoptimize_orientation(kbar: ReducedNonlinearity, c, s):
 
     Returns (phi, theta, rate): floats for scalar c and s, else arrays of
     their common shape.  Each round evaluates a 9 x 9 grid on every point's
-    current window and centres a window a quarter as wide on its best point,
-    from the whole (phi, theta) range down to a half-width of sqrt(eps),
-    about 1.5e-8, in 14 rounds.  Near the minimum the rate is quadratic in
-    the offset, so offsets below sqrt(eps) change it by less than its
-    rounding: a finer window would pick among noise.  The points narrow in
-    lockstep, one grid call (one kbar call) a round for all of them, and
-    each comes out bit for bit as it would alone.
+    current window and centres a window a quarter as wide on its best
+    point, from the whole (phi, theta) range down to a half-width of
+    sqrt(eps) in at most 14 rounds: near the minimum the rate is quadratic
+    in the offset, so offsets below sqrt(eps) change it by less than its
+    rounding.  A window whose 81 rates are all equal ends the search.
+
+    From round 8 on (half-width pi/4^7 in theta), each window's rates are
+    fitted with a quadratic by least squares, and its vertex is trusted
+    where the fit's Hessian is positive definite, the vertex lies in the
+    window (not cut at phi = 0 or pi), the residual of a cubic fit (the
+    rates' rounding noise) is at most 2e-14 of the rate, and the quadratic
+    fit's residual is small enough against its curvature that the vertex's
+    error in rate is below 1e-14 of the rate.  A trusted point takes one
+    more round, on the window centred on the vertex, and returns the better
+    of that window's best point and the one before; a smooth rate so ends
+    after 9 grid calls.  Elsewhere (the kink of a square-root reduction,
+    rates that are rounding noise, a flat direction) the narrowing goes on
+    to the floor, so no point takes more than 14 rounds.
+    The points narrow in lockstep, one grid call (one kbar call) a round
+    for all still searching, and each comes out bit for bit as it would
+    alone.
     """
     c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
     shape = c.shape
     c, s = c.reshape(-1, 1, 1), s.reshape(-1, 1, 1)
-    rows = np.arange(len(c))
+    out = np.empty((3, len(c)))  # phi, theta and rate of each finished point
+    live = np.arange(len(c))  # the points still searching
     phi, theta = np.full(len(c), math.pi / 2.0), np.full(len(c), math.pi)
-    half_phi, half_theta = math.pi / 2.0, math.pi
-    while half_theta > _GRID_FLOOR:
-        phis = np.minimum(np.maximum(phi[:, None] + half_phi * _GRID, 0.0), math.pi)
-        thetas = theta[:, None] + half_theta * _GRID
+    polishing = False  # whether some point's window is centred on its vertex
+    for r in range(len(_HALF)):
+        phis = (phi[:, None] + _PHI_OFFSETS[r]).clip(0.0, math.pi)
+        thetas = theta[:, None] + _THETA_OFFSETS[r]
         rates = pair_overlap_rate(kbar, c, s, phis[:, :, None], thetas[:, None, :])
-        rates = rates.reshape(len(c), -1)
-        k = np.argmin(rates, axis=1)
-        phi, theta, best = phis[rows, k // 9], thetas[rows, k % 9], rates[rows, k]
-        half_phi, half_theta = half_phi / 4.0, half_theta / 4.0
-    theta = theta % (2.0 * math.pi)
+        rates = rates.reshape(-1, 81)
+        k = rates.argmin(axis=1)
+        i, j = divmod(k, 9)
+        rows = np.arange(len(k))
+        phi, theta, rate = phis[rows, i], thetas[rows, j], rates[rows, k]
+        done = rates.max(axis=1) == rate
+        if polishing:  # each polished point keeps the better of its last two rounds
+            old = polished & (kept[2] <= rate)
+            phi, theta = np.where(old, kept[0], phi), np.where(old, kept[1], theta)
+            rate = np.where(old, kept[2], rate)
+            done |= polished
+            polishing = False
+        if _FIT_FROM <= r < len(_HALF) - 1 and not done.all():
+            x, y, polished = _vertex(rates, rate)
+            polished &= ~done & (phis[:, 0] > 0.0) & (phis[:, 8] < math.pi)
+            polishing = np.logical_or.reduce(polished)
+            if polishing:
+                kept = phi, theta, rate
+                phi = np.where(polished, phis[:, 4] + x * _PHI_OFFSETS[r, 5], phi)
+                theta = np.where(polished, thetas[:, 4] + y * _THETA_OFFSETS[r, 5], theta)
+        elif r == len(_HALF) - 1:
+            done[:] = True
+        if np.logical_or.reduce(done):
+            out[:, live[done]] = phi[done], theta[done], rate[done]
+            go = ~done
+            if not go.any():
+                break
+            live, c, s, phi, theta = live[go], c[go], s[go], phi[go], theta[go]
+            if polishing:
+                polished, kept = polished[go], tuple(a[go] for a in kept)
+    phi, theta, rate = out[0], out[1] % (2.0 * math.pi), out[2]
     if not shape:
-        return float(phi[0]), float(theta[0]), float(best[0])
-    return phi.reshape(shape), theta.reshape(shape), best.reshape(shape)
+        return float(phi[0]), float(theta[0]), float(rate[0])
+    return phi.reshape(shape), theta.reshape(shape), rate.reshape(shape)
 
 
 def check_rtol(rtol: float) -> float:

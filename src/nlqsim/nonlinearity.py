@@ -265,7 +265,7 @@ class ReducedNonlinearity:
         if kind is Kind.GROSS_PITAEVSKII:
             out = g * z
         elif kind is Kind.LOGARITHMIC:
-            out = 2.0 * g * np.arctanh(np.clip(z, -1.0 + LOG_POLE_CLAMP, 1.0 - LOG_POLE_CLAMP))
+            out = 2.0 * g * np.arctanh(z.clip(-1.0 + LOG_POLE_CLAMP, 1.0 - LOG_POLE_CLAMP))
         elif kind is Kind.SQUARE_ROOT_SIGN:
             out = g * np.sign(z) * np.sqrt(np.abs(z))
         elif kind is Kind.QUARTIC_DIFFERENCE:

@@ -94,9 +94,17 @@ def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
     For orthogonal pairs the magnitude is not differentiable; the one-sided
     derivative magnitude |d<psi|phi>/dt| is returned.
     """
-    psi, phi = np.asarray(e.psi, complex), np.asarray(e.phi, complex)
+    pair = np.stack([np.asarray(e.psi, complex), np.asarray(e.phi, complex)], axis=-1)
+    return _pair_rate(pair, kappa.kappa(np.abs(pair)))
+
+
+def _pair_rate(pair, kap):
+    """:func:`rate_functional` of the (dim, 2) ``pair`` (psi, phi) from
+    kap = kappa(|pair|), evaluated by the caller: the sum of
+    :func:`nonlinearity.overlap_derivative` on the weights kap[:, 0] - kap[:, 1]."""
+    psi, phi = pair[:, 0], pair[:, 1]
     inner = np.vdot(psi, phi)
-    t = overlap_derivative(kappa, psi, phi)
+    t = 1j * np.sum((kap[:, 0] - kap[:, 1]) * np.conj(psi) * phi, axis=-1)
     if abs(inner) < 1e-12:
         return float(abs(t))
     return float(np.real(np.conj(inner / abs(inner)) * t))
@@ -104,7 +112,7 @@ def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
 
 def _dot(x, y):
     """<x|y> over the coordinates of (R, dim) batches, as (R, 1)."""
-    return np.sum(np.conj(x) * y, axis=1, keepdims=True)
+    return np.add.reduce(np.conj(x) * y, axis=1, keepdims=True)
 
 
 def _frame(params):
@@ -126,7 +134,13 @@ def _build_states(params: np.ndarray, block: np.ndarray) -> np.ndarray:
     """States [q1 q2] @ block of the frames ``params`` (R, dim, 4), batched
     over restarts; ``block`` is the (2, 2) canonical pair.  Returns
     (R, dim, 2) states."""
-    q1, q2 = _frame(params)[:2]
+    return _states(_frame(params), block)
+
+
+def _states(gram, block):
+    """The states [q1 q2] @ block of the Gram-Schmidt columns ``gram`` (the
+    output of :func:`_frame`)."""
+    q1, q2 = gram[:2]
     return q1[:, :, None] * block[0] + q2[:, :, None] * block[1]
 
 
@@ -143,9 +157,11 @@ def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
 _SIGNS = np.array([-1.0, 1.0])  # the psi and phi columns of the state gradient
 
 
-def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
-                   block: np.ndarray) -> np.ndarray:
-    """d rate / d params, (R, dim, 4), for the frames that built ``states``.
+def _rate_gradient(kappa: Nonlinearity, gram: tuple, states: np.ndarray, block: np.ndarray,
+                   kap: np.ndarray) -> np.ndarray:
+    """d rate / d params, (R, dim, 4), for the frames whose Gram-Schmidt
+    columns ``gram`` (the output of :func:`_frame`) built ``states``, with
+    kap = kappa(|states|).
 
     The overlap is real and fixed by the frame, so the rate is
     -sum_x w_x Im(psi_x^* phi_x) with w = kappa(|psi|) - kappa(|phi|), and
@@ -154,7 +170,6 @@ def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
     normalizations and the projection of Gram-Schmidt.
     """
     amp = np.abs(states)
-    kap = kappa.kappa(amp)
     w = (kap[:, :, 0] - kap[:, :, 1])[:, :, None]
     im = np.imag(np.conj(states[:, :, 0]) * states[:, :, 1])[:, :, None]
     # kappa'(|x|)/|x| * x, the gradient of kappa(|x|); 0 where x = 0
@@ -162,7 +177,7 @@ def _rate_gradient(kappa: Nonlinearity, params: np.ndarray, states: np.ndarray,
                        where=amp > 0.0) * states
     lam = (im * radial - 1j * w * states[:, :, ::-1]) * _SIGNS
     p = lam @ block.T
-    q1, q2, r1, r2, c, b = _frame(params)
+    q1, q2, r1, r2, c, b = gram
     # back from q2 to v, from v to b and q1, and from q1 to a
     g_v = (p[:, :, 1] - q2 * _dot(q2, p[:, :, 1]).real) / r2
     along = _dot(q1, g_v)
@@ -187,8 +202,11 @@ def optimize_orientation(
     At dim = 2 the optimum is the Bloch-sphere search of
     :func:`discrimination.reoptimize_orientation`; ``restarts``, ``seed``,
     ``warm_start`` and ``max_sweeps`` act on the dim >= 3 search only, and
-    ``converged_sweeps`` is 0.  There ``grad_norm`` reflects the grid's
-    sqrt(eps) resolution (about 1e-8), not a convergence certificate.
+    ``converged_sweeps`` is 0.  There ``grad_norm`` shows where that search
+    stopped, not a convergence certificate: at a trusted vertex of its
+    quadratic fit it is down to the gradient's own rounding (7e-18 for gp,
+    up to 2e-8 for log at alpha = 2.8), and where the grid narrowed to its
+    floor it reflects the grid's sqrt(eps) resolution (about 1e-8).
 
     For dim >= 3: multi-start L-BFGS on the frame coordinates with the
     exact gradient (:func:`_rate_gradient`), batched over restarts; each
@@ -211,7 +229,10 @@ def optimize_orientation(
     is a = (cos(phi/2), e^{-i theta} sin(phi/2)), b = (-e^{i theta}
     sin(phi/2), cos(phi/2)) for the Bloch orientation ``angles``.  The
     reported minimum is the exact rate at the returned embedding, and
-    ``grad_norm`` the largest gradient component in the frame coordinates.
+    ``grad_norm`` the largest gradient component in the frame coordinates;
+    both come from the one Gram-Schmidt and the one kappa(|states|) that
+    build the returned states, and the rate equals
+    :func:`rate_functional` of ``argmax`` bit for bit.
     """
     if not (restarts >= 1 and float(restarts).is_integer()):
         raise ValueError(f"restarts must be a whole number >= 1, got {restarts!r}")
@@ -236,12 +257,16 @@ def optimize_orientation(
         best, angles = int(np.argmin(rates)), None
         frame = np.stack(_frame(params[best:best + 1])[:2], axis=2)
 
+    # One Gram-Schmidt and one kappa(|states|) give the states, the rate and
+    # its gradient.
     params = frame.view(float)
-    states = _build_states(params, block)
-    grad = _rate_gradient(kappa, params, states, block)
+    gram = _frame(params)
+    states = _states(gram, block)
+    kap = kappa.kappa(np.abs(states))
+    grad = _rate_gradient(kappa, gram, states, block, kap)
     embedding = PairEmbedding(dim=dim, psi=states[0, :, 0], phi=states[0, :, 1])
     return OptimizationResult(
-        best_rate=rate_functional(kappa, embedding), argmax=embedding, restarts=restarts,
+        best_rate=_pair_rate(states[0], kap[0]), argmax=embedding, restarts=restarts,
         seed=seed, alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
         grad_norm=float(np.max(np.abs(grad))), angles=angles, params=params[0],
     )
@@ -275,9 +300,14 @@ def _lbfgs(kappa, block, params, max_iter):
         states = _build_states(x.reshape((-1,) + shape), block)
         return states, _batch_rates(kappa, states)
 
+    def gradient(x, states):
+        gram = _frame(x.reshape((-1,) + shape))
+        return _rate_gradient(kappa, gram, states, block,
+                              kappa.kappa(np.abs(states))).reshape(len(x), -1)
+
     x = params.reshape(R, -1).copy()
     states, rates = evaluate(x)
-    grad = _rate_gradient(kappa, params, states, block).reshape(R, -1)
+    grad = gradient(x, states)
     S, Y = np.zeros((2, R, _MEMORY, x.shape[1]))
     rho = np.zeros((R, _MEMORY))
     active = np.max(np.abs(grad), axis=1) > _GRAD_TOL
@@ -323,8 +353,7 @@ def _lbfgs(kappa, block, params, max_iter):
         moved, ok = rows[~failed], ~failed
         if not moved.size:
             continue
-        grad_new = _rate_gradient(kappa, x_new[ok].reshape((-1,) + shape), states_new[ok],
-                                  block).reshape(moved.size, -1)
+        grad_new = gradient(x_new[ok], states_new[ok])
         s, y = x_new[ok] - x[moved], grad_new - grad[moved]
         sy = (s * y).sum(axis=1)
         u = moved[sy > 0.0]  # keep only pairs with positive curvature

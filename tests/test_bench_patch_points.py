@@ -80,6 +80,19 @@ def test_optimizer_calls_its_patch_points_through_the_module(monkeypatch):
     assert rows["_batch_rates"] >= 3
 
 
+def test_a_qubit_optimization_calls_the_grid_search_through_the_module_once(monkeypatch):
+    # the orient workload's discrimination.reopt_calls and reopt_s count the
+    # d = 2 runs through this name; an optimizer that bound it early, or
+    # searched twice, would miscount them
+    dc, calls = nlqsim.discrimination, []
+    inner = dc.reoptimize_orientation
+    monkeypatch.setattr(dc, "reoptimize_orientation",
+                        lambda *args: calls.append(args) or inner(*args))
+    res = nlqsim.optimizer.optimize_orientation(nlqsim.nonlinearity.logarithmic(1.0), 0.6, 2)
+    assert len(calls) == 1
+    assert res.angles == inner(*calls[0])[:2]
+
+
 def test_trace_fields_the_benchmark_reads():
     # bench/execute.py reads times, states, overlaps, failed and
     # failure_reason from integrate and integrate_nlse; the tracer reads

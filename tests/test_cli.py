@@ -296,10 +296,16 @@ def test_gp_validity_cli(tmp_path, capsys):
     assert lines[1].startswith("1000,1,")
 
 
-def test_gp_validity_cli_at_large_atom_counts(capsys):
-    assert run_cli(["gp-validity", "--atoms", "1e17"]) == 0
+@pytest.mark.parametrize("atoms, cell", [
+    ("9007199254740992", "9007199254740992"),  # 2^53: still an integer
+    ("1e17", "1e+17"),
+    # printed as its 301-digit integer before
+    ("1e300", "1.0000000000000001e+300"),
+])
+def test_gp_validity_cli_at_large_atom_counts(atoms, cell, capsys):
+    assert run_cli(["gp-validity", "--atoms", atoms]) == 0
     row = capsys.readouterr().out.strip().split("\n")[1].split(",")
-    assert row[0] == "100000000000000000"
+    assert row[0] == cell
     assert 0.0 < float(row[2]) < math.inf
 
 

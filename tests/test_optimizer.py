@@ -314,6 +314,23 @@ def test_qubit_parameters_round_trip():
         assert bloch_rate == pytest.approx(res.best_rate, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.1])
+@pytest.mark.parametrize("kind", ["gp", "log", "quartic", "sqrt"])
+def test_a_qubit_result_is_built_on_one_kappa_evaluation(kind, alpha, monkeypatch):
+    # the states, the rate and its gradient share one kappa(|states|); the
+    # parent evaluated kappa three times.  (A custom kind's kappa' takes a
+    # central difference of kappa, two calls more.)
+    kappa, calls = QUBIT_KINDS[kind], []
+    inner = nl.Nonlinearity.kappa
+    monkeypatch.setattr(nl.Nonlinearity, "kappa",
+                        lambda self, x: calls.append(np.shape(x)) or inner(self, x))
+    res = op.optimize_orientation(kappa, alpha, 2)
+    assert calls == [(1, 2, 2)]
+    monkeypatch.undo()
+    assert res.best_rate == op.rate_functional(kappa, res.argmax)
+    assert res.grad_norm <= 1e-8
+
+
 @pytest.mark.parametrize("kind", sorted(QUBIT_KINDS))
 @pytest.mark.parametrize("dim", [3, 4, 6])  # 6: criterion 10's largest dimension
 def test_rate_gradient_matches_central_differences(kind, dim):
@@ -323,7 +340,8 @@ def test_rate_gradient_matches_central_differences(kind, dim):
     # a leans on the first coordinate, so |psi_0| passes 1/sqrt(2), where the
     # square-root kappa turns on
     params[:, 0, :2] += 2.0
-    grad = op._rate_gradient(kappa, params, op._build_states(params, block), block)
+    states = op._build_states(params, block)
+    grad = op._rate_gradient(kappa, op._frame(params), states, block, kappa.kappa(np.abs(states)))
     h = 1e-6
     fd = np.empty_like(grad)
     for k, c in np.ndindex(params.shape[1:]):
@@ -452,8 +470,10 @@ def test_iteration_cap_sets_capped():
 
 def test_warm_started_restart_at_its_optimum_stops_within_three_evaluations(monkeypatch):
     # the gp chain link d = 2 -> 3 of the optimizer recovery check: restart 0
-    # starts at the padded qubit optimum, whose gradient is rounding-sized.
-    # Restarts do not interact, so one restart shows restart 0's line search.
+    # starts at the padded qubit optimum, whose gradient is rounding-sized
+    # (below the 1e-12 stop since the d = 2 search polishes its vertex, so no
+    # line search at all).  Restarts do not interact, so one restart shows
+    # restart 0's line search.
     g, alpha = 1.0, math.pi / 4
     gp = nl.gross_pitaevskii(g)
     start = op.optimize_orientation(gp, alpha, 2)
@@ -466,7 +486,7 @@ def test_warm_started_restart_at_its_optimum_stops_within_three_evaluations(monk
     res = op.optimize_orientation(gp, alpha, 3, restarts=1, seed=3, warm_start=start)
     first = events[events.index("grad") + 1:]
     first = first[:first.index("grad")] if "grad" in first else first
-    assert 1 <= len(first) <= 3 and set(first) == {1}
+    assert len(first) <= 3 and set(first) <= {1}
     assert res.best_rate == pytest.approx(start.best_rate, rel=1e-12, abs=0.0)
 
 

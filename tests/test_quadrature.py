@@ -389,15 +389,95 @@ class _CountingKbar(nl.ReducedNonlinearity):
         return super().__call__(z)
 
 
-@pytest.mark.parametrize("points", [1, 40])
-def test_orientation_search_makes_one_kbar_call_a_round_for_fourteen_rounds(points):
-    # the window narrows by 4 from half-width pi until it is below sqrt(eps)
+@pytest.mark.parametrize("points, sizes", [
+    (1, [1] * 9),
+    # 24 of the 40 points are polished after 9 calls; the other 16 have rates
+    # that are rounding noise (|u| >~ 10) and narrow to the floor, where one
+    # stops a round early on a window of 81 equal rates
+    (40, [40] * 9 + [16] * 4 + [15]),
+], ids=["1", "40"])
+def test_orientation_search_calls_kbar_once_a_round_for_the_points_still_searching(points,
+                                                                                  sizes):
     kbar = _CountingKbar(nl.logarithmic(0.7))
     c, s = dc._tanh_sech(np.random.default_rng(2).uniform(-18.0, 18.0, points))
     if points == 1:
         c, s = float(c[0]), float(s[0])
     dc.reoptimize_orientation(kbar, c, s)
-    assert kbar.calls == [(2, points, 9, 9)] * 14
+    assert kbar.calls == [(2, m, 9, 9) for m in sizes]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.8])
+@pytest.mark.parametrize("kind", ["gp", "log", "odd"])
+def test_a_smooth_rate_is_polished_within_ten_kbar_calls(kind, alpha):
+    # 8 narrowing rounds, then one on the window centred on the fitted vertex
+    kbar = _CountingKbar(_kind(kind))
+    dc.reoptimize_orientation(kbar, math.cos(alpha / 2), math.sin(alpha / 2))
+    assert len(kbar.calls) <= 10
+
+
+def _frozen_search(kbar, c, s):
+    """The narrowing grid without the quadratic polish, kept as the
+    reference: 14 rounds of the 9 x 9 grid, each window a quarter as wide
+    as the last and centred on its best point.  Returns the rates."""
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    shape = c.shape
+    c, s = c.reshape(-1, 1, 1), s.reshape(-1, 1, 1)
+    rows = np.arange(len(c))
+    phi, theta = np.full(len(c), math.pi / 2.0), np.full(len(c), math.pi)
+    half_phi, half_theta = math.pi / 2.0, math.pi
+    grid = np.linspace(-1.0, 1.0, 9)
+    while half_theta > math.sqrt(np.finfo(float).eps):
+        phis = np.minimum(np.maximum(phi[:, None] + half_phi * grid, 0.0), math.pi)
+        thetas = theta[:, None] + half_theta * grid
+        rates = _rate(kbar, c, s, phis[:, :, None], thetas[:, None, :]).reshape(len(c), -1)
+        k = np.argmin(rates, axis=1)
+        phi, theta, best = phis[rows, k // 9], thetas[rows, k % 9], rates[rows, k]
+        half_phi, half_theta = half_phi / 4.0, half_theta / 4.0
+    return best.reshape(shape)
+
+
+_X = np.linspace(0.0, 1.0, 41)
+TABLE = nl.piecewise_from_table(_X, 0.8 * _X * _X + 0.3 * np.sin(3.0 * _X))
+
+
+# Inputs at the edges of the polish, with their kbar calls: quartic's first
+# window is flat and ends the search; at u = +-18 log's rates are rounding
+# noise, and at alpha = 1e-4 sqrt's kink z+ = 0 lies 0.58 s / c, about 3e-5
+# in phi, from the optimum, inside the half-width 1e-4 of the first fitted
+# window, so neither fit is trusted and the grid narrows to its floor; the
+# PCHIP table, whose curvature jumps at its knots, is polished.
+EDGES = {
+    "quartic": (nl.quartic_difference(1.0), 0.6, 1),
+    "log-u-18": (nl.logarithmic(0.7), -18.0, 14),
+    "log-u+18": (nl.logarithmic(0.7), 18.0, 14),
+    "sqrt-kink": (nl.square_root_sign(2.0), 1e-4, 14),
+    "table": (TABLE, 1.0, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGES))
+def test_no_orientation_search_takes_more_than_fourteen_kbar_calls(case):
+    n, x, calls = EDGES[case]
+    c, s = dc._tanh_sech(x) if case.startswith("log") else (math.cos(x / 2), math.sin(x / 2))
+    kbar = _CountingKbar(n)
+    rate = dc.reoptimize_orientation(kbar, float(c), float(s))[2]
+    assert len(kbar.calls) == calls <= 14
+    want = float(_frozen_search(nl.reduce(n), c, s))
+    assert rate <= want + 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd", "quartic", "table"])
+def test_orientation_search_is_never_worse_than_the_fourteen_round_grid(kind):
+    n = {"quartic": nl.quartic_difference(1.0), "table": TABLE}.get(kind) or _kind(kind)
+    kbar = nl.reduce(n)
+    alphas = np.linspace(1e-3, math.pi, 300, endpoint=False)
+    c, s = dc._tanh_sech(np.array([-14.0, -8.0, -2.0, 2.0, 8.0, 14.0]))
+    c, s = np.concatenate([np.cos(alphas / 2), c]), np.concatenate([np.sin(alphas / 2), s])
+    want = _frozen_search(kbar, c, s)
+    got = dc.reoptimize_orientation(kbar, c, s)[2]
+    assert np.all(got <= want + 1e-13 * np.abs(want))
+    for i in range(len(c)):
+        assert dc.reoptimize_orientation(kbar, float(c[i]), float(s[i]))[2] == got[i]
 
 
 REDUCTIONS = {
