@@ -295,7 +295,13 @@ def overlap_derivative(kappa: Nonlinearity, psi, phi):
 
     summed along the last axis (leading axes are batch axes).
     """
-    w = np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi)))
+    return weighted_overlap_derivative(
+        np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi))), psi, phi)
+
+
+def weighted_overlap_derivative(w, psi, phi):
+    """:func:`overlap_derivative` from weights w = kappa(|psi|) - kappa(|phi|)
+    that the caller has evaluated: i sum_x w_x psi_x^* phi_x."""
     return 1j * np.sum(w * np.conj(psi) * phi, axis=-1)
 
 

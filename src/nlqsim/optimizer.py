@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import discrimination
-from .nonlinearity import Nonlinearity, overlap_derivative, reduce
+from .nonlinearity import Nonlinearity, overlap_derivative, reduce, weighted_overlap_derivative
 
 _MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search
 _MEMORY = 10  # L-BFGS curvature pairs kept per restart
@@ -100,11 +100,10 @@ def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
 
 def _pair_rate(pair, kap):
     """:func:`rate_functional` of the (dim, 2) ``pair`` (psi, phi) from
-    kap = kappa(|pair|), evaluated by the caller: the sum of
-    :func:`nonlinearity.overlap_derivative` on the weights kap[:, 0] - kap[:, 1]."""
+    kap = kappa(|pair|), evaluated by the caller."""
     psi, phi = pair[:, 0], pair[:, 1]
     inner = np.vdot(psi, phi)
-    t = 1j * np.sum((kap[:, 0] - kap[:, 1]) * np.conj(psi) * phi, axis=-1)
+    t = weighted_overlap_derivative(kap[:, 0] - kap[:, 1], psi, phi)
     if abs(inner) < 1e-12:
         return float(abs(t))
     return float(np.real(np.conj(inner / abs(inner)) * t))
