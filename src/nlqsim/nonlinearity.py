@@ -302,7 +302,7 @@ def overlap_derivative(kappa: Nonlinearity, psi, phi):
 def weighted_overlap_derivative(w, psi, phi):
     """:func:`overlap_derivative` from weights w = kappa(|psi|) - kappa(|phi|)
     that the caller has evaluated: i sum_x w_x psi_x^* phi_x."""
-    return 1j * np.sum(w * np.conj(psi) * phi, axis=-1)
+    return 1j * np.add.reduce(w * np.conj(psi) * phi, axis=-1)
 
 
 def reduce(n: Nonlinearity) -> ReducedNonlinearity:

@@ -27,13 +27,14 @@ and deterministic given a seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import discrimination
-from .nonlinearity import Nonlinearity, overlap_derivative, reduce, weighted_overlap_derivative
+from .nonlinearity import Nonlinearity, reduce, weighted_overlap_derivative
 
 _MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search
 _MEMORY = 10  # L-BFGS curvature pairs kept per restart
@@ -118,14 +119,14 @@ def _frame(params):
     """Gram-Schmidt columns of the frames ``params`` (R, dim, 4), whose rows
     are (Re a_x, Im a_x, Re b_x, Im b_x): q1 = a/r1 and q2 = v/r2 with
     v = b - q1 c, c = <q1|b>.  Returns (q1, q2, r1, r2, c, b), each (R, dim)
-    or (R, 1)."""
+    or (R, 1).  The norms are np.linalg.norm's sum, without its dispatch."""
     ab = params.view(complex)
     a, b = ab[:, :, 0], ab[:, :, 1]
-    r1 = np.linalg.norm(a, axis=1, keepdims=True)
+    r1 = np.sqrt(np.add.reduce((a.conj() * a).real, axis=1, keepdims=True))
     q1 = a / r1
     c = _dot(q1, b)
     v = b - q1 * c
-    r2 = np.linalg.norm(v, axis=1, keepdims=True)
+    r2 = np.sqrt(np.add.reduce((v.conj() * v).real, axis=1, keepdims=True))
     return q1, v / r2, r1, r2, c, b
 
 
@@ -144,10 +145,13 @@ def _states(gram, block):
 
 
 def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
+    """The overlap rate of each pair of (R, dim, 2) ``states``, as (R,), from
+    one kappa(|states|) call."""
     psi = states[:, :, 0]
     phi = states[:, :, 1]
-    inner = np.sum(np.conj(psi) * phi, axis=1)
-    t = overlap_derivative(kappa, psi, phi)
+    inner = np.add.reduce(np.conj(psi) * phi, axis=1)
+    kap = kappa.kappa(np.abs(states))
+    t = weighted_overlap_derivative(kap[:, :, 0] - kap[:, :, 1], psi, phi)
     mag = np.abs(inner)
     mag = np.where(mag < 1e-300, 1.0, mag)
     return np.real(np.conj(inner / mag) * t)
@@ -198,6 +202,9 @@ def optimize_orientation(
 ) -> OptimizationResult:
     """Most negative overlap rate over pair orientations in C^dim.
 
+    ``dim`` >= 2, ``restarts`` >= 1 and ``max_sweeps`` >= 1 are whole
+    numbers; a whole float such as 3.0 is taken as 3.
+
     At dim = 2 the optimum is the Bloch-sphere search of
     :func:`discrimination.reoptimize_orientation`; ``restarts``, ``seed``,
     ``warm_start`` and ``max_sweeps`` act on the dim >= 3 search only, and
@@ -233,9 +240,9 @@ def optimize_orientation(
     build the returned states, and the rate equals
     :func:`rate_functional` of ``argmax`` bit for bit.
     """
-    if not (restarts >= 1 and float(restarts).is_integer()):
-        raise ValueError(f"restarts must be a whole number >= 1, got {restarts!r}")
-    restarts = int(restarts)
+    dim = _whole_number("dim", dim, 2)
+    restarts = _whole_number("restarts", restarts, 1)
+    max_sweeps = _whole_number("max_sweeps", max_sweeps, 1)
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
     block = canonical_pair(alpha, dim)[:2]
@@ -271,6 +278,13 @@ def optimize_orientation(
     )
 
 
+def _whole_number(name, value, least):
+    """``value`` as an int, refusing anything but a whole number >= ``least``."""
+    if not (isinstance(value, numbers.Real) and value >= least and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 def _starting_points(dim, restarts, seed, warm_start):
     """(R, dim, 4) starting frames: normal draws, with restarts 0 and 1 taken
     from the zero-padded warm-start frame when there is one."""
@@ -289,9 +303,10 @@ def _lbfgs(kappa, block, params, max_iter):
 
     Returns (params, rates, iterations, capped).  Each row keeps its own step
     length and memory of the last _MEMORY steps, newest last, where rho = 0
-    marks an empty slot whatever S and Y hold; every evaluation is one
-    _build_states/_batch_rates call on the rows that need it, and the
-    gradient comes from the accepted states.
+    marks an empty slot whatever S and Y hold.  All unit steps are one
+    _build_states/_batch_rates call, each halving one more on the rows that
+    still fail the Armijo condition, and the gradient comes from the
+    accepted states.  A row does the same arithmetic whatever the others do.
     """
     R, shape = params.shape[0], params.shape[1:]
 
@@ -309,65 +324,65 @@ def _lbfgs(kappa, block, params, max_iter):
     grad = gradient(x, states)
     S, Y = np.zeros((2, R, _MEMORY, x.shape[1]))
     rho = np.zeros((R, _MEMORY))
-    active = np.max(np.abs(grad), axis=1) > _GRAD_TOL
+    active = np.maximum.reduce(np.abs(grad), axis=1) > _GRAD_TOL
     iterations = 0
     while active.any() and iterations < max_iter:
         iterations += 1
-        rows = np.flatnonzero(active)
-        g = grad[rows]
+        rows = active.nonzero()[0]
+        x0, f0, g = x[rows], rates[rows], grad[rows]
         d = -_two_loop(g, S[rows], Y[rows], rho[rows])
-        slope = (g * d).sum(axis=1)
+        slope = np.add.reduce(g * d, axis=1)
         uphill = slope >= 0.0
         if uphill.any():  # stale curvature pairs: forget them
             rho[rows[uphill]] = 0.0
             d[uphill] = -_steepest(g[uphill])
-            slope = (g * d).sum(axis=1)
+            slope = np.add.reduce(g * d, axis=1)
 
-        # Halve each row's step from 1 until the Armijo condition holds.
-        step, rates_new = np.ones(len(rows)), np.empty(len(rows))
-        x_new = np.empty_like(g)
-        states_new = np.empty((len(rows),) + shape[:1] + (2,), dtype=complex)
-        searching, failed = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-        while searching.any():
-            idx = np.flatnonzero(searching)
-            trial = x[rows[idx]] + step[idx, None] * d[idx]
-            trial_states, trial_rates = evaluate(trial)
-            ok = trial_rates <= rates[rows[idx]] + _ARMIJO * step[idx] * slope[idx]
-            done, bad = idx[ok], idx[~ok]
-            x_new[done], states_new[done], rates_new[done] = (
-                trial[ok], trial_states[ok], trial_rates[ok])
+        # Halve the step from 1 on the rows that fail the Armijo condition.
+        x1 = x0 + d
+        states1, f1 = evaluate(x1)
+        back = (~(f1 <= f0 + _ARMIJO * slope)).nonzero()[0]
+        t, fb, sb, ft = np.ones(back.size), f0[back], slope[back], f1[back]
+        while back.size:
             # Give up once the halved step, or the quadratic f0 + slope t + A t^2
             # through the failed trial (largest gain slope^2 / 4A), could lower
             # the rate by no more than the stopping threshold: that is noise.
-            t, f0 = step[bad], rates[rows[bad]]
-            tiny = _REL_DECREASE * np.abs(f0)
-            curv = (trial_rates[~ok] - f0 - t * slope[bad]) / (t * t)
-            step[bad] *= 0.5
-            hopeless = bad[(-step[bad] * slope[bad] <= tiny)
-                           | ((curv > 0.0) & (slope[bad] ** 2 <= 4.0 * curv * tiny))]
-            failed[hopeless] = True
-            searching[done] = searching[hopeless] = False
+            tiny = _REL_DECREASE * np.abs(fb)
+            curv = (ft - fb - t * sb) / (t * t)
+            t = t * 0.5
+            go = ~((-t * sb <= tiny) | ((curv > 0.0) & (sb ** 2 <= 4.0 * curv * tiny)))
+            active[rows[back[~go]]] = False  # a hopeless row leaves the search
+            back, t, fb, sb = back[go], t[go], fb[go], sb[go]
+            if not back.size:
+                break
+            trial = x0[back] + t[:, None] * d[back]
+            trial_states, ft = evaluate(trial)
+            ok = ft <= fb + _ARMIJO * t * sb
+            x1[back[ok]], states1[back[ok]], f1[back[ok]] = trial[ok], trial_states[ok], ft[ok]
+            back, t, fb, sb, ft = back[~ok], t[~ok], fb[~ok], sb[~ok], ft[~ok]
 
-        active[rows[failed]] = False
-        moved, ok = rows[~failed], ~failed
-        if not moved.size:
-            continue
-        grad_new = gradient(x_new[ok], states_new[ok])
-        s, y = x_new[ok] - x[moved], grad_new - grad[moved]
-        sy = (s * y).sum(axis=1)
-        u = moved[sy > 0.0]  # keep only pairs with positive curvature
+        moved = active[rows]  # every row but the ones that gave up
+        if not moved.all():
+            rows, x0, f0, g = rows[moved], x0[moved], f0[moved], g[moved]
+            x1, states1, f1 = x1[moved], states1[moved], f1[moved]
+            if not rows.size:
+                continue
+        grad1 = gradient(x1, states1)
+        s, y = x1 - x0, grad1 - g
+        sy = np.add.reduce(s * y, axis=1)
+        curved = sy > 0.0  # keep only pairs with positive curvature
+        u = rows[curved]
         S[u, :-1], Y[u, :-1], rho[u, :-1] = S[u, 1:], Y[u, 1:], rho[u, 1:]
-        S[u, -1], Y[u, -1], rho[u, -1] = s[sy > 0.0], y[sy > 0.0], 1.0 / sy[sy > 0.0]
-        gain = rates[moved] - rates_new[ok]
-        x[moved], rates[moved], grad[moved] = x_new[ok], rates_new[ok], grad_new
-        active[moved] &= ((gain > _REL_DECREASE * np.abs(rates[moved]))
-                          & (np.max(np.abs(grad_new), axis=1) > _GRAD_TOL))
+        S[u, -1], Y[u, -1], rho[u, -1] = s[curved], y[curved], 1.0 / sy[curved]
+        x[rows], rates[rows], grad[rows] = x1, f1, grad1
+        active[rows] = ((f0 - f1 > _REL_DECREASE * np.abs(f1))
+                        & (np.maximum.reduce(np.abs(grad1), axis=1) > _GRAD_TOL))
     return x.reshape(params.shape), rates, iterations, bool(active.any())
 
 
 def _steepest(g):
     """Steepest-descent step whose largest angle change is _FIRST_STEP."""
-    return _FIRST_STEP * g / np.max(np.abs(g), axis=1, keepdims=True)
+    return _FIRST_STEP * g / np.maximum.reduce(np.abs(g), axis=1, keepdims=True)
 
 
 def _two_loop(g, S, Y, rho):
@@ -377,12 +392,12 @@ def _two_loop(g, S, Y, rho):
     q, a = g.copy(), np.zeros(rho.shape)
     filled = np.flatnonzero(rho.any(axis=0))
     for j in filled[::-1]:
-        a[:, j] = rho[:, j] * (S[:, j] * q).sum(axis=1)
+        a[:, j] = rho[:, j] * np.add.reduce(S[:, j] * q, axis=1)
         q -= a[:, j, None] * Y[:, j]
     fresh = rho[:, -1] == 0.0
-    q[~fresh] /= (rho[~fresh, -1] * (Y[~fresh, -1] ** 2).sum(axis=1))[:, None]
+    q[~fresh] /= (rho[~fresh, -1] * np.add.reduce(Y[~fresh, -1] ** 2, axis=1))[:, None]
     for j in filled:
-        q += S[:, j] * (a[:, j] - rho[:, j] * (Y[:, j] * q).sum(axis=1))[:, None]
+        q += S[:, j] * (a[:, j] - rho[:, j] * np.add.reduce(Y[:, j] * q, axis=1))[:, None]
     if fresh.any():
         q[fresh] = _steepest(g[fresh])
     return q

@@ -220,6 +220,33 @@ def test_optimize_orientation_takes_a_whole_float_restart_count():
     assert np.array_equal(a.params, b.params)
 
 
+@pytest.mark.parametrize("max_sweeps", [-3, 0, 2.5, float("nan"), float("inf"), None])
+def test_optimize_orientation_refuses_max_sweeps_that_are_not_whole_and_positive(max_sweeps):
+    # -3 and nan returned the unoptimized start as capped, 2.5 ran 3
+    # iterations and None ended in a TypeError from the loop's comparison
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_sweeps must be a whole number >= 1, got {max_sweeps!r}")):
+        op.optimize_orientation(nl.logarithmic(1.0), 0.6, 3, max_sweeps=max_sweeps)
+
+
+@pytest.mark.parametrize("dim", [2.5, 1, 0, float("nan"), None])
+def test_optimize_orientation_refuses_a_dimension_that_is_not_whole(dim):
+    with pytest.raises(ValueError, match=re.escape(
+            f"dim must be a whole number >= 2, got {dim!r}")):
+        op.optimize_orientation(nl.logarithmic(1.0), 0.6, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_optimize_orientation_takes_a_whole_float_dimension(dim):
+    # orientation_chain took 3.0, and optimize_orientation ended in numpy's
+    # "'float' object cannot be interpreted as an integer"
+    n = nl.logarithmic(1.0)
+    a = op.optimize_orientation(n, 0.6, float(dim), restarts=2, seed=3)
+    b = op.optimize_orientation(n, 0.6, dim, restarts=2, seed=3)
+    assert type(a.argmax.dim) is int and a.argmax.dim == dim
+    assert a.best_rate == b.best_rate and np.array_equal(a.params, b.params)
+
+
 def _grid_rates(kappa, states):
     """d|<psi|phi>|/dt for each row of a (R, dim, 2) batch of pairs."""
     psi, phi = states[:, :, 0], states[:, :, 1]
@@ -461,6 +488,51 @@ def test_restarts_do_not_interact():
     assert many.best_rate <= few.best_rate
     one = op.optimize_orientation(kappa, 0.6, 4, restarts=1, seed=5)
     assert few.best_rate <= one.best_rate
+
+
+@pytest.mark.parametrize("kind, dim", [("log", 4), ("quartic", 3), ("gp", 5), ("sqrt", 4)])
+def test_each_row_of_a_batch_is_its_solo_run_bit_for_bit(kind, dim, monkeypatch):
+    # rows share array calls, not arithmetic: the rows that backtrack are
+    # evaluated as a subset of the batch, and a row that gives up leaves it
+    kappa, block = nl.parse(kind + ":1"), op.canonical_pair(0.7, dim)[:2]
+    starts = np.random.default_rng(11).normal(size=(6, dim, 4))
+    sizes = []
+    batch_rates = op._batch_rates
+    monkeypatch.setattr(op, "_batch_rates", lambda kappa, states: (
+        sizes.append(len(states)) or batch_rates(kappa, states)))
+    params, rates, _, _ = op._lbfgs(kappa, block, starts, op._MAX_SWEEPS)
+    assert len(set(sizes)) > 2  # the batch shrank as rows backtracked and stopped
+    for i in range(6):
+        solo, solo_rate, _, _ = op._lbfgs(kappa, block, starts[i:i + 1], op._MAX_SWEEPS)
+        assert solo[0].tobytes() == params[i].tobytes(), i
+        assert solo_rate.tobytes() == rates[i:i + 1].tobytes(), i
+
+
+def test_each_evaluation_and_each_gradient_makes_one_kappa_call(monkeypatch):
+    # _batch_rates evaluates kappa once, on the stacked pair; each gradient,
+    # in the search and for the result, takes one more, and the result's
+    # states take none of their own.  The counts also show that the search
+    # calls _build_states and _batch_rates through the module, where the
+    # benchmark's tracer wraps them.
+    calls = dict.fromkeys(("kappa", "_build_states", "_batch_rates", "_rate_gradient"), 0)
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.__setitem__(
+            name, calls[name] + 1) or inner(*args))
+
+    count(nl.Nonlinearity, "kappa")
+    for name in ("_build_states", "_batch_rates", "_rate_gradient"):
+        count(op, name)
+    kappa, block = nl.logarithmic(1.0), op.canonical_pair(0.6, 3)[:2]
+    states = op._build_states(np.random.default_rng(2).normal(size=(5, 3, 4)), block)
+    op._batch_rates(kappa, states)
+    assert calls["kappa"] == 1
+    calls.update(dict.fromkeys(calls, 0))
+    res = op.optimize_orientation(kappa, 0.6, 3, restarts=4, seed=1)
+    assert calls["_build_states"] == calls["_batch_rates"] > res.converged_sweeps > 0
+    searched = calls["_rate_gradient"] - 1  # the last gradient is the result's
+    assert calls["kappa"] == calls["_batch_rates"] + searched + 1
 
 
 def test_iteration_cap_sets_capped():
