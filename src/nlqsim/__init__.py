@@ -23,7 +23,6 @@ from .blochdyn import (  # noqa: F401
     PairOrientation,
     axis_drive,
     integrate,
-    ip_rate,
     ip_rate_vectors,
     optimal_pair,
     pair_to_bloch,

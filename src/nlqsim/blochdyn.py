@@ -40,7 +40,7 @@ class PairOrientation:
 
     alpha : separation angle on the Bloch sphere, in [0, pi]
     phi   : polar angle of the midpoint from the +z axis, in [0, pi]
-    theta : rotation about the midpoint, in [0, 2*pi)
+    theta : rotation about the midpoint, any finite angle (period 2*pi)
     """
 
     alpha: float
@@ -52,13 +52,8 @@ class PairOrientation:
             raise ValueError(f"alpha must be in [0, pi], got {self.alpha}")
         if not 0.0 <= self.phi <= math.pi + 1e-12:
             raise ValueError(f"phi must be in [0, pi], got {self.phi}")
-
-    def z_pair(self):
-        """Latitudes (z_plus, z_minus) of the two states."""
-        ca, sa = math.cos(self.alpha / 2), math.sin(self.alpha / 2)
-        zp = ca * math.cos(self.phi) - sa * math.sin(self.phi) * math.cos(self.theta)
-        zm = ca * math.cos(self.phi) + sa * math.sin(self.phi) * math.cos(self.theta)
-        return zp, zm
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
 
 def axis_drive(axis, omega):
@@ -140,15 +135,6 @@ def pair_overlap_rate(kbar: ReducedNonlinearity, c, s, phi, theta):
     k = kbar(c * cp + np.multiply.outer(_PLUS_MINUS, ssp * ct))
     out = 0.5 * ssp * st * (k[0] - k[1])
     return float(out) if out.ndim == 0 else out
-
-
-def ip_rate(kbar: ReducedNonlinearity, p: PairOrientation) -> float:
-    """Rate of change of cos(alpha) for an oriented pair:
-
-    d/dt cos(alpha) = sin(alpha) sin(phi) sin(theta) (kbar(z_minus) - kbar(z_plus)).
-    """
-    c = math.cos(p.alpha / 2)
-    return 4.0 * c * pair_overlap_rate(kbar, c, math.sin(p.alpha / 2), p.phi, p.theta)
 
 
 def integrate(

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrimination import OrientationPolicy, check_start, separation_trace
+from .discrimination import OrientationPolicy, check_start, separation_trace, whole_number
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 DEFAULT_GRID = 10_000
@@ -111,8 +111,7 @@ def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
         raise ValueError(f"z0 must be in [0, 1), got {z0!r}")
     if not Delta > 0:
         raise ValueError(f"Delta must be > 0, got {Delta!r}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid!r}")
+    grid = whole_number("grid", grid, 2)
 
     hi = Delta
     lo = Delta
@@ -184,8 +183,7 @@ def estimate_lipschitz(kbar: ReducedNonlinearity, grid: int = DEFAULT_GRID) -> L
     that keep growing are flagged non-finite (``finite = False``), with the
     refined supremum reported.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid!r}")
+    grid = whole_number("grid", grid, 2)
 
     def sup_quotient(n):
         z = np.linspace(-1.0, 1.0, n)

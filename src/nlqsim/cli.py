@@ -7,7 +7,7 @@ Each subcommand accepts only the flags its handler reads:
     bounds        --nonlinearity --z0 --delta --grid --alpha0 --duration
                   --g-lip --out
     search        --nonlinearity --n --marked --t1 --seed --tol --out
-    audit         --nonlinearity --n --t1 --duration --samples --seed --out
+    audit         --nonlinearity --n --t1 --duration --samples --out
     optimize      --nonlinearity --alpha --dim --restarts --seed --out
     gp-validity   --atoms --interaction --target-overlap --out
     figures       --which --out
@@ -148,8 +148,7 @@ def cmd_audit(args) -> int:
     H = sr.search_schedule(args.n, n.g, t1)
     duration = args.duration
     if duration is None:
-        rep = sr.run_search(sr.SearchInstance(args.n, marked=1),
-                            nl.gross_pitaevskii(g), t1=t1, seed=args.seed)
+        rep = sr.run_search(sr.SearchInstance(args.n, marked=1), nl.gross_pitaevskii(g), t1=t1)
         duration = rep.total_time
     audit = sr.lower_bound_audit(n, H, args.n, duration, samples=args.samples)
     report([f"N = {audit.N}, |kappa| bound g = {fmt(audit.g)}",
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None,
                    help="audit horizon (default: total time of the search run)")
     p.add_argument("--samples", type=int, default=200)
-    _shared(p, "seed", "out")
+    _shared(p, "out")
 
     p = sub.add_parser("optimize", help="orientation search over embeddings")
     _shared(p, "nonlinearity")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -305,6 +306,16 @@ def check_rtol(rtol: float) -> float:
         raise ValueError(f"rtol must be a finite number >= {QUAD_RTOL_FLOOR:.3g} "
                          f"(the floor of the quadrature), got {rtol!r}")
     return rtol
+
+
+def whole_number(name: str, value, least: int, most: float = math.inf) -> int:
+    """The one check of every count and 1-based index: ``value`` as an int if
+    it is a whole number in [least, most] (64.0 gives 64), else ``ValueError``."""
+    if not (isinstance(value, numbers.Real) and least <= value <= most
+            and float(value).is_integer()):
+        where = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be a whole number {where}, got {value!r}")
+    return int(value)
 
 
 def check_start(alpha0: float, duration: Optional[float] = None) -> None:

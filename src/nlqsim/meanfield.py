@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .discrimination import epsilon_to_alpha0, gp_time_to_overlap
+from .discrimination import epsilon_to_alpha0, gp_time_to_overlap, whole_number
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class CondensateParams:
     U: float
 
     def __post_init__(self):
-        if not (self.n_atoms >= 2 and float(self.n_atoms).is_integer()):
-            raise ValueError(f"n_atoms must be a whole number >= 2, got {self.n_atoms!r}")
+        whole_number("n_atoms", self.n_atoms, 2)
         if not 0.0 < self.U < math.inf:
             raise ValueError(f"U must be finite and > 0, got {self.U!r}")
 
@@ -44,8 +43,7 @@ class CondensateParams:
 
 def meanfield_overlap(inner: complex, n_atoms: int) -> complex:
     """<MF(psi)|MF(phi)> = inner^n_atoms."""
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms!r}")
+    whole_number("n_atoms", n_atoms, 1)
     if abs(inner) > 1.0 + 1e-12:
         raise ValueError("|inner| must be <= 1")
     return complex(inner) ** n_atoms
@@ -58,6 +56,7 @@ def bosonic_overlap_bruteforce(psi: np.ndarray, phi: np.ndarray, n_atoms: int) -
     amplitudes sqrt(C(N, k)) psi_0^k psi_1^(N-k) and takes the inner
     product directly.  Intended for small N.
     """
+    n_atoms = whole_number("n_atoms", n_atoms, 1)
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     if psi.shape != (2,) or phi.shape != (2,):

@@ -288,20 +288,11 @@ class ReducedNonlinearity:
         return out if out.ndim else float(out)
 
 
-def overlap_derivative(kappa: Nonlinearity, psi, phi):
-    """Nonlinear part of d<psi|phi>/dt when both states share the flow,
-
-        i sum_x (kappa(|psi_x|) - kappa(|phi_x|)) psi_x^* phi_x,
-
-    summed along the last axis (leading axes are batch axes).
-    """
-    return weighted_overlap_derivative(
-        np.asarray(kappa.kappa(np.abs(psi))) - np.asarray(kappa.kappa(np.abs(phi))), psi, phi)
-
-
 def weighted_overlap_derivative(w, psi, phi):
-    """:func:`overlap_derivative` from weights w = kappa(|psi|) - kappa(|phi|)
-    that the caller has evaluated: i sum_x w_x psi_x^* phi_x."""
+    """Nonlinear part of d<psi|phi>/dt when both states share the flow,
+    i sum_x w_x psi_x^* phi_x, from weights w = kappa(|psi|) - kappa(|phi|)
+    that the caller has evaluated; summed along the last axis (leading axes
+    are batch axes)."""
     return 1j * np.add.reduce(w * np.conj(psi) * phi, axis=-1)
 
 

@@ -11,8 +11,8 @@ spans and on the pair's place in it, so the search runs over orthonormal
 2-frames (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303
 (1998)): the frame [q1 q2] is the Gram-Schmidt orthonormalization of two
 free vectors a, b in C^dim, 4 dim real coordinates, and the states are
-[q1 q2] times the 2 x 2 block of :func:`canonical_pair`, which holds the
-overlap exactly.
+[q1 q2] times the 2 x 2 :func:`canonical_pair`, which holds the overlap
+exactly.
 
 At dim = 2 the frame is the unitary of the pair's Bloch orientation
 (phi, theta), and the optimum comes from the same narrowing-grid search over
@@ -27,13 +27,13 @@ and deterministic given a seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import discrimination
+from .discrimination import whole_number
 from .nonlinearity import Nonlinearity, reduce, weighted_overlap_derivative
 
 _MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search
@@ -74,19 +74,12 @@ class OptimizationResult:
     params: np.ndarray = field(default=None, repr=False)  # the returned frame, (dim, 4)
 
 
-def canonical_pair(alpha: float, dim: int) -> np.ndarray:
-    """Canonical pair in the first 2-plane, as a (dim, 2) complex array."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim!r}")
+def canonical_pair(alpha: float) -> np.ndarray:
+    """The pair (cos(alpha/4), +-sin(alpha/4)) as 2 x 2 columns; overlap cos(alpha/2)."""
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must be in [0, pi], got {alpha!r}")
-    beta = alpha / 4.0
-    pair = np.zeros((dim, 2), dtype=complex)
-    pair[0, 0] = math.cos(beta)
-    pair[1, 0] = math.sin(beta)
-    pair[0, 1] = math.cos(beta)
-    pair[1, 1] = -math.sin(beta)
-    return pair
+    c, s = math.cos(alpha / 4.0), math.sin(alpha / 4.0)
+    return np.array([[c, c], [s, -s]], dtype=complex)
 
 
 def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
@@ -240,12 +233,12 @@ def optimize_orientation(
     build the returned states, and the rate equals
     :func:`rate_functional` of ``argmax`` bit for bit.
     """
-    dim = _whole_number("dim", dim, 2)
-    restarts = _whole_number("restarts", restarts, 1)
-    max_sweeps = _whole_number("max_sweeps", max_sweeps, 1)
+    dim = whole_number("dim", dim, 2)
+    restarts = whole_number("restarts", restarts, 1)
+    max_sweeps = whole_number("max_sweeps", max_sweeps, 1)
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
-    block = canonical_pair(alpha, dim)[:2]
+    block = canonical_pair(alpha)
     if warm_start is not None and warm_start.argmax.dim > dim:
         raise ValueError(f"warm_start must come from a dimension <= dim = {dim}, "
                          f"got dim = {warm_start.argmax.dim}")
@@ -276,13 +269,6 @@ def optimize_orientation(
         seed=seed, alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
         grad_norm=float(np.max(np.abs(grad))), angles=angles, params=params[0],
     )
-
-
-def _whole_number(name, value, least):
-    """``value`` as an int, refusing anything but a whole number >= ``least``."""
-    if not (isinstance(value, numbers.Real) and value >= least and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
-    return int(value)
 
 
 def _starting_points(dim, restarts, seed, warm_start):
@@ -412,10 +398,9 @@ def orientation_chain(kappa: Nonlinearity, alpha: float, dim: int, restarts: int
     along the chain; the last rate minus the first is the gain of embedding
     the pair in ``dim`` modes over the qubit optimum.
     """
-    if dim not in range(2, 9):
-        raise ValueError(f"dim must be in 2..8, got {dim!r}")
+    dim = whole_number("dim", dim, 2, 8)
     chain = [optimize_orientation(kappa, alpha, 2, restarts=restarts, seed=seed + 2)]
-    for d in range(3, int(dim) + 1):
+    for d in range(3, dim + 1):
         chain.append(optimize_orientation(kappa, alpha, d, restarts=restarts, seed=seed + d,
                                           warm_start=chain[-1]))
     return chain

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import _ode
 from ._ode import Schedule, as_schedule, solve_in_frame
-from .discrimination import OrientationPolicy, epsilon_to_alpha0, time_to_overlap
-from .nonlinearity import Nonlinearity, overlap_derivative
+from .discrimination import OrientationPolicy, epsilon_to_alpha0, time_to_overlap, whole_number
+from .nonlinearity import Nonlinearity, weighted_overlap_derivative
 
 SQRT2 = math.sqrt(2.0)
 TARGET_OVERLAP = 1.0 / SQRT2  # constant-advantage discrimination target
@@ -55,10 +55,9 @@ class SearchInstance:
     marked: Optional[int] = None
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N!r}")
-        if self.marked is not None and not 1 <= self.marked <= self.N:
-            raise ValueError(f"marked item must be in [1, N] = [1, {self.N}], got {self.marked!r}")
+        N = whole_number("N", self.N, 2)
+        if self.marked is not None:
+            whole_number("marked", self.marked, 1, N)
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,7 @@ def uniform_state(N: int) -> np.ndarray:
 
 def oracle_overlap(N: int, t1: float, marked: bool) -> complex:
     """<s|U|s> for U = exp(-i t1 |m><m|): 1 - (1 - exp(-i t1))/N if marked."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N!r}")
+    whole_number("N", N, 2)
     if not 0.0 <= t1 < math.inf:
         raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
     if not marked:
@@ -121,8 +119,10 @@ def hadamard_test_bruteforce(N: int, t1: float, marked: bool,
 
     H on the ancilla, controlled oracle evolution, H again, then projection
     of the register onto |s>.  Serves as an independent oracle for the
-    closed forms.
+    closed forms.  ``m`` is the 1-indexed marked item, in [1, N].
     """
+    N = whole_number("N", N, 2)
+    m = whole_number("m", m, 1, N)
     s = uniform_state(N)
     # amplitudes[a, x]: ancilla a in {0, 1}, register x
     amp = np.zeros((2, N), dtype=complex)
@@ -160,8 +160,7 @@ def helstrom_success(overlap: float) -> float:
 
 def default_t1(N: int, g: float) -> float:
     """Oracle time t1 = max(1, (1/g) ln(g N)), clamped to [1, sqrt(N)]."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N!r}")
+    whole_number("N", N, 2)
     if not 0.0 < g < math.inf:
         raise ValueError(f"g must be finite and > 0 to pick t1 automatically, got {g!r}")
     raw = math.log(g * N) / g if g * N > 1.0 else 1.0
@@ -263,8 +262,8 @@ def integrate_nlse(
     psi0 = psi0 / nrm
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
-    if oracle is not None and not 1 <= oracle <= dim:
-        raise ValueError(f"oracle must be in [1, {dim}], got {oracle!r}")
+    if oracle is not None:
+        oracle = whole_number("oracle", oracle, 1, dim)
 
     diag = 0.0 if oracle is None else (np.arange(dim) == oracle - 1) * 1.0
     return solve_in_frame(kappa, diag, as_schedule(H, dim), psi0, duration, rtol, atol, t_eval)
@@ -278,8 +277,7 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
     stable deficit.  omega is right-continuous at t1, where it jumps from 0
     to (g/2) tanh(u0).  ``N`` must be >= 2 and ``t1`` finite and > 0, as in
     ``run_search``; ``g`` finite and >= 0, where g = 0 gives the zero drive."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N!r}")
+    whole_number("N", N, 2)
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
     if not 0.0 <= g < math.inf:
@@ -326,7 +324,8 @@ def pairwise_overlap_derivative(kappa: Nonlinearity, psi: np.ndarray,
     The driving Hamiltonian cancels from this expression.
     """
     oracle = -1j * np.conj(psi[m - 1]) * psi_m[m - 1]
-    return complex(oracle + overlap_derivative(kappa, psi, psi_m))
+    w = kappa.kappa(np.abs(psi)) - kappa.kappa(np.abs(psi_m))
+    return complex(oracle + weighted_overlap_derivative(w, psi, psi_m))
 
 
 def lower_bound_audit(
@@ -372,12 +371,10 @@ def lower_bound_audit(
     so at N = 2^40 row j is solved to ``rtol`` on its 1e-6 amplitudes.
     ``duration`` must be finite and > 0.
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N!r}")
+    whole_number("N", N, 2)
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-    if not (samples >= 2 and float(samples).is_integer()):
-        raise ValueError(f"samples must be a whole number >= 2, got {samples!r}")
+    samples = whole_number("samples", samples, 2)
     H = as_schedule(H, N)
     p = 0 if H is None else len(H.support)
     if p > AUDIT_N_CAP:
@@ -395,7 +392,7 @@ def lower_bound_audit(
     oracles = np.zeros(Y0.shape)  # the oracle's 1 on row r's marked class r - 1
     oracles[1:, :R] = np.eye(R)
     tr = solve_in_frame(kappa, oracles, H, Y0, duration, rtol, atol / math.sqrt(N),
-                        np.linspace(0.0, duration, int(samples) + 1))
+                        np.linspace(0.0, duration, samples + 1))
     if tr.failed:
         raise RuntimeError(f"audit integration failed: {tr.failure_reason}")
     times, ys = tr.times, tr.states

@@ -146,7 +146,8 @@ def check_rate_consistency(ctx: Context) -> CheckResult:
         p = bd.PairOrientation(float(rng.uniform(0.1, math.pi - 0.1)),
                                float(rng.uniform(0.05, math.pi - 0.05)),
                                float(rng.uniform(0.0, 2 * math.pi)))
-        rate = bd.ip_rate(kbar, p)
+        c0 = math.cos(p.alpha / 2)  # d cos(alpha)/dt is 4 c0 times the overlap rate
+        rate = 4.0 * c0 * bd.pair_overlap_rate(kbar, c0, math.sin(p.alpha / 2), p.phi, p.theta)
         v = np.stack(bd.pair_to_bloch(p))
         # Second-order one-sided difference of cos(alpha) over the dt window.
         h = dt / 2
@@ -432,12 +433,12 @@ def check_z_gap_geometry(ctx: Context) -> CheckResult:
         z0 = float(rng.uniform(0.0, 0.99))
         theta = (math.pi / 4, 3 * math.pi / 4)[rng.integers(2)]
         p = bd.PairOrientation(alpha, math.acos(z0), theta)
-        zp, zm = p.z_pair()
+        zp, zm = (v[2] for v in bd.pair_to_bloch(p))
         want = math.sqrt(2 * (1 - z0 ** 2)) * math.sin(alpha / 2)
         worst_id = max(worst_id, abs(abs(zp - zm) - want))
         q = bd.PairOrientation(alpha, float(rng.uniform(0, math.pi)),
                                float(rng.uniform(0, 2 * math.pi)))
-        zp, zm = q.z_pair()
+        zp, zm = (v[2] for v in bd.pair_to_bloch(q))
         worst_geo = max(worst_geo, abs(zp - zm) - q.alpha)
     ok = worst_id <= 1e-12 and worst_geo <= 1e-12
     return CheckResult("z_gap_geometry", ok,
@@ -466,7 +467,7 @@ def check_general_upper_bound(ctx: Context) -> CheckResult:
 def check_optimizer_invariants(ctx: Context) -> CheckResult:
     rng = np.random.default_rng(ctx.seed + 11)
     alpha = 0.8
-    states = op._build_states(rng.normal(size=(ctx.n(64, 16), 4, 4)), op.canonical_pair(alpha, 2))
+    states = op._build_states(rng.normal(size=(ctx.n(64, 16), 4, 4)), op.canonical_pair(alpha))
     overlaps = np.abs(np.sum(np.conj(states[:, :, 0]) * states[:, :, 1], axis=1))
     constraint = float(np.max(np.abs(overlaps - math.cos(alpha / 2))))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,25 @@ def random_orientation(rng):
         float(rng.uniform(0.05, math.pi - 0.05)),
         float(rng.uniform(0.0, 2 * math.pi)),
     )
+
+
+def ip_rate(kbar, p):
+    """d cos(alpha)/dt of the oriented pair: 4c times the kernel's dc/dt."""
+    c = math.cos(p.alpha / 2)
+    return 4.0 * c * bd.pair_overlap_rate(kbar, c, math.sin(p.alpha / 2), p.phi, p.theta)
+
+
+@pytest.mark.parametrize("angles, message", [
+    ((0.5, 0.1, math.nan), "theta must be finite, got nan"),
+    ((0.5, 0.1, math.inf), "theta must be finite, got inf"),
+    ((0.5, 0.1, -math.inf), "theta must be finite, got -inf"),
+    ((math.nan, 0.1, 0.0), "alpha must be in [0, pi], got nan"),
+    ((0.5, math.nan, 0.0), "phi must be in [0, pi], got nan"),
+])
+def test_pair_orientation_refuses_an_angle_out_of_range_by_name(angles, message):
+    # a theta that is not finite was accepted, and pair_to_bloch returned NaN vectors
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bd.PairOrientation(*angles)
 
 
 def test_pair_to_bloch_zero_separation():
@@ -68,12 +88,12 @@ def test_ip_rate_optimal_orientation_matches_quadratic_form():
     for alpha in (0.1, 0.7, 2.0):
         p = bd.optimal_pair(alpha)
         want = -math.sin(alpha) * math.sin(alpha / 2)
-        assert bd.ip_rate(kbar, p) == pytest.approx(want, abs=1e-14)
+        assert ip_rate(kbar, p) == pytest.approx(want, abs=1e-14)
 
 
 def test_ip_rate_vanishes_at_theta_zero():
     kbar = nl.reduce(nl.logarithmic(1.0))
-    assert bd.ip_rate(kbar, bd.PairOrientation(1.0, 1.0, 0.0)) == 0.0
+    assert ip_rate(kbar, bd.PairOrientation(1.0, 1.0, 0.0)) == 0.0
 
 
 def test_ip_rate_quarter_theta_value():
@@ -83,7 +103,7 @@ def test_ip_rate_quarter_theta_value():
     # below.
     kbar = nl.reduce(nl.gross_pitaevskii(1.0))
     p = bd.PairOrientation(math.pi / 2, math.pi / 2, math.pi / 4)
-    rate = bd.ip_rate(kbar, p)
+    rate = ip_rate(kbar, p)
     assert rate == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
 
     v = np.stack(bd.pair_to_bloch(p))
@@ -102,7 +122,7 @@ def test_ip_rate_finite_difference_consistency():
         n = makers[rng.integers(2)](float(rng.uniform(0.2, 2.0)))
         kbar = nl.reduce(n)
         p = random_orientation(rng)
-        rate = bd.ip_rate(kbar, p)
+        rate = ip_rate(kbar, p)
         v = np.stack(bd.pair_to_bloch(p))
         tr = bd.integrate(kbar, None, v, 2 * h, rtol=1e-12, atol=1e-14,
                           t_eval=np.array([0.0, h, 2 * h]))
@@ -123,7 +143,7 @@ def test_ip_rate_invariant_under_z_rotation():
         rotated = bd.ip_rate_vectors(kbar, rz @ v1, rz @ v2)
         assert abs(rotated - base) <= 1e-12
         # and the parameterized form agrees with the raw-vector form
-        assert abs(base - bd.ip_rate(kbar, p)) <= 1e-12
+        assert abs(base - ip_rate(kbar, p)) <= 1e-12
 
 
 ODD = nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z, dtype=float)) / 3.0)

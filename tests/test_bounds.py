@@ -70,8 +70,9 @@ def test_realized_rate_bound_at_certificate_orientation():
         for z0 in (0.0, 0.3):
             cert = bn.certify_growth(kbar, z0, 0.3)
             for alpha in (1e-3, 1e-2, 0.05):
-                p = bd.PairOrientation(alpha, cert.phi, cert.theta)
-                rate = bd.ip_rate(kbar, p)
+                c = math.cos(alpha / 2)  # d cos(alpha)/dt is 4c times the overlap rate
+                rate = 4.0 * c * bd.pair_overlap_rate(kbar, c, math.sin(alpha / 2), cert.phi,
+                                                      cert.theta)
                 budget = -cert.g_local * (1 - z0 ** 2) * math.sin(alpha / 2) \
                     * math.sin(alpha)
                 assert rate <= budget * (1.0 - 1e-8) + 1e-15
@@ -85,7 +86,7 @@ def test_z_gap_identity_and_geometry_bound():
         phi = math.acos(z0)
         for theta in (math.pi / 4, 3 * math.pi / 4):
             p = bd.PairOrientation(alpha, phi, theta)
-            zp, zm = p.z_pair()
+            zp, zm = (v[2] for v in bd.pair_to_bloch(p))
             want = math.sqrt(2 * (1 - z0 ** 2)) * math.sin(alpha / 2)
             assert abs(abs(zp - zm) - want) <= 1e-12
     # |z+ - z-| <= alpha for arbitrary orientations
@@ -93,7 +94,7 @@ def test_z_gap_identity_and_geometry_bound():
         p = bd.PairOrientation(float(rng.uniform(0.0, math.pi)),
                                float(rng.uniform(0.0, math.pi)),
                                float(rng.uniform(0.0, 2 * math.pi)))
-        zp, zm = p.z_pair()
+        zp, zm = (v[2] for v in bd.pair_to_bloch(p))
         assert abs(zp - zm) <= p.alpha + 1e-12
 
 

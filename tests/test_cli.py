@@ -42,7 +42,7 @@ SUBCOMMAND_FLAGS = {
     "bounds": {"nonlinearity", "z0", "delta", "grid", "alpha0", "duration", "g-lip",
                "out"},
     "search": {"nonlinearity", "n", "marked", "t1", "seed", "tol", "out"},
-    "audit": {"nonlinearity", "n", "t1", "duration", "samples", "seed", "out"},
+    "audit": {"nonlinearity", "n", "t1", "duration", "samples", "out"},
     "optimize": {"nonlinearity", "alpha", "dim", "restarts", "seed", "out"},
     "gp-validity": {"atoms", "interaction", "target-overlap", "out"},
     "figures": {"which", "out"},
@@ -59,7 +59,7 @@ def test_parser_flags_are_exactly_those_read():
         seen[name] = {opt[2:] for action in sub._actions for opt in action.option_strings
                       if opt.startswith("--") and opt != "--help"}
     assert seen == SUBCOMMAND_FLAGS
-    assert sum(len(f) for f in seen.values()) == 44
+    assert sum(len(f) for f in seen.values()) == 43
 
 
 def _documented_flags(text):
@@ -379,17 +379,18 @@ def test_a_target_overlap_past_the_starting_overlap_exits_2(argv, bound, capsys)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["search", "--n", "1"], "N must be >= 2, got 1"),
-    (["audit", "--n", "1"], "N must be >= 2, got 1"),
-    (["audit", "--n", "0"], "N must be >= 2, got 0"),
-    (["audit", "--n", "-3"], "N must be >= 2, got -3"),  # was sqrt's "math domain error"
-    (["search", "--n", "16", "--marked", "0"], "marked item must be in [1, N] = [1, 16], got 0"),
+    (["search", "--n", "1"], "N must be a whole number >= 2, got 1"),
+    (["audit", "--n", "1"], "N must be a whole number >= 2, got 1"),
+    (["audit", "--n", "0"], "N must be a whole number >= 2, got 0"),
+    # -3 ended in sqrt's "math domain error"
+    (["audit", "--n", "-3"], "N must be a whole number >= 2, got -3"),
+    (["search", "--n", "16", "--marked", "0"], "marked must be a whole number in [1, 16], got 0"),
     (["search", "--n", "16", "--marked", "17"],
-     "marked item must be in [1, N] = [1, 16], got 17"),
+     "marked must be a whole number in [1, 16], got 17"),
     (["bounds", "--z0", "1.5"], "z0 must be in [0, 1), got 1.5"),
     (["bounds", "--z0", "-0.5"], "z0 must be in [0, 1), got -0.5"),
     (["bounds", "--delta", "-1"], "Delta must be > 0, got -1.0"),
-    (["bounds", "--grid", "1"], "grid must be >= 2, got 1"),
+    (["bounds", "--grid", "1"], "grid must be a whole number >= 2, got 1"),
 ], ids=["search-n-1", "audit-n-1", "audit-n-0", "audit-n-negative", "marked-0",
         "marked-above-n", "z0-above-1", "z0-negative", "delta-negative", "grid-1"])
 def test_a_count_or_latitude_out_of_range_exits_2(argv, message, capsys):
@@ -482,10 +483,10 @@ def test_optimize_cli_reports_sweep_cap(capsys):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--dim", "1", "dim must be in 2..8, got 1"),
+    ("--dim", "1", "dim must be a whole number in [2, 8], got 1"),
     ("--restarts", "0", "restarts must be a whole number >= 1, got 0"),
     ("--alpha", "0", "alpha must be in (0, pi) for orientation search, got 0.0"),
-    ("--dim", "9", "dim must be in 2..8, got 9"),
+    ("--dim", "9", "dim must be a whole number in [2, 8], got 9"),
 ], ids=[  # the first three: the names they had when the CLI held its own range checks
     "--dim-1-argument --dim: must be in 2..8, got 1",
     "--restarts-0-argument --restarts: must be >= 1, got 0",

@@ -60,7 +60,8 @@ def test_rate_functional_orthogonal_pair_flagged():
     phi = np.array([0.0, 1.0], dtype=complex)
     n = nl.gross_pitaevskii(1.0)
     rate = op.rate_functional(n, op.PairEmbedding(2, psi, phi))
-    assert rate == abs(nl.overlap_derivative(n, psi, phi))
+    w = n.kappa(np.abs(psi)) - n.kappa(np.abs(phi))
+    assert rate == abs(nl.weighted_overlap_derivative(w, psi, phi))
     assert rate >= 0.0  # one-sided derivative magnitude
 
 
@@ -85,7 +86,7 @@ def test_rate_functional_finite_difference_against_nlse():
 
 def test_canonical_pair_overlap():
     for alpha in (0.2, 1.0, 2.5):
-        pair = op.canonical_pair(alpha, 5)
+        pair = op.canonical_pair(alpha)
         c = abs(np.vdot(pair[:, 0], pair[:, 1]))
         assert c == pytest.approx(math.cos(alpha / 2), abs=1e-14)
 
@@ -111,7 +112,7 @@ def test_optimizer_constraint_preserved_along_trajectory():
     # check a sample of random frames plus the optimum
     rng = np.random.default_rng(24)
     alpha = 0.8
-    states = op._build_states(rng.normal(size=(64, 4, 4)), op.canonical_pair(alpha, 2))
+    states = op._build_states(rng.normal(size=(64, 4, 4)), op.canonical_pair(alpha))
     overlaps = np.abs(np.sum(np.conj(states[:, :, 0]) * states[:, :, 1], axis=1))
     assert np.max(np.abs(overlaps - math.cos(alpha / 2))) <= 1e-10
     res = op.optimize_orientation(nl.gross_pitaevskii(1.0), alpha, 4,
@@ -169,7 +170,8 @@ def test_chain_zero_nonlinearity_gives_zero_rates_and_gaps():
 
 @pytest.mark.parametrize("dim", [1, 9, 0, 2.5, float("nan")])
 def test_chain_refuses_a_dimension_outside_two_to_eight(dim):
-    with pytest.raises(ValueError, match=re.escape(f"dim must be in 2..8, got {dim!r}")):
+    message = f"dim must be a whole number in [2, 8], got {dim!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         op.orientation_chain(nl.gross_pitaevskii(1.0), 0.5, dim)
 
 
@@ -251,7 +253,8 @@ def _grid_rates(kappa, states):
     """d|<psi|phi>|/dt for each row of a (R, dim, 2) batch of pairs."""
     psi, phi = states[:, :, 0], states[:, :, 1]
     inner = np.sum(np.conj(psi) * phi, axis=1)
-    return np.real(np.conj(inner / np.abs(inner)) * nl.overlap_derivative(kappa, psi, phi))
+    w = kappa.kappa(np.abs(psi)) - kappa.kappa(np.abs(phi))
+    return np.real(np.conj(inner / np.abs(inner)) * nl.weighted_overlap_derivative(w, psi, phi))
 
 
 def _qubit_rotation(theta, beta):
@@ -332,7 +335,7 @@ def test_qubit_parameters_round_trip():
         want = _qubit_rotation(phi / 2.0, theta)
         assert res.params.shape == (2, 4)
         assert np.allclose(res.params.view(complex), want, rtol=0.0, atol=1e-15)
-        states = op._build_states(res.params[None], op.canonical_pair(alpha, 2))[0]
+        states = op._build_states(res.params[None], op.canonical_pair(alpha))[0]
         assert np.array_equal(states[:, 0], res.argmax.psi)
         assert np.array_equal(states[:, 1], res.argmax.phi)
         # the angles are the pair's Bloch orientation: the Bloch-sphere rate
@@ -363,7 +366,7 @@ def test_a_qubit_result_is_built_on_one_kappa_evaluation(kind, alpha, monkeypatc
 @pytest.mark.parametrize("dim", [3, 4, 6])  # 6: criterion 10's largest dimension
 def test_rate_gradient_matches_central_differences(kind, dim):
     kappa = QUBIT_KINDS[kind]
-    block = op.canonical_pair(0.7, 2)
+    block = op.canonical_pair(0.7)
     params = np.random.default_rng(dim).normal(size=(3, dim, 4))
     # a leans on the first coordinate, so |psi_0| passes 1/sqrt(2), where the
     # square-root kappa turns on
@@ -494,7 +497,7 @@ def test_restarts_do_not_interact():
 def test_each_row_of_a_batch_is_its_solo_run_bit_for_bit(kind, dim, monkeypatch):
     # rows share array calls, not arithmetic: the rows that backtrack are
     # evaluated as a subset of the batch, and a row that gives up leaves it
-    kappa, block = nl.parse(kind + ":1"), op.canonical_pair(0.7, dim)[:2]
+    kappa, block = nl.parse(kind + ":1"), op.canonical_pair(0.7)
     starts = np.random.default_rng(11).normal(size=(6, dim, 4))
     sizes = []
     batch_rates = op._batch_rates
@@ -524,7 +527,7 @@ def test_each_evaluation_and_each_gradient_makes_one_kappa_call(monkeypatch):
     count(nl.Nonlinearity, "kappa")
     for name in ("_build_states", "_batch_rates", "_rate_gradient"):
         count(op, name)
-    kappa, block = nl.logarithmic(1.0), op.canonical_pair(0.6, 3)[:2]
+    kappa, block = nl.logarithmic(1.0), op.canonical_pair(0.6)
     states = op._build_states(np.random.default_rng(2).normal(size=(5, 3, 4)), block)
     op._batch_rates(kappa, states)
     assert calls["kappa"] == 1

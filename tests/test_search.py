@@ -484,7 +484,7 @@ def test_search_schedule_refuses_the_oracle_time_run_search_refuses():
 @pytest.mark.parametrize("N", [1, 0])
 def test_search_schedule_refuses_fewer_than_two_items(N):
     # N = 0 ended in a ZeroDivisionError from the overlap deficit
-    with pytest.raises(ValueError, match="N must be >= 2"):
+    with pytest.raises(ValueError, match="N must be a whole number >= 2"):
         sr.search_schedule(N, 1.0, 1.0)
 
 
