@@ -25,11 +25,13 @@ The unit panels in u are integrated together by ``quad_panels``: an
 adaptive G10/K21 Gauss-Kronrod rule per panel, whose integrand takes every
 node of every open piece of every open panel as one array, so a
 re-optimized run evaluates its orientation grid once per level for all of
-them, in calls of at most ``QUAD_LIMIT`` pieces.  A run to a target overlap
-integrates all its panels at once; a run of given duration, one panel at a
-time up to the one that holds its end.  Each panel bisects at most to
-``QUAD_LIMIT`` pieces and warns (``IntegrationWarning``) where that misses
-the tolerance.
+them, in calls of at most ``QUAD_LIMIT`` pieces.  A level ends its panels
+once every piece has closed.  A run to a target overlap integrates all its
+panels at once; a run of given duration, one panel at a time up to the one
+that holds its end.  The run's start is checked for a stall as the first
+point of the first level, so a level costs one integrand call.  Each panel
+bisects at most to ``QUAD_LIMIT`` pieces and warns
+(``IntegrationWarning``) where that misses the tolerance.
 
 Every sample comes from that quadrature, with no further integrand call.
 A sample at a panel end is that end.  A sample inside a panel (the end of
@@ -388,10 +390,12 @@ def quad_panels(f, edges, rtol: float, nodes: bool = False):
     adaptive rule: a piece closes once its error estimate is at most
     ``rtol`` times its integral of |f| (the integral itself for a one-signed
     f), and every piece still open is bisected, until the panel's summed
-    estimate is at most ``rtol`` times its integral.  A panel bisected past
-    ``QUAD_LIMIT`` pieces keeps its estimate so far and, once every panel
-    is done, raises one ``IntegrationWarning`` naming it; an exception from
-    f leaves no warning behind.
+    estimate is at most ``rtol`` times its integral.  A level on which
+    every piece closes ends every panel still open, with no per-panel
+    bookkeeping.  A panel bisected past ``QUAD_LIMIT`` pieces keeps its
+    estimate so far and, once every panel is done, raises one
+    ``IntegrationWarning`` naming it; an exception from f leaves no warning
+    behind.
     """
     edges = np.asarray(edges, dtype=float)
     n = len(edges) - 1
@@ -409,16 +413,23 @@ def quad_panels(f, edges, rtol: float, nodes: bool = False):
                      for i in range(0, len(lo), QUAD_LIMIT)]
             res, err, resabs, fx = (np.concatenate(parts) for parts in zip(*calls))
         done = err <= rtol * resabs  # a NaN estimate is never done
+        if done.all():  # every panel has 0 pieces pending: each ends with this level
+            out += np.bincount(owner, res, n)
+            if nodes:
+                pieces.append((lo, hi, fx))
+            break
         total = out + np.bincount(owner, res, n)
         met = closed_err + np.bincount(owner, err, n) <= rtol * np.abs(total)
-        pending = np.bincount(owner[~done], minlength=n)
-        closed += np.bincount(owner[done], minlength=n)
+        is_open = ~done
+        pending = np.bincount(owner[is_open], minlength=n)
+        owner_done = owner[done]
+        closed += np.bincount(owner_done, minlength=n)
         capped = ~met & (pending > 0) & (closed + 2 * pending > QUAD_LIMIT)
         stop = met | (pending == 0) | capped  # a panel closed before has pending 0
-        out = np.where(stop, total, out + np.bincount(owner[done], res[done], n))
-        closed_err += np.bincount(owner[done], err[done], n)
+        out = np.where(stop, total, out + np.bincount(owner_done, res[done], n))
+        closed_err += np.bincount(owner_done, err[done], n)
         missed |= capped
-        keep = ~done & ~stop[owner]
+        keep = is_open & ~stop[owner]
         if nodes:
             pieces.append((lo[~keep], hi[~keep], fx[~keep]))
         if not keep.any():
@@ -480,6 +491,9 @@ def separation_trace(
     values of the quadrature piece that holds it, so samples cost no
     integrand call.  A rate weaker than ``NO_PROGRESS_RATE`` max(g, 1)
     sin(alpha/2) anywhere on the way yields ``no_progress`` and t = inf.
+    The start is checked with the first level's nodes, as the first point
+    of the integrand's first call, so a run stalled there ends at c0; a
+    run of duration 0 evaluates nothing.
     """
     check_start(alpha0, duration)
     c0 = math.cos(alpha0 / 2.0)
@@ -498,18 +512,24 @@ def separation_trace(
     kbar = reduce(n)
     floor = NO_PROGRESS_RATE * max(n.g, 1.0)
     held = None if policy is OrientationPolicy.REOPTIMIZED else _held_orientation(policy)
+    start = []  # the run's start, until the first integrand call of a rule from it
 
     def dt_du(u):
+        # The start goes first, so a stall there is the one reported.
+        first = len(start)
+        if first:
+            u = np.concatenate((start, u))
+            start.clear()
         c, s = _tanh_sech(u)
         if held is None:
             rate = reoptimize_orientation(kbar, c, s)[2]
         else:
             rate = pair_overlap_rate(kbar, c, s, *held)
         stalled = ~(rate < -floor * s)
-        if np.any(stalled):
-            k = np.flatnonzero(stalled)[0]
-            raise _Stall(float(np.ravel(c)[k]), float(np.ravel(rate)[k]))
-        return s * s / -rate
+        if stalled.any():
+            k = stalled.argmax()
+            raise _Stall(float(c[k]), float(rate[k]))
+        return (s * s / -rate)[first:]
 
     u_end = -U_MAX if target_overlap is None else math.atanh(target_overlap)
     t_stop = math.inf if duration is None else duration
@@ -517,7 +537,6 @@ def separation_trace(
     dense = duration is not None or t_eval is not None
     us, ts, pieces = [-math.log(math.tan(alpha0 / 4.0))], [0.0], []
     try:
-        dt_du(us[0])
         # A target's panels are all known and share one rule; a duration
         # takes one panel at a time, up to the one that holds t_stop.
         single = duration is not None
@@ -525,6 +544,8 @@ def separation_trace(
             edges, batch = [us[-1]], 1 if single else math.inf
             while edges[-1] > u_end and len(edges) <= batch:
                 edges.append(max(edges[-1] - 1.0, u_end))
+            if len(us) == 1:  # the start rides the first call of a rule from it
+                start.append(us[0])
             try:
                 dts = quad_panels(dt_du, edges[::-1], rtol, nodes=dense)
             except _Stall:
@@ -539,11 +560,13 @@ def separation_trace(
                 ts.append(ts[-1] + float(dt))
                 us.append(u)
     except _Stall as stall:
+        c, rate = stall.args
         return DiscriminationResult(
             math.inf, np.array([0.0]), np.array([c0]), 0, np.array([alpha0]),
             target_overlap or 0.0, status="no_progress",
-            diagnostic="separation rate {1:.3e} at overlap "
-            "{0:.17g} is not reliably negative".format(*stall.args))
+            # + 0.0 prints a rate of -0 as 0
+            diagnostic=f"separation rate {rate + 0.0:.3e} at overlap {c:.17g} "
+            "is not reliably negative")
     panels, t_end = len(us) - 1, min(ts[-1], t_stop)
     if ts[-1] < t_stop < math.inf:
         # The overlap rounds to -1 beyond u = -U_MAX and stays there.

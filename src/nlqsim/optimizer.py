@@ -195,8 +195,8 @@ def optimize_orientation(
 ) -> OptimizationResult:
     """Most negative overlap rate over pair orientations in C^dim.
 
-    ``dim`` >= 2, ``restarts`` >= 1 and ``max_sweeps`` >= 1 are whole
-    numbers; a whole float such as 3.0 is taken as 3.
+    ``dim`` >= 2, ``restarts`` >= 1, ``max_sweeps`` >= 1 and ``seed`` >= 0
+    are whole numbers; a whole float such as 3.0 is taken as 3.
 
     At dim = 2 the optimum is the Bloch-sphere search of
     :func:`discrimination.reoptimize_orientation`; ``restarts``, ``seed``,
@@ -236,6 +236,7 @@ def optimize_orientation(
     dim = whole_number("dim", dim, 2)
     restarts = whole_number("restarts", restarts, 1)
     max_sweeps = whole_number("max_sweeps", max_sweeps, 1)
+    seed = whole_number("seed", seed, 0)
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
     block = canonical_pair(alpha)
@@ -393,12 +394,14 @@ def orientation_chain(kappa: Nonlinearity, alpha: float, dim: int, restarts: int
                       seed: int = 0) -> list:
     """The :func:`optimize_orientation` results of d = 2, ..., ``dim``, in order.
 
-    ``dim`` is a whole number in 2..8.  Link d is seeded with ``seed + d`` and,
-    for d >= 3, warm-started from link d - 1, so the best rate never rises
-    along the chain; the last rate minus the first is the gain of embedding
-    the pair in ``dim`` modes over the qubit optimum.
+    ``dim`` is a whole number in 2..8 and ``seed`` one >= 0.  Link d is
+    seeded with ``seed + d`` and, for d >= 3, warm-started from link d - 1,
+    so the best rate never rises along the chain; the last rate minus the
+    first is the gain of embedding the pair in ``dim`` modes over the qubit
+    optimum.
     """
     dim = whole_number("dim", dim, 2, 8)
+    seed = whole_number("seed", seed, 0)
     chain = [optimize_orientation(kappa, alpha, 2, restarts=restarts, seed=seed + 2)]
     for d in range(3, dim + 1):
         chain.append(optimize_orientation(kappa, alpha, d, restarts=restarts, seed=seed + d,

@@ -188,10 +188,12 @@ def run_search(
 ) -> SearchReport:
     """Full search pipeline on one instance.
 
-    The decision is a seeded sample of the optimal two-outcome measurement
-    on the separated states; ``success_probability`` is its exact success
-    chance (1 + sqrt(1 - c^2))/2 at the target overlap c = 1/sqrt(2).
+    The decision is a sample, seeded by the whole number ``seed`` >= 0, of
+    the optimal two-outcome measurement on the separated states;
+    ``success_probability`` is its exact success chance (1 + sqrt(1 - c^2))/2
+    at the target overlap c = 1/sqrt(2).
     """
+    seed = whole_number("seed", seed, 0)
     if t1 in ("auto", None):
         t1_val = default_t1(instance.N, n.g)
     else:

@@ -38,6 +38,9 @@ class Context:
     quick: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        self.seed = dc.whole_number("seed", self.seed, 0)
+
     def n(self, full: int, quick: int) -> int:
         return quick if self.quick else full
 

@@ -198,6 +198,16 @@ def test_tol_must_be_finite_positive(tol, message, capsys):
     assert message in refused(["discriminate", "--alpha0", "0.5", "--tol", tol], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "16"],
+    ["optimize", "--alpha", "0.5", "--dim", "3"],
+    ["validate", "--quick"],
+], ids=["search", "optimize", "validate"])
+def test_a_negative_seed_is_refused_by_name(argv, capsys):
+    assert ("error: seed must be a whole number >= 0, got -3"
+            in refused(argv + ["--seed", "-3"], capsys))
+
+
 def test_figures_content(tmp_path, capsys):
     assert run_cli(["figures", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -551,6 +561,13 @@ def test_discriminate_cli_no_progress(capsys):
     captured = capsys.readouterr().out
     assert "status = no_progress" in captured
     assert "diagnostic" in captured
+
+
+def test_discriminate_cli_prints_a_zero_rate_without_its_sign(capsys):
+    assert run_cli(["discriminate", "--nonlinearity", "gp:0", "--alpha0", "0.5",
+                    "--target-overlap", "0"]) == 0
+    captured = capsys.readouterr().out
+    assert "diagnostic = separation rate 0.000e+00 at overlap " in captured
 
 
 def test_custom_nonlinearity_csv_through_cli(tmp_path, capsys):

@@ -99,8 +99,28 @@ def test_noisy_integrand_warns_at_the_piece_cap_and_returns_the_estimate():
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 3.0])
-def test_a_gp_target_run_is_the_start_check_and_one_integrand_call(g, monkeypatch):
-    # the gp integrand is constant, so every panel closes on its first rule
+def test_a_gp_target_run_is_one_integrand_call_that_starts_with_its_start(g, monkeypatch):
+    # the gp integrand is constant, so every panel closes on its first rule,
+    # and the start check rides that call as its first point
+    calls = []
+    rate = dc.pair_overlap_rate
+
+    def counting(kbar, c, s, phi, theta):
+        calls.append(np.array(c))
+        return rate(kbar, c, s, phi, theta)
+
+    monkeypatch.setattr(dc, "pair_overlap_rate", counting)
+    alpha0, target = 1e-6, 0.2
+    res = dc.time_to_overlap(nl.gross_pitaevskii(g), alpha0, target)
+    u0 = math.log(1.0 / math.tan(alpha0 / 4.0))
+    assert res.panels == math.ceil(u0 - math.atanh(target))
+    assert [c.size for c in calls] == [1 + 21 * res.panels]
+    assert calls[0][0] == math.tanh(u0)
+    assert res.t_perp == pytest.approx(dc.gp_time_to_overlap(g, alpha0, target), rel=1e-14)
+
+
+def test_a_gp_duration_run_evaluates_its_start_once_and_no_panel_edge(monkeypatch):
+    # one rule a panel, each of one level; only the first carries the start
     sizes = []
     rate = dc.pair_overlap_rate
 
@@ -109,12 +129,28 @@ def test_a_gp_target_run_is_the_start_check_and_one_integrand_call(g, monkeypatc
         return rate(kbar, c, s, phi, theta)
 
     monkeypatch.setattr(dc, "pair_overlap_rate", counting)
-    alpha0, target = 1e-6, 0.2
-    res = dc.time_to_overlap(nl.gross_pitaevskii(g), alpha0, target)
-    u0 = math.log(1.0 / math.tan(alpha0 / 4.0))
-    assert res.panels == math.ceil(u0 - math.atanh(target))
-    assert sizes == [1, 21 * res.panels]
-    assert res.t_perp == pytest.approx(dc.gp_time_to_overlap(g, alpha0, target), rel=1e-14)
+    res = dc.separation_trace(nl.gross_pitaevskii(1.0), 0.1, duration=7.5)
+    assert res.panels == 4
+    assert sizes == [1 + 21, 21, 21, 21]
+
+
+@pytest.mark.parametrize("alpha0, target", [(1e-6, 0.2), (0.5, 0.0), (0.9, 0.5)])
+def test_a_reoptimized_gp_target_run_searches_orientations_once_per_level(alpha0, target,
+                                                                          monkeypatch):
+    # no orientation search on the start alone: the start rides the first level
+    shapes = []
+    reoptimize = dc.reoptimize_orientation
+
+    def counting(kbar, c, s):
+        shapes.append(np.shape(c))
+        return reoptimize(kbar, c, s)
+
+    monkeypatch.setattr(dc, "reoptimize_orientation", counting)
+    res = dc.time_to_overlap(nl.gross_pitaevskii(1.0), alpha0, target,
+                             dc.OrientationPolicy.REOPTIMIZED)
+    assert res.reached
+    assert shapes == [(1 + 21 * res.panels,)]
+    assert res.t_perp == pytest.approx(dc.gp_time_to_overlap(1.0, alpha0, target), rel=1e-12)
 
 
 @pytest.mark.parametrize("policy", [dc.OrientationPolicy.FIXED_OPTIMAL_GP, (math.pi / 2, 2.0)],
@@ -251,6 +287,42 @@ def test_a_stalled_run_names_the_first_stall_on_its_way():
     assert "at overlap 0.90514825364486651 " in res.diagnostic
 
 
+def _dead_zone(alpha0):
+    """kbar = 0 up to z* = sin(alpha0/2)/sqrt(2), the pair's start, and
+    z - z* past it: the rate vanishes at the start and grows from 0 after."""
+    z_star = math.sin(alpha0 / 2.0) / math.sqrt(2.0)
+    return nl.from_odd_function(lambda z: np.sign(z) * np.maximum(np.abs(z) - z_star, 0.0))
+
+
+@pytest.mark.parametrize("run", [{"target_overlap": 0.1}, {"duration": 1.0}],
+                         ids=["target", "duration"])
+def test_a_run_that_stalls_at_its_start_ends_there(run):
+    # t(u) diverges like -ln(u0 - u) at the start: a rule that did not check
+    # the start would bisect its first panel to the piece cap and warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        res = dc.separation_trace(_dead_zone(1.0), 1.0, **run)
+    assert res.status == "no_progress" and res.t_perp == math.inf
+    assert "at overlap 0.87758256189037276 " in res.diagnostic
+    assert np.array_equal(res.overlaps, [math.cos(0.5)])
+
+
+def test_a_run_of_duration_zero_takes_no_integrand_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("integrand called")
+
+    monkeypatch.setattr(dc, "pair_overlap_rate", refuse)
+    res = dc.separation_trace(_dead_zone(1.0), 1.0, duration=0.0)
+    assert res.reached and res.t_perp == 0.0 and res.panels == 0
+    assert np.array_equal(res.times, [0.0]) and np.array_equal(res.overlaps, [math.cos(0.5)])
+
+
+def test_a_rate_of_negative_zero_is_printed_as_zero():
+    res = dc.time_to_overlap(nl.gross_pitaevskii(0.0), 0.5, 0.0)
+    assert res.status == "no_progress"
+    assert res.diagnostic.startswith("separation rate 0.000e+00 at overlap ")
+
+
 POLICIES = {"fixed": dc.OrientationPolicy.FIXED_OPTIMAL_GP, "held": (math.pi / 2, 2.0),
             "reopt": dc.OrientationPolicy.REOPTIMIZED}
 
@@ -291,6 +363,89 @@ def test_duration_run_samples_cost_no_integrand_call(kind, policy, samples, monk
     assert res.reached and bare.reached and res.panels == bare.panels >= 2
     assert len(res.times) == samples
     assert calls == without
+
+
+def _frozen_quad_panels(f, edges, rtol, nodes=False):
+    """The rule before the start check rode its first level, kept as the
+    reference: the start check as a call of its own (``separation_trace``'s
+    integrand, called on no nodes, evaluates the start alone), then every
+    level's full per-panel bookkeeping, also on a level where every piece
+    closes."""
+    f(np.empty(0))
+    edges = np.asarray(edges, dtype=float)
+    n = len(edges) - 1
+    lo, hi, owner = edges[:-1], edges[1:], np.arange(n)
+    out = np.zeros(n)
+    closed_err = np.zeros(n)
+    closed = np.zeros(n, dtype=np.intp)
+    missed = np.zeros(n, dtype=bool)
+    pieces = []
+    while len(lo):
+        if len(lo) <= dc.QUAD_LIMIT:
+            res, err, resabs, fx = dc._gk21(f, lo, hi)
+        else:
+            calls = [dc._gk21(f, lo[i:i + dc.QUAD_LIMIT], hi[i:i + dc.QUAD_LIMIT])
+                     for i in range(0, len(lo), dc.QUAD_LIMIT)]
+            res, err, resabs, fx = (np.concatenate(parts) for parts in zip(*calls))
+        done = err <= rtol * resabs
+        total = out + np.bincount(owner, res, n)
+        met = closed_err + np.bincount(owner, err, n) <= rtol * np.abs(total)
+        pending = np.bincount(owner[~done], minlength=n)
+        closed += np.bincount(owner[done], minlength=n)
+        capped = ~met & (pending > 0) & (closed + 2 * pending > dc.QUAD_LIMIT)
+        stop = met | (pending == 0) | capped
+        out = np.where(stop, total, out + np.bincount(owner[done], res[done], n))
+        closed_err += np.bincount(owner[done], err[done], n)
+        missed |= capped
+        keep = ~done & ~stop[owner]
+        if nodes:
+            pieces.append((lo[~keep], hi[~keep], fx[~keep]))
+        if not keep.any():
+            break
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        mid = 0.5 * (lo + hi)
+        lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+    assert not missed.any()
+    if nodes:
+        return out, tuple(np.concatenate(parts) for parts in zip(*pieces))
+    return out
+
+
+@pytest.mark.parametrize("f, edges", [
+    # its last level closes every piece of a panel that closed pieces before
+    (lambda x: 1.0 / (1.0 + x * x), (-50.0, 50.0)),
+    (lambda x: np.exp(np.sin(5.0 * x)), (0.0, 1.0, 2.0, 3.0)),
+    (np.sqrt, (0.0, 1.0)),
+    (lambda x: np.abs(x - 1.3) ** 0.3, (0.0, 1.0, 2.0)),
+], ids=["lorentzian", "exp-sin", "sqrt", "cusp"])
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10])
+def test_the_rule_is_the_frozen_rule_bit_for_bit(f, edges, rtol):
+    got, got_pieces = dc.quad_panels(f, edges, rtol, nodes=True)
+    want, want_pieces = _frozen_quad_panels(f, edges, rtol, nodes=True)
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(a, b) for a, b in zip(got_pieces, want_pieces))
+
+
+@pytest.mark.parametrize("run", ["target", "duration", "t_eval"])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("kind", ["gp", "log", "sqrt", "odd"])
+def test_a_run_is_that_of_the_frozen_rule_bit_for_bit(kind, policy, run, monkeypatch):
+    n, policy = _kind(kind), POLICIES[policy]
+    if run == "target":
+        args = dict(target_overlap=0.2)
+    else:
+        duration = _past_orthogonality(n, 0.1, policy)
+        args = dict(duration=duration)
+        if run == "t_eval":
+            args["t_eval"] = np.linspace(0.0, duration, 31)
+    alpha0 = 1e-3 if run == "target" else 0.1
+    got = dc.separation_trace(n, alpha0, policy, **args)
+    monkeypatch.setattr(dc, "quad_panels", _frozen_quad_panels)
+    want = dc.separation_trace(n, alpha0, policy, **args)
+    assert got.reached and want.reached and got.panels == want.panels >= 2
+    for name in ("times", "overlaps", "alphas"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.t_perp == want.t_perp
 
 
 # Closed forms of the reductions of ``_kind``, for references that do not

@@ -20,6 +20,7 @@ from nlqsim import meanfield as mf
 from nlqsim import nonlinearity as nl
 from nlqsim import optimizer as op
 from nlqsim import search as sr
+from nlqsim import validation as va
 
 GP = nl.gross_pitaevskii(1.0)
 KBAR = nl.reduce(GP)
@@ -68,6 +69,15 @@ REFUSALS = [
             "max_sweeps", ">= 1", 1.5, 0),
     *_cases("orientation_chain", lambda v: op.orientation_chain(GP, 0.5, v), "dim", "in [2, 8]",
             2.5, 1, 9),
+    # a seed reached numpy as given (-3: "expected non-negative integer"), or
+    # as seed + d in a chain, where -2 and -3 ran
+    *_cases("run_search", lambda v: sr.run_search(sr.SearchInstance(16), GP, seed=v), "seed",
+            ">= 0", 1.5, -1),
+    *_cases("optimize_orientation", lambda v: op.optimize_orientation(GP, 0.5, 3, seed=v),
+            "seed", ">= 0", 1.5, -1),
+    *_cases("orientation_chain", lambda v: op.orientation_chain(GP, 0.5, 3, seed=v), "seed",
+            ">= 0", 1.5, -3),
+    *_cases("validation.Context", lambda v: va.Context(seed=v), "seed", ">= 0", 1.5, -3),
 ]
 
 
@@ -94,7 +104,11 @@ WHOLE_FLOATS = {
     "meanfield_overlap": lambda k: mf.meanfield_overlap(0.5 + 0.5j, k(3)),
     "bosonic_overlap_bruteforce": lambda k: mf.bosonic_overlap_bruteforce(PSI, PHI, k(3)),
     "orientation_chain": lambda k: [r.best_rate for r in op.orientation_chain(
-        GP, 0.5, k(3), restarts=k(2), seed=1)],
+        GP, 0.5, k(3), restarts=k(2), seed=k(1))],
+    "run_search": lambda k: sr.run_search(sr.SearchInstance(16, 3), GP, seed=k(5)).decision.value,
+    "optimize_orientation": lambda k: op.optimize_orientation(
+        GP, 0.5, 3, restarts=2, seed=k(4)).best_rate,
+    "validation.Context": lambda k: va.check_kbar_odd(va.Context(quick=True, seed=k(2))).detail,
 }
 
 
