@@ -12,8 +12,13 @@ states apart:
   square-root-sign form) violate any such proxy bound.
 
 All certificates are sampled-numerical: grids with one refinement round to
-detect unbounded difference quotients.  Both trajectory checks integrate
-the overlap law with ``discrimination.separation_trace``.
+detect unbounded difference quotients.  The grids are sampled in blocks of
+at most ``BLOCK`` = 8,192 points (64 KiB per float64 array), so every array,
+kbar's temporaries included, stays under glibc's 128 KiB mmap threshold and
+comes from the heap instead of fresh pages that fault on first touch; memory
+does not grow with ``grid``.  A reduction that is not finite on a grid is
+refused at the first such z.  Both trajectory checks integrate the overlap
+law with ``discrimination.separation_trace``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,6 +39,8 @@ REFINE_FACTOR = 4
 # reduction.
 UNBOUNDED_GROWTH = 1.5
 MIN_GROWTH = 1e-9
+# Points per sampled block (see the module docstring).
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,8 @@ class LipschitzEstimate:
     finite: bool = True
 
     def __post_init__(self):
-        if self.g_lip < 0:
-            raise ValueError("Lipschitz constant must be nonnegative")
+        if not self.g_lip >= 0:
+            raise ValueError(f"Lipschitz constant must be nonnegative, got {self.g_lip!r}")
 
 
 @dataclass
@@ -99,12 +106,49 @@ class SeparationBoundReport:
     alphas: np.ndarray
 
 
+def _linspace_blocks(start: float, stop: float, num: int, endpoint: bool = True,
+                     overlap: int = 0) -> Iterator[np.ndarray]:
+    """``np.linspace(start, stop, num, endpoint)`` in blocks of at most
+    ``BLOCK`` points, consecutive blocks sharing ``overlap`` points.
+
+    The values equal linspace's bit for bit: numpy computes
+    ``arange(i) * step + start`` (``arange(i) / div * delta`` when the step
+    underflows to 0) and sets the last point to ``stop``.
+    """
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    step = delta / div
+    i = 0
+    while True:
+        j = min(i + BLOCK, num)
+        y = np.arange(i, j, dtype=float)
+        if step == 0:
+            y /= div
+            y *= delta
+        else:
+            y *= step
+        y += start
+        if endpoint and j == num:
+            y[-1] = stop
+        yield y
+        if j == num:
+            return
+        i = j - overlap
+
+
+def _first_not_finite(z: np.ndarray, vals: np.ndarray) -> Optional[float]:
+    """The first z at which vals is not finite, or None."""
+    finite = np.isfinite(vals)
+    return None if finite.all() else float(z[np.argmin(finite)])
+
+
 def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
                    grid: int = DEFAULT_GRID):
     """Largest sampled g with |kbar(z0) - kbar(z0 + d)| >= g |d|, |d| < Delta.
 
     Returns a :class:`GrowthCertificate`, or a :class:`GrowthRefusal` when
-    the sampled growth floor is below 1e-9.  Windows sticking out of [-1, 1]
+    the sampled growth floor is below 1e-9 or kbar is not finite at a
+    sampled z (the first one is named).  Windows sticking out of [-1, 1]
     are clipped with a warning.
     """
     if not 0.0 <= z0 < 1.0:
@@ -122,18 +166,26 @@ def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
         lo = z0 + 1.0
 
     k0 = float(kbar(z0))
-    deltas = np.concatenate([
-        -np.linspace(lo / grid, lo, grid, endpoint=False),
-        np.linspace(hi / grid, hi, grid, endpoint=False),
-    ])
-    diffs = np.asarray(kbar(z0 + deltas)) - k0
-    g_local = float(np.min(np.abs(diffs) / np.abs(deltas)))
-    if g_local < MIN_GROWTH:
+    if not math.isfinite(k0):
+        return GrowthRefusal(z0, Delta, f"kbar is not finite at z = {z0!r}")
+    g_local, up = math.inf, 0.0
+    for sign, span in ((-1.0, lo), (1.0, hi)):
+        for deltas in _linspace_blocks(span / grid, span, grid, endpoint=False):
+            deltas *= sign
+            z = z0 + deltas
+            vals = np.asarray(kbar(z))
+            bad = _first_not_finite(z, vals)
+            if bad is not None:
+                return GrowthRefusal(z0, Delta, f"kbar is not finite at z = {bad!r}")
+            diffs = vals - k0
+            g_local = np.minimum(g_local, np.min(np.abs(diffs) / np.abs(deltas)))
+            # Branch choice: pick theta so that kbar(z_plus) > kbar(z_minus);
+            # the higher-z state has the larger kbar iff kbar increases
+            # through z0.  The signs sum exactly, block by block.
+            up += np.add.reduce(np.sign(diffs * deltas))
+    g_local = float(g_local)
+    if not g_local >= MIN_GROWTH:
         return GrowthRefusal(z0, Delta, f"sampled growth floor {g_local:.3e} below {MIN_GROWTH}")
-
-    # Branch choice: pick theta so that kbar(z_plus) > kbar(z_minus); the
-    # higher-z state has the larger kbar iff kbar increases through z0.
-    up = np.mean(np.sign(diffs * deltas))
     direction = 1 if up >= 0 else -1
     return GrowthCertificate(z0, g_local, min(hi, Delta), direction)
 
@@ -181,14 +233,21 @@ def estimate_lipschitz(kbar: ReducedNonlinearity, grid: int = DEFAULT_GRID) -> L
 
     One refinement round (grid x 4) detects unbounded quotients; estimates
     that keep growing are flagged non-finite (``finite = False``), with the
-    refined supremum reported.
+    refined supremum reported.  A kbar that is not finite at a sampled z is
+    refused (``ValueError``) at the first one.
     """
     grid = whole_number("grid", grid, 2)
 
     def sup_quotient(n):
-        z = np.linspace(-1.0, 1.0, n)
-        vals = np.asarray(kbar(z))
-        return float(np.max(np.abs(np.diff(vals)) / np.diff(z)))
+        # Blocks share their edge point, so each quotient is formed once.
+        top = -math.inf
+        for z in _linspace_blocks(-1.0, 1.0, n, overlap=1):
+            vals = np.asarray(kbar(z))
+            bad = _first_not_finite(z, vals)
+            if bad is not None:
+                raise ValueError(f"kbar is not finite at z = {bad!r}")
+            top = np.maximum(top, np.max(np.abs(np.diff(vals)) / np.diff(z)))
+        return float(top)
 
     coarse = sup_quotient(grid)
     fine = sup_quotient(grid * REFINE_FACTOR)

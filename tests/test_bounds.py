@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,150 @@ def test_separation_bound_refuses_an_infinite_duration():
     # duration = inf answered bound_ok = True
     with pytest.raises(ValueError, match="duration must be finite and >= 0, got inf"):
         bn.check_lipschitz_separation_bound(nl.gross_pitaevskii(1.0), 1e-3, math.inf)
+
+
+def _not_finite_beyond(cut):
+    # the identity inside |z| <= cut, NaN outside it
+    return nl.from_odd_function(lambda z: np.where(np.abs(z) > cut, math.nan, z))
+
+
+def test_certify_growth_refuses_a_reduction_that_is_not_finite_in_the_window():
+    # certified g_local = nan with a direction drawn from NaN signs
+    out = bn.certify_growth(nl.reduce(_not_finite_beyond(0.35)), 0.3, 0.2)
+    assert isinstance(out, bn.GrowthRefusal)
+    first = 0.3 + np.linspace(0.2 / 10_000, 0.2, 10_000, endpoint=False)
+    first = float(first[first > 0.35][0])
+    assert out.reason == f"kbar is not finite at z = {first!r}"
+    out = bn.certify_growth(nl.reduce(_not_finite_beyond(0.25)), 0.3, 0.2)
+    assert out.reason == "kbar is not finite at z = 0.3"
+
+
+def test_estimate_lipschitz_refuses_a_reduction_that_is_not_finite():
+    # answered g_lip = nan, finite = False, which the separation check then
+    # blamed on the absence of a finite Lipschitz constant
+    n = nl.from_odd_function(lambda z: np.where(z > 0.35, math.nan, z))
+    first = np.linspace(-1.0, 1.0, 10_000)
+    first = float(first[first > 0.35][0])
+    with pytest.raises(ValueError, match=f"kbar is not finite at z = {first!r}"):
+        bn.estimate_lipschitz(nl.reduce(n))
+    with pytest.raises(ValueError, match=f"kbar is not finite at z = {first!r}"):
+        bn.check_lipschitz_separation_bound(n, 1e-3, 1.0)
+    with pytest.raises(ValueError, match="Lipschitz constant must be nonnegative, got nan"):
+        bn.LipschitzEstimate(math.nan)
+
+
+def test_certify_growth_refuses_a_window_below_the_grid_resolution():
+    # the first sampled offsets underflow to 0, and 0/0 certified g_local = nan
+    with np.errstate(invalid="ignore"):
+        out = bn.certify_growth(nl.reduce(nl.gross_pitaevskii(1.0)), 0.3, 1e-320)
+    assert isinstance(out, bn.GrowthRefusal)
+    assert out.reason.startswith("sampled growth floor nan")
+
+
+# The two sampled bounds as they were before blocked sampling: one linspace
+# each, evaluated in one kbar call.
+def _frozen_certify_growth(kbar, z0, Delta, grid):
+    hi = Delta
+    lo = Delta
+    if z0 + hi > 1.0:
+        hi = 1.0 - z0
+    if z0 - lo < -1.0:
+        lo = z0 + 1.0
+    k0 = float(kbar(z0))
+    deltas = np.concatenate([
+        -np.linspace(lo / grid, lo, grid, endpoint=False),
+        np.linspace(hi / grid, hi, grid, endpoint=False),
+    ])
+    diffs = np.asarray(kbar(z0 + deltas)) - k0
+    g_local = float(np.min(np.abs(diffs) / np.abs(deltas)))
+    if g_local < bn.MIN_GROWTH:
+        return bn.GrowthRefusal(z0, Delta,
+                                f"sampled growth floor {g_local:.3e} below {bn.MIN_GROWTH}")
+    up = np.mean(np.sign(diffs * deltas))
+    direction = 1 if up >= 0 else -1
+    return bn.GrowthCertificate(z0, g_local, min(hi, Delta), direction)
+
+
+def _frozen_estimate_lipschitz(kbar, grid):
+    def sup_quotient(n):
+        z = np.linspace(-1.0, 1.0, n)
+        vals = np.asarray(kbar(z))
+        return float(np.max(np.abs(np.diff(vals)) / np.diff(z)))
+
+    coarse = sup_quotient(grid)
+    fine = sup_quotient(grid * bn.REFINE_FACTOR)
+    finite = fine <= coarse * bn.UNBOUNDED_GROWTH + 1e-12 or fine < 1e-9
+    return bn.LipschitzEstimate(g_lip=fine, finite=finite)
+
+
+_X = np.linspace(0.0, 1.0, 41)
+_KINDS = {"gp": nl.gross_pitaevskii(1.3), "log": nl.logarithmic(0.7),
+          "sqrt": nl.square_root_sign(1.0),
+          "odd": nl.from_odd_function(lambda z: np.sinh(3.0 * np.asarray(z)) / 3.0),
+          "quartic": nl.quartic_difference(1.0),
+          "table": nl.piecewise_from_table(_X, 0.8 * _X * _X + 0.3 * np.sin(3.0 * _X))}
+_GRIDS = [2, 3, 8191, 8192, 8193, 10_000]
+
+
+def _bits(out):
+    if isinstance(out, bn.GrowthRefusal):
+        return out
+    if isinstance(out, bn.LipschitzEstimate):
+        return out.g_lip.hex(), out.finite
+    return out.z0, out.g_local.hex(), out.delta_window.hex(), out.direction
+
+
+@pytest.mark.filterwarnings("ignore:growth window clipped")
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_certify_growth_is_the_frozen_certificate_bit_for_bit(kind, grid):
+    kbar = nl.reduce(_KINDS[kind])
+    for z0 in (0.0, 0.3, 0.6, 0.9):  # 0.9 with Delta = 0.5 is clipped above
+        for delta in (0.2, 0.5):
+            want = _frozen_certify_growth(kbar, z0, delta, grid)
+            assert _bits(bn.certify_growth(kbar, z0, delta, grid)) == _bits(want)
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_estimate_lipschitz_is_the_frozen_estimate_bit_for_bit(kind, grid):
+    kbar = nl.reduce(_KINDS[kind])
+    want = _frozen_estimate_lipschitz(kbar, grid)
+    assert _bits(bn.estimate_lipschitz(kbar, grid)) == _bits(want)
+
+
+@pytest.mark.parametrize("start, stop, num, endpoint", [
+    (-1.0, 1.0, bn.DEFAULT_GRID, True),
+    (-1.0, 1.0, bn.DEFAULT_GRID * bn.REFINE_FACTOR, True),
+    *((span / bn.DEFAULT_GRID, span, bn.DEFAULT_GRID, False)
+      for span in (0.2, 0.5, 1.0 - 0.9, 1.0 - 0.6)),
+    (-1.0, 1.0, 2, True), (0.5 / 3, 0.5, 3, False),
+    (1e-320 / bn.DEFAULT_GRID, 1e-320, bn.DEFAULT_GRID, False),  # the step underflows
+])
+def test_linspace_blocks_are_linspace_bit_for_bit(start, stop, num, endpoint):
+    want = np.linspace(start, stop, num, endpoint=endpoint)
+    for overlap in (0, 1):
+        blocks = list(bn._linspace_blocks(start, stop, num, endpoint, overlap))
+        assert all(len(b) <= bn.BLOCK for b in blocks)
+        for a, b in zip(blocks[:-1], blocks[1:]):
+            assert a[len(a) - overlap:].tobytes() == b[:overlap].tobytes()
+        got = np.concatenate([blocks[0]] + [b[overlap:] for b in blocks[1:]])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [bn.DEFAULT_GRID, 1_000_000])
+def test_sampled_bounds_hold_a_few_blocks_whatever_the_grid(grid):
+    # numpy's data buffers are traced; before blocked sampling the default
+    # grid peaked at 782 KiB (certify) and 1,251 KiB (Lipschitz) and grew
+    # with the grid
+    kbar = nl.reduce(nl.logarithmic(1.0))
+    for call in (lambda: bn.certify_growth(kbar, 0.3, 0.5, grid),
+                 lambda: bn.estimate_lipschitz(kbar, grid)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
