@@ -162,7 +162,8 @@ def integrate(
         raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     vs = np.atleast_2d(np.asarray(initial, dtype=float))
     if vs.shape[1:] != (3,) or len(vs) not in (1, 2):
-        raise ValueError("initial must be one or two Bloch 3-vectors")
+        raise ValueError("initial must be one or two Bloch 3-vectors, "
+                         f"got shape {np.shape(initial)}")
     norm = np.linalg.norm(vs, axis=1, keepdims=True)
     if not np.all(np.abs(norm - 1.0) <= 1e-9):  # false on NaN too
         raise ValueError(f"Bloch vectors must be unit length to 1e-9, got {vs.tolist()}")

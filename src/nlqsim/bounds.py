@@ -220,7 +220,8 @@ def growth_trace(kbar: ReducedNonlinearity, cert: GrowthCertificate, alpha0: flo
     last at alpha_stop.  A pair that stops widening on the way is refused.
     """
     if not 0.0 < alpha0 < alpha_stop <= math.pi:
-        raise ValueError("need 0 < alpha0 < alpha_stop <= pi")
+        raise ValueError(f"need 0 < alpha0 < alpha_stop <= pi, got alpha0={alpha0!r} "
+                         f"and alpha_stop={alpha_stop!r}")
     res = separation_trace(kbar.source, alpha0, policy=(cert.phi, cert.theta),
                            target_overlap=math.cos(alpha_stop / 2.0), rtol=rtol)
     if not res.reached:

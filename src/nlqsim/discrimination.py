@@ -675,7 +675,9 @@ def fig_tperp_vs_alpha0():
 
 
 def fig_rate_comparison(samples: int = 1000):
-    """Columns (overlap, log-rate at g=1, quadratic rate at g=2) on (0, 1)."""
+    """Columns (overlap, log-rate at g=1, quadratic rate at g=2) at ``samples``
+    (a whole number >= 1) evenly spaced overlaps inside (0, 1)."""
+    samples = whole_number("samples", samples, 1)
     cs = np.linspace(0.0, 1.0, samples + 2)[1:-1]
     alphas = 2.0 * np.arccos(cs)
     return cs, log_overlap_rate(1.0, alphas), gp_overlap_rate(2.0, alphas)

@@ -44,8 +44,8 @@ class CondensateParams:
 def meanfield_overlap(inner: complex, n_atoms: int) -> complex:
     """<MF(psi)|MF(phi)> = inner^n_atoms."""
     whole_number("n_atoms", n_atoms, 1)
-    if abs(inner) > 1.0 + 1e-12:
-        raise ValueError("|inner| must be <= 1")
+    if not abs(inner) <= 1.0 + 1e-12:  # false on NaN too
+        raise ValueError(f"|inner| must be <= 1, got {inner!r}")
     return complex(inner) ** n_atoms
 
 
@@ -60,7 +60,7 @@ def bosonic_overlap_bruteforce(psi: np.ndarray, phi: np.ndarray, n_atoms: int) -
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     if psi.shape != (2,) or phi.shape != (2,):
-        raise ValueError("two-mode states required")
+        raise ValueError(f"two-mode states required, got shapes {psi.shape} and {phi.shape}")
     ks = np.arange(n_atoms + 1)
     binom = np.array([math.comb(n_atoms, int(k)) for k in ks], dtype=float)
     amp_psi = np.sqrt(binom) * psi[0] ** ks * psi[1] ** (n_atoms - ks)

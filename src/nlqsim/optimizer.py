@@ -88,19 +88,8 @@ def rate_functional(kappa: Nonlinearity, e: PairEmbedding) -> float:
     For orthogonal pairs the magnitude is not differentiable; the one-sided
     derivative magnitude |d<psi|phi>/dt| is returned.
     """
-    pair = np.stack([np.asarray(e.psi, complex), np.asarray(e.phi, complex)], axis=-1)
-    return _pair_rate(pair, kappa.kappa(np.abs(pair)))
-
-
-def _pair_rate(pair, kap):
-    """:func:`rate_functional` of the (dim, 2) ``pair`` (psi, phi) from
-    kap = kappa(|pair|), evaluated by the caller."""
-    psi, phi = pair[:, 0], pair[:, 1]
-    inner = np.vdot(psi, phi)
-    t = weighted_overlap_derivative(kap[:, 0] - kap[:, 1], psi, phi)
-    if abs(inner) < 1e-12:
-        return float(abs(t))
-    return float(np.real(np.conj(inner / abs(inner)) * t))
+    states = np.stack([np.asarray(e.psi, complex), np.asarray(e.phi, complex)], axis=-1)[None]
+    return float(_rates(states, kappa.kappa(np.abs(states)))[0])
 
 
 def _dot(x, y):
@@ -140,14 +129,21 @@ def _states(gram, block):
 def _batch_rates(kappa: Nonlinearity, states: np.ndarray) -> np.ndarray:
     """The overlap rate of each pair of (R, dim, 2) ``states``, as (R,), from
     one kappa(|states|) call."""
-    psi = states[:, :, 0]
-    phi = states[:, :, 1]
+    return _rates(states, kappa.kappa(np.abs(states)))
+
+
+def _rates(states, kap):
+    """The overlap rate of each pair of (R, dim, 2) ``states``, as (R,), from
+    kap = kappa(|states|), evaluated by the caller; at an exactly orthogonal
+    pair, the one-sided |d<psi|phi>/dt| of :func:`rate_functional`.  The
+    search, its result and :func:`rate_functional` all take the rate here."""
+    psi, phi = states[:, :, 0], states[:, :, 1]
     inner = np.add.reduce(np.conj(psi) * phi, axis=1)
-    kap = kappa.kappa(np.abs(states))
     t = weighted_overlap_derivative(kap[:, :, 0] - kap[:, :, 1], psi, phi)
     mag = np.abs(inner)
-    mag = np.where(mag < 1e-300, 1.0, mag)
-    return np.real(np.conj(inner / mag) * t)
+    orthogonal = mag == 0.0
+    rate = np.real(np.conj(inner / np.where(orthogonal, 1.0, mag)) * t)
+    return np.where(orthogonal, np.abs(t), rate)
 
 
 _SIGNS = np.array([-1.0, 1.0])  # the psi and phi columns of the state gradient
@@ -266,7 +262,7 @@ def optimize_orientation(
     grad = _rate_gradient(kappa, gram, states, block, kap)
     embedding = PairEmbedding(dim=dim, psi=states[0, :, 0], phi=states[0, :, 1])
     return OptimizationResult(
-        best_rate=_pair_rate(states[0], kap[0]), argmax=embedding, restarts=restarts,
+        best_rate=float(_rates(states, kap)[0]), argmax=embedding, restarts=restarts,
         seed=seed, alpha=alpha, converged_sweeps=sweeps_done, capped=capped,
         grad_norm=float(np.max(np.abs(grad))), angles=angles, params=params[0],
     )

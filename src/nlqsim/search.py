@@ -119,10 +119,12 @@ def hadamard_test_bruteforce(N: int, t1: float, marked: bool,
 
     H on the ancilla, controlled oracle evolution, H again, then projection
     of the register onto |s>.  Serves as an independent oracle for the
-    closed forms.  ``m`` is the 1-indexed marked item, in [1, N].
+    closed forms on their range (finite t1 >= 0); ``m`` is the marked item, in [1, N].
     """
     N = whole_number("N", N, 2)
     m = whole_number("m", m, 1, N)
+    if not 0.0 <= t1 < math.inf:
+        raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
     s = uniform_state(N)
     # amplitudes[a, x]: ancilla a in {0, 1}, register x
     amp = np.zeros((2, N), dtype=complex)
@@ -154,8 +156,10 @@ def _overlap_deficit(N: int, t1: float) -> float:
 
 def helstrom_success(overlap: float) -> float:
     """Optimal success probability for equal-prior discrimination of two
-    pure states with overlap magnitude ``overlap``."""
-    return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - overlap ** 2)))
+    pure states with overlap magnitude ``overlap``, in [0, 1]."""
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
+    return 0.5 * (1.0 + math.sqrt(1.0 - overlap ** 2))
 
 
 def default_t1(N: int, g: float) -> float:
@@ -171,6 +175,7 @@ def complexity_budget(N: int, g: float) -> float:
     """min{(1/g) ln(gN), sqrt(N)}, falling back to the quadratic-search
     budget sqrt(N) when the nonlinearity is too weak to help
     (g < ln(N)/sqrt(N) or gN <= 1)."""
+    N = whole_number("N", N, 2)
     if not math.isfinite(g):
         raise ValueError(f"g must be finite, got {g!r}")
     root_n = math.sqrt(N)
@@ -256,7 +261,7 @@ def integrate_nlse(
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
-        raise ValueError("psi0 must be a vector")
+        raise ValueError(f"psi0 must be a vector, got shape {psi0.shape}")
     dim = len(psi0)
     nrm = np.linalg.norm(psi0)
     if not abs(nrm - 1.0) <= 1e-9:  # false on NaN too

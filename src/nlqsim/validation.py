@@ -1,6 +1,7 @@
 """The one registry of the paper's claims and the module invariants.
 
-``ALL_CHECKS`` lists every check; ``nlqsim validate`` runs it, and the
+``ALL_CHECKS`` is every ``check_*`` function of this module, in definition
+order, so a new claim is one ``def``; ``nlqsim validate`` runs it, and the
 acceptance suite runs it at full size.  A check is a claim: its name, the
 statement it tests, the figure of merit in its detail string and the
 tolerance it compares against.  Every check is deterministic given the
@@ -427,6 +428,20 @@ def check_meanfield(ctx: Context) -> CheckResult:
                        f"t_star N / ln N spread = {spread:.3f}")
 
 
+def check_epsilon_scaling(ctx: Context) -> CheckResult:
+    g = 1.0
+    eps = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    times = []
+    for e in eps:
+        a0 = dc.epsilon_to_alpha0(e)
+        times.append(dc.time_to_overlap(nl.gross_pitaevskii(g), a0, 0.0).t_perp)
+    slope = float(np.polyfit(np.log(1.0 / eps), times, 1)[0])
+    slope_half = float(np.polyfit(np.log(1.0 / np.sqrt(eps)), times, 1)[0])
+    ok = abs(slope - 1.0 / g) <= 0.02 / g and abs(slope_half - 2.0 / g) <= 0.04 / g
+    return CheckResult("epsilon_scaling", ok,
+                       f"slope vs ln(1/eps) = {slope:.5f} (want {1/g:.3f})")
+
+
 def check_z_gap_geometry(ctx: Context) -> CheckResult:
     rng = np.random.default_rng(ctx.seed + 10)
     worst_id = 0.0
@@ -519,51 +534,9 @@ def check_search_decision_chain(ctx: Context) -> CheckResult:
                        f"min total_time / decision floor = {worst:.2f}")
 
 
-def check_epsilon_scaling(ctx: Context) -> CheckResult:
-    g = 1.0
-    eps = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    times = []
-    for e in eps:
-        a0 = dc.epsilon_to_alpha0(e)
-        times.append(dc.time_to_overlap(nl.gross_pitaevskii(g), a0, 0.0).t_perp)
-    slope = float(np.polyfit(np.log(1.0 / eps), times, 1)[0])
-    slope_half = float(np.polyfit(np.log(1.0 / np.sqrt(eps)), times, 1)[0])
-    ok = abs(slope - 1.0 / g) <= 0.02 / g and abs(slope_half - 2.0 / g) <= 0.04 / g
-    return CheckResult("epsilon_scaling", ok,
-                       f"slope vs ln(1/eps) = {slope:.5f} (want {1/g:.3f})")
-
-
 ALL_CHECKS: List[Callable[[Context], CheckResult]] = [
-    check_kbar_odd,
-    check_gp_reduce_exact,
-    check_quartic_kbar_zero,
-    check_mu_nu_roundtrip,
-    check_latitude_conservation,
-    check_norm_conservation,
-    check_drive_neutrality,
-    check_rate_consistency,
-    check_z_rotation_invariance,
-    check_closed_form_vs_ode,
-    check_t_perp_identity,
-    check_control_law,
-    check_log_dominance,
-    check_log_generalip,
-    check_gp_lipschitz_bound,
-    check_sqrt_constant_time,
-    check_growth_certificates,
-    check_lipschitz_estimates,
-    check_hadamard_postselection,
-    check_search_budget,
-    check_nlse_norm_phase,
-    check_audit_margin,
-    check_optimizer_recovery,
-    check_meanfield,
-    check_epsilon_scaling,
-    check_z_gap_geometry,
-    check_general_upper_bound,
-    check_optimizer_invariants,
-    check_search_decision_chain,
-]
+    obj for name, obj in list(globals().items())
+    if name.startswith("check_") and callable(obj) and obj.__module__ == __name__]
 
 
 def run_all(ctx: Context, log: TextIO) -> List[CheckResult]:

@@ -479,6 +479,15 @@ def test_optimize_cli(capsys):
     assert rate == pytest.approx(-0.5 * math.sin(0.25) ** 2, abs=1e-8)
 
 
+def test_optimize_cli_reports_the_signed_rate_just_short_of_orthogonal(capsys):
+    # the rate searched is signed at every alpha < pi; this line printed
+    # best_rate = 1.3254868386858132, the magnitude
+    assert run_cli(["optimize", "--nonlinearity", "log:1", "--alpha", "3.1415926535897",
+                    "--dim", "3", "--restarts", "4"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("best_rate = ")[1].split("\n")[0]) < 0.0
+
+
 def test_optimize_cli_reports_sweep_cap(capsys):
     assert run_cli(["optimize", "--nonlinearity", "log:1.0", "--alpha", "0.5",
                     "--dim", "2"]) == 0

@@ -362,6 +362,19 @@ def test_a_qubit_result_is_built_on_one_kappa_evaluation(kind, alpha, monkeypatc
     assert res.grad_norm <= 1e-8
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_pair_just_short_of_orthogonal_reports_the_rate_it_minimized(dim):
+    # |<psi|phi>| = cos(alpha/2) = 5e-14 > 0, so the signed rate is defined;
+    # the search minimized it, and the result reported its magnitude
+    # (+1.3254868386983634 at d = 2)
+    kappa = nl.logarithmic(1.0)
+    res = op.optimize_orientation(kappa, math.pi - 1e-13, dim, restarts=4, seed=1)
+    states = np.stack([res.argmax.psi, res.argmax.phi], axis=-1)[None]
+    assert res.best_rate < 0.0
+    assert res.best_rate == op._batch_rates(kappa, states)[0]
+    assert res.best_rate == op.rate_functional(kappa, res.argmax)
+
+
 @pytest.mark.parametrize("kind", sorted(QUBIT_KINDS))
 @pytest.mark.parametrize("dim", [3, 4, 6])  # 6: criterion 10's largest dimension
 def test_rate_gradient_matches_central_differences(kind, dim):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from nlqsim import bounds as bn
+from nlqsim import discrimination as dc
 from nlqsim import meanfield as mf
 from nlqsim import nonlinearity as nl
 from nlqsim import optimizer as op
@@ -43,6 +44,9 @@ REFUSALS = [
     *_cases("hadamard_test_bruteforce", lambda v: sr.hadamard_test_bruteforce(8, 1.0, True, m=v),
             "m", "in [1, 8]", 1.5, 0, 9),
     *_cases("default_t1", lambda v: sr.default_t1(v, 1.0), "N", ">= 2", 2.5, 1),
+    # 2.5 gave 0.9163, 0 gave 0.0, nan gave nan and -4 a math domain error
+    *_cases("complexity_budget", lambda v: sr.complexity_budget(v, 1.0), "N", ">= 2", 2.5, 0,
+            float("nan"), -4),
     *_cases("search_schedule", lambda v: sr.search_schedule(v, 1.0, 1.0), "N", ">= 2", 2.5, 1),
     *_cases("lower_bound_audit", lambda v: sr.lower_bound_audit(GP, None, v, 1.0), "N", ">= 2",
             2.5, 1),
@@ -55,6 +59,10 @@ REFUSALS = [
             ">= 2", 2.5, 1),
     *_cases("estimate_lipschitz", lambda v: bn.estimate_lipschitz(KBAR, grid=v), "grid", ">= 2",
             2.5, 1),
+    # 2.5 raised TypeError, 0 gave two empty columns and -5 numpy's "Number
+    # of samples, -3, must be non-negative."
+    *_cases("fig_rate_comparison", lambda v: dc.fig_rate_comparison(v), "samples", ">= 1", 2.5,
+            0, -5),
     *_cases("CondensateParams", lambda v: mf.CondensateParams(v, 1e-3), "n_atoms", ">= 2",
             2.5, 1),
     *_cases("meanfield_overlap", lambda v: mf.meanfield_overlap(0.5, v), "n_atoms", ">= 1",
@@ -93,6 +101,9 @@ def test_a_count_or_index_out_of_range_or_not_whole_is_refused_by_name(call, nam
 WHOLE_FLOATS = {
     "SearchInstance": lambda k: sr.run_search(sr.SearchInstance(k(64), k(3)), GP).total_time,
     "default_t1": lambda k: sr.default_t1(k(64), 1.0),
+    "complexity_budget": lambda k: sr.complexity_budget(k(64), 1.0),
+    # 1.0 raised TypeError
+    "fig_rate_comparison": lambda k: dc.fig_rate_comparison(k(1)),
     "hadamard_test_bruteforce": lambda k: sr.hadamard_test_bruteforce(
         k(8), 1.0, True, m=k(3)).postselected_qubit,
     "integrate_nlse": lambda k: sr.integrate_nlse(GP, None, k(3), PSI0, 1.0).states,
