@@ -184,13 +184,14 @@ def _project(y):
 
 
 def sample_times(t_eval, t0: float, t1: float) -> np.ndarray:
-    """``t_eval`` as a float array; ``ValueError`` unless it is finite,
-    strictly increasing and inside [t0, t1]."""
+    """The one rule for sample times: ``t_eval`` as a float array if it is a 1-d
+    array of finite, strictly increasing times in [t0, t1], else ``ValueError``."""
     times = np.asarray(t_eval, dtype=float)
-    if not (times.ndim == 1 and np.all(np.diff(times) > 0.0)
+    if not (times.ndim == 1 and np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)
             and np.all((t0 <= times) & (times <= t1))):
-        raise ValueError(f"t_eval must be finite, strictly increasing and "
-                         f"inside [{t0!r}, {t1!r}], got {t_eval!r}")
+        where = f">= {t0!r}" if t1 == math.inf else f"in [{t0!r}, {t1!r}]"
+        raise ValueError("t_eval must be a 1-d array of finite, strictly increasing times "
+                         f"{where}, got {t_eval!r}")
     return times
 
 
@@ -344,7 +345,8 @@ class Schedule:
         if gen.shape != (len(support),) * 2:
             raise ValueError(f"generator must be {len(support)}x{len(support)}, got {gen.shape}")
         if not np.all(np.abs(gen - gen.conj().T) <= 1e-12):  # false on nan and inf too
-            raise ValueError("generator must be finite and Hermitian to 1e-12")
+            raise ValueError("generator must be finite and Hermitian to 1e-12, "
+                             f"got {self.generator!r}")
         gen.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "generator", gen)
@@ -404,7 +406,10 @@ def solve_in_frame(kappa, diag, H: Optional[Schedule], Y0, duration: float, rtol
     duration, and the solver takes no step.  Without ``t_eval`` the trace
     records t = 0 and then the solver's steps from t_on.  A rate that is not
     finite gives the solver's failed trace, which keeps only the start.
+    ``duration`` must be finite and >= 0, and ``t_eval`` samples in it.
     """
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     rate = kappa.kappa(np.abs(Y0)) + diag
     omega = rate.copy()
     if H is not None:

@@ -158,8 +158,6 @@ def integrate(
     >= 0 and each vector unit length to 1e-9 (NaN is refused).  Step
     underflow returns a trace with ``failed`` set and the partial history.
     """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     vs = np.atleast_2d(np.asarray(initial, dtype=float))
     if vs.shape[1:] != (3,) or len(vs) not in (1, 2):
         raise ValueError("initial must be one or two Bloch 3-vectors, "

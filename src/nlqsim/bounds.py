@@ -30,7 +30,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .discrimination import OrientationPolicy, check_start, separation_trace, whole_number
+from .discrimination import (OrientationPolicy, check_start, real_number, separation_trace,
+                             whole_number)
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 DEFAULT_GRID = 10_000
@@ -89,8 +90,7 @@ class LipschitzEstimate:
     finite: bool = True
 
     def __post_init__(self):
-        if not self.g_lip >= 0:
-            raise ValueError(f"Lipschitz constant must be nonnegative, got {self.g_lip!r}")
+        real_number("Lipschitz constant", self.g_lip, 0.0, math.inf, "[]")
 
 
 @dataclass
@@ -151,10 +151,8 @@ def certify_growth(kbar: ReducedNonlinearity, z0: float, Delta: float,
     sampled z (the first one is named).  Windows sticking out of [-1, 1]
     are clipped with a warning.
     """
-    if not 0.0 <= z0 < 1.0:
-        raise ValueError(f"z0 must be in [0, 1), got {z0!r}")
-    if not Delta > 0:
-        raise ValueError(f"Delta must be > 0, got {Delta!r}")
+    real_number("z0", z0, 0.0, 1.0, "[)")
+    real_number("Delta", Delta, 0.0, math.inf, "(]")
     grid = whole_number("grid", grid, 2)
 
     hi = Delta
@@ -279,8 +277,7 @@ def check_lipschitz_separation_bound(
             raise ValueError(
                 "no finite Lipschitz constant; pass an explicit g_lip proxy")
         g_lip = est.g_lip
-    if not 0.0 <= g_lip < math.inf:
-        raise ValueError(f"g_lip must be finite and >= 0, got {g_lip!r}")
+    real_number("g_lip", g_lip, 0.0, ends="[)")
 
     result = separation_trace(n, alpha0, policy=OrientationPolicy.REOPTIMIZED,
                               duration=duration)

@@ -180,7 +180,7 @@ def cmd_gp_validity(args) -> int:
     rows = []
     for atoms in args.atoms:
         p = mf.CondensateParams(atoms, U=args.interaction)
-        rows.append((p.n_atoms, p.g, mf.gp_validity_time(p, args.target_overlap),
+        rows.append((atoms, p.g, mf.gp_validity_time(p, args.target_overlap),
                      mf.validity_scaling_constant(p, args.target_overlap)))
     text = csv_text("N_atoms,g,t_star,t_star_times_N_over_logN", rows)
     report(text.splitlines(), args.out, text, "table")

@@ -56,6 +56,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._ode import sample_times
 from .blochdyn import pair_overlap_rate
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
@@ -72,6 +73,12 @@ QUAD_RTOL_FLOOR = 50.0 * np.finfo(float).eps
 
 # tanh(u) rounds to -1 below u = -U_MAX, where a run of given duration stops.
 U_MAX = 20.0
+
+# The real numbers: float and int first, matched without the ABC's slower lookup.
+_REAL = (float, int, numbers.Real)
+
+# The range of a target overlap, below the start's c0 = cos(alpha0/2) = hi.
+_TARGET_RANGE = "in [0, cos(alpha0/2)) = [0, {hi!r})"
 
 
 class OrientationPolicy(enum.Enum):
@@ -104,8 +111,7 @@ def epsilon_to_alpha0(epsilon: float) -> float:
     which keeps full relative precision for tiny epsilon.  Only [0, 1] maps
     to an angle in [0, pi]; the clip keeps epsilon = 1 at pi, not an ulp past.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon!r}")
+    real_number("epsilon", epsilon, 0.0, 1.0, "[]")
     return min(math.pi, 4.0 * math.asin(math.sqrt(epsilon / 2.0)))
 
 
@@ -113,8 +119,7 @@ def gp_overlap_closed_form(g: float, alpha0: float, t):
     """Overlap cos(alpha/2) at time t under the optimal quadratic protocol,
     tanh(u0 - gt/2) with u0 = ln cot(alpha0/4): the overlap keeps its digits
     where cos(alpha0/2) rounds to 1."""
-    if not 0.0 < g < math.inf:
-        raise ValueError(f"g must be finite and > 0, got {g!r}")
+    real_number("g", g, 0.0)
     check_start(alpha0)
     val = np.tanh(math.log(1.0 / math.tan(alpha0 / 4.0)) - g * np.asarray(t, dtype=float) / 2.0)
     return float(val) if np.ndim(t) == 0 else val
@@ -131,12 +136,9 @@ def gp_time_to_overlap(g: float, alpha0: float, target: float) -> float:
     """Closed-form time for the quadratic protocol to reach a target overlap,
     (2/g) (ln cot(alpha0/4) - atanh(target)); ln cot(alpha0/4) is
     atanh(cos(alpha0/2)) without its cancellation at small alpha0."""
-    if not 0.0 < g < math.inf:
-        raise ValueError(f"g must be finite and > 0, got {g!r}")
+    real_number("g", g, 0.0)
     check_start(alpha0)
-    if not 0.0 <= target < math.cos(alpha0 / 2):
-        raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = "
-                         f"[0, {math.cos(alpha0 / 2)!r}), got {target!r}")
+    real_number("target overlap", target, 0.0, math.cos(alpha0 / 2), "[)", _TARGET_RANGE)
     return (2.0 / g) * (math.log(1.0 / math.tan(alpha0 / 4.0)) - math.atanh(target))
 
 
@@ -158,8 +160,7 @@ def control_omega(kbar: ReducedNonlinearity, c: float, s: float) -> float:
 def log_overlap_rate(g: float, alpha) -> float:
     """Overlap rate for the logarithmic nonlinearity at the quadratic-optimal
     orientation: (g/sqrt(2)) ln((sqrt(2)-sin(a/2))/(sqrt(2)+sin(a/2))) sin(a/2)."""
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
+    real_number("g", g)
     s = np.sin(np.asarray(alpha, dtype=float) / 2.0)
     out = (g / SQRT2) * np.log((SQRT2 - s) / (SQRT2 + s)) * s
     return float(out) if out.ndim == 0 else out
@@ -167,8 +168,7 @@ def log_overlap_rate(g: float, alpha) -> float:
 
 def gp_overlap_rate(g: float, alpha) -> float:
     """dc/dt = -(g/2) sin^2(alpha/2) for the quadratic nonlinearity."""
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
+    real_number("g", g)
     s = np.sin(np.asarray(alpha, dtype=float) / 2.0)
     out = -(g / 2.0) * s * s
     return float(out) if out.ndim == 0 else out
@@ -301,31 +301,41 @@ def reoptimize_orientation(kbar: ReducedNonlinearity, c, s):
     return phi.reshape(shape), theta.reshape(shape), rate.reshape(shape)
 
 
-def check_rtol(rtol: float) -> float:
-    """``rtol`` if it is a finite relative tolerance the quadrature can meet,
-    else ``ValueError`` naming the floor."""
-    if not (math.isfinite(rtol) and rtol >= QUAD_RTOL_FLOOR):
-        raise ValueError(f"rtol must be a finite number >= {QUAD_RTOL_FLOOR:.3g} "
-                         f"(the floor of the quadrature), got {rtol!r}")
-    return rtol
-
-
 def whole_number(name: str, value, least: int, most: float = math.inf) -> int:
     """The one check of every count and 1-based index: ``value`` as an int if
     it is a whole number in [least, most] (64.0 gives 64), else ``ValueError``."""
-    if not (isinstance(value, numbers.Real) and least <= value <= most
+    if not (isinstance(value, _REAL) and least <= value <= most
             and float(value).is_integer()):
         where = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be a whole number {where}, got {value!r}")
     return int(value)
 
 
+def real_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+                ends: str = "()", text: str = ""):
+    """The one check of every real input: ``value`` if it is a real number
+    from ``lo`` to ``hi``, an end included where ``ends`` has a square
+    bracket ("[)": lo <= value < hi; NaN never), else ``ValueError`` naming
+    it.  The range reads as ``text``, formatted with the ends ``{lo}`` and
+    ``{hi}`` only on a refusal, or else as "finite", "finite and > lo", "> lo"
+    (with hi = inf included) or "in (lo, hi)", with hi = pi as pi."""
+    low, high = ends[0] == "[", ends[1] == "]"
+    if not (isinstance(value, _REAL) and (lo <= value if low else lo < value)
+            and (value <= hi if high else value < hi)):
+        if not text and hi < math.inf:
+            text = f"in {ends[0]}{lo:g}, {'pi' if hi == math.pi else f'{hi:g}'}{ends[1]}"
+        elif not text:
+            least = f"{'>=' if low else '>'} {lo:g}"
+            text = "finite" if lo == -math.inf else least if high else f"finite and {least}"
+        raise ValueError(f"{name} must be {text.format(lo=lo, hi=hi)}, got {value!r}")
+    return value
+
+
 def check_start(alpha0: float, duration: Optional[float] = None) -> None:
-    """``ValueError`` unless alpha0 is in (0, pi] and a duration is finite and >= 0."""
-    if not 0.0 < alpha0 <= math.pi + 1e-12:
-        raise ValueError(f"alpha0 must be in (0, pi], got {alpha0!r}")
-    if duration is not None and not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
+    """``ValueError`` unless alpha0 is in (0, pi], to 1e-12, and a duration finite and >= 0."""
+    real_number("alpha0", alpha0, 0.0, math.pi + 1e-12, "(]", "in (0, pi]")
+    if duration is not None:
+        real_number("duration", duration, 0.0, ends="[)")
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al. 1983,
@@ -499,16 +509,11 @@ def separation_trace(
     c0 = math.cos(alpha0 / 2.0)
     if (target_overlap is None) == (duration is None):
         raise ValueError("give exactly one of target_overlap and duration")
-    if target_overlap is not None and not 0.0 <= target_overlap < c0:
-        raise ValueError(f"target overlap must be in [0, cos(alpha0/2)) = [0, {c0!r}), "
-                         f"got {target_overlap!r}")
-    check_rtol(rtol)
-    if t_eval is not None:
-        times = np.asarray(t_eval, dtype=float)
-        if not (times.ndim == 1 and np.all((times >= 0.0) & (times < math.inf))
-                and np.all(np.diff(times) > 0.0)):
-            raise ValueError("t_eval must be a 1-d array of finite, strictly increasing "
-                             f"times >= 0, got {t_eval!r}")
+    if target_overlap is not None:
+        real_number("target overlap", target_overlap, 0.0, c0, "[)", _TARGET_RANGE)
+    real_number("rtol", rtol, QUAD_RTOL_FLOOR, ends="[)",
+                text="a finite number >= {lo:.3g} (the floor of the quadrature)")
+    times = None if t_eval is None else sample_times(t_eval, 0, math.inf)
     kbar = reduce(n)
     floor = NO_PROGRESS_RATE * max(n.g, 1.0)
     held = None if policy is OrientationPolicy.REOPTIMIZED else _held_orientation(policy)

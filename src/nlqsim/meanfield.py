@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .discrimination import epsilon_to_alpha0, gp_time_to_overlap, whole_number
+from .discrimination import epsilon_to_alpha0, gp_time_to_overlap, real_number, whole_number
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,8 @@ class CondensateParams:
     U: float
 
     def __post_init__(self):
-        whole_number("n_atoms", self.n_atoms, 2)
-        if not 0.0 < self.U < math.inf:
-            raise ValueError(f"U must be finite and > 0, got {self.U!r}")
+        object.__setattr__(self, "n_atoms", whole_number("n_atoms", self.n_atoms, 2))
+        real_number("U", self.U, 0.0)
 
     @property
     def g(self) -> float:

@@ -145,11 +145,14 @@ def piecewise_from_table(x: Sequence[float], y: Sequence[float], g: float = 1.0,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
-        raise ValueError("custom table needs matching 1-d x and y samples")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("custom table grid must be strictly increasing")
+        raise ValueError("custom table needs matching 1-d x and y of at least 2 samples, "
+                         f"got shapes {x.shape} and {y.shape}")
+    k = np.flatnonzero(~(np.diff(x) > 0.0))  # NaN fails too
+    if len(k):
+        raise ValueError("custom table grid must be strictly increasing, got "
+                         f"x[{k[0]}:{k[0] + 2}] = {x[k[0]:k[0] + 2].tolist()}")
     if x[0] > 1e-9 or x[-1] < 1.0 - 1e-9:
-        raise ValueError("custom table must cover [0, 1]")
+        raise ValueError(f"custom table must cover [0, 1], got {x[[0, -1]].tolist()}")
     from scipy.interpolate import PchipInterpolator  # slow to import; only tables use it
     interp = PchipInterpolator(x, y, extrapolate=False)
 
@@ -196,19 +199,25 @@ def piecewise_from_csv(path, g: float = 1.0) -> Nonlinearity:
 
 
 def parse(spec: str) -> Nonlinearity:
-    """Parse a ``kind:g`` string such as ``gp:1.0``, ``log:0.5``, ``sqrt``,
-    ``quartic``, or ``custom:<csv-path>[:g]``."""
+    """Parse a ``kind[:g]`` string such as ``gp:1.0``, ``log:0.5``, ``sqrt``,
+    ``quartic``, or ``custom:<csv-path>[:g]``, g = 1 if left out; any other
+    spec (more fields, no path, a g that is no number) is refused by name."""
     parts = spec.strip().split(":")
     try:
         kind = Kind(parts[0].lower())
     except ValueError:
         raise ValueError(f"unknown nonlinearity kind in {spec!r}") from None
-    if kind is Kind.PIECEWISE_CUSTOM:
-        if len(parts) < 2:
-            raise ValueError("custom nonlinearity needs a CSV path: custom:<path>[:g]")
-        g = float(parts[2]) if len(parts) > 2 else 1.0
+    at = 2 if kind is Kind.PIECEWISE_CUSTOM else 1  # the field of g, after a custom path
+    if not at <= len(parts) <= at + 1 or "" in parts[1:at]:
+        raise ValueError(f"nonlinearity spec must be kind[:g] or custom:<path>[:g], got {spec!r}")
+    try:
+        g = float(parts[at]) if len(parts) > at else 1.0
+    except ValueError:
+        raise ValueError(f"nonlinearity strength in {spec!r} must be a number, "
+                         f"got {parts[at]!r}") from None
+    if at == 2:
         return piecewise_from_csv(parts[1], g=g)
-    return Nonlinearity(kind, float(parts[1]) if len(parts) > 1 else 1.0)
+    return Nonlinearity(kind, g)
 
 
 def build_from_mu_nu(mu: Callable, nu: Callable, label: str = "mu-nu") -> Nonlinearity:

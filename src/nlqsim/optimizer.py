@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import discrimination
-from .discrimination import whole_number
+from .discrimination import real_number, whole_number
 from .nonlinearity import Nonlinearity, reduce, weighted_overlap_derivative
 
 _MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search
@@ -76,8 +76,7 @@ class OptimizationResult:
 
 def canonical_pair(alpha: float) -> np.ndarray:
     """The pair (cos(alpha/4), +-sin(alpha/4)) as 2 x 2 columns; overlap cos(alpha/2)."""
-    if not 0.0 <= alpha <= math.pi:
-        raise ValueError(f"alpha must be in [0, pi], got {alpha!r}")
+    real_number("alpha", alpha, 0.0, math.pi, "[]")
     c, s = math.cos(alpha / 4.0), math.sin(alpha / 4.0)
     return np.array([[c, c], [s, -s]], dtype=complex)
 
@@ -233,8 +232,7 @@ def optimize_orientation(
     restarts = whole_number("restarts", restarts, 1)
     max_sweeps = whole_number("max_sweeps", max_sweeps, 1)
     seed = whole_number("seed", seed, 0)
-    if not 0.0 < alpha < math.pi:
-        raise ValueError(f"alpha must be in (0, pi) for orientation search, got {alpha!r}")
+    real_number("alpha", alpha, 0.0, math.pi, text="in (0, pi) for orientation search")
     block = canonical_pair(alpha)
     if warm_start is not None and warm_start.argmax.dim > dim:
         raise ValueError(f"warm_start must come from a dimension <= dim = {dim}, "

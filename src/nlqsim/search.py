@@ -34,7 +34,8 @@ import numpy as np
 
 from . import _ode
 from ._ode import Schedule, as_schedule, solve_in_frame
-from .discrimination import OrientationPolicy, epsilon_to_alpha0, time_to_overlap, whole_number
+from .discrimination import (OrientationPolicy, epsilon_to_alpha0, real_number, time_to_overlap,
+                             whole_number)
 from .nonlinearity import Nonlinearity, weighted_overlap_derivative
 
 SQRT2 = math.sqrt(2.0)
@@ -55,9 +56,9 @@ class SearchInstance:
     marked: Optional[int] = None
 
     def __post_init__(self):
-        N = whole_number("N", self.N, 2)
+        object.__setattr__(self, "N", whole_number("N", self.N, 2))
         if self.marked is not None:
-            whole_number("marked", self.marked, 1, N)
+            object.__setattr__(self, "marked", whole_number("marked", self.marked, 1, self.N))
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ def uniform_state(N: int) -> np.ndarray:
 def oracle_overlap(N: int, t1: float, marked: bool) -> complex:
     """<s|U|s> for U = exp(-i t1 |m><m|): 1 - (1 - exp(-i t1))/N if marked."""
     whole_number("N", N, 2)
-    if not 0.0 <= t1 < math.inf:
-        raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
+    real_number("t1", t1, 0.0, ends="[)")
     if not marked:
         return 1.0 + 0.0j
     return 1.0 - (1.0 - cmath.exp(-1j * t1)) / N
@@ -123,8 +123,7 @@ def hadamard_test_bruteforce(N: int, t1: float, marked: bool,
     """
     N = whole_number("N", N, 2)
     m = whole_number("m", m, 1, N)
-    if not 0.0 <= t1 < math.inf:
-        raise ValueError(f"t1 must be finite and >= 0, got {t1!r}")
+    real_number("t1", t1, 0.0, ends="[)")
     s = uniform_state(N)
     # amplitudes[a, x]: ancilla a in {0, 1}, register x
     amp = np.zeros((2, N), dtype=complex)
@@ -157,16 +156,14 @@ def _overlap_deficit(N: int, t1: float) -> float:
 def helstrom_success(overlap: float) -> float:
     """Optimal success probability for equal-prior discrimination of two
     pure states with overlap magnitude ``overlap``, in [0, 1]."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
+    real_number("overlap", overlap, 0.0, 1.0, "[]")
     return 0.5 * (1.0 + math.sqrt(1.0 - overlap ** 2))
 
 
 def default_t1(N: int, g: float) -> float:
     """Oracle time t1 = max(1, (1/g) ln(g N)), clamped to [1, sqrt(N)]."""
     whole_number("N", N, 2)
-    if not 0.0 < g < math.inf:
-        raise ValueError(f"g must be finite and > 0 to pick t1 automatically, got {g!r}")
+    real_number("g", g, 0.0, text="finite and > 0 to pick t1 automatically")
     raw = math.log(g * N) / g if g * N > 1.0 else 1.0
     return min(max(1.0, raw), math.sqrt(N))
 
@@ -176,8 +173,7 @@ def complexity_budget(N: int, g: float) -> float:
     budget sqrt(N) when the nonlinearity is too weak to help
     (g < ln(N)/sqrt(N) or gN <= 1)."""
     N = whole_number("N", N, 2)
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
+    real_number("g", g)
     root_n = math.sqrt(N)
     if g <= 0 or g * N <= 1.0 or g < math.log(N) / root_n:
         return root_n
@@ -199,12 +195,8 @@ def run_search(
     at the target overlap c = 1/sqrt(2).
     """
     seed = whole_number("seed", seed, 0)
-    if t1 in ("auto", None):
-        t1_val = default_t1(instance.N, n.g)
-    else:
-        t1_val = float(t1)
-        if not 0.0 < t1_val < math.inf:
-            raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
+    t1_val = (default_t1(instance.N, n.g) if t1 in ("auto", None)
+              else real_number("t1", float(t1), 0.0))
 
     epsilon = _overlap_deficit(instance.N, t1_val)
     if epsilon == 0.0:
@@ -267,8 +259,6 @@ def integrate_nlse(
     if not abs(nrm - 1.0) <= 1e-9:  # false on NaN too
         raise ValueError(f"psi0 must be unit norm to 1e-9, got {psi0!r}")
     psi0 = psi0 / nrm
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
     if oracle is not None:
         oracle = whole_number("oracle", oracle, 1, dim)
 
@@ -285,10 +275,8 @@ def search_schedule(N: int, g: float, t1: float) -> Schedule:
     to (g/2) tanh(u0).  ``N`` must be >= 2 and ``t1`` finite and > 0, as in
     ``run_search``; ``g`` finite and >= 0, where g = 0 gives the zero drive."""
     whole_number("N", N, 2)
-    if not 0.0 < t1 < math.inf:
-        raise ValueError(f"t1 must be finite and > 0, got {t1!r}")
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"g must be finite and >= 0, got {g!r}")
+    real_number("t1", t1, 0.0)
+    real_number("g", g, 0.0, ends="[)")
     alpha0 = epsilon_to_alpha0(_overlap_deficit(N, t1))
     sx_half = np.array([[0.0, 0.5], [0.5, 0.0]])
     if not (alpha0 > 0 and g > 0):
@@ -378,9 +366,8 @@ def lower_bound_audit(
     so at N = 2^40 row j is solved to ``rtol`` on its 1e-6 amplitudes.
     ``duration`` must be finite and > 0.
     """
-    whole_number("N", N, 2)
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    N = whole_number("N", N, 2)
+    real_number("duration", duration, 0.0)
     samples = whole_number("samples", samples, 2)
     H = as_schedule(H, N)
     p = 0 if H is None else len(H.support)

@@ -291,9 +291,10 @@ def test_pair_orientation_validation():
 
 @pytest.mark.parametrize("duration", [math.inf, math.nan])
 def test_integrate_refuses_a_duration_that_is_not_finite(duration):
-    def kbar(z):
+    def kappa(x):
         raise AssertionError("rhs called")
 
+    kbar = nl.reduce(nl.Nonlinearity(nl.Kind.PIECEWISE_CUSTOM, custom_fn=kappa))
     with pytest.raises(ValueError, match="t1"):
         bd.integrate(kbar, None, np.array([1.0, 0.0, 0.0]), duration)
 

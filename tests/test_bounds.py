@@ -256,7 +256,7 @@ def test_estimate_lipschitz_refuses_a_reduction_that_is_not_finite():
         bn.estimate_lipschitz(nl.reduce(n))
     with pytest.raises(ValueError, match=f"kbar is not finite at z = {first!r}"):
         bn.check_lipschitz_separation_bound(n, 1e-3, 1.0)
-    with pytest.raises(ValueError, match="Lipschitz constant must be nonnegative, got nan"):
+    with pytest.raises(ValueError, match="Lipschitz constant must be >= 0, got nan"):
         bn.LipschitzEstimate(math.nan)
 
 

@@ -341,7 +341,7 @@ def test_audit_refuses_a_horizon_that_is_not_positive(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["audit", "--n", "8", "--duration", "inf"], "duration must be finite and > 0, got inf"),
     (["audit", "--n", "8", "--duration", "nan"], "duration must be finite and > 0, got nan"),
-    (["search", "--n", "8", "--t1", "inf"], "t1 must be finite and > 0, got 'inf'"),
+    (["search", "--n", "8", "--t1", "inf"], "t1 must be finite and > 0, got inf"),
     (["audit", "--n", "8", "--t1", "nan"], "t1 must be finite and > 0, got nan"),
     (["search", "--n", "8", "--t1", "abc"], "could not convert string to float: 'abc'"),
     (["audit", "--n", "8", "--t1", "0"], "t1 must be finite and > 0, got 0.0"),
@@ -639,7 +639,11 @@ def test_tol_below_the_quadrature_floor_exits_2(cmd, capsys):
     ("custom:{tmp}/kappa.csv", "custom table {tmp}/kappa.csv, line 3: expected two finite "
                                "numbers x,kappa(x), got '0.5'"),
     ("gp:-1", "nonlinearity strength must be finite and >= 0, got -1.0"),
-], ids=["unknown-kind", "missing-table", "malformed-table", "negative-strength"])
+    # these two ran as gp:2 and ended in "could not convert string to float: ''"
+    ("gp:2:oops", "nonlinearity spec must be kind[:g] or custom:<path>[:g], got 'gp:2:oops'"),
+    ("sqrt:", "nonlinearity strength in 'sqrt:' must be a number, got ''"),
+], ids=["unknown-kind", "missing-table", "malformed-table", "negative-strength", "extra-field",
+        "empty-strength"])
 def test_a_nonlinearity_the_library_refuses_exits_2(spec, message, tmp_path, capsys):
     # these ended in a traceback and exit 1
     (tmp_path / "kappa.csv").write_text("x,kappa\n0,0\n0.5\n1,1\n")

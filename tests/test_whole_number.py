@@ -120,6 +120,11 @@ WHOLE_FLOATS = {
     "optimize_orientation": lambda k: op.optimize_orientation(
         GP, 0.5, 3, restarts=2, seed=k(4)).best_rate,
     "validation.Context": lambda k: va.check_kbar_odd(va.Context(quick=True, seed=k(2))).detail,
+    # these kept the float they were given, and so printed 64.0
+    "SearchInstance.N": lambda k: repr(sr.SearchInstance(k(64), k(3))),
+    "run_search.N": lambda k: repr(sr.run_search(sr.SearchInstance(k(64)), GP).N),
+    "lower_bound_audit.N": lambda k: repr(sr.lower_bound_audit(GP, None, k(64), 1.0).N),
+    "CondensateParams.n_atoms": lambda k: repr(mf.CondensateParams(k(1000), 1e-3)),
 }
 
 
