@@ -24,13 +24,14 @@ package's one trajectory record.  ``solve_in_frame``, its one caller, steps
 the amplitude flow of ``search`` and ``blochdyn`` in a co-rotating frame,
 every drive a ``Schedule``.  Scalar autonomous problems (the overlap laws
 of ``discrimination`` and ``bounds``) are quadratures and do not come here.
+The input rules live here, at the bottom of the import graph, for every
+module: ``real_number``, ``whole_number`` and ``sample_times``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -121,6 +122,9 @@ SAFETY = 0.8
 ORDER_EXP = 1 / 8  # 1 / (q + 1) for the error estimate's order q = 7
 BETA = 0.06  # Gustafsson's PI stabilisation: the weight of the last accepted error
 
+# The real numbers: float and int first, matched without the ABC's slower lookup.
+_REAL = (float, int, numbers.Real)
+
 
 @dataclass
 class StepStats:
@@ -183,6 +187,36 @@ def _project(y):
     return y / norm, float(np.abs(norm - 1.0).max())
 
 
+def whole_number(name: str, value, least: int, most: float = math.inf) -> int:
+    """The one check of every count and index: ``value`` as an int if it is
+    a whole number in [least, most] (64.0 gives 64), else ``ValueError``."""
+    if not (isinstance(value, _REAL) and least <= value <= most
+            and float(value).is_integer()):
+        where = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be a whole number {where}, got {value!r}")
+    return int(value)
+
+
+def real_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+                ends: str = "()", text: str = ""):
+    """The one check of every real input: ``value`` if it is a real number
+    from ``lo`` to ``hi``, an end included where ``ends`` has a square
+    bracket ("[)": lo <= value < hi; NaN never), else ``ValueError`` naming
+    it.  The range reads as ``text``, formatted with the ends ``{lo}`` and
+    ``{hi}`` only on a refusal, or else as "finite", "finite and > lo", "> lo"
+    (with hi = inf included) or "in (lo, hi)", with hi = pi as pi."""
+    low, high = ends[0] == "[", ends[1] == "]"
+    if not (isinstance(value, _REAL) and (lo <= value if low else lo < value)
+            and (value <= hi if high else value < hi)):
+        if not text and hi < math.inf:
+            text = f"in {ends[0]}{lo:g}, {'pi' if hi == math.pi else f'{hi:g}'}{ends[1]}"
+        elif not text:
+            least = f"{'>=' if low else '>'} {lo:g}"
+            text = "finite" if lo == -math.inf else least if high else f"finite and {least}"
+        raise ValueError(f"{name} must be {text.format(lo=lo, hi=hi)}, got {value!r}")
+    return value
+
+
 def sample_times(t_eval, t0: float, t1: float) -> np.ndarray:
     """The one rule for sample times: ``t_eval`` as a float array if it is a 1-d
     array of finite, strictly increasing times in [t0, t1], else ``ValueError``."""
@@ -225,11 +259,10 @@ def solve(
     ``t_eval`` finite, strictly increasing and inside [t0, t1]; anything
     else raises ``ValueError`` before ``f`` is first called.
     """
-    if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= t1):
-        raise ValueError(f"t0 and t1 must be finite with t0 <= t1, got t0={t0!r} and t1={t1!r}")
+    if real_number("t0", t0) > real_number("t1", t1):  # a relation, not a range of one
+        raise ValueError(f"need t0 <= t1, got t0={t0!r} and t1={t1!r}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not (np.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"{name} must be a finite number > 0, got {tol!r}")
+        real_number(name, tol, 0.0, text="a finite number > 0")
     eval_times = None if t_eval is None else sample_times(t_eval, t0, t1)
     eval_idx = 0
     y = np.array(y0, copy=True)
@@ -333,12 +366,10 @@ class Schedule:
     t_on: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.t_on < math.inf:
-            raise ValueError(f"t_on must be finite and >= 0, got {self.t_on!r}")
-        if not (callable(self.omega) or isinstance(self.omega, numbers.Real)
-                and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be a finite real number or a callable, got {self.omega!r}")
-        support = tuple(operator.index(k) for k in self.support)
+        real_number("t_on", self.t_on, 0.0, ends="[)")
+        if not callable(self.omega):
+            real_number("omega", self.omega, text="a finite real number or a callable")
+        support = tuple(whole_number("support coordinate", k, 0) for k in self.support)
         if callable(self.generator):
             raise TypeError("generator must be a constant matrix; time goes into omega")
         gen = np.array(self.generator, dtype=complex)
@@ -408,8 +439,7 @@ def solve_in_frame(kappa, diag, H: Optional[Schedule], Y0, duration: float, rtol
     finite gives the solver's failed trace, which keeps only the start.
     ``duration`` must be finite and >= 0, and ``t_eval`` samples in it.
     """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration, the end time t1, must be finite and >= 0, got {duration!r}")
+    real_number("duration, the end time t1,", duration, 0.0, ends="[)")
     rate = kappa.kappa(np.abs(Y0)) + diag
     omega = rate.copy()
     if H is not None:

@@ -29,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _ode
-from ._ode import Schedule, solve_in_frame
+from ._ode import Schedule, SimTrace, real_number, solve_in_frame
 from .nonlinearity import ReducedNonlinearity
 
 
@@ -48,12 +47,9 @@ class PairOrientation:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= math.pi + 1e-12:
-            raise ValueError(f"alpha must be in [0, pi], got {self.alpha}")
-        if not 0.0 <= self.phi <= math.pi + 1e-12:
-            raise ValueError(f"phi must be in [0, pi], got {self.phi}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        real_number("alpha", self.alpha, 0.0, math.pi + 1e-12, "[]", "in [0, pi]")
+        real_number("phi", self.phi, 0.0, math.pi + 1e-12, "[]", "in [0, pi]")
+        real_number("theta", self.theta)
 
 
 def axis_drive(axis, omega):
@@ -145,7 +141,7 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: Optional[np.ndarray] = None,
-) -> _ode.SimTrace:
+) -> SimTrace:
     """Integrate one or two Bloch vectors under ``kbar``'s nonlinearity plus
     ``drive`` (None or a ``Schedule`` on the modes (0, 1)).
 
@@ -168,8 +164,7 @@ def integrate(
     if drive is not None and not (isinstance(drive, Schedule) and drive.support == (0, 1)):
         raise ValueError(f"drive must be None or a Schedule on the modes (0, 1), got {drive!r}")
 
-    tr = solve_in_frame(kbar.source, 0.0, drive, _spinor(vs / norm), float(duration), rtol,
-                        atol, t_eval)
+    tr = solve_in_frame(kbar.source, 0.0, drive, _spinor(vs / norm), duration, rtol, atol, t_eval)
     tr.states = qubit_bloch_vector(tr.states)
     if vs.shape[0] == 2:
         tr.overlaps = np.einsum("ij,ij->i", tr.states[:, 0], tr.states[:, 1])

@@ -30,8 +30,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .discrimination import (OrientationPolicy, check_start, real_number, separation_trace,
-                             whole_number)
+from ._ode import real_number, whole_number
+from .discrimination import OrientationPolicy, check_start, separation_trace
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
 DEFAULT_GRID = 10_000

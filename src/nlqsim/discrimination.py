@@ -42,21 +42,21 @@ sums, and Newton steps on it find the u of the sample's time.
 
 A ``DiscriminationResult`` holds the sampled times, overlaps and angles of
 that quadrature and its count of unit panels in u; it steps no ODE and
-carries no drive.
+carries no drive.  Inputs are refused by ``_ode``'s rules; ``check_start``
+states a run's start, alpha0 and duration, once for every module.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._ode import sample_times
+from ._ode import real_number, sample_times, whole_number
 from .blochdyn import pair_overlap_rate
 from .nonlinearity import Nonlinearity, ReducedNonlinearity, reduce
 
@@ -73,9 +73,6 @@ QUAD_RTOL_FLOOR = 50.0 * np.finfo(float).eps
 
 # tanh(u) rounds to -1 below u = -U_MAX, where a run of given duration stops.
 U_MAX = 20.0
-
-# The real numbers: float and int first, matched without the ABC's slower lookup.
-_REAL = (float, int, numbers.Real)
 
 # The range of a target overlap, below the start's c0 = cos(alpha0/2) = hi.
 _TARGET_RANGE = "in [0, cos(alpha0/2)) = [0, {hi!r})"
@@ -299,36 +296,6 @@ def reoptimize_orientation(kbar: ReducedNonlinearity, c, s):
     if not shape:
         return float(phi[0]), float(theta[0]), float(rate[0])
     return phi.reshape(shape), theta.reshape(shape), rate.reshape(shape)
-
-
-def whole_number(name: str, value, least: int, most: float = math.inf) -> int:
-    """The one check of every count and 1-based index: ``value`` as an int if
-    it is a whole number in [least, most] (64.0 gives 64), else ``ValueError``."""
-    if not (isinstance(value, _REAL) and least <= value <= most
-            and float(value).is_integer()):
-        where = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
-        raise ValueError(f"{name} must be a whole number {where}, got {value!r}")
-    return int(value)
-
-
-def real_number(name: str, value, lo: float = -math.inf, hi: float = math.inf,
-                ends: str = "()", text: str = ""):
-    """The one check of every real input: ``value`` if it is a real number
-    from ``lo`` to ``hi``, an end included where ``ends`` has a square
-    bracket ("[)": lo <= value < hi; NaN never), else ``ValueError`` naming
-    it.  The range reads as ``text``, formatted with the ends ``{lo}`` and
-    ``{hi}`` only on a refusal, or else as "finite", "finite and > lo", "> lo"
-    (with hi = inf included) or "in (lo, hi)", with hi = pi as pi."""
-    low, high = ends[0] == "[", ends[1] == "]"
-    if not (isinstance(value, _REAL) and (lo <= value if low else lo < value)
-            and (value <= hi if high else value < hi)):
-        if not text and hi < math.inf:
-            text = f"in {ends[0]}{lo:g}, {'pi' if hi == math.pi else f'{hi:g}'}{ends[1]}"
-        elif not text:
-            least = f"{'>=' if low else '>'} {lo:g}"
-            text = "finite" if lo == -math.inf else least if high else f"finite and {least}"
-        raise ValueError(f"{name} must be {text.format(lo=lo, hi=hi)}, got {value!r}")
-    return value
 
 
 def check_start(alpha0: float, duration: Optional[float] = None) -> None:

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .discrimination import epsilon_to_alpha0, gp_time_to_overlap, real_number, whole_number
+from ._ode import real_number, whole_number
+from .discrimination import epsilon_to_alpha0, gp_time_to_overlap
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._ode import real_number
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Evaluation of the logarithmic reduction is clamped away from the poles at
@@ -66,8 +68,9 @@ class Nonlinearity:
     kbar_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not np.isfinite(self.g) or self.g < 0:
-            raise ValueError(f"nonlinearity strength must be finite and >= 0, got {self.g}")
+        if not isinstance(self.kind, Kind):
+            raise ValueError(f"nonlinearity kind must be a Kind, got {self.kind!r}")
+        real_number("nonlinearity strength", self.g, 0.0, ends="[)")
         if self.kind is Kind.PIECEWISE_CUSTOM and self.custom_fn is None:
             raise ValueError("piecewise custom nonlinearity needs an evaluation function")
 
@@ -307,4 +310,6 @@ def weighted_overlap_derivative(w, psi, phi):
 
 def reduce(n: Nonlinearity) -> ReducedNonlinearity:
     """Reduced odd form of a nonlinearity; kbar(-z) = -kbar(z), kbar(0) = 0."""
+    if not isinstance(n, Nonlinearity):
+        raise ValueError(f"reduce needs a Nonlinearity, got {type(n).__name__}")
     return ReducedNonlinearity(n)

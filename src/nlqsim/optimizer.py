@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import discrimination
-from .discrimination import real_number, whole_number
+from ._ode import real_number, whole_number
 from .nonlinearity import Nonlinearity, reduce, weighted_overlap_derivative
 
 _MAX_SWEEPS = 400  # iteration cap of the dim >= 3 search

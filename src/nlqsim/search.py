@@ -33,9 +33,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _ode
-from ._ode import Schedule, as_schedule, solve_in_frame
-from .discrimination import (OrientationPolicy, epsilon_to_alpha0, real_number, time_to_overlap,
-                             whole_number)
+from ._ode import Schedule, as_schedule, real_number, solve_in_frame, whole_number
+from .discrimination import OrientationPolicy, epsilon_to_alpha0, time_to_overlap
 from .nonlinearity import Nonlinearity, weighted_overlap_derivative
 
 SQRT2 = math.sqrt(2.0)

@@ -25,6 +25,7 @@ from . import meanfield as mf
 from . import nonlinearity as nl
 from . import optimizer as op
 from . import search as sr
+from ._ode import whole_number
 
 
 @dataclass
@@ -40,7 +41,7 @@ class Context:
     seed: int = 0
 
     def __post_init__(self):
-        self.seed = dc.whole_number("seed", self.seed, 0)
+        self.seed = whole_number("seed", self.seed, 0)
 
     def n(self, full: int, quick: int) -> int:
         return quick if self.quick else full

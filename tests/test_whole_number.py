@@ -1,4 +1,4 @@
-"""One check for every count and 1-based index, ``discrimination.whole_number``.
+"""One check for every count and index, ``_ode.whole_number``.
 
 The refusal table gives each guarded entry point a fractional value, a value
 below its range and, where the range has a top, one above it; each is
@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlqsim import _ode
 from nlqsim import bounds as bn
 from nlqsim import discrimination as dc
 from nlqsim import meanfield as mf
@@ -27,6 +28,7 @@ GP = nl.gross_pitaevskii(1.0)
 KBAR = nl.reduce(GP)
 PSI0 = np.full(4, 0.5, dtype=complex)
 PSI, PHI = np.array([0.6, 0.8j]), np.array([1.0, 0.0])
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _cases(entry, call, name, where, *values):
@@ -86,6 +88,10 @@ REFUSALS = [
     *_cases("orientation_chain", lambda v: op.orientation_chain(GP, 0.5, 3, seed=v), "seed",
             ">= 0", 1.5, -3),
     *_cases("validation.Context", lambda v: va.Context(seed=v), "seed", ">= 0", 1.5, -3),
+    # 0.5 raised operator.index's TypeError; -1 was refused later, by the
+    # integrator, as outside [0, N)
+    *_cases("Schedule", lambda v: _ode.Schedule((v, 1), SX), "support coordinate", ">= 0", 0.5,
+            -1),
 ]
 
 
@@ -107,6 +113,9 @@ WHOLE_FLOATS = {
     "hadamard_test_bruteforce": lambda k: sr.hadamard_test_bruteforce(
         k(8), 1.0, True, m=k(3)).postselected_qubit,
     "integrate_nlse": lambda k: sr.integrate_nlse(GP, None, k(3), PSI0, 1.0).states,
+    # (0.0, 1.0) raised operator.index's TypeError
+    "Schedule": lambda k: sr.integrate_nlse(GP, _ode.Schedule((k(0), k(1)), SX), None, PSI0,
+                                            1.0).states,
     "lower_bound_audit": lambda k: sr.lower_bound_audit(
         GP, sr.search_schedule(k(64), 1.0, 1.0), k(64), 2.0, samples=k(3)).S,
     "certify_growth": lambda k: bn.certify_growth(KBAR, 0.0, 0.5, grid=k(3)).g_local,
@@ -134,7 +143,7 @@ def test_a_whole_float_count_or_index_is_taken_as_its_integer(entry):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nlqsim"
-ALLOWED = {"discrimination.whole_number", "cli.atom_count"}
+ALLOWED = {"_ode.whole_number", "cli.atom_count"}
 
 
 def _is_integer_sites(stem, tree):
@@ -157,5 +166,5 @@ def test_only_whole_number_and_the_atom_parser_test_for_whole_numbers():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _is_integer_sites(path.stem, ast.parse(path.read_text(), str(path)))
-    assert "discrimination.whole_number" in found  # the scan reads the source
+    assert "_ode.whole_number" in found  # the scan reads the source
     assert found <= ALLOWED, f"count checks outside whole_number: {sorted(found - ALLOWED)}"
